@@ -9,7 +9,12 @@ backward rule stays auditable.
 A forward pass records lineage links between tensors; ``backward`` walks
 that graph once in reverse topological order and accumulates gradients,
 summing the contributions of every consumer of a tensor.  Graphs are
-per-step: dropping the loss tensor releases the whole recording.
+per-step and ``backward`` consumes them: once gradients are accumulated it
+cuts the backward rule and parent links of every interior node, so the
+recording holds no reference cycles and dropping the loss tensor frees it
+at once, without waiting for the cyclic garbage collector.  Leaves
+(parameters, inputs, constants) are left as they are, so parameters keep
+their ``grad`` and feed the next step's graph.
 """
 
 import contextlib
@@ -43,7 +48,7 @@ class Tensor:
     creation except for gradient accumulation.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "__weakref__")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=DTYPE)
@@ -126,6 +131,11 @@ def _track(out: Tensor, parents, backward_fn) -> Tensor:
     return out
 
 
+def _consumed():
+    """Backward rule left on interior nodes by :func:`backward`."""
+    raise ContractError("graph was consumed by an earlier backward; run the forward pass again")
+
+
 def backward(loss: Tensor):
     """Populate ``grad`` on every tensor the scalar ``loss`` depends on.
 
@@ -133,6 +143,12 @@ def backward(loss: Tensor):
     once, children before parents) and traversed in reverse; fan-out sums
     all consumer contributions.  Gradients from a previous call are
     discarded first.
+
+    The graph is consumed: each interior node keeps its ``grad`` but loses
+    its backward rule and parent links once its rule has run, so the graph
+    is freed by reference counting when the caller drops ``loss``.  Leaves
+    are untouched.  A later backward through a consumed node raises
+    ContractError before any gradient is touched.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -146,6 +162,8 @@ def backward(loss: Tensor):
             continue
         if id(node) in visited:
             continue
+        if node._backward is _consumed:
+            _consumed()
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._prev:
@@ -157,6 +175,8 @@ def backward(loss: Tensor):
     for node in reversed(topo):
         if node._backward is not None:
             node._backward()
+            node._backward = _consumed
+            node._prev = ()
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +479,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 def conv1d(x: Tensor, kernels: Tensor, padding: str = "same") -> Tensor:
     """Cross-correlation along the time axis.
 
-    ``x`` is [T, Cin], ``kernels`` is [W, Cin, Cout].  With ``same`` padding
-    the input is zero-padded to keep T; with ``valid`` the output has
-    T - W + 1 steps.  out[t, o] = sum_w sum_i x[t+w, i] * k[w, i, o].
+    ``x`` is [T, Cin], or [N, T, Cin] for N independent sequences of one
+    length; ``kernels`` is [W, Cin, Cout].  With ``same`` padding the input
+    is zero-padded to keep T; with ``valid`` the output has T - W + 1 steps.
+    out[..., t, o] = sum_w sum_i x[..., t+w, i] * k[w, i, o].
     """
-    if x.ndim != 2 or kernels.ndim != 3:
-        raise ShapeError(f"conv1d needs x[T,Cin] and kernels[W,Cin,Cout], got {x.shape} and {kernels.shape}")
-    t_in, c_in = x.shape
+    if x.ndim not in (2, 3) or kernels.ndim != 3:
+        raise ShapeError(f"conv1d needs x[T,Cin] or x[N,T,Cin] and kernels[W,Cin,Cout], "
+                         f"got {x.shape} and {kernels.shape}")
+    *lead, t_in, c_in = x.shape
     w, kc_in, c_out = kernels.shape
     if kc_in != c_in:
         raise ShapeError(f"conv1d channel mismatch: input has {c_in}, kernels expect {kc_in}")
@@ -477,47 +499,53 @@ def conv1d(x: Tensor, kernels: Tensor, padding: str = "same") -> Tensor:
             raise ShapeError(f"kernel width {w} exceeds input length {t_in} with valid padding")
     else:
         raise ValidationError(f"unknown padding {padding!r}")
-    xp = np.pad(x.data, ((pad_left, pad_right), (0, 0)))
-    t_out = xp.shape[0] - w + 1
-    cols = np.stack([xp[i : i + t_out] for i in range(w)], axis=1)  # [T', W, Cin]
+    xp = np.pad(x.data, [(0, 0)] * len(lead) + [(pad_left, pad_right), (0, 0)])
+    t_out = xp.shape[-2] - w + 1
+    # [..., T', W, Cin] windows flattened to one row per output step
+    cols = np.stack([xp[..., i : i + t_out, :] for i in range(w)], axis=-2).reshape(-1, w * c_in)
     kmat = kernels.data.reshape(w * c_in, c_out)
-    out = Tensor(cols.reshape(t_out, w * c_in) @ kmat)
+    out = Tensor((cols @ kmat).reshape(*lead, t_out, c_out))
 
     def _bw():
-        g = out.grad
+        g = out.grad.reshape(-1, c_out)
         if kernels.requires_grad:
-            kernels.grad += (cols.reshape(t_out, w * c_in).T @ g).reshape(w, c_in, c_out)
+            kernels.grad += (cols.T @ g).reshape(w, c_in, c_out)
         if x.requires_grad:
-            dcols = (g @ kmat.T).reshape(t_out, w, c_in)
+            dcols = (g @ kmat.T).reshape(*lead, t_out, w, c_in)
             dxp = np.zeros_like(xp)
             for i in range(w):
-                dxp[i : i + t_out] += dcols[:, i, :]
-            x.grad += dxp[pad_left : pad_left + t_in]
+                dxp[..., i : i + t_out, :] += dcols[..., i, :]
+            x.grad += dxp[..., pad_left : pad_left + t_in, :]
 
     return _track(out, (x, kernels), _bw)
 
 
-def max_pool_time(x: Tensor, valid: int | None = None) -> Tensor:
+def max_pool_time(x: Tensor, valid=None) -> Tensor:
     """Per-channel maximum over time steps; gradient goes to the first argmax.
 
-    ``valid`` restricts the pool to the first ``valid`` rows, so trailing
-    padding cannot win the max.
+    ``x`` is [T, C] -> [C], or [N, T, C] -> [N, C] with each row pooled on
+    its own.  ``valid`` restricts the pool to the first ``valid`` steps, so
+    trailing padding cannot win the max; for a rank-3 ``x`` it is one count
+    for all rows or one count per row.
     """
-    if x.ndim != 2:
-        raise ShapeError(f"max_pool_time needs x[T,C], got {x.shape}")
-    t, c = x.shape
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"max_pool_time needs x[T,C] or x[N,T,C], got {x.shape}")
+    lead, t = x.shape[:-2], x.shape[-2]
     if t < 1:
         raise ShapeError("max_pool_time on an empty time axis")
-    v = t if valid is None else int(valid)
-    if not 1 <= v <= t:
+    v = np.asarray(t if valid is None else valid, dtype=np.int64)
+    if v.shape not in ((), lead):
+        raise ShapeError(f"valid counts have shape {v.shape}, expected () or {lead}")
+    if np.any(v < 1) or np.any(v > t):
         raise ShapeError(f"valid count {v} outside [1, {t}]")
-    idx = np.argmax(x.data[:v], axis=0)
-    out = Tensor(x.data[idx, np.arange(c)])
+    in_pool = np.arange(t)[:, None] < v[..., None, None]  # [..., T, 1]
+    idx = np.argmax(np.where(in_pool, x.data, -np.inf), axis=-2)[..., None, :]  # [..., 1, C]
+    out = Tensor(np.take_along_axis(x.data, idx, axis=-2)[..., 0, :])
 
     def _bw():
         if x.requires_grad:
             scatter = np.zeros_like(x.data)
-            scatter[idx, np.arange(c)] = out.grad
+            np.put_along_axis(scatter, idx, out.grad[..., None, :], axis=-2)
             x.grad += scatter
 
     return _track(out, (x,), _bw)
@@ -558,15 +586,19 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 def embedding_rows(table: Tensor, ids, frozen_row: int | None = None) -> Tensor:
     """Gather rows of an embedding table; backward scatter-adds into the table.
 
-    ``frozen_row`` (the padding id) never receives gradient, keeping its row
-    fixed at initialization.
+    ``ids`` may have any shape; the output appends the table's row axis.
+    ``frozen_row`` (the padding id) reads as zeros and never receives
+    gradient, so its table row has no effect.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if table.ndim != 2:
         raise ShapeError(f"embedding table must be rank 2, got {table.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ValidationError(f"embedding id outside [0, {table.shape[0]})")
-    out = Tensor(table.data[ids])
+    rows = table.data[ids]
+    if frozen_row is not None:
+        rows[ids == frozen_row] = 0.0
+    out = Tensor(rows)
 
     def _bw():
         if table.requires_grad:

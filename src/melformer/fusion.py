@@ -14,7 +14,7 @@ from . import nn
 from .autograd import Tensor
 from .config import ModelConfig
 from .errors import FormatError, ValidationError
-from .model import ForwardTrace, MultilevelTransformer
+from .model import ForwardTrace, MultilevelTransformer, eval_probs
 from .text import WordVectors
 
 UEMB_MAGIC = "UEMB"
@@ -132,10 +132,7 @@ class MultiGranularityModel(nn.Module):
         return ag.stack_rows([self.forward_utterance(e).logits for e in encs])
 
     def predict_probs(self, enc) -> np.ndarray:
-        with ag.no_grad():
-            trace = self.forward_utterance(enc)
-            probs = ag.softmax(ag.reshape(trace.logits, (1, -1)))
-        return probs.data[0]
+        return eval_probs(self, enc)
 
 
 def build_fusion_model(cfg, word_vectors, utt_dim=None, seed=0, freeze_fine=False):

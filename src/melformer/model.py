@@ -1,11 +1,12 @@
 """The fine-grained multimodal transformer.
 
-Text path: per-word phoneme CNN + word vector -> combiner -> conv prenet ->
-transformer encoder.  Audio path: normalized log-mel frames (zero dummy row
-at position 0) -> two-layer affine prenet -> cross-modality blocks whose
-queries are the mel stream and whose keys/values are the text encoding ->
-self-attention fusion blocks.  The fused vector at position 0 feeds an
-affine head that emits class logits.
+Text path: phoneme CNN + word vector -> combiner -> conv prenet ->
+transformer encoder, each stage run once over the utterance's word rows.
+Audio path: normalized log-mel frames (zero dummy row at position 0) ->
+two-layer affine prenet -> cross-modality blocks whose queries are the mel
+stream and whose keys/values are the text encoding -> self-attention fusion
+blocks.  The fused vector at position 0 feeds an affine head that emits
+class logits.
 
 No position is ever masked as a query and no causal structure exists:
 classification sees the whole utterance in both modalities.  Padded
@@ -25,7 +26,8 @@ from . import nn
 from .autograd import Tensor
 from .config import ModelConfig, model_config_from_dict
 from .errors import FormatError, ShapeError, ValidationError
-from .text import PAD_PHONEME, PHONEMES, EncoderPrenet, PhonemeCNN, WordCombiner, WordVectors
+from .text import (PAD_PHONEME, PHONEMES, EncoderPrenet, PhonemeCNN, WordCombiner, WordVectors,
+                   phoneme_block)
 
 NEG_MASK = -1e9
 CHECKPOINT_MAGIC = b"MLT1"
@@ -189,18 +191,20 @@ class MultilevelTransformer(nn.Module):
     # -- pieces ------------------------------------------------------------
 
     def encode_text(self, word_ids, phonemes, n_valid=None) -> Tensor:
-        """word ids + per-word phoneme ids -> [T, d_model] text encoding."""
+        """T word ids + T per-word phoneme lists -> [T, d_model] text encoding.
+
+        The frontend runs once per utterance: the phoneme lists are padded
+        into a [T, max_phonemes] block, the phoneme CNN turns it into
+        [T, phoneme_channels], and the combiner mixes that with the
+        [T, word_dim] word vectors row-wise before the prenet.
+        """
         if len(word_ids) != len(phonemes):
             raise ShapeError(f"{len(word_ids)} word ids vs {len(phonemes)} phoneme lists")
         n_valid = len(word_ids) if n_valid is None else n_valid
         word_emb = ag.embedding_rows(self.word_table, np.asarray(word_ids, dtype=np.int64),
                                      frozen_row=self.word_vectors.pad_id)
-        rows = []
-        for i, phons in enumerate(phonemes):
-            wv = ag.getitem(word_emb, i)
-            pv = self.phoneme_cnn.embed_word(phons)
-            rows.append(self.combiner(wv, pv))
-        x = ag.stack_rows(rows)
+        phon_emb = self.phoneme_cnn.embed_word(phoneme_block(phonemes))
+        x = self.combiner(word_emb, phon_emb)
         x = self.prenet(x, valid=n_valid)
         x = nn.add_positions(x)
         for block in self.text_blocks:
@@ -246,13 +250,25 @@ class MultilevelTransformer(nn.Module):
         return ag.stack_rows([self.forward_utterance(e).logits for e in encs])
 
     def predict_probs(self, enc) -> np.ndarray:
-        with ag.no_grad():
-            trace = self.forward_utterance(enc)
-            probs = ag.softmax(ag.reshape(trace.logits, (1, -1)))
-        return probs.data[0]
+        return eval_probs(self, enc)
 
     def attention_modules(self):
         return [m for m in self.modules() if isinstance(m, MultiHeadAttention)]
+
+
+def eval_probs(model: nn.Module, enc) -> np.ndarray:
+    """Class probabilities for one utterance, in eval mode (no dropout).
+
+    The model's train/eval mode is restored afterwards.
+    """
+    was_training = model.training
+    model.eval()
+    try:
+        with ag.no_grad():
+            logits = model.forward_utterance(enc).logits
+            return ag.softmax(ag.reshape(logits, (1, -1))).data[0]
+    finally:
+        model.train(was_training)
 
 
 def expected_parameter_count(cfg: ModelConfig, vocab_rows=0) -> int:

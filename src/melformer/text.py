@@ -5,7 +5,9 @@ through a CMU-style lexicon with a total letter-spelling fallback, so G2P
 never fails.  Each word then gets a fixed-size vector from a small CNN over
 its phoneme embeddings, concatenated with a 300-dim word vector, optionally
 passed through a two-layer highway network, and finally run through a
-convolutional prenet that projects to the model dimension.
+convolutional prenet that projects to the model dimension.  Every stage is
+row-wise, so an utterance runs through the frontend once, with one row per
+word, rather than once per word.
 """
 
 import hashlib
@@ -175,14 +177,24 @@ def hash_word_vectors(words, dim=WORD_DIM, scale=0.1) -> WordVectors:
     return WordVectors(vocab=vocab, matrix=matrix)
 
 
+def phoneme_block(phonemes) -> np.ndarray:
+    """Per-word phoneme id lists -> [n_words, max_phonemes] ids, trailing-padded."""
+    block = np.full((len(phonemes), max(len(p) for p in phonemes)), PAD_PHONEME, dtype=np.int64)
+    for i, ids in enumerate(phonemes):
+        block[i, :len(ids)] = ids
+    return block
+
+
 class PhonemeCNN(nn.Module):
     """Fixed-size word vector from a CNN over the word's phoneme embeddings.
 
-    Phonemes are embedded (pad row frozen at zero), run through bias-free
+    Phonemes are embedded (pad ids read as zero), run through bias-free
     same-padding convolutions of several widths, ReLU'd, and max-pooled over
     time; the per-width pools are concatenated.  Trailing pad phonemes do
     not change the output: their embeddings are zero (matching the conv's
-    own zero padding) and pooling is restricted to valid positions.
+    own zero padding) and pooling is restricted to valid positions.  So a
+    [n_words, max_phonemes] block of trailing-padded words (see
+    :func:`phoneme_block`) embeds row by row exactly as each word alone.
     """
 
     def __init__(self, rng, d_p=64, widths=(2, 3, 4), channels_per_width=50):
@@ -194,19 +206,21 @@ class PhonemeCNN(nn.Module):
             [nn.Conv1d(w, d_p, channels_per_width, rng, padding="same", bias=False) for w in widths])
 
     def embed_word(self, phoneme_ids) -> Tensor:
+        """[L] phoneme ids -> [out_dim], or [N, L] ids -> [N, out_dim] one row per word."""
         ids = np.asarray(phoneme_ids, dtype=np.int64)
-        n_valid = int((ids != PAD_PHONEME).sum())  # pads are trailing by construction
+        n_valid = (ids != PAD_PHONEME).sum(axis=-1)  # pads are trailing by construction
         # all-pad words pool over their zero embeddings to an exact zero vector
-        valid = n_valid if 0 < n_valid < len(ids) else None
+        valid = np.where(n_valid > 0, n_valid, ids.shape[-1])
         x = self.embedding(ids)
         pools = [ag.max_pool_time(ag.relu(conv(x)), valid=valid) for conv in self.convs]
-        return ag.concat(pools, axis=0)
+        return ag.concat(pools, axis=-1)
 
 
 class HighwayLayer(nn.Module):
     """One highway layer: ReLU transform gated against the identity path.
 
-    The gate bias starts at -1 so a fresh layer mostly copies its input.
+    Works on a [dim] vector or row-wise on a [T, dim] matrix.  The gate
+    bias starts at -1 so a fresh layer mostly copies its input.
     """
 
     def __init__(self, dim, rng, gate_bias=-1.0):
@@ -223,7 +237,11 @@ class HighwayLayer(nn.Module):
 
 
 class WordCombiner(nn.Module):
-    """Concatenate word and phoneme vectors; optionally mix with highways."""
+    """Concatenate word and phoneme vectors; optionally mix with highways.
+
+    Takes one word ([word_dim] and [phon_dim]) or a whole utterance row-wise
+    ([T, word_dim] and [T, phon_dim]) and returns [..., word_dim + phon_dim].
+    """
 
     def __init__(self, mode, rng, word_dim=WORD_DIM, phon_dim=150, n_layers=2):
         super().__init__()
@@ -235,7 +253,7 @@ class WordCombiner(nn.Module):
             self.layers = nn.ModuleList([HighwayLayer(self.out_dim, rng) for _ in range(n_layers)])
 
     def __call__(self, word_vec: Tensor, phon_vec: Tensor) -> Tensor:
-        u = ag.concat([word_vec, phon_vec], axis=0)
+        u = ag.concat([word_vec, phon_vec], axis=-1)
         if self.mode == "highway":
             for layer in self.layers:
                 u = layer(u)

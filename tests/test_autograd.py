@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -166,6 +169,17 @@ def test_conv1d_kernel_wider_than_input_valid():
         ag.conv1d(Tensor(np.zeros((2, 1))), Tensor(np.zeros((3, 1, 1))), padding="valid")
 
 
+def test_conv1d_rank3_rows_match_rank2_calls():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(3, 6, 2))
+    k = Tensor(rng.normal(size=(3, 2, 4)))
+    for padding in ("same", "valid"):
+        out = ag.conv1d(Tensor(x), k, padding=padding)
+        for i in range(3):
+            np.testing.assert_allclose(out.data[i], ag.conv1d(Tensor(x[i]), k, padding=padding).data,
+                                       rtol=0, atol=1e-12)
+
+
 # --- max_pool_time ---------------------------------------------------------------
 
 def test_max_pool_small_case():
@@ -198,6 +212,24 @@ def test_max_pool_empty_axis_rejected():
 def test_max_pool_valid_excludes_padding():
     x = Tensor([[1.0], [9.0], [100.0]])
     assert ag.max_pool_time(x, valid=2).data[0] == 9.0
+
+
+def test_max_pool_per_row_valid():
+    x = Tensor([[[1.0], [9.0], [100.0]],
+                [[3.0], [2.0], [1.0]],
+                [[5.0], [6.0], [7.0]]], requires_grad=True)
+    out = ag.max_pool_time(x, valid=[2, 1, 3])
+    np.testing.assert_array_equal(out.data, [[9.0], [3.0], [7.0]])
+    ag.backward(ag.tsum(out))
+    np.testing.assert_array_equal(x.grad[:, :, 0], [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+
+
+def test_max_pool_rejects_bad_valid_counts():
+    x = Tensor(np.zeros((2, 3, 1)))
+    with pytest.raises(ShapeError):
+        ag.max_pool_time(x, valid=[1, 4])
+    with pytest.raises(ShapeError):
+        ag.max_pool_time(x, valid=[1, 2, 3])
 
 
 # --- pointwise -------------------------------------------------------------------
@@ -401,6 +433,12 @@ def test_embedding_frozen_row_gets_no_gradient():
     np.testing.assert_array_equal(table.grad[2], np.ones(3))
 
 
+def test_embedding_frozen_row_reads_as_zero():
+    table = Tensor(np.ones((4, 3)), requires_grad=True)
+    out = ag.embedding_rows(table, [[0, 2], [1, 0]], frozen_row=0)
+    np.testing.assert_array_equal(out.data[:, :, 0], [[0.0, 1.0], [1.0, 0.0]])
+
+
 def test_no_grad_suppresses_lineage():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with ag.no_grad():
@@ -415,3 +453,42 @@ def test_backward_visits_shared_subgraph_once():
     y = ag.tsum(shared + shared)
     ag.backward(y)
     np.testing.assert_allclose(x.grad, [8.0])
+
+
+# --- graph release ---------------------------------------------------------------
+
+def test_backward_frees_the_graph_without_the_cyclic_collector():
+    w = Tensor(np.array([0.5, -1.0]), requires_grad=True)
+    gc.disable()
+    try:
+        hidden = ag.sigmoid(w * w)
+        probe = weakref.ref(hidden)
+        loss = ag.tsum(hidden)
+        del hidden
+        ag.backward(loss)
+        del loss
+        assert probe() is None
+    finally:
+        gc.enable()
+
+
+def test_backward_on_a_consumed_graph_raises():
+    w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    hidden = w * w
+    loss = ag.tsum(hidden)
+    ag.backward(loss)
+    np.testing.assert_array_equal(w.grad, [2.0, 4.0])
+    with pytest.raises(ContractError):
+        ag.backward(loss)
+    with pytest.raises(ContractError):  # a new graph over a consumed node
+        ag.backward(ag.tsum(hidden * 3.0))
+    np.testing.assert_array_equal(w.grad, [2.0, 4.0])
+
+
+def test_parameters_stay_leaves_across_steps():
+    w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    ag.backward(ag.tsum(w * w))
+    np.testing.assert_array_equal(w.grad, [2.0, -4.0])
+    assert w._backward is None and w._prev == ()
+    ag.backward(ag.tsum(w * 3.0))
+    np.testing.assert_array_equal(w.grad, [3.0, 3.0])

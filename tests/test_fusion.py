@@ -204,6 +204,18 @@ def test_fusion_checkpoint_round_trip(tmp_path):
     assert np.allclose(before.astype("<f4"), after.astype("<f4"), atol=1e-5)
 
 
+def test_fusion_predict_is_deterministic_with_dropout(tmp_path):
+    model, cfg, wv = make_fusion(seed=33, utt_dim=8, dropout=0.5)
+    path = tmp_path / "fusion.ckpt"
+    extra = {"granularity": "multi", "utt_dim": 8, "builtin_encoder": False, "seed": 33}
+    save_checkpoint(path, model, cfg, extra=extra)
+    restored, _, _ = restore_fusion_model(path, wv)
+    enc = make_enc(wv, seed=34, utt_embedding=np.random.default_rng(35).standard_normal(8))
+    first = restored.predict_probs(enc)
+    assert np.array_equal(first, restored.predict_probs(enc))
+    assert restored.training
+
+
 def test_mean_pool_encoder_is_deterministic():
     wv = hash_word_vectors(WORDS, dim=12)
     encoder = MeanPoolUtteranceEncoder(wv, 6, np.random.default_rng(31))

@@ -270,3 +270,76 @@ def test_checkpoint_header_restores_config(tmp_path):
     assert loaded_cfg.layers_fusion == 3
     assert loaded_cfg.combine_mode == "concat"
     assert set(params) == {name for name, _ in model.named_parameters()}
+
+
+# ---------------------------------------------------------------------------
+# row-wise text frontend
+
+def _per_word_encode_text(model, word_ids, phonemes, n_valid=None):
+    """Reference frontend: phoneme CNN and combiner one word at a time."""
+    n_valid = len(word_ids) if n_valid is None else n_valid
+    word_emb = ag.embedding_rows(model.word_table, np.asarray(word_ids, dtype=np.int64),
+                                 frozen_row=model.word_vectors.pad_id)
+    rows = [model.combiner(ag.getitem(word_emb, i), model.phoneme_cnn.embed_word(phons))
+            for i, phons in enumerate(phonemes)]
+    x = nn.add_positions(model.prenet(ag.stack_rows(rows), valid=n_valid))
+    for block in model.text_blocks:
+        x = block(x, key_valid=n_valid)
+    return x
+
+
+def _logits_and_grads(model, enc, pad_words):
+    model.zero_grad()
+    logits = model.forward_utterance(enc, pad_words=pad_words).logits
+    ag.backward(ag.cross_entropy(ag.stack_rows([logits]), [1]))
+    return logits.data.copy(), {name: p.grad.copy() for name, p in model.named_parameters()}
+
+
+@pytest.mark.parametrize("combine_mode", ["highway", "concat"])
+@pytest.mark.parametrize("pad_words", [0, 2])
+def test_row_wise_text_frontend_matches_per_word_loop(monkeypatch, combine_mode, pad_words):
+    model, _, wv = make_model(seed=30, combine_mode=combine_mode, dropout=0.0,
+                              finetune_word_vectors=True)
+    enc = make_enc(wv, seed=31, n_words=5)  # 2-4 phonemes per word
+    logits, grads = _logits_and_grads(model, enc, pad_words)
+    monkeypatch.setattr(MultilevelTransformer, "encode_text", _per_word_encode_text)
+    ref_logits, ref_grads = _logits_and_grads(model, enc, pad_words)
+
+    def rel_err(a, b):
+        return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+    assert rel_err(logits, ref_logits) <= 1e-12
+    assert grads.keys() == ref_grads.keys()
+    for name, ref in ref_grads.items():
+        assert rel_err(grads[name], ref) <= 1e-12, name
+
+
+def _graph_nodes(out):
+    seen, stack = {id(out)}, [out]
+    while stack:
+        for parent in stack.pop()._prev:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+def test_encode_text_graph_does_not_grow_with_word_count():
+    model, _, wv = make_model(seed=32)
+    counts = []
+    for n_words in (1, 4, 12):
+        enc = make_enc(wv, seed=33, n_words=n_words)
+        counts.append(_graph_nodes(model.encode_text(enc.word_ids, enc.phonemes)))
+    assert counts[0] == counts[1] == counts[2]
+
+
+def test_predict_is_deterministic_on_restored_dropout_model(tmp_path):
+    model, cfg, wv = make_model(seed=34, dropout=0.5)
+    path = tmp_path / "d.ckpt"
+    save_checkpoint(path, model, cfg)
+    restored, _, _ = restore_model(path, wv)
+    assert restored.training
+    enc = make_enc(wv, seed=35)
+    first = restored.predict_probs(enc)
+    assert np.array_equal(first, restored.predict_probs(enc))
+    assert restored.training  # the caller's mode comes back

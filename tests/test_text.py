@@ -168,6 +168,38 @@ def test_pad_row_stays_zero_after_backward():
     assert np.all(cnn.embedding.table.grad[PAD_PHONEME] == 0.0)
 
 
+def test_phoneme_block_pads_trailing():
+    block = text.phoneme_block([[5, 6, 7], [8], [PAD_PHONEME]])
+    np.testing.assert_array_equal(block, [[5, 6, 7], [8, 0, 0], [0, 0, 0]])
+
+
+def test_word_block_rows_equal_single_word_calls():
+    cnn = PhonemeCNN(np.random.default_rng(24))
+    k, ae, t, aa = (PHONEME_TO_ID[p] for p in ("K", "AE", "T", "AA"))
+    words = [[k, ae, t], [aa, PAD_PHONEME], [PAD_PHONEME, PAD_PHONEME], [t, t, aa, k, ae], [k]]
+    block = text.phoneme_block(words)
+    rows = cnn.embed_word(block)
+    assert rows.shape == (len(words), 150)
+    for i, word in enumerate(words):
+        np.testing.assert_allclose(rows.data[i], cnn.embed_word(block[i]).data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rows.data[i], cnn.embed_word(word).data, rtol=0, atol=1e-12)
+    assert np.all(rows.data[2] == 0.0)  # all-pad word
+
+
+def test_word_block_gradcheck():
+    rng = np.random.default_rng(25)
+    cnn = PhonemeCNN(rng, d_p=6, widths=(2, 3), channels_per_width=4)
+    block = text.phoneme_block([[PHONEME_TO_ID["K"], PHONEME_TO_ID["AE"], PHONEME_TO_ID["T"]],
+                                [PHONEME_TO_ID["S"]], [PAD_PHONEME]])
+
+    def f(*_):
+        return ag.tsum(cnn.embed_word(block))
+
+    err = gradcheck_sampled(f, cnn.parameters(), per_tensor=6,
+                            rng=np.random.default_rng(26))
+    assert err < 1e-4
+
+
 # ---------------------------------------------------------------------------
 # highway / combine
 
@@ -223,6 +255,17 @@ def test_combiner_dimension_is_450_both_modes():
     assert concat.shape == (450,)
     assert highway.shape == (450,)
     assert np.allclose(concat.data, np.concatenate([wv.data, pv.data]))
+
+
+def test_combiner_rows_equal_single_word_calls():
+    combiner = WordCombiner("highway", np.random.default_rng(14))
+    wv = Tensor(np.random.default_rng(15).standard_normal((3, 300)))
+    pv = Tensor(np.random.default_rng(16).standard_normal((3, 150)))
+    rows = combiner(wv, pv)
+    assert rows.shape == (3, 450)
+    for i in range(3):
+        one = combiner(Tensor(wv.data[i]), Tensor(pv.data[i]))
+        np.testing.assert_allclose(rows.data[i], one.data, rtol=0, atol=1e-12)
 
 
 def test_bad_combine_mode_rejected():
