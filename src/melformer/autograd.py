@@ -69,10 +69,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    @property
-    def T(self):
-        return transpose(self)
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() needs a scalar, got shape {self.data.shape}")
@@ -80,9 +76,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def detach(self):
-        return Tensor(self.data.copy())
 
     def backward(self):
         backward(self)
@@ -345,17 +338,6 @@ def tsum(a: Tensor) -> Tensor:
     return _track(out, (a,), _bw)
 
 
-def tmean(a: Tensor) -> Tensor:
-    """Mean of all entries, as a scalar tensor."""
-    out = Tensor(a.data.mean())
-
-    def _bw():
-        if a.requires_grad:
-            a.grad += np.full_like(a.data, float(out.grad) / a.data.size)
-
-    return _track(out, (a,), _bw)
-
-
 # ---------------------------------------------------------------------------
 # pointwise nonlinearities
 
@@ -381,49 +363,6 @@ def sigmoid(a: Tensor) -> Tensor:
             a.grad += out.grad * y * (1.0 - y)
 
     return _track(out, (a,), _bw)
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    out = Tensor(y)
-
-    def _bw():
-        if a.requires_grad:
-            a.grad += out.grad * (1.0 - y * y)
-
-    return _track(out, (a,), _bw)
-
-
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-    out = Tensor(y)
-
-    def _bw():
-        if a.requires_grad:
-            a.grad += out.grad * y
-
-    return _track(out, (a,), _bw)
-
-
-def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data))
-
-    def _bw():
-        if a.requires_grad:
-            a.grad += out.grad / a.data
-
-    return _track(out, (a,), _bw)
-
-
-_POINTWISE = {"relu": relu, "sigmoid": sigmoid, "tanh": tanh}
-
-
-def pointwise(a: Tensor, kind: str) -> Tensor:
-    """Apply one of the named elementwise nonlinearities."""
-    try:
-        return _POINTWISE[kind](a)
-    except KeyError:
-        raise ValidationError(f"unknown pointwise function {kind!r}") from None
 
 
 # ---------------------------------------------------------------------------

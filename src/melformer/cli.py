@@ -18,7 +18,7 @@ from .config import LABELS, resolve_config
 from .data import (SyntheticSpec, encode_manifest, featurize_manifest,
                    gen_synthetic, parse_manifest)
 from .errors import MelformerError, ValidationError
-from .fusion import check_coverage, load_utterance_embeddings, restore_fusion_model
+from .fusion import check_coverage, load_utterance_embeddings
 from .harness import evaluate, kfold_split, run_protocol, write_results, write_table
 from .model import load_checkpoint, restore_model
 from .text import Lexicon, hash_word_vectors, load_word_vectors, tokenize_and_g2p
@@ -122,25 +122,27 @@ def _load_lexicon(path):
     return Lexicon.load(path)
 
 
-def _word_vectors_for(run_cfg, manifest, lexicon):
-    if run_cfg.word_vectors:
-        if not Path(run_cfg.word_vectors).exists():
-            raise ValidationError(f"word vectors not found: {run_cfg.word_vectors}")
-        wv = load_word_vectors(run_cfg.word_vectors)
-        if wv.dim != run_cfg.model.word_dim:
+def _word_vectors_for(path, transcripts, lexicon, word_dim):
+    """Word vectors from the file at ``path``, or hashed vectors over the
+    transcripts' words when no file is given."""
+    if path:
+        if not Path(path).exists():
+            raise ValidationError(f"word vectors not found: {path}")
+        wv = load_word_vectors(path)
+        if wv.dim != word_dim:
             raise ValidationError(
                 f"word vectors are {wv.dim}-dimensional but the model expects "
-                f"word_dim={run_cfg.model.word_dim}")
+                f"word_dim={word_dim}")
         return wv
-    vocab = sorted({w for r in manifest.records
-                    for w in tokenize_and_g2p(r.transcript, lexicon).words})
-    return hash_word_vectors(vocab, dim=run_cfg.model.word_dim)
+    vocab = sorted({w for t in transcripts for w in tokenize_and_g2p(t, lexicon).words})
+    return hash_word_vectors(vocab, dim=word_dim)
 
 
 def _load_resources(run_cfg):
     manifest = _load_manifest(run_cfg.manifest)
     lexicon = _load_lexicon(run_cfg.lexicon)
-    wv = _word_vectors_for(run_cfg, manifest, lexicon)
+    wv = _word_vectors_for(run_cfg.word_vectors, [r.transcript for r in manifest.records],
+                           lexicon, run_cfg.model.word_dim)
     utt_table = utt_dim = None
     if run_cfg.harness.granularity == "multi" and run_cfg.utt_embeddings:
         if not Path(run_cfg.utt_embeddings).exists():
@@ -222,31 +224,20 @@ def cmd_sweep(args):
     return 0
 
 
-def _restore_any(path, word_vectors):
-    if not Path(path).exists():
-        raise ValidationError(f"checkpoint not found: {path}")
-    _, extra, _ = load_checkpoint(path)
-    if extra.get("granularity") == "multi":
-        return restore_fusion_model(path, word_vectors)
-    return restore_model(path, word_vectors)
-
-
-def _eval_word_vectors(args, manifest, lexicon, word_dim):
-    if args.word_vectors:
-        return load_word_vectors(args.word_vectors)
-    vocab = sorted({w for r in manifest.records
-                    for w in tokenize_and_g2p(r.transcript, lexicon).words})
-    return hash_word_vectors(vocab, dim=word_dim)
+def _restore(args, transcripts, lexicon):
+    """The checkpoint's model and header, with word vectors for ``transcripts``."""
+    if not Path(args.checkpoint).exists():
+        raise ValidationError(f"checkpoint not found: {args.checkpoint}")
+    word_dim = load_checkpoint(args.checkpoint)[0].word_dim
+    wv = _word_vectors_for(args.word_vectors, transcripts, lexicon, word_dim)
+    model, _, extra = restore_model(args.checkpoint, wv)
+    return model, extra, wv
 
 
 def cmd_eval(args):
-    if not Path(args.checkpoint).exists():
-        raise ValidationError(f"checkpoint not found: {args.checkpoint}")
-    cfg, extra, _ = load_checkpoint(args.checkpoint)
     manifest = _load_manifest(args.manifest)
     lexicon = _load_lexicon(args.lexicon)
-    wv = _eval_word_vectors(args, manifest, lexicon, cfg.word_dim)
-    model, cfg, extra = _restore_any(args.checkpoint, wv)
+    model, extra, wv = _restore(args, [r.transcript for r in manifest.records], lexicon)
     utt_table = None
     if extra.get("granularity") == "multi" and args.utt_embeddings:
         _, utt_table = load_utterance_embeddings(args.utt_embeddings)
@@ -266,17 +257,11 @@ def cmd_eval(args):
 
 def cmd_predict(args):
     from .audio import featurize_wav
-    if not Path(args.checkpoint).exists():
-        raise ValidationError(f"checkpoint not found: {args.checkpoint}")
     if not Path(args.wav).exists():
         raise ValidationError(f"wav not found: {args.wav}")
     lexicon = _load_lexicon(args.lexicon)
     seq = tokenize_and_g2p(args.transcript, lexicon)
-    if args.word_vectors:
-        wv = load_word_vectors(args.word_vectors)
-    else:
-        wv = hash_word_vectors(seq.words, dim=load_checkpoint(args.checkpoint)[0].word_dim)
-    model, cfg, extra = _restore_any(args.checkpoint, wv)
+    model, extra, wv = _restore(args, [args.transcript], lexicon)
     emb = None
     if extra.get("granularity") == "multi" and args.utt_embeddings:
         if not args.utt_id:

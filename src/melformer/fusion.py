@@ -5,6 +5,9 @@ utterance-level embedding: each side is projected to a common width, the
 projections are concatenated, and an affine head emits logits.  Utterance
 embeddings normally come from a file (provider-agnostic); a small built-in
 mean-pool encoder exists so end-to-end runs need no external artifacts.
+
+The model implements ``model.EmotionModel`` like the fine-grained one, and
+``model.restore_model`` rebuilds it from a checkpoint.
 """
 
 import numpy as np
@@ -14,7 +17,7 @@ from . import nn
 from .autograd import Tensor
 from .config import ModelConfig
 from .errors import FormatError, ValidationError
-from .model import ForwardTrace, MultilevelTransformer, eval_probs
+from .model import EmotionModel, ForwardTrace, MultilevelTransformer, restore_model
 from .text import WordVectors
 
 UEMB_MAGIC = "UEMB"
@@ -77,7 +80,7 @@ class MeanPoolUtteranceEncoder(nn.Module):
         return self.proj(Tensor(rows.mean(axis=0)))
 
 
-class MultiGranularityModel(nn.Module):
+class MultiGranularityModel(EmotionModel):
     """Fine-grained transformer + utterance embedding, fused before the head.
 
     ``utt_dim`` is the embedding width D_u.  ``utt_encoder`` (optional)
@@ -91,6 +94,7 @@ class MultiGranularityModel(nn.Module):
         super().__init__()
         cfg: ModelConfig = fine.cfg
         rng = np.random.default_rng(seed + 17)
+        self.cfg = cfg
         self.fine = fine
         self.utt_dim = utt_dim
         self.freeze_fine = freeze_fine
@@ -128,11 +132,10 @@ class MultiGranularityModel(nn.Module):
         return ForwardTrace(text_enc_out=trace.text_enc_out, cross_out=trace.cross_out,
                             fusion_out=trace.fusion_out, cls=trace.cls, logits=logits)
 
-    def forward_batch(self, encs) -> Tensor:
-        return ag.stack_rows([self.forward_utterance(e).logits for e in encs])
-
-    def predict_probs(self, enc) -> np.ndarray:
-        return eval_probs(self, enc)
+    def checkpoint_extra(self) -> dict:
+        return {"granularity": "multi", "utt_dim": self.utt_dim,
+                "builtin_encoder": self.utt_encoder is not None,
+                "freeze_fine": self.freeze_fine}
 
 
 def build_fusion_model(cfg, word_vectors, utt_dim=None, seed=0, freeze_fine=False):
@@ -147,16 +150,6 @@ def build_fusion_model(cfg, word_vectors, utt_dim=None, seed=0, freeze_fine=Fals
                                  freeze_fine=freeze_fine)
 
 
-def restore_fusion_model(path, word_vectors):
-    """Rebuild a fusion model from a checkpoint written by the harness."""
-    from .model import load_checkpoint
-    cfg, extra, params = load_checkpoint(path)
-    if extra.get("granularity") != "multi":
-        raise ValidationError(f"{path}: checkpoint is not a multi-granularity model")
-    utt_dim = int(extra["utt_dim"])
-    model = build_fusion_model(cfg, word_vectors,
-                               utt_dim=None if extra.get("builtin_encoder") else utt_dim,
-                               seed=int(extra.get("seed", 0)),
-                               freeze_fine=bool(extra.get("freeze_fine", False)))
-    model.load_state_dict(params)
-    return model, cfg, extra
+# The benchmark in perfbench/ imports and traces this name; it can go at the
+# next change to the benchmark.
+restore_fusion_model = restore_model

@@ -236,13 +236,8 @@ def train_epochs(model, train_encs, dev_encs, hcfg: HarnessConfig, seed,
         path = Path(out_dir) / f"{tag}-best.ckpt"
         current = model.state_dict()
         model.load_state_dict(best_state)
-        extra = {"seed": seed, "granularity": hcfg.granularity,
-                 "freeze_fine": hcfg.freeze_fine, "best_epoch": best_epoch}
-        if hasattr(model, "utt_dim"):
-            extra["utt_dim"] = model.utt_dim
-            extra["builtin_encoder"] = model.utt_encoder is not None
-        cfg = model.cfg if hasattr(model, "cfg") else model.fine.cfg
-        save_checkpoint(path, model, cfg, extra=extra)
+        extra = {"seed": seed, "best_epoch": best_epoch, **model.checkpoint_extra()}
+        save_checkpoint(path, model, model.cfg, extra=extra)
         model.load_state_dict(current)
         ckpt_path = str(path)
         return ckpt_path
@@ -250,10 +245,7 @@ def train_epochs(model, train_encs, dev_encs, hcfg: HarnessConfig, seed,
     for epoch in range(1, hcfg.max_epochs + 1):
         model.train()
         for batch in batches(train_encs, hcfg.batch_size, rng=shuffle_rng):
-            logits = ag.stack_rows(
-                [model.forward_utterance(e, pad_words=pw, pad_frames=pf).logits
-                 for e, pw, pf in batch])
-            loss = ag.cross_entropy(logits, [e.label for e, _, _ in batch])
+            loss = ag.cross_entropy(model.forward_batch(batch), [e.label for e, _, _ in batch])
             if not np.isfinite(loss.data):
                 checkpoint()
                 raise TrainingDiverged(
@@ -301,7 +293,12 @@ def train_fold(plan: FoldPlan, encs_by_id, model_cfg: ModelConfig, hcfg: Harness
 def _worker_count(requested):
     cap = os.environ.get("MELFORMER_NUM_WORKERS")
     if cap is not None:
-        requested = min(requested, max(1, int(cap)))
+        try:
+            cap = int(cap)
+        except ValueError:
+            raise ValidationError(
+                f"MELFORMER_NUM_WORKERS must be an integer, got {cap!r}") from None
+        requested = min(requested, max(1, cap))
     return max(1, requested)
 
 

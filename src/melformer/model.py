@@ -13,9 +13,16 @@ classification sees the whole utterance in both modalities.  Padded
 positions are handled by key masks at every attention layer plus row
 zeroing inside the text prenet, which keeps logits exactly invariant to
 trailing padding.
+
+``EmotionModel`` is the interface both this model and the
+multi-granularity model (``fusion.MultiGranularityModel``) implement:
+``forward_batch`` for training, ``predict_probs`` for inference and
+``checkpoint_extra`` for the checkpoint header.  ``restore_model`` is the
+one way back from a checkpoint to either variant.
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -153,7 +160,41 @@ class MelPrenet(nn.Module):
         return self.lin2(ag.relu(self.lin1(x)))
 
 
-class MultilevelTransformer(nn.Module):
+class EmotionModel(nn.Module):
+    """Interface shared by the fine-grained and multi-granularity models.
+
+    A subclass sets ``cfg`` (its ModelConfig) and ``head``, and implements
+    ``forward_utterance(enc, pad_words=0, pad_frames=0) -> ForwardTrace``;
+    training, evaluation, inference and checkpoints go through the methods
+    below, so callers never need to know which variant they hold.
+    """
+
+    def forward_batch(self, batch) -> Tensor:
+        """Collated ``(enc, pad_words, pad_frames)`` rows, as ``data.batches``
+        yields them -> [N, K] logits."""
+        return ag.stack_rows([self.forward_utterance(e, pad_words=pw, pad_frames=pf).logits
+                              for e, pw, pf in batch])
+
+    def predict_probs(self, enc) -> np.ndarray:
+        """Class probabilities for one utterance, in eval mode (no dropout).
+
+        The model's train/eval mode is restored afterwards.
+        """
+        was_training = self.training
+        self.eval()
+        try:
+            with ag.no_grad():
+                logits = self.forward_utterance(enc).logits
+                return ag.softmax(ag.reshape(logits, (1, -1))).data[0]
+        finally:
+            self.train(was_training)
+
+    def checkpoint_extra(self) -> dict:
+        """Header fields that ``restore_model`` needs to rebuild this variant."""
+        return {"granularity": "fine"}
+
+
+class MultilevelTransformer(EmotionModel):
     """Fine-grained audio+text classifier; see the module docstring."""
 
     def __init__(self, cfg: ModelConfig, word_vectors: WordVectors, seed=0):
@@ -245,30 +286,8 @@ class MultilevelTransformer(nn.Module):
         return ForwardTrace(text_enc_out=text_enc, cross_out=cross,
                             fusion_out=fused, cls=cls, logits=logits)
 
-    def forward_batch(self, encs) -> Tensor:
-        """Stack per-utterance logits into [N, K]."""
-        return ag.stack_rows([self.forward_utterance(e).logits for e in encs])
-
-    def predict_probs(self, enc) -> np.ndarray:
-        return eval_probs(self, enc)
-
     def attention_modules(self):
         return [m for m in self.modules() if isinstance(m, MultiHeadAttention)]
-
-
-def eval_probs(model: nn.Module, enc) -> np.ndarray:
-    """Class probabilities for one utterance, in eval mode (no dropout).
-
-    The model's train/eval mode is restored afterwards.
-    """
-    was_training = model.training
-    model.eval()
-    try:
-        with ag.no_grad():
-            logits = model.forward_utterance(enc).logits
-            return ag.softmax(ag.reshape(logits, (1, -1))).data[0]
-    finally:
-        model.train(was_training)
 
 
 def expected_parameter_count(cfg: ModelConfig, vocab_rows=0) -> int:
@@ -329,33 +348,74 @@ def save_checkpoint(path, model: nn.Module, cfg: ModelConfig, extra=None):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint -> (ModelConfig, extra dict, {name: float64 array})."""
+    """Read a checkpoint -> (ModelConfig, extra dict, {name: float64 array}).
+
+    Every read is bounds-checked: a short file, a header that is not UTF-8
+    JSON, or bytes after the last record raise FormatError.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}")
     pos = 4
-    (hlen,) = struct.unpack_from("<I", raw, pos); pos += 4
-    header = json.loads(raw[pos:pos + hlen].decode("utf-8")); pos += hlen
+
+    def take(n):
+        nonlocal pos
+        if n > len(raw) - pos:
+            raise FormatError(f"{path}: truncated: {n} bytes needed at offset {pos}, "
+                              f"file has {len(raw)}")
+        pos += n
+        return raw[pos - n:pos]
+
+    def u32s(count):
+        return struct.unpack(f"<{count}I", take(4 * count))
+
+    (hlen,) = u32s(1)
+    try:
+        header = json.loads(take(hlen).decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise FormatError(f"{path}: unreadable header ({exc})") from None
+    if not (isinstance(header, dict) and isinstance(header.get("model"), dict)
+            and isinstance(header.get("extra", {}), dict)):
+        raise FormatError(f"{path}: header needs a 'model' object and an optional 'extra' object")
     cfg = model_config_from_dict(header["model"])
-    (n_records,) = struct.unpack_from("<I", raw, pos); pos += 4
+    (n_records,) = u32s(1)
     params = {}
     for _ in range(n_records):
-        (nlen,) = struct.unpack_from("<I", raw, pos); pos += 4
-        name = raw[pos:pos + nlen].decode("utf-8"); pos += nlen
-        (rank,) = struct.unpack_from("<I", raw, pos); pos += 4
-        dims = struct.unpack_from(f"<{rank}I", raw, pos); pos += 4 * rank
-        count = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(raw[pos:pos + 4 * count], dtype="<f4").reshape(dims)
-        pos += 4 * count
+        (nlen,) = u32s(1)
+        try:
+            name = take(nlen).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: parameter name before offset {pos} is not UTF-8") from None
+        (rank,) = u32s(1)
+        dims = u32s(rank)
+        arr = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
         if name in params:
             raise ValidationError(f"{path}: duplicate parameter record {name!r}")
         params[name] = arr.astype(np.float64)
+    if pos != len(raw):
+        raise FormatError(f"{path}: {len(raw) - pos} trailing bytes after the last record")
     return cfg, header.get("extra", {}), params
 
 
 def restore_model(path, word_vectors: WordVectors):
+    """Rebuild the model a checkpoint came from -> (model, cfg, extra).
+
+    The header's ``granularity`` picks the variant.  A multi-granularity
+    header carries ``utt_dim`` and ``builtin_encoder``; ``freeze_fine``
+    defaults to False when absent.
+    """
     cfg, extra, params = load_checkpoint(path)
-    model = MultilevelTransformer(cfg, word_vectors, seed=int(extra.get("seed", 0)))
+    seed = int(extra.get("seed", 0))
+    if extra.get("granularity") == "multi":
+        from .fusion import build_fusion_model  # fusion builds on this module
+        builtin = bool(extra.get("builtin_encoder"))
+        if not builtin and "utt_dim" not in extra:
+            raise FormatError(f"{path}: multi-granularity header lacks utt_dim")
+        model = build_fusion_model(cfg, word_vectors,
+                                   utt_dim=None if builtin else int(extra["utt_dim"]),
+                                   seed=seed, freeze_fine=bool(extra.get("freeze_fine", False)))
+    else:
+        model = MultilevelTransformer(cfg, word_vectors, seed=seed)
     model.load_state_dict(params)
     return model, cfg, extra

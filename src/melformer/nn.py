@@ -105,12 +105,11 @@ def fan_in_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 class Linear(Module):
     """Affine map y = x W + b on the last axis of a 1-D or 2-D input."""
 
-    def __init__(self, n_in, n_out, rng, bias=True, zero_init=False):
+    def __init__(self, n_in, n_out, rng, bias=True):
         super().__init__()
         self.n_in = n_in
         self.n_out = n_out
-        w = np.zeros((n_in, n_out)) if zero_init else fan_in_uniform(rng, (n_in, n_out), n_in)
-        self.weight = Tensor(w, requires_grad=True)
+        self.weight = Tensor(fan_in_uniform(rng, (n_in, n_out), n_in), requires_grad=True)
         self.bias = Tensor(np.zeros(n_out), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -137,13 +136,13 @@ class LayerNorm(Module):
 class Embedding(Module):
     """Lookup table; an optional padding row is held at zero and never trained."""
 
-    def __init__(self, n_rows, dim, rng, pad_id=None, trainable=True):
+    def __init__(self, n_rows, dim, rng, pad_id=None):
         super().__init__()
         self.pad_id = pad_id
         table = rng.standard_normal((n_rows, dim)) / math.sqrt(dim)
         if pad_id is not None:
             table[pad_id] = 0.0
-        self.table = Tensor(table, requires_grad=trainable)
+        self.table = Tensor(table, requires_grad=True)
 
     def __call__(self, ids) -> Tensor:
         return ag.embedding_rows(self.table, ids, frozen_row=self.pad_id)

@@ -88,13 +88,8 @@ def op_checks(rng):
     check("stack_rows", lambda a, b, c: r(ag.stack_rows([a, b, c])[0:3]),
           [_t(rng, 4), _t(rng, 4), _t(rng, 4)])
     check("sum", lambda a: ag.tsum(a), [_t(rng, 3, 4)])
-    check("mean", lambda a: ag.tmean(a), [_t(rng, 3, 4)])
     check("relu", lambda a: r(ag.relu(a)), [_away_from_zero(rng, 3, 4)])
     check("sigmoid", lambda a: r(ag.sigmoid(a)), [_t(rng, 3, 4)])
-    check("tanh", lambda a: r(ag.tanh(a)), [_t(rng, 3, 4)])
-    check("exp", lambda a: r(ag.exp(a)), [_t(rng, 3, 4)])
-    check("log", lambda a: r(ag.log(a)),
-          [Tensor(rng.uniform(0.5, 1.5, (3, 4)), requires_grad=True)])
     check("softmax", lambda a: r(ag.softmax(a)), [_t(rng, 3, 4)])
     gain, bias = _t(rng, 4), _t(rng, 4)
     check("layer_norm", lambda x, g, b: r(ag.layer_norm(x, g, b)),
@@ -117,6 +112,9 @@ def op_checks(rng):
           [_t(rng, 6, 5)])
     rz = _weighted(rng, (5, 4))
     check("zero_rows", lambda x: rz(ag.zero_rows(x, valid=3)), [_t(rng, 5, 4)])
+    # a freshly seeded generator per call draws the same mask at every
+    # finite-difference point
+    check("dropout", lambda x: r(ag.dropout(x, 0.5, np.random.default_rng(7))), [_t(rng, 3, 4)])
     return checks
 
 

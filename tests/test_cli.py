@@ -2,9 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from melformer import nn
 from melformer.cli import main
+from melformer.config import ModelConfig
+from melformer.model import save_checkpoint
 
 TINY_MODEL = ["--d-model", "16", "--heads", "2", "--d-ff", "32", "--dropout", "0.0",
               "--layers-text", "1", "--layers-cross", "1", "--layers-fusion", "1",
@@ -129,7 +133,7 @@ def test_eval_and_predict_roundtrip(corpus, tmp_path, capsys):
     assert all(0.0 <= p <= 1.0 for p in probs)
 
 
-def test_multi_granularity_with_embedding_file(corpus, tmp_path):
+def test_multi_granularity_with_embedding_file(corpus, tmp_path, capsys):
     root, raw, manifest = corpus
     out = tmp_path / "multi"
     rc = main(["train", "--manifest", str(manifest), "--out-dir", str(out),
@@ -137,6 +141,38 @@ def test_multi_granularity_with_embedding_file(corpus, tmp_path):
               + TINY_MODEL + TINY_RUN)
     assert rc == 0
     assert (out / "results.json").exists()
+    ckpt = str(out / "seed0-fold0-best.ckpt")
+    capsys.readouterr()
+
+    assert main(["eval", "--checkpoint", ckpt, "--manifest", str(manifest),
+                 "--utt-embeddings", str(raw / "uemb.txt")]) == 0
+    assert "recall[angry]" in capsys.readouterr().out
+
+    assert main(["predict", "--checkpoint", ckpt, "--wav", str(raw / "angry-000.wav"),
+                 "--transcript", "stop shouting right now",
+                 "--utt-embeddings", str(raw / "uemb.txt"), "--utt-id", "angry-000"]) == 0
+    pred_out = capsys.readouterr().out
+    probs = [float(line.split()[1]) for line in pred_out.splitlines()[:2]]
+    assert "predicted: " in pred_out and all(0.0 <= p <= 1.0 for p in probs)
+
+
+def test_eval_on_truncated_checkpoint_exits_one(corpus, tmp_path, capsys):
+    _, _, manifest = corpus
+    ckpt = tmp_path / "cut.ckpt"
+    save_checkpoint(ckpt, nn.Linear(2, 3, np.random.default_rng(0)), ModelConfig())
+    ckpt.write_bytes(ckpt.read_bytes()[:-10])
+    assert main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "truncated" in err
+
+
+def test_non_integer_worker_cap_exits_one(corpus, tmp_path, capsys, monkeypatch):
+    _, _, manifest = corpus
+    monkeypatch.setenv("MELFORMER_NUM_WORKERS", "abc")
+    rc = main(["train", "--manifest", str(manifest), "--out-dir", str(tmp_path / "run")]
+              + TINY_MODEL + TINY_RUN[:-1] + ["2"])
+    assert rc == 1
+    assert "error: MELFORMER_NUM_WORKERS" in capsys.readouterr().err
 
 
 def test_multi_granularity_missing_coverage(corpus, tmp_path, capsys):

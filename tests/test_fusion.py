@@ -19,7 +19,7 @@ from melformer.fusion import (
     load_utterance_embeddings,
     restore_fusion_model,
 )
-from melformer.model import save_checkpoint
+from melformer.model import restore_model, save_checkpoint
 from melformer.text import hash_word_vectors
 
 from helpers import WORDS, make_enc, make_model, nudge_off_kinks, small_config
@@ -131,7 +131,7 @@ def test_gradients_flow_into_both_branches():
     model.eval()
     encs = [make_enc(wv, seed=10, utt_embedding=np.random.default_rng(11).standard_normal(8)),
             make_enc(wv, seed=12, utt_embedding=np.random.default_rng(13).standard_normal(8))]
-    loss = ag.cross_entropy(model.forward_batch(encs), [0, 2])
+    loss = ag.cross_entropy(model.forward_batch([(e, 0, 0) for e in encs]), [0, 2])
     ag.backward(loss)
     assert np.linalg.norm(model.proj_fine.weight.grad) > 0.0
     assert np.linalg.norm(model.proj_utt.weight.grad) > 0.0
@@ -147,7 +147,7 @@ def test_fusion_gradcheck_both_branches():
                      utt_embedding=np.random.default_rng(19).standard_normal(8))]
 
     def f(*_):
-        return ag.cross_entropy(model.forward_batch(encs), [1, 3])
+        return ag.cross_entropy(model.forward_batch([(e, 0, 0) for e in encs]), [1, 3])
 
     err = gradcheck_sampled(f, model.parameters(), per_tensor=2,
                             rng=np.random.default_rng(20))
@@ -196,9 +196,11 @@ def test_fusion_checkpoint_round_trip(tmp_path):
     before = model.forward_utterance(enc).logits.data
 
     path = tmp_path / "fusion.ckpt"
+    # no freeze_fine: the benchmark in perfbench/ writes multi headers without it
     extra = {"granularity": "multi", "utt_dim": 8, "builtin_encoder": False, "seed": 28}
     save_checkpoint(path, model, cfg, extra=extra)
-    restored, _, _ = restore_fusion_model(path, wv)
+    restored, _, _ = restore_model(path, wv)
+    assert isinstance(restored, MultiGranularityModel) and not restored.freeze_fine
     restored.eval()
     after = restored.forward_utterance(enc).logits.data
     assert np.allclose(before.astype("<f4"), after.astype("<f4"), atol=1e-5)
@@ -214,6 +216,31 @@ def test_fusion_predict_is_deterministic_with_dropout(tmp_path):
     first = restored.predict_probs(enc)
     assert np.array_equal(first, restored.predict_probs(enc))
     assert restored.training
+
+
+@pytest.mark.parametrize("builtin,freeze_fine", [(False, False), (True, True)])
+def test_restore_model_rebuilds_multi_from_its_header(tmp_path, builtin, freeze_fine):
+    cfg = small_config(dropout=0.0)
+    wv = hash_word_vectors(WORDS, dim=cfg.word_dim)
+    model = build_fusion_model(cfg, wv, utt_dim=None if builtin else 8, seed=36,
+                               freeze_fine=freeze_fine)
+    path = tmp_path / "fusion.ckpt"
+    save_checkpoint(path, model, cfg, extra={"seed": 36, **model.checkpoint_extra()})
+    restored, _, _ = restore_model(path, wv)
+    assert isinstance(restored, MultiGranularityModel)
+    assert restored.freeze_fine == freeze_fine
+    assert (restored.utt_encoder is not None) == builtin
+    emb = None if builtin else np.random.default_rng(38).standard_normal(8)
+    enc = make_enc(wv, seed=37, utt_embedding=emb)
+    np.testing.assert_allclose(restored.predict_probs(enc), model.predict_probs(enc), atol=1e-5)
+
+
+def test_restore_model_rejects_multi_header_without_utt_dim(tmp_path):
+    model, cfg, wv = make_fusion(seed=39, utt_dim=8)
+    path = tmp_path / "fusion.ckpt"
+    save_checkpoint(path, model, cfg, extra={"granularity": "multi", "builtin_encoder": False})
+    with pytest.raises(FormatError, match="utt_dim"):
+        restore_model(path, wv)
 
 
 def test_mean_pool_encoder_is_deterministic():

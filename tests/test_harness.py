@@ -14,12 +14,12 @@ from melformer.data import (Manifest, Record, encode_manifest, gen_synthetic,
                             parse_manifest)
 from melformer.errors import NumericError, TrainingDiverged, ValidationError
 from melformer.fusion import build_fusion_model
-from melformer.harness import (Adam, FoldMetrics, TrainResult, clip_gradients,
-                               evaluate, format_mean_std, kfold_split,
+from melformer.harness import (Adam, FoldMetrics, TrainResult, build_model,
+                               clip_gradients, evaluate, format_mean_std, kfold_split,
                                metrics_from_confusion, run_protocol, summarize,
                                train_epochs, train_fold, write_results,
                                _worker_count)
-from melformer.model import MultilevelTransformer
+from melformer.model import MultilevelTransformer, load_checkpoint, restore_model
 from melformer.text import Lexicon, hash_word_vectors
 
 
@@ -344,6 +344,25 @@ def test_worker_count_respects_env_cap(monkeypatch):
     monkeypatch.setenv("MELFORMER_NUM_WORKERS", "2")
     assert _worker_count(8) == 2
     assert _worker_count(1) == 1
+    monkeypatch.setenv("MELFORMER_NUM_WORKERS", "abc")
+    with pytest.raises(ValidationError, match="MELFORMER_NUM_WORKERS"):
+        _worker_count(2)
+
+
+@pytest.mark.parametrize("granularity", ["fine", "multi"])
+def test_checkpoint_header_restores_the_trained_model(corpus, tmp_path, granularity):
+    _, encs, wv = corpus
+    h = hcfg(max_epochs=1, granularity=granularity, freeze_fine=True)
+    model = build_model(tiny_cfg(), h, wv, seed=3)
+    *_, ckpt = train_epochs(model, encs, encs, h, seed=3, out_dir=tmp_path, tag="hdr")
+    expected = {"seed": 3, "best_epoch": 1, "granularity": granularity}
+    if granularity == "multi":
+        expected.update(utt_dim=wv.dim, builtin_encoder=True, freeze_fine=True)
+    assert load_checkpoint(ckpt)[1] == expected
+    restored, _, _ = restore_model(ckpt, wv)
+    assert type(restored) is type(model)
+    np.testing.assert_allclose(restored.predict_probs(encs[0]), model.predict_probs(encs[0]),
+                               atol=1e-5)
 
 
 # ---------------------------------------------------------------------------

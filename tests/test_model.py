@@ -17,7 +17,7 @@ from melformer import autograd as ag
 from melformer import nn
 from melformer.autograd import Tensor, gradcheck_sampled
 from melformer.config import ModelConfig
-from melformer.errors import ShapeError
+from melformer.errors import FormatError, ShapeError
 from melformer.model import (
     MelPrenet,
     MultiHeadAttention,
@@ -198,7 +198,7 @@ def test_end_to_end_gradcheck_two_sample_batch():
     labels = [1, 2]
 
     def f(*_):
-        return ag.cross_entropy(model.forward_batch(encs), labels)
+        return ag.cross_entropy(model.forward_batch([(e, 0, 0) for e in encs]), labels)
 
     params = model.parameters()
     err = gradcheck_sampled(f, params, per_tensor=2, rng=np.random.default_rng(16))
@@ -209,7 +209,7 @@ def test_every_parameter_receives_gradient():
     model, _, wv = make_model(seed=17)
     model.eval()
     encs = [make_enc(wv, seed=18), make_enc(wv, seed=19)]
-    loss = ag.cross_entropy(model.forward_batch(encs), [0, 3])
+    loss = ag.cross_entropy(model.forward_batch([(e, 0, 0) for e in encs]), [0, 3])
     ag.backward(loss)
     dead = [name for name, p in model.named_parameters()
             if p.grad is None or not np.any(p.grad)]
@@ -343,3 +343,23 @@ def test_predict_is_deterministic_on_restored_dropout_model(tmp_path):
     first = restored.predict_probs(enc)
     assert np.array_equal(first, restored.predict_probs(enc))
     assert restored.training  # the caller's mode comes back
+
+
+def test_load_checkpoint_rejects_truncation_bad_utf8_and_trailing_bytes(tmp_path):
+    path = tmp_path / "small.ckpt"
+    save_checkpoint(path, nn.Linear(2, 3, np.random.default_rng(0)), ModelConfig(),
+                    extra={"seed": 1})
+    raw = path.read_bytes()
+    assert set(load_checkpoint(path)[2]) == {"weight", "bias"}
+    bad = tmp_path / "bad.ckpt"
+    for n in range(len(raw)):
+        bad.write_bytes(raw[:n])
+        with pytest.raises(FormatError):
+            load_checkpoint(bad)
+    bad.write_bytes(raw[:8] + b"\xff" + raw[9:])   # first header byte
+    with pytest.raises(FormatError, match="header"):
+        load_checkpoint(bad)
+    bad.write_bytes(raw + b"\0")
+    with pytest.raises(FormatError, match="trailing"):
+        load_checkpoint(bad)
+
