@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ContractError, NumericError, ShapeError, ValidationError
 
 DTYPE = np.float64
+NEG_MASK = -1e9  # additive score of a masked attention key; its weight underflows to 0
 
 _grad_enabled = True
 
@@ -369,21 +370,100 @@ def sigmoid(a: Tensor) -> Tensor:
 # fused neural-network operations
 
 
+def _softmax_last(x):
+    """Softmax of an array over its last axis, computed with max-subtraction."""
+    if np.isnan(x).any():
+        raise NumericError("softmax input contains NaN")
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(y, g):
+    """Gradient through ``y = softmax(x)`` over the last axis, given dL/dy."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis, computed with max-subtraction."""
-    if np.isnan(a.data).any():
-        raise NumericError("softmax input contains NaN")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax_last(a.data)
     out = Tensor(y)
 
     def _bw():
         if a.requires_grad:
-            g = out.grad
-            a.grad += y * (g - (g * y).sum(axis=-1, keepdims=True))
+            a.grad += _softmax_grad(y, out.grad)
 
     return _track(out, (a,), _bw)
+
+
+def _split_heads(x, heads):
+    """[T, heads * d_head] array -> [heads, T, d_head] view, one column block per head."""
+    t, d = x.shape
+    return x.reshape(t, heads, d // heads).transpose(1, 0, 2)
+
+
+def _merge_heads(x):
+    """[heads, T, d_head] array -> [T, heads * d_head], head blocks side by side."""
+    heads, t, d_head = x.shape
+    return x.transpose(1, 0, 2).reshape(t, heads * d_head)
+
+
+def attention_weights(q: Tensor, k: Tensor, heads: int, key_valid=None) -> Tensor:
+    """Scaled dot-product attention distributions of all heads in one node.
+
+    ``q`` is [Tq, D] and ``k`` is [Tk, D]; head h owns the h-th block of
+    D / heads columns of both.  Returns [heads, Tq, Tk]: for each head the
+    softmax over keys of q_h k_h^T / sqrt(D / heads).  Key columns at and
+    after ``key_valid`` get NEG_MASK added to their scores, so their weight
+    underflows to exactly zero.
+    """
+    if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
+        raise ShapeError(f"attention needs q[Tq,D] and k[Tk,D], got {q.shape} and {k.shape}")
+    if heads < 1 or q.shape[1] % heads != 0:
+        raise ShapeError(f"width {q.shape[1]} does not split into {heads} heads")
+    if key_valid is not None and key_valid > k.shape[0]:
+        raise ShapeError(f"key_valid {key_valid} exceeds key sequence length {k.shape[0]}")
+    scale = 1.0 / np.sqrt(q.shape[1] // heads)
+    qh, kh = _split_heads(q.data, heads), _split_heads(k.data, heads)
+    scores = np.matmul(qh, kh.transpose(0, 2, 1)) * scale
+    if key_valid is not None:
+        scores[..., key_valid:] += NEG_MASK
+    y = _softmax_last(scores)
+    out = Tensor(y)
+
+    def _bw():
+        ds = _softmax_grad(y, out.grad) * scale
+        if q.requires_grad:
+            q.grad += _merge_heads(np.matmul(ds, kh))
+        if k.requires_grad:
+            k.grad += _merge_heads(np.matmul(ds.transpose(0, 2, 1), qh))
+
+    return _track(out, (q, k), _bw)
+
+
+def attention_mix(att: Tensor, v: Tensor) -> Tensor:
+    """Each head's weighted sum of its value columns, heads merged back.
+
+    ``att`` is [heads, Tq, Tk], as from :func:`attention_weights`; ``v`` is
+    [Tk, D] with head h owning its h-th block of D / heads columns.
+    Returns [Tq, D] with head h's output in that same column block.
+    """
+    if att.ndim != 3 or v.ndim != 2 or att.shape[2] != v.shape[0]:
+        raise ShapeError(f"attention_mix needs att[H,Tq,Tk] and v[Tk,D], "
+                         f"got {att.shape} and {v.shape}")
+    heads = att.shape[0]
+    if v.shape[1] % heads != 0:
+        raise ShapeError(f"width {v.shape[1]} does not split into {heads} heads")
+    vh = _split_heads(v.data, heads)
+    out = Tensor(_merge_heads(np.matmul(att.data, vh)))
+
+    def _bw():
+        gh = _split_heads(out.grad, heads)
+        if att.requires_grad:
+            att.grad += np.matmul(gh, vh.transpose(0, 2, 1))
+        if v.requires_grad:
+            v.grad += _merge_heads(np.matmul(att.data.transpose(0, 2, 1), gh))
+
+    return _track(out, (att, v), _bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -20,7 +20,7 @@ from .data import (SyntheticSpec, encode_manifest, featurize_manifest,
 from .errors import MelformerError, ValidationError
 from .fusion import check_coverage, load_utterance_embeddings
 from .harness import evaluate, kfold_split, run_protocol, write_results, write_table
-from .model import load_checkpoint, restore_model
+from .model import read_checkpoint_header, restore_model
 from .text import Lexicon, hash_word_vectors, load_word_vectors, tokenize_and_g2p
 
 _MODEL_KEYS = ("d_model", "heads", "layers_text", "layers_cross", "layers_fusion",
@@ -228,7 +228,7 @@ def _restore(args, transcripts, lexicon):
     """The checkpoint's model and header, with word vectors for ``transcripts``."""
     if not Path(args.checkpoint).exists():
         raise ValidationError(f"checkpoint not found: {args.checkpoint}")
-    word_dim = load_checkpoint(args.checkpoint)[0].word_dim
+    word_dim = read_checkpoint_header(args.checkpoint)[0].word_dim
     wv = _word_vectors_for(args.word_vectors, transcripts, lexicon, word_dim)
     model, _, extra = restore_model(args.checkpoint, wv)
     return model, extra, wv

@@ -37,12 +37,16 @@ class ModelConfig:
     d_fuse: int = 128
 
     def validate(self):
+        for name in ("d_model", "heads", "layers_text", "layers_cross", "layers_fusion", "d_ff",
+                     "phoneme_dim", "phoneme_channels", "word_dim", "prenet_width", "d_fuse"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.phoneme_widths or min(self.phoneme_widths) < 1:
+            raise ValidationError(
+                f"phoneme_widths must be one or more widths >= 1, got {list(self.phoneme_widths)}")
         if self.d_model % self.heads != 0:
             raise ValidationError(
                 f"d_model {self.d_model} not divisible by {self.heads} heads")
-        for name in ("layers_text", "layers_cross", "layers_fusion"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.combine_mode not in ("concat", "highway"):
             raise ValidationError(f"combine_mode must be concat or highway, got {self.combine_mode!r}")
         if self.num_classes < 2:
@@ -78,6 +82,9 @@ class HarnessConfig:
             raise ValidationError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 0:
             raise ValidationError(f"patience must be >= 0, got {self.patience}")
+        if self.clip_norm <= 0:
+            # a norm of 0 zeroes every gradient and a negative one flips them
+            raise ValidationError(f"clip_norm must be positive, got {self.clip_norm}")
         if not self.seeds:
             raise ValidationError("at least one seed is required")
         if self.group_mode not in ("auto", "session", "random"):
@@ -117,15 +124,42 @@ class RunConfig:
         return hashlib.sha1(canonical.encode("utf-8")).hexdigest()[:12]
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
+               tuple: "a list of integers"}
+
+
+def _is(value, kind):
+    # bool is a subclass of int, but true/false is no count
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _typed(key, value, kind, origin):
+    """``value`` as the type of its field, or ValidationError naming ``key``.
+
+    Ints are accepted for float fields; every tuple field holds integers.
+    """
+    if kind is tuple and isinstance(value, (list, tuple)) and all(_is(v, int) for v in value):
+        return tuple(value)
+    if kind is float and _is(value, int):
+        return float(value)
+    if kind is not tuple and _is(value, kind):
+        return value
+    raise ValidationError(f"{origin}: {key} must be {_TYPE_NAMES[kind]}, got {value!r}")
+
+
 def _apply(section, values, origin):
-    known = {f.name for f in dataclasses.fields(type(section))}
+    """Set the fields named in ``values`` on ``section``, recursing into the
+    nested ``model`` and ``harness`` sections (null leaves one as it is)."""
+    if not isinstance(values, dict):
+        raise ValidationError(f"{origin}: expected an object of settings, got {values!r}")
+    kinds = {f.name: f.type for f in dataclasses.fields(type(section))}
     for key, value in values.items():
-        if key not in known:
+        if key not in kinds:
             raise ValidationError(f"{origin}: unknown config key {key!r}")
-        current = getattr(section, key)
-        if isinstance(current, tuple):
-            value = tuple(value)
-        setattr(section, key, value)
+        if dataclasses.is_dataclass(kinds[key]):
+            _apply(getattr(section, key), {} if value is None else value, origin)
+        else:
+            setattr(section, key, _typed(key, value, kinds[key], origin))
 
 
 def resolve_config(file_dict=None, flag_dict=None) -> RunConfig:
@@ -135,12 +169,8 @@ def resolve_config(file_dict=None, flag_dict=None) -> RunConfig:
     """
     cfg = RunConfig()
     for origin, values in (("config file", file_dict), ("flags", flag_dict)):
-        if not values:
-            continue
-        values = dict(values)
-        _apply(cfg.model, values.pop("model", {}) or {}, origin)
-        _apply(cfg.harness, values.pop("harness", {}) or {}, origin)
-        _apply(cfg, values, origin)
+        if values is not None:
+            _apply(cfg, values, origin)
     return cfg.validate()
 
 

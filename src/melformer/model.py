@@ -12,7 +12,8 @@ No position is ever masked as a query and no causal structure exists:
 classification sees the whole utterance in both modalities.  Padded
 positions are handled by key masks at every attention layer plus row
 zeroing inside the text prenet, which keeps logits exactly invariant to
-trailing padding.
+trailing padding.  A key mask is a count of valid keys, not a tensor: the
+attention op gives every key column past it zero weight.
 
 ``EmotionModel`` is the interface both this model and the
 multi-granularity model (``fusion.MultiGranularityModel``) implement:
@@ -36,7 +37,6 @@ from .errors import FormatError, ShapeError, ValidationError
 from .text import (PAD_PHONEME, PHONEMES, EncoderPrenet, PhonemeCNN, WordCombiner, WordVectors,
                    phoneme_block)
 
-NEG_MASK = -1e9
 CHECKPOINT_MAGIC = b"MLT1"
 
 
@@ -49,19 +49,15 @@ class ForwardTrace:
     logits: Tensor         # [K]
 
 
-def key_mask(n_queries, n_keys, n_valid):
-    """Additive attention mask: large negative on key columns >= n_valid."""
-    m = np.zeros((n_queries, n_keys))
-    if n_valid is not None and n_valid < n_keys:
-        m[:, n_valid:] = NEG_MASK
-    return Tensor(m)
-
-
 class MultiHeadAttention(nn.Module):
-    """Scaled dot-product attention with heads as column slices.
+    """Scaled dot-product attention, all heads in one [heads, T, d_head] block.
 
-    After each call, ``last_weights`` holds a [heads, Tq, Tk] copy of the
-    attention distributions (post-softmax, pre-dropout) for inspection.
+    Head h owns the h-th block of d_model / heads columns of the query, key
+    and value projections; ``autograd.attention_weights`` scores, masks and
+    normalizes every head at once and ``autograd.attention_mix`` writes each
+    head's output back into its column block before the output projection.
+    After each call, ``last_weights`` holds the [heads, Tq, Tk] attention
+    distributions (post-softmax, pre-dropout) for inspection.
     """
 
     def __init__(self, d_model, heads, rng):
@@ -69,7 +65,6 @@ class MultiHeadAttention(nn.Module):
         if d_model % heads != 0:
             raise ShapeError(f"d_model {d_model} not divisible by {heads} heads")
         self.heads = heads
-        self.d_head = d_model // heads
         self.wq = nn.Linear(d_model, d_model, rng)
         # softmax ignores per-row constant score shifts, so a key bias would
         # be a dead parameter; leave it out
@@ -80,27 +75,11 @@ class MultiHeadAttention(nn.Module):
 
     def __call__(self, queries: Tensor, keys_values: Tensor, key_valid=None,
                  drop: nn.Dropout = None) -> Tensor:
-        if key_valid is not None and key_valid > keys_values.shape[0]:
-            raise ShapeError(
-                f"key_valid {key_valid} exceeds key sequence length {keys_values.shape[0]}")
-        q = self.wq(queries)
-        k = self.wk(keys_values)
-        v = self.wv(keys_values)
-        mask = key_mask(queries.shape[0], keys_values.shape[0], key_valid)
-        scale = 1.0 / np.sqrt(self.d_head)
-        outs = []
-        weights = []
-        for h in range(self.heads):
-            cols = (slice(None), slice(h * self.d_head, (h + 1) * self.d_head))
-            qh, kh, vh = ag.getitem(q, cols), ag.getitem(k, cols), ag.getitem(v, cols)
-            scores = ag.add(ag.matmul(qh, ag.transpose(kh)) * scale, mask)
-            att = ag.softmax(scores)
-            weights.append(att.data.copy())
-            if drop is not None:
-                att = drop(att)
-            outs.append(ag.matmul(att, vh))
-        self.last_weights = np.stack(weights)
-        return self.wo(ag.concat(outs, axis=1))
+        att = ag.attention_weights(self.wq(queries), self.wk(keys_values), self.heads, key_valid)
+        self.last_weights = att.data
+        if drop is not None:
+            att = drop(att)
+        return self.wo(ag.attention_mix(att, self.wv(keys_values)))
 
 
 class FeedForward(nn.Module):
@@ -347,6 +326,50 @@ def save_checkpoint(path, model: nn.Module, cfg: ModelConfig, extra=None):
             fh.write(p.data.astype("<f4").tobytes())
 
 
+class _CheckpointReader:
+    """Bounds-checked reads from an open checkpoint file.
+
+    Every read that the file cannot satisfy, and a header that is not a
+    UTF-8 JSON object with a ``model`` object, raises FormatError.
+    """
+
+    def __init__(self, fh, path):
+        self.fh = fh
+        self.path = path
+
+    def take(self, n):
+        chunk = self.fh.read(n)
+        if len(chunk) != n:
+            raise FormatError(f"{self.path}: truncated: {n} bytes needed at offset "
+                              f"{self.fh.tell() - len(chunk)}, {len(chunk)} left")
+        return chunk
+
+    def u32s(self, count):
+        return struct.unpack(f"<{count}I", self.take(4 * count))
+
+    def header(self):
+        """Magic and JSON header -> (ModelConfig, extra dict)."""
+        magic = self.fh.read(4)
+        if magic != CHECKPOINT_MAGIC:
+            raise FormatError(f"{self.path}: bad magic {magic!r}")
+        (hlen,) = self.u32s(1)
+        try:
+            header = json.loads(self.take(hlen).decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8 or bad JSON
+            raise FormatError(f"{self.path}: unreadable header ({exc})") from None
+        if not (isinstance(header, dict) and isinstance(header.get("model"), dict)
+                and isinstance(header.get("extra", {}), dict)):
+            raise FormatError(
+                f"{self.path}: header needs a 'model' object and an optional 'extra' object")
+        return model_config_from_dict(header["model"]), header.get("extra", {})
+
+
+def read_checkpoint_header(path):
+    """A checkpoint's (ModelConfig, extra dict), without reading its parameters."""
+    with open(path, "rb") as fh:
+        return _CheckpointReader(fh, path).header()
+
+
 def load_checkpoint(path):
     """Read a checkpoint -> (ModelConfig, extra dict, {name: float64 array}).
 
@@ -354,48 +377,27 @@ def load_checkpoint(path):
     JSON, or bytes after the last record raise FormatError.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-    pos = 4
-
-    def take(n):
-        nonlocal pos
-        if n > len(raw) - pos:
-            raise FormatError(f"{path}: truncated: {n} bytes needed at offset {pos}, "
-                              f"file has {len(raw)}")
-        pos += n
-        return raw[pos - n:pos]
-
-    def u32s(count):
-        return struct.unpack(f"<{count}I", take(4 * count))
-
-    (hlen,) = u32s(1)
-    try:
-        header = json.loads(take(hlen).decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8 or bad JSON
-        raise FormatError(f"{path}: unreadable header ({exc})") from None
-    if not (isinstance(header, dict) and isinstance(header.get("model"), dict)
-            and isinstance(header.get("extra", {}), dict)):
-        raise FormatError(f"{path}: header needs a 'model' object and an optional 'extra' object")
-    cfg = model_config_from_dict(header["model"])
-    (n_records,) = u32s(1)
-    params = {}
-    for _ in range(n_records):
-        (nlen,) = u32s(1)
-        try:
-            name = take(nlen).decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError(f"{path}: parameter name before offset {pos} is not UTF-8") from None
-        (rank,) = u32s(1)
-        dims = u32s(rank)
-        arr = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
-        if name in params:
-            raise ValidationError(f"{path}: duplicate parameter record {name!r}")
-        params[name] = arr.astype(np.float64)
-    if pos != len(raw):
-        raise FormatError(f"{path}: {len(raw) - pos} trailing bytes after the last record")
-    return cfg, header.get("extra", {}), params
+        reader = _CheckpointReader(fh, path)
+        cfg, extra = reader.header()
+        (n_records,) = reader.u32s(1)
+        params = {}
+        for _ in range(n_records):
+            (nlen,) = reader.u32s(1)
+            try:
+                name = reader.take(nlen).decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError(
+                    f"{path}: parameter name before offset {fh.tell()} is not UTF-8") from None
+            (rank,) = reader.u32s(1)
+            dims = reader.u32s(rank)
+            arr = np.frombuffer(reader.take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
+            if name in params:
+                raise ValidationError(f"{path}: duplicate parameter record {name!r}")
+            params[name] = arr.astype(np.float64)
+        trailing = len(fh.read())
+    if trailing:
+        raise FormatError(f"{path}: {trailing} trailing bytes after the last record")
+    return cfg, extra, params
 
 
 def restore_model(path, word_vectors: WordVectors):

@@ -115,6 +115,11 @@ def op_checks(rng):
     # a freshly seeded generator per call draws the same mask at every
     # finite-difference point
     check("dropout", lambda x: r(ag.dropout(x, 0.5, np.random.default_rng(7))), [_t(rng, 3, 4)])
+    ra = _weighted(rng, (2, 3, 5))
+    check("attention_weights masked", lambda q, k: ra(ag.attention_weights(q, k, 2, key_valid=3)),
+          [_t(rng, 3, 4), _t(rng, 5, 4)])
+    check("attention_mix", lambda att, v: r(ag.attention_mix(att, v)),
+          [_t(rng, 2, 3, 5), _t(rng, 5, 4)])
     return checks
 
 

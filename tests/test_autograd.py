@@ -234,6 +234,22 @@ def test_max_pool_rejects_bad_valid_counts():
         ag.max_pool_time(x, valid=[1, 2, 3])
 
 
+# --- attention -------------------------------------------------------------------
+
+def test_attention_ops_reject_mismatched_shapes():
+    q, k = Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 4)))
+    for args in [(q, Tensor(np.zeros((5, 6))), 2), (q, k, 3), (q, k, 0),
+                 (Tensor(np.zeros(4)), k, 2)]:
+        with pytest.raises(ShapeError):
+            ag.attention_weights(*args)
+    with pytest.raises(ShapeError):
+        ag.attention_weights(q, k, 2, key_valid=6)
+    with pytest.raises(ShapeError):
+        ag.attention_mix(Tensor(np.zeros((2, 3, 4))), k)
+    with pytest.raises(ShapeError):
+        ag.attention_mix(Tensor(np.zeros((3, 3, 5))), k)
+
+
 # --- pointwise -------------------------------------------------------------------
 
 def test_relu_values():
@@ -411,6 +427,15 @@ def test_all_ops_gradcheck(seed):
     ids = rng.integers(0, 5, size=t)
     checks.append((lambda tab: ag.tsum(ag.embedding_rows(tab, ids)), [table]))
     checks.append((lambda x: ag.tsum(ag.zero_rows(x, t - 1)), [a]))
+
+    # two heads over t queries and t + 1 keys, the last key masked
+    q = Tensor(rng.normal(size=(t, 2 * d)), requires_grad=True)
+    kv = Tensor(rng.normal(size=(t + 1, 2 * d)), requires_grad=True)
+    att = Tensor(rng.normal(size=(2, t, t + 1)), requires_grad=True)
+    att_probe = Tensor(rng.normal(size=(2, t, t + 1)))
+    checks.append((lambda q, k: ag.tsum(ag.mul(ag.attention_weights(q, k, 2, key_valid=t),
+                                               att_probe)), [q, kv]))
+    checks.append((lambda w, v: ag.tsum(ag.attention_mix(w, v)), [att, kv]))
 
     for f, xs in checks:
         assert ag.gradcheck(f, xs, eps=1e-5) < 1e-4

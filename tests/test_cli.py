@@ -1,13 +1,18 @@
 """End-to-end command-line behavior: exit codes, file outputs, precedence."""
 
 import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from melformer import nn
 from melformer.cli import main
-from melformer.config import ModelConfig
+from melformer.config import ModelConfig, resolve_config
 from melformer.model import save_checkpoint
 
 TINY_MODEL = ["--d-model", "16", "--heads", "2", "--d-ff", "32", "--dropout", "0.0",
@@ -166,6 +171,45 @@ def test_eval_on_truncated_checkpoint_exits_one(corpus, tmp_path, capsys):
     assert err.startswith("error: ") and "truncated" in err
 
 
+def test_mistyped_checkpoint_header_exits_one(corpus, tmp_path, capsys):
+    _, _, manifest = corpus
+    ckpt = tmp_path / "typed.ckpt"
+    save_checkpoint(ckpt, nn.Linear(2, 3, np.random.default_rng(0)), ModelConfig())
+    raw = ckpt.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8:8 + hlen])
+    header["model"]["phoneme_widths"] = 5
+    new = json.dumps(header).encode("utf-8")
+    ckpt.write_bytes(raw[:4] + struct.pack("<I", len(new)) + new + raw[8 + hlen:])
+    assert main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "phoneme_widths" in err
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"model": {"heads": 0}}, "heads"),
+    ({"model": {"d_ff": 0}}, "d_ff"),
+    ({"model": {"phoneme_widths": []}}, "phoneme_widths"),
+    ({"model": {"d_model": True}}, "d_model"),
+    ({"harness": {"lr": "fast"}}, "lr"),
+    ({"harness": {"clip_norm": -1}}, "clip_norm"),
+    ({"harness": {"seeds": [0, 1.5]}}, "seeds"),
+    ({"model": 4}, "object"),
+])
+def test_mistyped_or_out_of_range_config_values_exit_one(tmp_path, capsys, doc, named):
+    cfg_file = tmp_path / "bad.json"
+    cfg_file.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(cfg_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+def test_integer_config_values_are_accepted_for_float_fields():
+    cfg = resolve_config({"model": {"dropout": 0}, "harness": {"lr": 1}})
+    assert type(cfg.model.dropout) is float and cfg.model.dropout == 0.0
+    assert type(cfg.harness.lr) is float and cfg.harness.lr == 1.0
+
+
 def test_non_integer_worker_cap_exits_one(corpus, tmp_path, capsys, monkeypatch):
     _, _, manifest = corpus
     monkeypatch.setenv("MELFORMER_NUM_WORKERS", "abc")
@@ -205,3 +249,13 @@ def test_gradcheck_command_passes(capsys):
     out = capsys.readouterr().out
     assert "transformer end to end" in out
     assert "FAIL" not in out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "melformer", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "gradcheck" in proc.stdout

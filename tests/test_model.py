@@ -2,10 +2,12 @@
 checkpoints.
 
 The single-key attention oracle is computed by hand from the layer's weight
-matrices; parameter counts come from the closed-form formula; everything
-else is either a structural contract or goes through the finite-difference
-harness.  Gradient and determinism tests run in eval mode so dropout cannot
-inject noise.
+matrices; the all-heads attention is checked against a per-head loop over
+column slices; parameter counts come from the closed-form formula;
+everything else is either a structural contract or goes through the
+finite-difference harness.  Gradient and determinism tests run in eval mode
+(or with equally seeded dropout on both sides) so dropout cannot inject
+noise.
 """
 
 from types import SimpleNamespace
@@ -24,6 +26,7 @@ from melformer.model import (
     MultilevelTransformer,
     expected_parameter_count,
     load_checkpoint,
+    read_checkpoint_header,
     restore_model,
     save_checkpoint,
 )
@@ -75,6 +78,77 @@ def test_key_valid_longer_than_sequence_rejected():
     x = Tensor(np.zeros((3, 16)))
     with pytest.raises(ShapeError):
         mha(x, x, key_valid=4)
+
+
+def _per_head_attention(mha, queries, keys_values, key_valid=None, drop=None):
+    """Reference attention: one head at a time over column slices of q/k/v,
+    with the key mask as an additive [Tq, Tk] tensor -> (output, weights)."""
+    q, k, v = mha.wq(queries), mha.wk(keys_values), mha.wv(keys_values)
+    d_head = q.shape[1] // mha.heads
+    mask = np.zeros((q.shape[0], k.shape[0]))
+    if key_valid is not None:
+        mask[:, key_valid:] = ag.NEG_MASK
+    outs, weights = [], []
+    for h in range(mha.heads):
+        cols = (slice(None), slice(h * d_head, (h + 1) * d_head))
+        qh, kh, vh = ag.getitem(q, cols), ag.getitem(k, cols), ag.getitem(v, cols)
+        scores = ag.add(ag.matmul(qh, ag.transpose(kh)) * (1.0 / np.sqrt(d_head)), Tensor(mask))
+        att = ag.softmax(scores)
+        weights.append(att.data.copy())
+        if drop is not None:
+            att = drop(att)
+        outs.append(ag.matmul(att, vh))
+    return mha.wo(ag.concat(outs, axis=1)), np.stack(weights)
+
+
+def _batched_attention(mha, queries, keys_values, key_valid=None, drop=None):
+    out = mha(queries, keys_values, key_valid, drop=drop)
+    return out, mha.last_weights
+
+
+def _attention_run(attend, mha, n_q, n_k, self_attention, key_valid, rate):
+    """Output, weights, and grads of the parameters and inputs of one call."""
+    rng = np.random.default_rng(41)
+    kv = Tensor(rng.standard_normal((n_k, 16)), requires_grad=True)
+    q = kv if self_attention else Tensor(rng.standard_normal((n_q, 16)), requires_grad=True)
+    probe = Tensor(rng.standard_normal((n_q, 16)))
+    drop = nn.Dropout(rate, np.random.default_rng(42)) if rate else None
+    out, weights = attend(mha, q, kv, key_valid, drop)
+    ag.backward(ag.tsum(ag.mul(out, probe)))
+    grads = {name: p.grad.copy() for name, p in mha.named_parameters()}
+    grads.update(q=q.grad.copy(), kv=kv.grad.copy())
+    return out.data.copy(), weights.copy(), grads
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("n_q, n_k, self_attention, key_valid", [
+    (5, 7, False, None), (5, 7, False, 7), (5, 7, False, 4), (6, 6, True, 3)])
+@pytest.mark.parametrize("rate", [0.0, 0.5])
+def test_batched_heads_match_per_head_loop(heads, n_q, n_k, self_attention, key_valid, rate):
+    mha = MultiHeadAttention(16, heads, np.random.default_rng(40))
+    args = (mha, n_q, n_k, self_attention, key_valid, rate)
+    out, weights, grads = _attention_run(_batched_attention, *args)
+    ref_out, ref_weights, ref_grads = _attention_run(_per_head_attention, *args)
+
+    def rel_err(a, b):
+        return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+    assert weights.shape == (heads, n_q, n_k)
+    assert rel_err(out, ref_out) <= 1e-12
+    assert rel_err(weights, ref_weights) <= 1e-12
+    assert grads.keys() == ref_grads.keys()
+    for name, ref in ref_grads.items():
+        assert rel_err(grads[name], ref) <= 1e-12, name
+
+
+def test_attention_graph_does_not_grow_with_heads():
+    counts = []
+    for heads in (1, 2, 4):
+        mha = MultiHeadAttention(16, heads, np.random.default_rng(43))
+        x = Tensor(np.random.default_rng(44).standard_normal((6, 16)), requires_grad=True)
+        drop = nn.Dropout(0.5, np.random.default_rng(45))
+        counts.append(_graph_nodes(mha(x, x, key_valid=4, drop=drop)))
+    assert counts[0] == counts[1] == counts[2]
 
 
 # ---------------------------------------------------------------------------
@@ -363,3 +437,20 @@ def test_load_checkpoint_rejects_truncation_bad_utf8_and_trailing_bytes(tmp_path
     with pytest.raises(FormatError, match="trailing"):
         load_checkpoint(bad)
 
+
+def test_checkpoint_header_is_read_without_the_records(tmp_path):
+    path = tmp_path / "small.ckpt"
+    save_checkpoint(path, nn.Linear(2, 3, np.random.default_rng(0)), ModelConfig(heads=2),
+                    extra={"seed": 1})
+    raw = path.read_bytes()
+    cfg, extra, _ = load_checkpoint(path)
+    assert read_checkpoint_header(path) == (cfg, extra)
+    assert cfg.heads == 2 and extra == {"seed": 1}
+    header_end = 8 + int.from_bytes(raw[4:8], "little")
+    cut = tmp_path / "cut.ckpt"
+    for n in range(header_end):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(FormatError):
+            read_checkpoint_header(cut)
+    cut.write_bytes(raw[:header_end])   # records cut off: the header still reads
+    assert read_checkpoint_header(cut) == (cfg, extra)
