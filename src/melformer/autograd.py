@@ -8,11 +8,13 @@ backward rule stays auditable.
 
 A forward pass records lineage links between tensors; ``backward`` walks
 that graph once in reverse topological order and accumulates gradients,
-summing the contributions of every consumer of a tensor.  Graphs are
-per-step and ``backward`` consumes them: once gradients are accumulated it
-cuts the backward rule and parent links of every interior node, so the
-recording holds no reference cycles and dropping the loss tensor frees it
-at once, without waiting for the cyclic garbage collector.  Leaves
+summing the contributions of every consumer of a tensor.  A gradient is
+allocated on its tensor's first contribution, and constants (masks,
+inputs, anything that does not require grad) never get one.  Graphs are
+per-step and ``backward`` consumes them as it goes: once a node's rule has
+run, the node loses its rule, its parent links and its ``grad``, so each
+interior node the caller does not hold is freed by reference counting
+during backward, without waiting for the cyclic garbage collector.  Leaves
 (parameters, inputs, constants) are left as they are, so parameters keep
 their ``grad`` and feed the next step's graph.
 """
@@ -44,8 +46,9 @@ def no_grad():
 class Tensor:
     """Dense n-dimensional array with an optional gradient and lineage.
 
-    ``data`` is always float64.  ``grad`` is populated by :func:`backward`
-    and has the same shape as ``data``.  Tensors are immutable after
+    ``data`` is always float64.  :func:`backward` leaves a ``grad`` of the
+    same shape as ``data`` on each leaf that requires one; interior nodes
+    and constants end it with ``grad`` None.  Tensors are immutable after
     creation except for gradient accumulation.
     """
 
@@ -130,19 +133,38 @@ def _consumed():
     raise ContractError("graph was consumed by an earlier backward; run the forward pass again")
 
 
+def _accumulate(t: Tensor, g, owned=True):
+    """Add the contribution ``g`` to ``t.grad``, allocating it on the first one.
+
+    ``owned`` means no other tensor can hold ``g``: a fresh array from a
+    rule, or the consumer's own grad handed to a single operand (backward
+    drops that grad right after the rule).  An owned first contribution
+    becomes the grad as it is; any other is copied, so no two tensors ever
+    share a gradient buffer.
+    """
+    if t.grad is None:
+        if type(g) is not np.ndarray or g.shape != t.data.shape:
+            g = np.asarray(g).reshape(t.data.shape)  # scalar sums, size-1 operands
+        t.grad = g if owned else g.copy()
+    else:
+        t.grad += g
+
+
 def backward(loss: Tensor):
     """Populate ``grad`` on every tensor the scalar ``loss`` depends on.
 
     The graph below ``loss`` is linearized once (each node visited exactly
     once, children before parents) and traversed in reverse; fan-out sums
     all consumer contributions.  Gradients from a previous call are
-    discarded first.
+    discarded first.  Each gradient is allocated on its first contribution;
+    constants in the graph are not visited and never get a ``grad``.
 
-    The graph is consumed: each interior node keeps its ``grad`` but loses
-    its backward rule and parent links once its rule has run, so the graph
-    is freed by reference counting when the caller drops ``loss``.  Leaves
-    are untouched.  A later backward through a consumed node raises
-    ContractError before any gradient is touched.
+    The graph is consumed as it is walked: once a node's rule has run, the
+    node loses its backward rule, its parent links and its ``grad``, and the
+    walk lets go of it, so an interior node the caller does not hold is
+    freed before backward returns.  Only leaves end with a ``grad``.  A later
+    backward through a consumed node raises ContractError before any
+    gradient is touched.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -161,16 +183,18 @@ def backward(loss: Tensor):
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._prev:
-            if id(parent) not in visited:
+            if parent.requires_grad and id(parent) not in visited:
                 stack.append((parent, False))
     for node in topo:
-        node.grad = np.zeros_like(node.data)
+        node.grad = None
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward is not None:
             node._backward()
             node._backward = _consumed
             node._prev = ()
+            node.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -191,20 +215,17 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def _bw():
         g = out.grad
+        handed = False  # g itself went to a; b must copy it
         if a.requires_grad:
-            if mode != "scalar" or a.size > 1:
-                a.grad += g
-            else:
-                a.grad += np.sum(g)
+            handed = mode != "scalar" or a.size > 1
+            _accumulate(a, g if handed else np.sum(g))
         if b.requires_grad:
-            if mode == "same":
-                b.grad += g
-            elif mode == "bias":
-                b.grad += g.reshape(-1, b.shape[0]).sum(axis=0)
-            elif b.size == 1:
-                b.grad += np.sum(g)
+            if mode == "bias":
+                _accumulate(b, g.reshape(-1, b.shape[0]).sum(axis=0))
+            elif mode == "scalar" and b.size == 1:
+                _accumulate(b, np.sum(g))
             else:
-                b.grad += g
+                _accumulate(b, g, owned=not handed)
 
     return _track(out, (a, b), _bw)
 
@@ -214,7 +235,7 @@ def neg(a: Tensor) -> Tensor:
 
     def _bw():
         if a.requires_grad:
-            a.grad += -out.grad
+            _accumulate(a, -out.grad)
 
     return _track(out, (a,), _bw)
 
@@ -229,10 +250,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         g = out.grad
         if a.requires_grad:
             contrib = g * b.data
-            a.grad += contrib if a.size > 1 or g.size == 1 else np.sum(contrib)
+            _accumulate(a, contrib if a.size > 1 else np.sum(contrib))
         if b.requires_grad:
             contrib = g * a.data
-            b.grad += contrib if b.size > 1 or g.size == 1 else np.sum(contrib)
+            _accumulate(b, contrib if b.size > 1 else np.sum(contrib))
 
     return _track(out, (a, b), _bw)
 
@@ -248,9 +269,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def _bw():
         g = out.grad
         if a.requires_grad:
-            a.grad += g @ b.data.T
+            _accumulate(a, g @ b.data.T)
         if b.requires_grad:
-            b.grad += a.data.T @ g
+            _accumulate(b, a.data.T @ g)
 
     return _track(out, (a, b), _bw)
 
@@ -262,7 +283,7 @@ def transpose(a: Tensor) -> Tensor:
 
     def _bw():
         if a.requires_grad:
-            a.grad += out.grad.T
+            _accumulate(a, out.grad.T, owned=False)
 
     return _track(out, (a,), _bw)
 
@@ -272,7 +293,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 
     def _bw():
         if a.requires_grad:
-            a.grad += out.grad.reshape(a.shape)
+            _accumulate(a, out.grad.reshape(a.shape))
 
     return _track(out, (a,), _bw)
 
@@ -285,7 +306,7 @@ def getitem(a: Tensor, idx) -> Tensor:
         if a.requires_grad:
             scatter = np.zeros_like(a.data)
             np.add.at(scatter, idx, out.grad)
-            a.grad += scatter
+            _accumulate(a, scatter)
 
     return _track(out, (a,), _bw)
 
@@ -304,7 +325,7 @@ def concat(parts, axis=0) -> Tensor:
             sl = [slice(None)] * out.ndim
             sl[axis] = slice(offset, offset + n)
             if p.requires_grad:
-                p.grad += out.grad[tuple(sl)]
+                _accumulate(p, out.grad[tuple(sl)], owned=False)
             offset += n
 
     return _track(out, tuple(parts), _bw)
@@ -323,7 +344,7 @@ def stack_rows(vectors) -> Tensor:
     def _bw():
         for i, v in enumerate(vectors):
             if v.requires_grad:
-                v.grad += out.grad[i]
+                _accumulate(v, out.grad[i], owned=False)
 
     return _track(out, tuple(vectors), _bw)
 
@@ -334,7 +355,7 @@ def tsum(a: Tensor) -> Tensor:
 
     def _bw():
         if a.requires_grad:
-            a.grad += np.full_like(a.data, float(out.grad))
+            _accumulate(a, np.full_like(a.data, float(out.grad)))
 
     return _track(out, (a,), _bw)
 
@@ -348,7 +369,7 @@ def relu(a: Tensor) -> Tensor:
 
     def _bw():
         if a.requires_grad:
-            a.grad += out.grad * (a.data > 0.0)
+            _accumulate(a, out.grad * (a.data > 0.0))
 
     return _track(out, (a,), _bw)
 
@@ -361,7 +382,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def _bw():
         if a.requires_grad:
-            a.grad += out.grad * y * (1.0 - y)
+            _accumulate(a, out.grad * y * (1.0 - y))
 
     return _track(out, (a,), _bw)
 
@@ -390,7 +411,7 @@ def softmax(a: Tensor) -> Tensor:
 
     def _bw():
         if a.requires_grad:
-            a.grad += _softmax_grad(y, out.grad)
+            _accumulate(a, _softmax_grad(y, out.grad))
 
     return _track(out, (a,), _bw)
 
@@ -433,9 +454,9 @@ def attention_weights(q: Tensor, k: Tensor, heads: int, key_valid=None) -> Tenso
     def _bw():
         ds = _softmax_grad(y, out.grad) * scale
         if q.requires_grad:
-            q.grad += _merge_heads(np.matmul(ds, kh))
+            _accumulate(q, _merge_heads(np.matmul(ds, kh)))
         if k.requires_grad:
-            k.grad += _merge_heads(np.matmul(ds.transpose(0, 2, 1), qh))
+            _accumulate(k, _merge_heads(np.matmul(ds.transpose(0, 2, 1), qh)))
 
     return _track(out, (q, k), _bw)
 
@@ -459,9 +480,9 @@ def attention_mix(att: Tensor, v: Tensor) -> Tensor:
     def _bw():
         gh = _split_heads(out.grad, heads)
         if att.requires_grad:
-            att.grad += np.matmul(gh, vh.transpose(0, 2, 1))
+            _accumulate(att, np.matmul(gh, vh.transpose(0, 2, 1)))
         if v.requires_grad:
-            v.grad += _merge_heads(np.matmul(att.data.transpose(0, 2, 1), gh))
+            _accumulate(v, _merge_heads(np.matmul(att.data.transpose(0, 2, 1), gh)))
 
     return _track(out, (att, v), _bw)
 
@@ -483,14 +504,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     def _bw():
         g = out.grad
         if gain.requires_grad:
-            gain.grad += (g * xhat).reshape(-1, d).sum(axis=0)
+            _accumulate(gain, (g * xhat).reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
-            bias.grad += g.reshape(-1, d).sum(axis=0)
+            _accumulate(bias, g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
             dxhat = g * gain.data
             m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            x.grad += inv * (dxhat - m1 - xhat * m2)
+            _accumulate(x, inv * (dxhat - m1 - xhat * m2))
 
     return _track(out, (x, gain, bias), _bw)
 
@@ -528,13 +549,13 @@ def conv1d(x: Tensor, kernels: Tensor, padding: str = "same") -> Tensor:
     def _bw():
         g = out.grad.reshape(-1, c_out)
         if kernels.requires_grad:
-            kernels.grad += (cols.T @ g).reshape(w, c_in, c_out)
+            _accumulate(kernels, (cols.T @ g).reshape(w, c_in, c_out))
         if x.requires_grad:
             dcols = (g @ kmat.T).reshape(*lead, t_out, w, c_in)
             dxp = np.zeros_like(xp)
             for i in range(w):
                 dxp[..., i : i + t_out, :] += dcols[..., i, :]
-            x.grad += dxp[..., pad_left : pad_left + t_in, :]
+            _accumulate(x, dxp[..., pad_left : pad_left + t_in, :])
 
     return _track(out, (x, kernels), _bw)
 
@@ -565,7 +586,7 @@ def max_pool_time(x: Tensor, valid=None) -> Tensor:
         if x.requires_grad:
             scatter = np.zeros_like(x.data)
             np.put_along_axis(scatter, idx, out.grad[..., None, :], axis=-2)
-            x.grad += scatter
+            _accumulate(x, scatter)
 
     return _track(out, (x,), _bw)
 
@@ -597,7 +618,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         if logits.requires_grad:
             d = np.exp(log_p)
             d[rows, labels] -= 1.0
-            logits.grad += d * (float(out.grad) / n)
+            _accumulate(logits, d * (float(out.grad) / n))
 
     return _track(out, (logits,), _bw)
 
@@ -625,7 +646,7 @@ def embedding_rows(table: Tensor, ids, frozen_row: int | None = None) -> Tensor:
             np.add.at(scatter, ids, out.grad)
             if frozen_row is not None:
                 scatter[frozen_row] = 0.0
-            table.grad += scatter
+            _accumulate(table, scatter)
 
     return _track(out, (table,), _bw)
 
@@ -642,17 +663,28 @@ def zero_rows(x: Tensor, valid: int) -> Tensor:
         if x.requires_grad:
             g = out.grad.copy()
             g[valid:] = 0.0
-            x.grad += g
+            _accumulate(x, g)
 
     return _track(out, (x,), _bw)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: zero entries with probability ``rate``, rescale the rest."""
+    """Inverted dropout: zero entries with probability ``rate``, rescale the rest.
+
+    One graph node; it keeps a boolean keep mask and applies the
+    1 / (1 - rate) scale on the fly in both directions.
+    """
     if rate <= 0.0:
         return x
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return mul(x, Tensor(keep))
+    keep = rng.random(x.shape) >= rate
+    scale = 1.0 / (1.0 - rate)
+    out = Tensor(x.data * (keep * scale))
+
+    def _bw():
+        if x.requires_grad:
+            _accumulate(x, out.grad * (keep * scale))
+
+    return _track(out, (x,), _bw)
 
 
 # ---------------------------------------------------------------------------

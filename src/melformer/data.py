@@ -21,7 +21,7 @@ import numpy as np
 from .audio import featurize_wav, mel_cache_bytes, read_mel_cache
 from .config import LABELS, LABEL_ALIASES
 from .errors import ValidationError
-from .text import Lexicon, WordVectors, tokenize_and_g2p
+from .text import Lexicon, WordVectors, tokenize_and_g2p, utf8_lines
 
 
 @dataclass
@@ -50,40 +50,55 @@ class Manifest:
         return p if p.is_absolute() else Path(self.path).parent / p
 
 
+_REQUIRED_FIELDS = ("id", "transcript", "label")
+_OPTIONAL_FIELDS = ("audio_path", "features_path", "session", "utt_embedding_id")
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
+
+
 def parse_manifest(path) -> Manifest:
-    """Read and validate a JSON-lines manifest; label aliases applied."""
+    """Read and validate a JSON-lines manifest; label aliases applied.
+
+    Every line is a JSON object whose required fields are strings; an
+    optional field is a string or absent (null counts as absent).
+    """
     records = []
     seen = set()
     totals = {label: 0 for label in LABELS}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}: line {lineno}: bad JSON ({exc.msg})") from None
-            for field_name in ("id", "transcript", "label"):
-                if field_name not in raw:
-                    raise ValidationError(f"{path}: line {lineno}: missing field {field_name!r}")
-            label = LABEL_ALIASES.get(raw["label"], raw["label"])
-            if label not in LABELS:
+    for lineno, line in utf8_lines(path):
+        if not line.strip():
+            continue
+        where = f"{path}: line {lineno}"
+        try:
+            raw = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, huge ints, deep nesting
+            raise ValidationError(f"{where}: bad JSON ({getattr(exc, 'msg', exc)})") from None
+        if type(raw) is not dict:
+            raise ValidationError(f"{where}: expected a JSON object, got {_JSON_TYPES[type(raw)]}")
+        for name in _REQUIRED_FIELDS:
+            if name not in raw:
+                raise ValidationError(f"{where}: missing field {name!r}")
+        for name in _REQUIRED_FIELDS + _OPTIONAL_FIELDS:
+            value = raw.get(name)
+            if type(value) is not str and not (value is None and name in _OPTIONAL_FIELDS):
                 raise ValidationError(
-                    f"{path}: line {lineno}: unknown label {raw['label']!r} "
-                    f"(expected one of {list(LABELS)})")
-            has_audio = bool(raw.get("audio_path"))
-            has_feats = bool(raw.get("features_path"))
-            if has_audio == has_feats:
-                raise ValidationError(
-                    f"{path}: line {lineno}: exactly one of audio_path/features_path required")
-            if raw["id"] in seen:
-                raise ValidationError(f"{path}: line {lineno}: duplicate id {raw['id']!r}")
-            seen.add(raw["id"])
-            totals[label] += 1
-            records.append(Record(
-                id=raw["id"], transcript=raw["transcript"], label=label,
-                audio_path=raw.get("audio_path"), features_path=raw.get("features_path"),
-                session=raw.get("session"), utt_embedding_id=raw.get("utt_embedding_id")))
+                    f"{where}: field {name!r} must be a string, got {_JSON_TYPES[type(value)]}")
+        label = LABEL_ALIASES.get(raw["label"], raw["label"])
+        if label not in LABELS:
+            raise ValidationError(
+                f"{where}: unknown label {raw['label']!r} (expected one of {list(LABELS)})")
+        has_audio = bool(raw.get("audio_path"))
+        has_feats = bool(raw.get("features_path"))
+        if has_audio == has_feats:
+            raise ValidationError(f"{where}: exactly one of audio_path/features_path required")
+        if raw["id"] in seen:
+            raise ValidationError(f"{where}: duplicate id {raw['id']!r}")
+        seen.add(raw["id"])
+        totals[label] += 1
+        records.append(Record(
+            id=raw["id"], transcript=raw["transcript"], label=label,
+            audio_path=raw.get("audio_path"), features_path=raw.get("features_path"),
+            session=raw.get("session"), utt_embedding_id=raw.get("utt_embedding_id")))
     if not records:
         raise ValidationError(f"{path}: no records")
     return Manifest(records=records, class_totals=totals, path=str(path))
@@ -134,24 +149,18 @@ def encode_manifest(manifest: Manifest, lexicon: Lexicon, word_vectors: WordVect
             for r in manifest.records]
 
 
-def collate(encs):
-    """Pad a batch to its longest word/frame counts; masks carry the truth.
-
-    Returns [(enc, pad_words, pad_frames)] ready for forward_utterance.
-    """
-    max_words = max(e.n_words for e in encs)
-    max_frames = max(e.n_frames for e in encs)
-    return [(e, max_words - e.n_words, max_frames - e.n_frames) for e in encs]
-
-
 def batches(encs, batch_size, rng=None):
-    """Yield collated minibatches, optionally shuffling order each pass."""
+    """Yield minibatches of ``(enc, 0, 0)`` rows, optionally shuffling order each pass.
+
+    Each utterance runs through the model on its own, so a row carries no
+    padding; the two zeros are the ``pad_words``/``pad_frames`` of
+    ``forward_utterance``.
+    """
     order = np.arange(len(encs))
     if rng is not None:
         rng.shuffle(order)
     for start in range(0, len(order), batch_size):
-        chunk = [encs[i] for i in order[start:start + batch_size]]
-        yield collate(chunk)
+        yield [(encs[i], 0, 0) for i in order[start:start + batch_size]]
 
 
 # ---------------------------------------------------------------------------

@@ -18,38 +18,42 @@ from .autograd import Tensor
 from .config import ModelConfig
 from .errors import FormatError, ValidationError
 from .model import EmotionModel, ForwardTrace, MultilevelTransformer, restore_model
-from .text import WordVectors
+from .text import WordVectors, utf8_lines
 
 UEMB_MAGIC = "UEMB"
 
 
 def load_utterance_embeddings(path):
     """Parse a `UEMB <dim>` header plus `<id> <floats>` lines -> (dim, {id: vector})."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or header[0] != UEMB_MAGIC:
-            raise FormatError(f"{path}: first line must be '{UEMB_MAGIC} <dim>'")
+    lines = utf8_lines(path)
+    _, first = next(lines, (1, ""))
+    header = first.split()
+    if len(header) != 2 or header[0] != UEMB_MAGIC:
+        raise FormatError(f"{path}: first line must be '{UEMB_MAGIC} <dim>'")
+    try:
+        dim = int(header[1])
+    except ValueError:
+        raise FormatError(f"{path}: bad dimension {header[1]!r} in header") from None
+    if dim < 1:
+        raise FormatError(f"{path}: dimension must be positive, got {dim}")
+    table = {}
+    for lineno, line in lines:
+        parts = line.split()
+        if not parts:
+            continue
+        utt_id = parts[0]
+        if len(parts) - 1 != dim:
+            raise FormatError(
+                f"{path}: line {lineno}: expected {dim} values for {utt_id!r}, got {len(parts) - 1}")
+        if utt_id in table:
+            raise ValidationError(f"{path}: line {lineno}: duplicate utterance id {utt_id!r}")
         try:
-            dim = int(header[1])
-        except ValueError:
-            raise FormatError(f"{path}: bad dimension {header[1]!r} in header") from None
-        if dim < 1:
-            raise FormatError(f"{path}: dimension must be positive, got {dim}")
-        table = {}
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.split()
-            utt_id = parts[0]
-            if len(parts) - 1 != dim:
-                raise FormatError(
-                    f"{path}: line {lineno}: expected {dim} values for {utt_id!r}, got {len(parts) - 1}")
-            if utt_id in table:
-                raise ValidationError(f"{path}: line {lineno}: duplicate utterance id {utt_id!r}")
             vec = np.asarray([float(v) for v in parts[1:]], dtype=np.float64)
-            if not np.all(np.isfinite(vec)):
-                raise ValidationError(f"{path}: line {lineno}: non-finite value for {utt_id!r}")
-            table[utt_id] = vec
+        except ValueError as exc:
+            raise FormatError(f"{path}: line {lineno}: bad value for {utt_id!r} ({exc})") from None
+        if not np.all(np.isfinite(vec)):
+            raise ValidationError(f"{path}: line {lineno}: non-finite value for {utt_id!r}")
+        table[utt_id] = vec
     return dim, table
 
 

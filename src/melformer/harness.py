@@ -228,6 +228,7 @@ def train_epochs(model, train_encs, dev_encs, hcfg: HarnessConfig, seed,
     since_best = 0
     history = []
     ckpt_path = None
+    last_loss = last_norm = None  # of the last step that finished
 
     def checkpoint():
         nonlocal ckpt_path
@@ -250,10 +251,13 @@ def train_epochs(model, train_encs, dev_encs, hcfg: HarnessConfig, seed,
                 checkpoint()
                 raise TrainingDiverged(
                     f"loss became {loss.data} in epoch {epoch}; "
+                    f"last finite loss: {_or_none(last_loss)}, "
+                    f"its pre-clip gradient norm: {_or_none(last_norm)}; "
                     f"last good checkpoint: {ckpt_path or 'none saved'}")
             ag.backward(loss)
-            clip_gradients(trainable, hcfg.clip_norm)
+            last_norm = clip_gradients(trainable, hcfg.clip_norm)
             opt.step()
+            last_loss = float(loss.data)
         dev_wa = evaluate(model, dev_encs).wa
         history.append(dev_wa)
         if dev_wa > best_wa:
@@ -269,6 +273,10 @@ def train_epochs(model, train_encs, dev_encs, hcfg: HarnessConfig, seed,
     model.load_state_dict(best_state)
     checkpoint()
     return best_state, history, best_epoch, len(history), ckpt_path
+
+
+def _or_none(value):
+    return "none" if value is None else f"{value:.6g}"
 
 
 def train_fold(plan: FoldPlan, encs_by_id, model_cfg: ModelConfig, hcfg: HarnessConfig,

@@ -149,8 +149,11 @@ class EmotionModel(nn.Module):
     """
 
     def forward_batch(self, batch) -> Tensor:
-        """Collated ``(enc, pad_words, pad_frames)`` rows, as ``data.batches``
-        yields them -> [N, K] logits."""
+        """``(enc, pad_words, pad_frames)`` rows -> [N, K] logits.
+
+        Each row runs through ``forward_utterance`` on its own.  The rows of
+        ``data.batches`` carry no padding; padded rows give the same logits
+        up to rounding, since key masks and row zeroing hide the padding."""
         return ag.stack_rows([self.forward_utterance(e, pad_words=pw, pad_frames=pf).logits
                               for e, pw, pf in batch])
 

@@ -46,6 +46,21 @@ LETTER_FALLBACK = {
 _TOKEN_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789'")
 
 
+def utf8_lines(path):
+    """Yield ``(lineno, line)`` for each line of a UTF-8 text file, from 1.
+
+    A line that is not valid UTF-8 raises FormatError naming the path and
+    the line, not UnicodeDecodeError.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                yield lineno, raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: line {lineno}: not UTF-8 ({exc.reason} "
+                                  f"at byte {exc.start})") from None
+
+
 @dataclass
 class Lexicon:
     entries: dict = field(default_factory=dict)  # word -> tuple of phoneme ids
@@ -54,22 +69,21 @@ class Lexicon:
     def load(cls, path):
         """Read `WORD  PH1 PH2 ...` lines; stress digits are stripped."""
         entries = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith(";;;"):
-                    continue
-                parts = line.split()
-                if len(parts) < 2:
-                    raise FormatError(f"{path}:{lineno}: entry has no phonemes")
-                word = parts[0].lower()
-                ids = []
-                for sym in parts[1:]:
-                    sym = sym.rstrip("0123456789").upper()
-                    if sym not in PHONEME_TO_ID:
-                        raise FormatError(f"{path}:{lineno}: unknown phoneme {sym!r}")
-                    ids.append(PHONEME_TO_ID[sym])
-                entries[word] = tuple(ids)
+        for lineno, line in utf8_lines(path):
+            line = line.strip()
+            if not line or line.startswith(";;;"):
+                continue
+            parts = line.split()
+            if len(parts) < 2:
+                raise FormatError(f"{path}:{lineno}: entry has no phonemes")
+            word = parts[0].lower()
+            ids = []
+            for sym in parts[1:]:
+                sym = sym.rstrip("0123456789").upper()
+                if sym not in PHONEME_TO_ID:
+                    raise FormatError(f"{path}:{lineno}: unknown phoneme {sym!r}")
+                ids.append(PHONEME_TO_ID[sym])
+            entries[word] = tuple(ids)
         return cls(entries=entries)
 
     def get(self, word):
@@ -137,20 +151,18 @@ def load_word_vectors(path) -> WordVectors:
     """
     words = []
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != WORD_DIM + 1:
-                raise FormatError(
-                    f"{path}: line {lineno}: expected a word and {WORD_DIM} values, got {len(parts) - 1}")
-            words.append(parts[0].lower())
-            try:
-                rows.append([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from None
+    for lineno, line in utf8_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != WORD_DIM + 1:
+            raise FormatError(
+                f"{path}: line {lineno}: expected a word and {WORD_DIM} values, got {len(parts) - 1}")
+        words.append(parts[0].lower())
+        try:
+            rows.append([float(v) for v in parts[1:]])
+        except ValueError as exc:
+            raise FormatError(f"{path}: line {lineno}: {exc}") from None
     if not rows:
         raise FormatError(f"{path}: no word vectors found")
     loaded = np.asarray(rows, dtype=np.float64)

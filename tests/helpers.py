@@ -1,10 +1,13 @@
 """Shared builders for model-level tests: small configs, synthetic encoded
-utterances, and the off-kink parameter nudge used before finite differences."""
+utterances, the off-kink parameter nudge used before finite differences, and
+the zero-filling backward and mask-tensor dropout kept as oracles for the
+engine."""
 
 from types import SimpleNamespace
 
 import numpy as np
 
+from melformer import autograd as ag
 from melformer.config import ModelConfig
 from melformer.model import MultilevelTransformer
 from melformer.text import PHONEME_TO_ID, hash_word_vectors
@@ -43,3 +46,35 @@ def make_enc(wv, seed=0, n_words=3, n_frames=5, utt_embedding=None):
 
 
 from melformer.verify import nudge_off_kinks  # noqa: F401  (shared with the CLI suite)
+
+
+def zero_fill_backward(loss):
+    """The engine's earlier backward, kept as an oracle: every graph node,
+    constants included, gets a zero-filled grad before any rule runs, and
+    interior nodes keep their grads."""
+    topo, visited, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        stack.extend((p, False) for p in node._prev if id(p) not in visited)
+    for node in topo:
+        node.grad = np.zeros_like(node.data)
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node._backward is not None:
+            node._backward()
+            node._backward = ag._consumed
+            node._prev = ()
+
+
+def mask_tensor_dropout(x, rate, rng):
+    """The earlier dropout, kept as an oracle: a float keep tensor applied by ``mul``."""
+    if rate <= 0.0:
+        return x
+    return ag.mul(x, ag.Tensor((rng.random(x.shape) >= rate) / (1.0 - rate)))

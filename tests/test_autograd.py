@@ -10,6 +10,8 @@ from melformer.autograd import Tensor
 from melformer.errors import ContractError, NumericError, ShapeError, ValidationError
 from melformer.verify import op_checks
 
+from helpers import mask_tensor_dropout, zero_fill_backward
+
 
 # --- oracles -----------------------------------------------------------------
 
@@ -508,6 +510,124 @@ def test_parameters_stay_leaves_across_steps():
     assert w._backward is None and w._prev == ()
     ag.backward(ag.tsum(w * 3.0))
     np.testing.assert_array_equal(w.grad, [3.0, 3.0])
+
+
+# --- lazy gradients and the streaming walk ----------------------------------------
+
+def _every_op_graph(rng):
+    """A loss touching every op, with fan-out, constants and size-1 operands."""
+    x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+    w = Tensor(rng.standard_normal((6, 6)), requires_grad=True)
+    b = Tensor(rng.standard_normal(6), requires_grad=True)
+    s = Tensor(rng.standard_normal(()), requires_grad=True)
+    gain = Tensor(1.0 + 0.1 * rng.standard_normal(6), requires_grad=True)
+    table = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+    kern = Tensor(rng.standard_normal((2, 3, 6)), requires_grad=True)
+    const = Tensor(rng.standard_normal((4, 6)))
+    h = ag.relu(x @ w + b) * s + x                        # bias add, scalar mul, residual
+    h = ag.layer_norm(h - const, gain, b)
+    att = ag.attention_weights(h, h, 2, key_valid=3)
+    h = ag.attention_mix(att, h) + ag.softmax(h) + ag.transpose(ag.transpose(h))
+    h = ag.dropout(ag.zero_rows(ag.sigmoid(h), 3), 0.3, np.random.default_rng(1))
+    emb = ag.embedding_rows(table, [[1, 2, 0], [3, 4, 4]], frozen_row=0)
+    pooled = ag.max_pool_time(ag.conv1d(emb, kern), valid=[2, 3])
+    rows = ag.stack_rows([h[0], h[1] + pooled[0], ag.reshape(h[2:], (12,))[:6]])
+    mixed = ag.concat([rows, rows * 2.0], axis=1)
+    loss = ag.cross_entropy(mixed, [0, 3, 11]) + ag.tsum(ag.neg(h * h)) * 1e-2 + s
+    return loss, dict(x=x, w=w, b=b, s=s, gain=gain, table=table, kern=kern), const
+
+
+def test_leaf_grads_match_the_zero_filling_backward_bit_for_bit():
+    loss, leaves, _ = _every_op_graph(np.random.default_rng(3))
+    ag.backward(loss)
+    ref_loss, ref_leaves, _ = _every_op_graph(np.random.default_rng(3))
+    zero_fill_backward(ref_loss)
+    for name, t in leaves.items():
+        ref = ref_leaves[name].grad
+        assert type(t.grad) is np.ndarray and t.grad.shape == t.shape, name
+        # the oracle's 0.0 + g turns a -0.0 into +0.0; nothing else may differ
+        assert (t.grad + 0.0).tobytes() == ref.tobytes(), name
+
+
+def test_constants_and_interior_nodes_end_backward_without_grad():
+    rng = np.random.default_rng(4)
+    loss, leaves, const = _every_op_graph(rng)
+    ag.backward(loss)
+    assert const.grad is None
+    assert loss.grad is None  # the loss is interior too
+    assert all(t.grad is not None for t in leaves.values())
+
+
+def test_size_one_operands_get_a_grad_of_their_own_shape():
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    s0 = Tensor(2.0, requires_grad=True)
+    s1 = Tensor([3.0], requires_grad=True)
+    ag.backward(ag.tsum(x * s0 + s1) + s0 * s1)
+    assert type(s0.grad) is np.ndarray and s0.grad.shape == ()
+    assert type(s1.grad) is np.ndarray and s1.grad.shape == (1,)
+    np.testing.assert_array_equal(s0.grad, 3.0 + 3.0)
+    np.testing.assert_array_equal(s1.grad, [3.0 + 2.0])
+
+
+def test_fan_out_of_a_passed_through_grad_keeps_separate_buffers():
+    # add hands out.grad to both operands; sharing it would let one operand's
+    # later contributions leak into the other's grad
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    b = Tensor([3.0, 4.0], requires_grad=True)
+    total = a + b
+    ag.backward(ag.tsum(total * 2.0) + ag.tsum(a * 5.0))
+    np.testing.assert_array_equal(a.grad, [7.0, 7.0])
+    np.testing.assert_array_equal(b.grad, [2.0, 2.0])
+    assert not np.shares_memory(a.grad, b.grad)
+
+
+def test_an_interior_node_dies_as_soon_as_its_rule_has_run():
+    w = Tensor(np.array([0.5, -1.0]), requires_grad=True)
+    gc.disable()
+    try:
+        first = ag.sigmoid(w * w)
+        second = ag.relu(first)
+        probe = weakref.ref(second)
+        loss = ag.tsum(second * 3.0)
+        seen = []
+        rule = first._backward
+
+        def watched():  # runs after second's rule, before backward returns
+            seen.append(probe() is None)
+            rule()
+
+        first._backward = watched
+        del first, second
+        ag.backward(loss)
+        assert seen == [True]
+        assert w.grad is not None
+    finally:
+        gc.enable()
+
+
+def test_dropout_is_one_node_with_a_boolean_mask():
+    x = Tensor(np.random.default_rng(5).standard_normal((3, 7)), requires_grad=True)
+    out = ag.dropout(x, 0.4, np.random.default_rng(6))
+    assert out._prev == (x,)
+    cells = [c.cell_contents for c in out._backward.__closure__]
+    masks = [c for c in cells if isinstance(c, np.ndarray)]
+    assert [m.dtype for m in masks] == [np.bool_]
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.5, 0.9])
+def test_dropout_matches_the_mask_tensor_mul_bit_for_bit(rate):
+    data = np.random.default_rng(7).standard_normal((5, 8))
+    probe = np.random.default_rng(8).standard_normal((5, 8))
+    runs = []
+    for op in (ag.dropout, mask_tensor_dropout):
+        x = Tensor(data.copy(), requires_grad=True)
+        out = op(x, rate, np.random.default_rng(9))
+        result = out.data.copy()
+        ag.backward(ag.tsum(out * Tensor(probe)))
+        runs.append((result, x.grad))
+    (out_a, grad_a), (out_b, grad_b) = runs
+    assert out_a.tobytes() == out_b.tobytes()
+    assert grad_a.tobytes() == grad_b.tobytes()
 
 
 # --- the gradcheck suite covers the whole op library ------------------------------

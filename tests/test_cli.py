@@ -219,6 +219,38 @@ def test_non_integer_worker_cap_exits_one(corpus, tmp_path, capsys, monkeypatch)
     assert "error: MELFORMER_NUM_WORKERS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [
+    b"5",
+    json.dumps({"id": "u0", "transcript": "hi", "label": ["happy"], "audio_path": "u0.wav"}).encode(),
+    b'{"id": "caf\xe9", "transcript": "hi", "label": "sad", "audio_path": "u0.wav"}',
+], ids=["not_an_object", "list_label", "non_utf8"])
+def test_malformed_manifest_record_exits_one(tmp_path, capsys, line):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_bytes(line + b"\n")
+    assert main(["featurize", "--manifest", str(manifest), "--out-dir", str(tmp_path / "f")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: line 1: ")
+
+
+@pytest.mark.parametrize("flag, payload, message", [
+    ("--lexicon", b"HELLO HH AH0\nCAF\xc9 K AE F\n", "line 2: not UTF-8"),
+    ("--word-vectors", b"w\xff " + b" ".join([b"0.5"] * 300) + b"\n", "line 1: not UTF-8"),
+    ("--utt-embeddings", b"UEMB 2\nangry-000 1.0 \xe9\n", "line 2: not UTF-8"),
+    ("--utt-embeddings", b"UEMB 2\nangry-000 1.0 2.0\nangry-001 1.0 zz\n",
+     "line 3: bad value for 'angry-001'"),
+], ids=["lexicon_non_utf8", "word_vectors_non_utf8", "uemb_non_utf8", "uemb_non_numeric"])
+def test_malformed_text_input_exits_one(corpus, tmp_path, capsys, flag, payload, message):
+    _, _, manifest = corpus
+    bad = tmp_path / "input.txt"
+    bad.write_bytes(payload)
+    extra = ["--granularity", "multi"] if flag == "--utt-embeddings" else []
+    rc = main(["train", "--manifest", str(manifest), "--out-dir", str(tmp_path / "run"),
+               flag, str(bad)] + extra + TINY_MODEL + TINY_RUN)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {message}")
+
+
 def test_multi_granularity_missing_coverage(corpus, tmp_path, capsys):
     _, _, manifest = corpus
     empty = tmp_path / "empty.txt"

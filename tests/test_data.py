@@ -8,7 +8,7 @@ import pytest
 from melformer.audio import featurize_wav
 from melformer.config import LABELS
 from melformer.data import (Record, SyntheticSpec, TEMPLATES, batches,
-                            class_frequency, collate, encode_manifest,
+                            class_frequency, encode_manifest,
                             encode_record, featurize_manifest, gen_synthetic,
                             parse_manifest)
 from melformer.errors import ValidationError
@@ -212,16 +212,13 @@ def test_encode_manifest_attaches_embeddings(small_corpus):
     assert all(e.utt_embedding is None for e in no_table)
 
 
-def test_collate_pads_to_longest(small_corpus):
+def test_batch_rows_carry_no_padding(small_corpus):
     man, lex, wv = small_corpus
     encs = encode_manifest(man, lex, wv)
-    batch = collate(encs)
-    max_w = max(e.n_words for e in encs)
-    max_f = max(e.n_frames for e in encs)
-    for enc, pad_w, pad_f in batch:
-        assert enc.n_words + pad_w == max_w
-        assert enc.n_frames + pad_f == max_f
-    assert any(p == 0 for _, p, _ in batch)
+    assert len({e.n_frames for e in encs}) > 1  # padding would have had work to do
+    rows = [row for b in batches(encs, 3, rng=np.random.default_rng(1)) for row in b]
+    assert len(rows) == len(encs)
+    assert all(pad_w == 0 and pad_f == 0 for _, pad_w, pad_f in rows)
 
 
 def test_batches_cover_all_and_shuffle_deterministically(small_corpus):

@@ -7,7 +7,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import small_config
+from helpers import mask_tensor_dropout, small_config, zero_fill_backward
+from melformer import autograd as ag
+from melformer import data, harness
 from melformer.autograd import Tensor
 from melformer.config import HarnessConfig, LABELS, RunConfig
 from melformer.data import (Manifest, Record, encode_manifest, gen_synthetic,
@@ -311,6 +313,74 @@ def test_divergence_aborts_with_checkpoint_path(corpus, tmp_path):
                      out_dir=tmp_path, tag="diverge")
     assert (tmp_path / "diverge-best.ckpt").exists()
     assert str(tmp_path / "diverge-best.ckpt") in str(exc_info.value)
+    assert "last finite loss: none, its pre-clip gradient norm: none" in str(exc_info.value)
+
+
+def test_divergence_names_the_last_finite_loss_and_gradient_norm(corpus, monkeypatch):
+    _, encs, wv = corpus
+    model = MultilevelTransformer(tiny_cfg(), wv, seed=0)
+    losses, norms = [], []
+    cross_entropy, clip, step = ag.cross_entropy, harness.clip_gradients, Adam.step
+
+    def recording_loss(*args):
+        loss = cross_entropy(*args)
+        losses.append(float(loss.data))
+        return loss
+
+    def recording_clip(*args):
+        norms.append(clip(*args))
+        return norms[-1]
+
+    def poisoning_step(self):  # the second batch's loss comes out NaN
+        step(self)
+        model.head.bias.data[:] = np.nan
+
+    monkeypatch.setattr(ag, "cross_entropy", recording_loss)
+    monkeypatch.setattr(harness, "clip_gradients", recording_clip)
+    monkeypatch.setattr(Adam, "step", poisoning_step)
+    with pytest.raises(TrainingDiverged) as exc_info:
+        train_epochs(model, encs, encs, hcfg(max_epochs=2), seed=0)
+    assert len(norms) == 1 and np.isnan(losses[1])
+    assert (f"last finite loss: {losses[0]:.6g}, "
+            f"its pre-clip gradient norm: {norms[0]:.6g}") in str(exc_info.value)
+
+
+def padded_batches(encs, batch_size, rng=None):
+    """The earlier training batches: each row padded to the batch's longest."""
+    for batch in data.batches(encs, batch_size, rng=rng):
+        max_words = max(e.n_words for e, _, _ in batch)
+        max_frames = max(e.n_frames for e, _, _ in batch)
+        yield [(e, max_words - e.n_words, max_frames - e.n_frames) for e, _, _ in batch]
+
+
+def _trained_state(corpus, rate, granularity="fine"):
+    _, encs, wv = corpus
+    cfg = small_config(num_classes=2, dropout=rate)
+    model = build_model(cfg, hcfg(granularity=granularity), wv, seed=6)
+    train_epochs(model, encs, encs, hcfg(max_epochs=2, patience=5), seed=6)
+    return model.state_dict()
+
+
+def test_unpadded_batches_train_like_padded_ones(corpus, monkeypatch):
+    state = _trained_state(corpus, 0.0)
+    monkeypatch.setattr(harness, "batches", padded_batches)
+    ref = _trained_state(corpus, 0.0)
+    assert any(pad for b in padded_batches(corpus[1], 5) for _, _, pad in b)
+    for name, value in state.items():
+        scale = max(np.linalg.norm(ref[name]), 1e-300)
+        assert np.linalg.norm(value - ref[name]) / scale <= 1e-10, name
+
+
+@pytest.mark.parametrize("granularity", ["fine", "multi"])
+@pytest.mark.parametrize("rate", [0.0, 0.1])
+def test_lazy_backward_and_mask_dropout_train_bit_identically(corpus, monkeypatch,
+                                                               granularity, rate):
+    state = _trained_state(corpus, rate, granularity)
+    monkeypatch.setattr(ag, "backward", zero_fill_backward)
+    monkeypatch.setattr(ag, "dropout", mask_tensor_dropout)
+    ref = _trained_state(corpus, rate, granularity)
+    for name, value in state.items():
+        assert value.tobytes() == ref[name].tobytes(), name
 
 
 def test_freezing_fine_model_trains_only_fusion_side(corpus):

@@ -20,6 +20,7 @@ from melformer import nn
 from melformer.autograd import Tensor, gradcheck_sampled
 from melformer.config import ModelConfig
 from melformer.errors import FormatError, ShapeError
+from melformer.fusion import build_fusion_model
 from melformer.model import (
     MelPrenet,
     MultiHeadAttention,
@@ -32,7 +33,8 @@ from melformer.model import (
 )
 from melformer.text import hash_word_vectors
 
-from helpers import WORDS, make_enc, make_model, nudge_off_kinks
+from helpers import (WORDS, make_enc, make_model, nudge_off_kinks, small_config,
+                     zero_fill_backward)
 
 # ---------------------------------------------------------------------------
 # attention structure
@@ -288,6 +290,35 @@ def test_every_parameter_receives_gradient():
     dead = [name for name, p in model.named_parameters()
             if p.grad is None or not np.any(p.grad)]
     assert dead == []
+
+
+def _train_mode_leaf_grads(granularity, rate, backward):
+    cfg = small_config(dropout=rate)
+    wv = hash_word_vectors(WORDS, dim=cfg.word_dim)
+    model = (MultilevelTransformer(cfg, wv, seed=21) if granularity == "fine"
+             else build_fusion_model(cfg, wv, utt_dim=None, seed=21))
+    encs = [make_enc(wv, seed=22 + i, n_words=2 + i, n_frames=4 + 3 * i) for i in range(3)]
+    loss = ag.cross_entropy(model.forward_batch([(e, 0, 0) for e in encs]), [0, 3, 1])
+    backward(loss)
+    return {name: p.grad for name, p in model.named_parameters()}
+
+
+@pytest.mark.parametrize("granularity", ["fine", "multi"])
+@pytest.mark.parametrize("rate", [0.0, 0.5])
+def test_leaf_grads_match_the_zero_filling_backward(granularity, rate):
+    grads = _train_mode_leaf_grads(granularity, rate, ag.backward)
+    ref = _train_mode_leaf_grads(granularity, rate, zero_fill_backward)
+    assert grads.keys() == ref.keys()
+    # only the multi model's unused fine head is outside the graph
+    assert [n for n, g in ref.items() if g is None] == (
+        [] if granularity == "fine" else ["fine.head.weight", "fine.head.bias"])
+    for name, g in grads.items():
+        if ref[name] is None:
+            assert g is None, name
+            continue
+        assert g.shape == ref[name].shape, name
+        # the oracle's 0.0 + g turns a -0.0 into +0.0; nothing else may differ
+        assert (g + 0.0).tobytes() == ref[name].tobytes(), name
 
 
 # ---------------------------------------------------------------------------

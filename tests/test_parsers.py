@@ -1,0 +1,171 @@
+"""The four text parsers fail closed: manifest, lexicon, word vectors and
+utterance embeddings.
+
+Malformed records and undecodable bytes name the file and the line; the
+fuzz tests feed each parser arbitrary bytes and bytes built from its own
+syntax, and demand that it either parses or raises a MelformerError.
+"""
+
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from melformer.data import parse_manifest
+from melformer.errors import FormatError, MelformerError, ValidationError
+from melformer.fusion import load_utterance_embeddings
+from melformer.text import Lexicon, WORD_DIM, load_word_vectors
+
+GOOD = {"id": "u0", "transcript": "hello there", "label": "happy", "audio_path": "u0.wav"}
+
+
+def write_lines(path, lines):
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    return path
+
+
+# ---------------------------------------------------------------------------
+# manifest records
+
+@pytest.mark.parametrize("line, kind", [
+    ("5", "a number"), ('"u0"', "a string"), ("[1, 2]", "an array"), ("null", "null")])
+def test_manifest_line_must_be_an_object(tmp_path, line, kind):
+    p = write_lines(tmp_path / "m.jsonl", [json.dumps(GOOD).encode(), line.encode()])
+    with pytest.raises(ValidationError, match=f"m.jsonl: line 2: expected a JSON object, got {kind}"):
+        parse_manifest(p)
+
+
+@pytest.mark.parametrize("field, value, kind", [
+    ("label", ["happy"], "an array"), ("id", 7, "a number"), ("transcript", None, "null"),
+    ("audio_path", {"p": 1}, "an object"), ("features_path", 1.5, "a number"),
+    ("session", True, "a boolean"), ("utt_embedding_id", 3, "a number")])
+def test_manifest_fields_must_be_strings(tmp_path, field, value, kind):
+    rec = dict(GOOD, **{field: value})
+    p = write_lines(tmp_path / "m.jsonl", [json.dumps(rec).encode()])
+    with pytest.raises(ValidationError, match=f"line 1: field '{field}' must be a string, got {kind}"):
+        parse_manifest(p)
+
+
+def test_null_optional_fields_count_as_absent(tmp_path):
+    rec = dict(GOOD, features_path=None, session=None, utt_embedding_id=None)
+    man = parse_manifest(write_lines(tmp_path / "m.jsonl", [json.dumps(rec).encode()]))
+    assert man.records[0].session is None and man.records[0].audio_path == "u0.wav"
+
+
+def test_manifest_deep_nesting_and_huge_numbers_are_bad_json(tmp_path):
+    for line in (b"[" * 100000, b"1" * 5000):
+        p = write_lines(tmp_path / "m.jsonl", [line])
+        with pytest.raises(ValidationError, match="line 1: bad JSON"):
+            parse_manifest(p)
+
+
+# ---------------------------------------------------------------------------
+# undecodable bytes and non-numeric values
+
+def _word_vector_line(word):
+    return word + b" " + b" ".join(b"0.5" for _ in range(WORD_DIM))
+
+
+@pytest.mark.parametrize("load, good_line", [
+    (parse_manifest, json.dumps(GOOD).encode()),
+    (Lexicon.load, b"HELLO  HH AH0 L OW1"),
+    (load_word_vectors, _word_vector_line(b"hello")),
+], ids=["manifest", "lexicon", "word_vectors"])
+def test_non_utf8_bytes_name_the_line(tmp_path, load, good_line):
+    p = write_lines(tmp_path / "f.txt", [good_line, b"caf\xe9 \xff"])
+    with pytest.raises(FormatError, match="f.txt: line 2: not UTF-8"):
+        load(p)
+
+
+def test_non_utf8_utterance_embedding_names_the_line(tmp_path):
+    p = write_lines(tmp_path / "e.uemb", [b"UEMB 2", b"a 1.0 2.0", b"b\xc3 1.0 2.0"])
+    with pytest.raises(FormatError, match="e.uemb: line 3: not UTF-8"):
+        load_utterance_embeddings(p)
+
+
+def test_non_numeric_utterance_embedding_value_names_the_line(tmp_path):
+    p = write_lines(tmp_path / "e.uemb", [b"UEMB 2", b"a 1.0 2.0", b"b 1.0 zz"])
+    with pytest.raises(FormatError, match="e.uemb: line 3: bad value for 'b'"):
+        load_utterance_embeddings(p)
+
+
+def test_crlf_files_still_parse(tmp_path):
+    p = tmp_path / "e.uemb"
+    p.write_bytes(b"UEMB 2\r\na 1.0 2.0\r\n")
+    dim, table = load_utterance_embeddings(p)
+    assert dim == 2 and table["a"].tolist() == [1.0, 2.0]
+    p = tmp_path / "m.jsonl"
+    p.write_bytes(json.dumps(GOOD).encode() + b"\r\n")
+    assert parse_manifest(p).records[0].id == "u0"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any byte string parses or raises a MelformerError
+
+def _syntax(tokens):
+    """Byte strings assembled from a parser's own tokens, mixed with raw bytes."""
+    piece = st.one_of(st.sampled_from(tokens), st.binary(max_size=3))
+    built = st.lists(piece, max_size=40).map(b"".join)
+    return st.one_of(st.binary(max_size=200), built)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5)
+FIELDS = ["id", "transcript", "label", "audio_path", "features_path", "session",
+          "utt_embedding_id"]
+RECORDS = st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=3),
+                          st.one_of(st.sampled_from(["happy", "excited", "u0", "a.wav"]),
+                                    JSON_VALUES),
+                          max_size=6)
+MANIFEST_BYTES = st.one_of(
+    _syntax([b"{", b"}", b"[", b"]", b":", b",", b"\n", b" ", b'"id"', b'"label"',
+             b'"transcript"', b'"audio_path"', b'"happy"', b'"x"', b"5", b"null", b"1e999",
+             b"\xff", b"\xc3"]),
+    st.lists(RECORDS, max_size=4).map(
+        lambda recs: b"".join(json.dumps(r).encode() + b"\n" for r in recs)))
+LEXICON_BYTES = _syntax([b"HELLO", b"hh", b"AH0", b"L", b"OW1", b"XX", b";;;", b" ", b"\t",
+                         b"\n", b"\r\n", b"\xe9", b"\xf0\x9f"])
+WORD_VECTOR_BYTES = st.one_of(
+    _syntax([b"word", b" ", b"\n", b"0.5", b"nan", b"-1e3", b"x", b"\xff"]),
+    st.lists(st.sampled_from([b"0.5", b"1", b"zz", b"\xff"]), min_size=WORD_DIM - 1,
+             max_size=WORD_DIM + 1).map(lambda vals: b"w " + b" ".join(vals) + b"\n"))
+UEMB_BYTES = _syntax([b"UEMB", b" ", b"2", b"0", b"-1", b"x", b"\n", b"a", b"b", b"1.0",
+                      b"nan", b"zz", b"\xff", b"\xc3\xa9"])
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _parses_or_fails_closed(load, path, payload):
+    path.write_bytes(payload)
+    try:
+        load(path)
+    except MelformerError:
+        pass
+
+
+@FUZZ
+@given(payload=MANIFEST_BYTES)
+def test_fuzz_manifest(tmp_path, payload):
+    _parses_or_fails_closed(parse_manifest, tmp_path / "m.jsonl", payload)
+
+
+@FUZZ
+@given(payload=LEXICON_BYTES)
+def test_fuzz_lexicon(tmp_path, payload):
+    _parses_or_fails_closed(Lexicon.load, tmp_path / "lex.txt", payload)
+
+
+@FUZZ
+@given(payload=WORD_VECTOR_BYTES)
+def test_fuzz_word_vectors(tmp_path, payload):
+    _parses_or_fails_closed(load_word_vectors, tmp_path / "wv.txt", payload)
+
+
+@FUZZ
+@given(payload=UEMB_BYTES)
+def test_fuzz_utterance_embeddings(tmp_path, payload):
+    _parses_or_fails_closed(load_utterance_embeddings, tmp_path / "e.uemb", payload)
