@@ -698,21 +698,8 @@ def gradcheck(f, xs, eps: float = 1e-5) -> float:
     perturbed.  Returns the maximum relative error
     ``|a - n| / max(|a|, |n|, 1e-8)`` over all coordinates.
     """
-    if isinstance(xs, Tensor):
-        xs = [xs]
-    xs = list(xs)
-    for x in xs:
-        x.data = np.ascontiguousarray(x.data)  # reshape(-1) below must be a view
-        x.grad = None
-    backward(f(*xs))
-    analytic = [x.grad.copy() if x.grad is not None else np.zeros_like(x.data) for x in xs]
-    worst = 0.0
-    for x, a in zip(xs, analytic):
-        flat = x.data.reshape(-1)
-        a_flat = a.reshape(-1)
-        for i in range(flat.size):
-            worst = max(worst, _coordinate_error(f, xs, flat, a_flat[i], i, eps))
-    return worst
+    xs = [xs] if isinstance(xs, Tensor) else list(xs)
+    return gradcheck_sampled(f, xs, max(x.data.size for x in xs), rng=None, eps=eps)
 
 
 def _coordinate_error(f, xs, flat, analytic_i, i, eps) -> float:
@@ -730,7 +717,9 @@ def gradcheck_sampled(f, tensors, per_tensor: int, rng: np.random.Generator, eps
     """Gradcheck over a random sample of coordinates from each tensor.
 
     Used for whole models, where exhaustive finite differences would be
-    intractable; every tensor still contributes ``per_tensor`` coordinates.
+    intractable; every tensor still contributes ``per_tensor`` coordinates,
+    and one with at most ``per_tensor`` contributes all of them (``rng`` is
+    then unused).
     """
     tensors = list(tensors)
     for x in tensors:

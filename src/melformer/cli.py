@@ -7,6 +7,7 @@ resolved document is echoed into the output directory before training.
 """
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .config import LABELS, resolve_config
+from .config import CHOICES, LABELS, resolve_config, run_keys
 from .data import (SyntheticSpec, encode_manifest, featurize_manifest,
                    gen_synthetic, parse_manifest)
 from .errors import MelformerError, ValidationError
@@ -23,77 +24,54 @@ from .harness import evaluate, kfold_split, run_protocol, write_results, write_t
 from .model import read_checkpoint_header, restore_model
 from .text import Lexicon, hash_word_vectors, load_word_vectors, tokenize_and_g2p
 
-_MODEL_KEYS = ("d_model", "heads", "layers_text", "layers_cross", "layers_fusion",
-               "d_ff", "dropout", "combine_mode", "num_classes", "finetune_word_vectors")
-_HARNESS_KEYS = ("lr", "batch_size", "max_epochs", "patience", "clip_norm",
-                 "seeds", "workers", "group_mode", "granularity", "freeze_fine")
-_PATH_KEYS = ("manifest", "lexicon", "word_vectors", "utt_embeddings", "out_dir")
 
-
-def _seeds(value):
+def _ints(text):
     try:
-        return tuple(int(v) for v in value.split(","))
+        return tuple(int(v) for v in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {value!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _layers_spec(value):
-    name, _, csv = value.partition("=")
-    if name not in ("text", "cross", "fusion") or not csv:
-        raise argparse.ArgumentTypeError(
-            f"expected text=..., cross=..., or fusion=... with comma-separated counts, got {value!r}")
-    try:
-        return name, tuple(int(v) for v in csv.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad layer count in {value!r}")
+def _bool(text):
+    if text not in ("true", "false"):
+        raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+    return text == "true"
+
+
+# how one command-line value of a field of each type is read
+_PARSERS = {int: int, float: float, str: str, tuple: _ints, bool: _bool}
 
 
 def _add_run_flags(p):
+    """--config, then one flag per run key (--x/--no-x for booleans)."""
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--manifest")
-    p.add_argument("--lexicon")
-    p.add_argument("--word-vectors", dest="word_vectors")
-    p.add_argument("--utt-embeddings", dest="utt_embeddings")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--d-model", dest="d_model", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--layers-text", dest="layers_text", type=int)
-    p.add_argument("--layers-cross", dest="layers_cross", type=int)
-    p.add_argument("--layers-fusion", dest="layers_fusion", type=int)
-    p.add_argument("--d-ff", dest="d_ff", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--combine-mode", dest="combine_mode", choices=("concat", "highway"))
-    p.add_argument("--num-classes", dest="num_classes", type=int)
-    p.add_argument("--finetune-word-vectors", dest="finetune_word_vectors",
-                   action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--clip-norm", dest="clip_norm", type=float)
-    p.add_argument("--seeds", type=_seeds, help="comma-separated, e.g. 0,1,2")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--group-mode", dest="group_mode", choices=("auto", "session", "random"))
-    p.add_argument("--granularity", choices=("fine", "multi"))
-    p.add_argument("--freeze-fine", dest="freeze_fine",
-                   action=argparse.BooleanOptionalAction, default=None)
+    for _, key, kind in run_keys():
+        flag = "--" + key.replace("_", "-")
+        if kind is bool:
+            p.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction)
+        else:
+            p.add_argument(flag, dest=key, type=_PARSERS[kind], choices=CHOICES.get(key))
 
 
-def _flags_to_dict(args):
-    flags = {"model": {}, "harness": {}}
-    for key in _MODEL_KEYS:
-        if getattr(args, key, None) is not None:
-            flags["model"][key] = getattr(args, key)
-    for key in _HARNESS_KEYS:
-        if getattr(args, key, None) is not None:
-            flags["harness"][key] = getattr(args, key)
-    for key in _PATH_KEYS:
-        if getattr(args, key, None) is not None:
-            flags[key] = getattr(args, key)
-    return flags
+def _grid_axis(text):
+    """``key=v1,v2,...`` over a model or harness field that is not a tuple,
+    each value read as that field's flag reads it."""
+    key, _, csv = text.partition("=")
+    kind = {k: t for section, k, t in run_keys() if section}.get(key)
+    if kind in (None, tuple) or not csv:
+        raise argparse.ArgumentTypeError(
+            f"expected key=v1,v2,... over a model or harness field that is not a list, got {text!r}")
+    values = tuple(_PARSERS[kind](v) for v in csv.split(","))
+    allowed = CHOICES.get(key, values)
+    if any(v not in allowed for v in values):
+        raise argparse.ArgumentTypeError(f"{key} must be one of {', '.join(allowed)}, got {text!r}")
+    if len(set(values)) < len(values):  # two points would share one directory
+        raise argparse.ArgumentTypeError(f"a value repeats in {text!r}")
+    return key, values
 
 
-def _resolve_from_args(args):
+def _config_and_flags(args):
+    """The --config document (or None) and the flags given, shaped like it."""
     file_dict = None
     if args.config:
         path = Path(args.config)
@@ -103,7 +81,11 @@ def _resolve_from_args(args):
             file_dict = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: bad JSON ({exc.msg})") from None
-    return resolve_config(file_dict, _flags_to_dict(args))
+    flags = {"model": {}, "harness": {}}
+    for section, key, _ in run_keys():
+        if getattr(args, key) is not None:
+            (flags[section] if section else flags)[key] = getattr(args, key)
+    return file_dict, flags
 
 
 def _load_manifest(path):
@@ -190,34 +172,34 @@ def cmd_featurize(args):
 
 
 def cmd_train(args):
-    _run_resolved(_resolve_from_args(args))
+    _run_resolved(resolve_config(*_config_and_flags(args)))
     return 0
 
 
 def cmd_sweep(args):
-    import copy
-    base = _resolve_from_args(args)
-    grid = dict(args.layers or [])
-    axes = [("layers_text", grid.get("text", (base.model.layers_text,))),
-            ("layers_cross", grid.get("cross", (base.model.layers_cross,))),
-            ("layers_fusion", grid.get("fusion", (base.model.layers_fusion,)))]
-    out = Path(base.out_dir)
+    """One protocol run per point of the grid, first axis outermost; every
+    point is resolved and validated before the first one trains."""
+    file_dict, flags = _config_and_flags(args)
+    grid = dict(args.grid)
+    if len(grid) < len(args.grid):
+        raise ValidationError("each --grid key may be given once")
+    sections = {key: section for section, key, _ in run_keys()}
+    points = []
+    for values in itertools.product(*grid.values()):
+        point = dict(zip(grid, values))
+        for key, value in point.items():
+            flags[sections[key]][key] = value
+        cfg = resolve_config(file_dict, flags)
+        out = Path(cfg.out_dir)
+        cfg.out_dir = str(out / ",".join(f"{k}={v}" for k, v in point.items()))
+        points.append((point, cfg))
     rows, doc = [], []
-    for lt in axes[0][1]:
-        for lc in axes[1][1]:
-            for lf in axes[2][1]:
-                cfg = copy.deepcopy(base)
-                cfg.model.layers_text = lt
-                cfg.model.layers_cross = lc
-                cfg.model.layers_fusion = lf
-                cfg.out_dir = str(out / f"text{lt}-cross{lc}-fusion{lf}")
-                summary = _run_resolved(cfg, quiet=True)
-                name = f"text={lt} cross={lc} fusion={lf}"
-                rows.append((name, summary["wa"], summary["ua"]))
-                doc.append({"layers": {"text": lt, "cross": lc, "fusion": lf},
-                            "run_id": cfg.run_id(), "summary": summary})
-                print(f"{name}  WA {summary['wa']}  UA {summary['ua']}")
-    out.mkdir(parents=True, exist_ok=True)
+    for point, cfg in points:
+        summary = _run_resolved(cfg, quiet=True)
+        name = " ".join(f"{k}={v}" for k, v in point.items())
+        rows.append((name, summary["wa"], summary["ua"]))
+        doc.append({"grid": point, "run_id": cfg.run_id(), "summary": summary})
+        print(f"{name}  WA {summary['wa']}  UA {summary['ua']}")
     write_table(out / "table.txt", rows)
     (out / "sweep.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"sweep table -> {out / 'table.txt'}")
@@ -309,10 +291,10 @@ def build_parser():
     _add_run_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("sweep", help="grid over layer counts, one protocol run each")
+    p = sub.add_parser("sweep", help="grid over config fields, one protocol run per point")
     _add_run_flags(p)
-    p.add_argument("--layers", type=_layers_spec, nargs="+",
-                   help="axes like: text=1,2,3 cross=1,2 fusion=2")
+    p.add_argument("--grid", type=_grid_axis, nargs="+", action="extend", required=True,
+                   help="axes like: combine_mode=concat,highway layers_fusion=1,2")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a manifest")

@@ -9,12 +9,24 @@ The run id is a digest of that document, so identical configs share an id.
 import dataclasses
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
 
 LABELS = ("angry", "sad", "neutral", "happy")
 LABEL_ALIASES = {"excited": "happy"}
+# allowed values of the string fields; group_mode auto: sessions when present, else random
+CHOICES = {"combine_mode": ("concat", "highway"),
+           "group_mode": ("auto", "session", "random"),
+           "granularity": ("fine", "multi")}
+
+
+def _check_choices(section):
+    for name, allowed in CHOICES.items():
+        if hasattr(section, name) and getattr(section, name) not in allowed:
+            raise ValidationError(
+                f"{name} must be one of {', '.join(allowed)}, got {getattr(section, name)!r}")
 
 
 @dataclass
@@ -37,6 +49,7 @@ class ModelConfig:
     d_fuse: int = 128
 
     def validate(self):
+        _check_choices(self)
         for name in ("d_model", "heads", "layers_text", "layers_cross", "layers_fusion", "d_ff",
                      "phoneme_dim", "phoneme_channels", "word_dim", "prenet_width", "d_fuse"):
             if getattr(self, name) < 1:
@@ -47,8 +60,6 @@ class ModelConfig:
         if self.d_model % self.heads != 0:
             raise ValidationError(
                 f"d_model {self.d_model} not divisible by {self.heads} heads")
-        if self.combine_mode not in ("concat", "highway"):
-            raise ValidationError(f"combine_mode must be concat or highway, got {self.combine_mode!r}")
         if self.num_classes < 2:
             raise ValidationError(f"num_classes must be >= 2, got {self.num_classes}")
         if not 0.0 <= self.dropout < 1.0:
@@ -69,11 +80,12 @@ class HarnessConfig:
     clip_norm: float = 5.0
     seeds: tuple = (0, 1, 2)
     workers: int = 1
-    group_mode: str = "auto"  # auto: sessions when present, else random
-    granularity: str = "fine"  # fine | multi
+    group_mode: str = "auto"
+    granularity: str = "fine"
     freeze_fine: bool = False
 
     def validate(self):
+        _check_choices(self)
         if self.lr <= 0:
             raise ValidationError(f"lr must be positive, got {self.lr}")
         if self.batch_size < 1:
@@ -87,10 +99,6 @@ class HarnessConfig:
             raise ValidationError(f"clip_norm must be positive, got {self.clip_norm}")
         if not self.seeds:
             raise ValidationError("at least one seed is required")
-        if self.group_mode not in ("auto", "session", "random"):
-            raise ValidationError(f"group_mode must be auto, session, or random, got {self.group_mode!r}")
-        if self.granularity not in ("fine", "multi"):
-            raise ValidationError(f"granularity must be fine or multi, got {self.granularity!r}")
         return self
 
 
@@ -110,10 +118,7 @@ class RunConfig:
         return self
 
     def to_dict(self):
-        d = dataclasses.asdict(self)
-        d["model"]["phoneme_widths"] = list(self.model.phoneme_widths)
-        d["harness"]["seeds"] = list(self.harness.seeds)
-        return d
+        return dataclasses.asdict(self)
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -124,7 +129,16 @@ class RunConfig:
         return hashlib.sha1(canonical.encode("utf-8")).hexdigest()[:12]
 
 
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
+def run_keys():
+    """(section, key, type) for every key a run can set, in declaration
+    order: the model and harness fields, then the paths (section None)."""
+    for section, cls in (("model", ModelConfig), ("harness", HarnessConfig), (None, RunConfig)):
+        for f in dataclasses.fields(cls):
+            if not dataclasses.is_dataclass(f.type):
+                yield section, f.name, f.type
+
+
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string", bool: "true or false",
                tuple: "a list of integers"}
 
 
@@ -137,12 +151,13 @@ def _typed(key, value, kind, origin):
     """``value`` as the type of its field, or ValidationError naming ``key``.
 
     Ints are accepted for float fields; every tuple field holds integers.
+    NaN and the infinities fail the magnitude test, as do ints no float holds.
     """
     if kind is tuple and isinstance(value, (list, tuple)) and all(_is(v, int) for v in value):
         return tuple(value)
-    if kind is float and _is(value, int):
+    if kind is float and _is(value, (int, float)) and abs(value) <= sys.float_info.max:
         return float(value)
-    if kind is not tuple and _is(value, kind):
+    if kind not in (tuple, float) and _is(value, kind):
         return value
     raise ValidationError(f"{origin}: {key} must be {_TYPE_NAMES[kind]}, got {value!r}")
 

@@ -231,17 +231,14 @@ def train_epochs(model, train_encs, dev_encs, hcfg: HarnessConfig, seed,
     last_loss = last_norm = None  # of the last step that finished
 
     def checkpoint():
+        """Leave the model holding ``best_state``, and save it under out_dir."""
         nonlocal ckpt_path
-        if out_dir is None:
-            return None
-        path = Path(out_dir) / f"{tag}-best.ckpt"
-        current = model.state_dict()
         model.load_state_dict(best_state)
-        extra = {"seed": seed, "best_epoch": best_epoch, **model.checkpoint_extra()}
-        save_checkpoint(path, model, model.cfg, extra=extra)
-        model.load_state_dict(current)
-        ckpt_path = str(path)
-        return ckpt_path
+        if out_dir is not None:
+            path = Path(out_dir) / f"{tag}-best.ckpt"
+            extra = {"seed": seed, "best_epoch": best_epoch, **model.checkpoint_extra()}
+            save_checkpoint(path, model, model.cfg, extra=extra)
+            ckpt_path = str(path)
 
     for epoch in range(1, hcfg.max_epochs + 1):
         model.train()
@@ -270,7 +267,6 @@ def train_epochs(model, train_encs, dev_encs, hcfg: HarnessConfig, seed,
             if since_best > hcfg.patience:
                 break
 
-    model.load_state_dict(best_state)
     checkpoint()
     return best_state, history, best_epoch, len(history), ckpt_path
 

@@ -25,7 +25,7 @@ one way back from a checkpoint to either variant.
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -310,9 +310,7 @@ def expected_parameter_count(cfg: ModelConfig, vocab_rows=0) -> int:
 
 def save_checkpoint(path, model: nn.Module, cfg: ModelConfig, extra=None):
     """Write config header + named f32 parameter records, little-endian."""
-    import dataclasses as dc
-    header = {"model": dc.asdict(cfg), "extra": extra or {}}
-    header["model"]["phoneme_widths"] = list(cfg.phoneme_widths)
+    header = {"model": asdict(cfg), "extra": extra or {}}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     records = sorted(model.named_parameters())
     with open(path, "wb") as fh:

@@ -365,6 +365,23 @@ def test_gradcheck_softmax_cross_entropy_composite():
     assert ag.gradcheck(lambda l: ag.cross_entropy(l, labels), logits) < 1e-6
 
 
+def test_gradcheck_perturbs_every_coordinate_of_every_tensor():
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    y = Tensor(rng.normal(size=(5,)), requires_grad=True)
+    seen = []
+
+    def f(x, y):
+        seen.append((x.data.copy(), y.data.copy()))
+        return ag.tsum(x * x) + ag.tsum(y)
+
+    assert ag.gradcheck(f, [x, y]) < 1e-8
+    assert len(seen) == 1 + 2 * (x.data.size + y.data.size)
+    moved = {(k, i) for xs in seen[1:] for k, (a, b) in enumerate(zip(xs, (x.data, y.data)))
+             for i in np.flatnonzero(a != b)}
+    assert moved == {(0, i) for i in range(12)} | {(1, i) for i in range(5)}
+
+
 # --- property suite: every differentiable op passes gradcheck ------------------------
 
 def _away_from_kinks(rng, shape):

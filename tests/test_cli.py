@@ -1,7 +1,10 @@
 """End-to-end command-line behavior: exit codes, file outputs, precedence."""
 
+import dataclasses
 import json
 import os
+import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -11,8 +14,9 @@ import numpy as np
 import pytest
 
 from melformer import nn
-from melformer.cli import main
-from melformer.config import ModelConfig, resolve_config
+from melformer.cli import _config_and_flags, build_parser, main
+from melformer.config import (CHOICES, HarnessConfig, ModelConfig, RunConfig, resolve_config,
+                              run_keys)
 from melformer.model import save_checkpoint
 
 TINY_MODEL = ["--d-model", "16", "--heads", "2", "--d-ff", "32", "--dropout", "0.0",
@@ -266,14 +270,202 @@ def test_sweep_rows_keep_grid_order(corpus, tmp_path, capsys):
     _, _, manifest = corpus
     out = tmp_path / "sweep"
     rc = main(["sweep", "--manifest", str(manifest), "--out-dir", str(out),
-               "--layers", "text=1", "cross=1", "fusion=1,2"]
+               "--grid", "layers_text=1", "layers_cross=1", "layers_fusion=1,2"]
               + TINY_MODEL + TINY_RUN)
     assert rc == 0
     table = (out / "table.txt").read_text().splitlines()
-    assert "fusion=1" in table[1] and "fusion=2" in table[2]
+    assert "layers_fusion=1" in table[1] and "layers_fusion=2" in table[2]
     doc = json.loads((out / "sweep.json").read_text())
-    assert [d["layers"]["fusion"] for d in doc] == [1, 2]
-    assert (out / "text1-cross1-fusion2" / "results.json").exists()
+    assert [d["grid"]["layers_fusion"] for d in doc] == [1, 2]
+    point = out / "layers_text=1,layers_cross=1,layers_fusion=2"
+    assert (point / "results.json").exists()
+
+
+def test_sweep_point_reproduces_train_with_that_flag(corpus, tmp_path):
+    _, _, manifest = corpus
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--manifest", str(manifest), "--out-dir", str(out),
+                 "--grid", "layers_fusion=1,2"] + TINY_MODEL + TINY_RUN) == 0
+    doc = json.loads((out / "sweep.json").read_text())
+    for entry, fusion in zip(doc, ("1", "2")):
+        point = out / f"layers_fusion={fusion}"
+        swept = json.loads((point / "results.json").read_text())
+        assert main(["train", "--manifest", str(manifest), "--out-dir", str(point)]
+                    + TINY_MODEL + TINY_RUN + ["--layers-fusion", fusion]) == 0
+        trained = json.loads((point / "results.json").read_text())
+        assert entry["run_id"] == swept["run_id"] == trained["run_id"]
+        assert swept["folds"] == trained["folds"]
+        assert entry["summary"] == trained["summary"]
+
+
+def test_sweep_over_combine_mode_and_granularity_names_both_axes(corpus, tmp_path):
+    _, _, manifest = corpus
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--manifest", str(manifest), "--out-dir", str(out),
+                 "--grid", "combine_mode=concat,highway", "granularity=fine,multi"]
+                + TINY_MODEL + TINY_RUN[:5] + ["1"] + TINY_RUN[6:]) == 0
+    rows = (out / "table.txt").read_text().splitlines()[1:]
+    points = [(c, g) for c in ("concat", "highway") for g in ("fine", "multi")]
+    assert len(rows) == 4
+    for row, (c, g) in zip(rows, points):
+        assert row.startswith(f"combine_mode={c} granularity={g} ")
+    doc = json.loads((out / "sweep.json").read_text())
+    assert [d["grid"] for d in doc] == [{"combine_mode": c, "granularity": g} for c, g in points]
+    for c, g in points:
+        echoed = json.loads((out / f"combine_mode={c},granularity={g}" / "config.json").read_text())
+        assert (echoed["model"]["combine_mode"], echoed["harness"]["granularity"]) == (c, g)
+
+
+def test_invalid_sweep_point_exits_one_before_any_training(corpus, tmp_path, capsys):
+    _, _, manifest = corpus
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--manifest", str(manifest), "--out-dir", str(out),
+               "--grid", "heads=2,3"] + TINY_MODEL + TINY_RUN)
+    assert rc == 1
+    assert "error: d_model 16 not divisible by 3 heads" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--seeds", "zero,one"],
+    ["train", "--combine-mode", "bogus"],
+    ["train", "--group-mode", "sessions"],
+    ["train", "--heads", "two"],
+    ["sweep", "--grid", "combine_mode=bogus"],
+    ["sweep", "--grid", "heads=2,x"],
+    ["sweep", "--grid", "finetune_word_vectors=yes"],
+    ["sweep", "--grid", "no_such_field=1,2"],
+    ["sweep", "--grid", "seeds=0,1"],
+    ["sweep", "--grid", "out_dir=a,b"],
+    ["sweep", "--grid", "heads"],
+    ["sweep", "--grid", "heads=2,2"],
+    ["sweep", "--grid", "dropout=0.5,.5"],
+    ["sweep", "--layers", "fusion=1,2"],
+    ["sweep"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_flag_or_grid_axis_exits_two(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_repeated_grid_key_exits_one(capsys):
+    assert main(["sweep", "--grid", "heads=1,2", "heads=4"]) == 1
+    assert "error: each --grid key may be given once" in capsys.readouterr().err
+
+
+def test_grid_values_are_read_by_their_fields_flag_parsers():
+    parser = build_parser()
+    args = parser.parse_args(["sweep", "--grid", "dropout=0,0.5", "finetune_word_vectors=true,false",
+                              "granularity=multi", "batch_size=2,3"])
+    assert args.grid == [("dropout", (0.0, 0.5)), ("finetune_word_vectors", (True, False)),
+                         ("granularity", ("multi",)), ("batch_size", (2, 3))]
+
+
+def _non_default(key, default):
+    """A valid value other than the default, for every model and harness field."""
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, str):
+        return next(c for c in CHOICES[key] if c != default)
+    if isinstance(default, tuple):
+        return tuple(reversed(default))
+    if isinstance(default, float):
+        return default / 2
+    return 2 * default
+
+
+def test_every_config_field_has_a_flag_that_round_trips():
+    defaults = RunConfig()
+    expected, argv = {}, ["train"]
+    for section, key, kind in run_keys():
+        flag = "--" + key.replace("_", "-")
+        if section is None:
+            expected[(section, key)] = value = f"{key}.txt"
+        else:
+            value = _non_default(key, getattr(getattr(defaults, section), key))
+            expected[(section, key)] = value
+        if kind is bool:
+            argv.append(flag if value else "--no-" + flag[2:])
+        else:
+            argv += [flag, ",".join(map(str, value)) if kind is tuple else str(value)]
+    fields = [f.name for cls in (ModelConfig, HarnessConfig) for f in dataclasses.fields(cls)]
+    assert sorted(k for s, k in expected if s) == sorted(fields)
+    cfg = resolve_config(*_config_and_flags(build_parser().parse_args(argv)))
+    for (section, key), value in expected.items():
+        got = getattr(getattr(cfg, section) if section else cfg, key)
+        assert got == value and type(got) is type(value), key
+
+
+def test_no_flag_turns_a_config_file_boolean_off(tmp_path):
+    cfg_file = tmp_path / "on.json"
+    cfg_file.write_text(json.dumps({"model": {"finetune_word_vectors": True},
+                                    "harness": {"freeze_fine": True}}))
+    args = build_parser().parse_args(["train", "--config", str(cfg_file),
+                                      "--no-finetune-word-vectors"])
+    cfg = resolve_config(*_config_and_flags(args))
+    assert cfg.model.finetune_word_vectors is False and cfg.harness.freeze_fine is True
+
+
+def test_default_run_id_is_pinned():
+    assert RunConfig().run_id() == "d8b76ea3c235"
+
+
+@pytest.mark.parametrize("doc, named", [
+    ('{"harness": {"lr": NaN}}', "lr"),
+    ('{"harness": {"clip_norm": Infinity}}', "clip_norm"),
+    ('{"model": {"dropout": -Infinity}}', "dropout"),
+    ('{"harness": {"lr": 1%s}}' % ("0" * 400), "lr"),
+])
+def test_non_finite_config_values_exit_one(tmp_path, capsys, doc, named):
+    cfg_file = tmp_path / "nan.json"
+    cfg_file.write_text(doc)
+    assert main(["train", "--config", str(cfg_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file: {named} must be a finite number")
+
+
+@pytest.mark.parametrize("flag", ["--clip-norm", "--lr", "--dropout"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_flag_values_exit_one(capsys, flag, value):
+    assert main(["train", f"{flag}={value}"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: flags: {flag[2:].replace('-', '_')} must")
+
+
+def test_non_finite_checkpoint_header_value_exits_one(corpus, tmp_path, capsys):
+    _, _, manifest = corpus
+    ckpt = tmp_path / "nan.ckpt"
+    save_checkpoint(ckpt, nn.Linear(2, 3, np.random.default_rng(0)), ModelConfig())
+    raw = ckpt.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    new = raw[8:8 + hlen].replace(b'"dropout": 0.1', b'"dropout": NaN')
+    ckpt.write_bytes(raw[:4] + struct.pack("<I", len(new)) + new + raw[8 + hlen:])
+    assert main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint header: dropout must be a finite number")
+
+
+def _readme_commands():
+    """Every `melformer ...` command in README.md's code blocks, with
+    backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("melformer ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {c[0] for c in commands} >= {"gen-synthetic", "featurize", "train", "sweep",
+                                        "eval", "predict"}
+    for argv in commands:
+        build_parser().parse_args(argv)  # a stale flag exits 2 here
+
+
+def test_readme_quick_start_run_id_is_unchanged():
+    train = next(c for c in _readme_commands() if c[0] == "train")
+    cfg = resolve_config(*_config_and_flags(build_parser().parse_args(train)))
+    assert cfg.run_id() == "fdcf1760538d"
 
 
 def test_gradcheck_command_passes(capsys):

@@ -316,6 +316,43 @@ def test_divergence_aborts_with_checkpoint_path(corpus, tmp_path):
     assert "last finite loss: none, its pre-clip gradient norm: none" in str(exc_info.value)
 
 
+def test_best_checkpoint_takes_no_state_copies_of_its_own(corpus, tmp_path, monkeypatch):
+    _, encs, wv = corpus
+    model = MultilevelTransformer(tiny_cfg(), wv, seed=2)
+    copies = []
+    state_dict = MultilevelTransformer.state_dict
+    monkeypatch.setattr(MultilevelTransformer, "state_dict",
+                        lambda self: copies.append(1) or state_dict(self))
+    best_state, history, *_, ckpt = train_epochs(
+        model, encs, encs, hcfg(max_epochs=4, patience=5), seed=2, out_dir=tmp_path, tag="b")
+    improving = sum(wa > max(history[:i], default=-1.0) for i, wa in enumerate(history))
+    assert len(copies) == 1 + improving  # the initial state and each improving epoch
+    saved = load_checkpoint(ckpt)[2]
+    for name, p in model.named_parameters():
+        np.testing.assert_array_equal(p.data, best_state[name])
+        np.testing.assert_array_equal(saved[name], best_state[name].astype(np.float32))
+
+
+def test_divergence_leaves_the_model_holding_the_saved_best_state(corpus, tmp_path,
+                                                                  monkeypatch):
+    _, encs, wv = corpus
+    model = MultilevelTransformer(tiny_cfg(), wv, seed=0)
+    initial = model.state_dict()  # the best state: no epoch finishes
+    step = Adam.step
+
+    def poisoning_step(self):  # the second batch's loss comes out NaN
+        step(self)
+        model.head.bias.data[:] = np.nan
+
+    monkeypatch.setattr(Adam, "step", poisoning_step)
+    with pytest.raises(TrainingDiverged):
+        train_epochs(model, encs, encs, hcfg(max_epochs=2), seed=0, out_dir=tmp_path, tag="d")
+    saved = load_checkpoint(tmp_path / "d-best.ckpt")[2]
+    for name, p in model.named_parameters():
+        np.testing.assert_array_equal(p.data, initial[name])
+        np.testing.assert_array_equal(saved[name], initial[name].astype(np.float32))
+
+
 def test_divergence_names_the_last_finite_loss_and_gradient_norm(corpus, monkeypatch):
     _, encs, wv = corpus
     model = MultilevelTransformer(tiny_cfg(), wv, seed=0)
