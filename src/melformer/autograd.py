@@ -48,8 +48,11 @@ class Tensor:
 
     ``data`` is always float64.  :func:`backward` leaves a ``grad`` of the
     same shape as ``data`` on each leaf that requires one; interior nodes
-    and constants end it with ``grad`` None.  Tensors are immutable after
-    creation except for gradient accumulation.
+    and constants end it with ``grad`` None.  Ops never write into their
+    operands' ``data``.  Parameters are the exception: the optimizer and
+    ``load_state_dict`` update them in place, and under ``harness.Adam``
+    a parameter's ``data`` is a view of the optimizer's flat arena, so it
+    must be written (``data[...] = x``), never rebound.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "__weakref__")

@@ -108,10 +108,16 @@ class MultiGranularityModel(EmotionModel):
         self.head = nn.Linear(2 * cfg.d_fuse, cfg.num_classes, rng)
 
     def trainable_named_parameters(self):
-        """Checkpoints keep everything; freezing only hides params from the
-        optimizer."""
+        """Checkpoints keep everything; the optimizer sees what can train.
+
+        ``fine.head`` never can: the fused head replaces it, so its logits
+        never reach the loss.  Its graph nodes are reference cycles that
+        only the cyclic collector frees, so were it in the optimizer's
+        arena, they would keep the whole arena alive after the fold.  With
+        ``freeze_fine`` nothing under ``fine.`` trains.
+        """
         for name, p in self.named_parameters():
-            if self.freeze_fine and name.startswith("fine."):
+            if name.startswith("fine.head.") or (self.freeze_fine and name.startswith("fine.")):
                 continue
             yield name, p
 

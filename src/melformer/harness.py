@@ -19,18 +19,40 @@ import numpy as np
 from . import autograd as ag
 from .config import HarnessConfig, LABELS, ModelConfig, RunConfig
 from .data import batches
-from .errors import NumericError, TrainingDiverged, ValidationError
+from .errors import (ContractError, NumericError, ShapeError, TrainingDiverged,
+                     ValidationError)
 from .fusion import build_fusion_model
 from .model import MultilevelTransformer, save_checkpoint
 from .text import WordVectors
 
 
-class Adam:
-    """Bias-corrected Adam over named parameters.
+BLOCK = 1 << 15  # elements per block of the Adam walk: 256 KB per f64 operand
 
-    The update is theta -= lr * mhat / (sqrt(vhat) + eps).  A non-finite
-    gradient aborts immediately, naming the parameter, since continuing
-    would silently poison the moments.
+
+class Adam:
+    """Bias-corrected Adam over named parameters held in one flat arena.
+
+    The update is theta -= lr * mhat / (sqrt(vhat) + eps).  The constructor
+    copies the parameters, in the order given, into one contiguous float64
+    arena and rebinds each ``p.data`` to a reshaped view of its segment; the
+    moments ``m`` and ``v`` are flat arrays of the arena's length.
+
+    ``step`` walks the arena in blocks of ``BLOCK`` elements.  It gathers a
+    block's gradients into a scratch array and runs the update as in-place
+    ufuncs into that and one more block-sized scratch, in the order of the
+    plain expression, so the result is the same bit for bit.  Blocking pays
+    because a block of every operand (gradient, both moments, parameters,
+    scratch) fits in L2 together: each array streams through memory once
+    per step, where whole-tensor expressions stream it several times and
+    allocate a full-size temporary for every intermediate.
+
+    A parameter whose ``grad`` is None keeps its value and moments.  A
+    non-finite gradient aborts the step, naming the parameter, since
+    continuing would silently poison the moments (blocks before it are
+    already updated).  Once handed to the optimizer, parameters must be
+    changed in place (``p.data[...] = x``): ``step`` refuses one whose
+    ``data`` is no longer its arena view, since it would silently stop
+    training.
     """
 
     def __init__(self, named_params, lr=1e-5, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -40,24 +62,85 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for _, p in self.items]
-        self.v = [np.zeros_like(p.data) for _, p in self.items]
+        self.offsets = [0]
+        for _, p in self.items:
+            self.offsets.append(self.offsets[-1] + p.data.size)
+        n = self.offsets[-1]
+        self.arena = np.empty(n)
+        self.views = []
+        for (_, p), lo, hi in zip(self.items, self.offsets, self.offsets[1:]):
+            self.arena[lo:hi] = p.data.reshape(-1)
+            p.data = self.arena[lo:hi].reshape(p.data.shape)
+            self.views.append(p.data)
+        self.m = np.zeros(n)
+        self.v = np.zeros(n)
+        self._g, self._s = np.empty(min(n, BLOCK)), np.empty(min(n, BLOCK))
 
     def step(self):
+        grads = []
+        for (name, p), view in zip(self.items, self.views):
+            if p.data is not view:
+                raise ContractError(
+                    f"parameter {name} no longer views the optimizer's arena; "
+                    "update parameters in place (p.data[...] = x)")
+            if p.grad is not None and p.grad.shape != view.shape:
+                raise ShapeError(f"parameter {name}: gradient {p.grad.shape} vs {view.shape}")
+            grads.append(p.grad)
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for (name, p), m, v in zip(self.items, self.m, self.v):
-            g = p.grad
-            if g is None:
-                continue
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient in parameter {name}")
+        for lo, k, pieces in self._gather(grads):
+            g, s = self._g[:k], self._s[:k]
+            with np.errstate(over="ignore"):  # a huge finite gradient overflows it
+                norm2 = np.dot(g, g)
+            if not np.isfinite(norm2):
+                for name, a, b in pieces:
+                    if not np.isfinite(g[a:b]).all():
+                        raise NumericError(f"non-finite gradient in parameter {name}")
+            m, v, p = self.m[lo:lo + k], self.v[lo:lo + k], self.arena[lo:lo + k]
+            np.multiply(g, 1.0 - self.beta1, out=s)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += s
+            np.multiply(g, 1.0 - self.beta2, out=s)
+            s *= g
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            v += s
+            np.divide(m, b1c, out=s)
+            s *= self.lr
+            np.divide(v, b2c, out=g)  # the gradient is spent: g takes the denominator
+            np.sqrt(g, out=g)
+            g += self.eps
+            s /= g
+            p -= s
+
+    def _gather(self, grads):
+        """Copy the gradients into the scratch ``_g`` block by block.  Yields
+        (arena offset, length, [(name, start, stop) in the scratch]) for each
+        full block and at the end of each run of parameters with a gradient,
+        so parameters without one are never touched."""
+        lo = fill = 0
+        pieces = []
+        for (name, _), g, offset in zip(self.items, grads, self.offsets):
+            if g is None:
+                if fill:
+                    yield lo, fill, pieces
+                fill, pieces = 0, []
+                continue
+            if not fill:
+                lo = offset
+            flat = g.reshape(-1)
+            pos = 0
+            while pos < flat.size:
+                k = min(BLOCK - fill, flat.size - pos)
+                self._g[fill:fill + k] = flat[pos:pos + k]
+                pieces.append((name, fill, fill + k))
+                fill += k
+                pos += k
+                if fill == BLOCK:
+                    yield lo, fill, pieces
+                    lo, fill, pieces = lo + fill, 0, []
+        if fill:
+            yield lo, fill, pieces
 
 
 def clip_gradients(params, max_norm):
@@ -351,7 +434,8 @@ def summarize(results, seeds):
 
 
 def write_results(out_dir, run_cfg: RunConfig, results, summary):
-    """results.json plus a plain-text table row for the run."""
+    """results.json plus a plain-text table row for the run, named after its
+    granularity, layer counts and run id."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     doc = {
@@ -371,7 +455,8 @@ def write_results(out_dir, run_cfg: RunConfig, results, summary):
     }
     (out / "results.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     m = run_cfg.model
-    row_name = f"{run_cfg.harness.granularity} ({m.layers_text}|{m.layers_cross}|{m.layers_fusion})"
+    row_name = (f"{run_cfg.harness.granularity} ({m.layers_text}|{m.layers_cross}|"
+                f"{m.layers_fusion}) {run_cfg.run_id()}")
     write_table(out / "table.txt", [(row_name, summary["wa"], summary["ua"])])
     return out / "results.json"
 

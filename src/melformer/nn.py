@@ -73,7 +73,7 @@ class Module:
             arr = np.asarray(state[name], dtype=p.data.dtype)
             if arr.shape != p.data.shape:
                 raise ShapeError(f"parameter {name}: stored {arr.shape} vs model {p.data.shape}")
-            p.data = arr.copy()
+            p.data[...] = arr
 
     def parameter_count(self):
         return sum(p.size for p in self.parameters())

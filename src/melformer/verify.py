@@ -33,7 +33,7 @@ def nudge_off_kinks(model, seed):
     """
     rng = np.random.default_rng(seed)
     for p in model.parameters():
-        p.data = p.data + rng.uniform(-0.05, 0.05, p.shape)
+        p.data += rng.uniform(-0.05, 0.05, p.shape)
 
 
 def _t(rng, *shape):

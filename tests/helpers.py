@@ -1,7 +1,7 @@
 """Shared builders for model-level tests: small configs, synthetic encoded
 utterances, the off-kink parameter nudge used before finite differences, and
-the zero-filling backward and mask-tensor dropout kept as oracles for the
-engine."""
+the zero-filling backward, mask-tensor dropout and per-parameter Adam kept as
+oracles for the engine and the optimizer."""
 
 from types import SimpleNamespace
 
@@ -9,6 +9,7 @@ import numpy as np
 
 from melformer import autograd as ag
 from melformer.config import ModelConfig
+from melformer.errors import NumericError
 from melformer.model import MultilevelTransformer
 from melformer.text import PHONEME_TO_ID, hash_word_vectors
 
@@ -78,3 +79,34 @@ def mask_tensor_dropout(x, rate, rng):
     if rate <= 0.0:
         return x
     return ag.mul(x, ag.Tensor((rng.random(x.shape) >= rate) / (1.0 - rate)))
+
+
+class PerParameterAdam:
+    """The earlier Adam, kept as an oracle: moments per tensor, one
+    whole-tensor expression per parameter, and ``p.data`` updated in place."""
+
+    def __init__(self, named_params, lr=1e-5, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.items = [(name, p) for name, p in named_params]
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for _, p in self.items]
+        self.v = [np.zeros_like(p.data) for _, p in self.items]
+
+    def step(self):
+        self.t += 1
+        b1c = 1.0 - self.beta1 ** self.t
+        b2c = 1.0 - self.beta2 ** self.t
+        for (name, p), m, v in zip(self.items, self.m, self.v):
+            g = p.grad
+            if g is None:
+                continue
+            if not np.all(np.isfinite(g)):
+                raise NumericError(f"non-finite gradient in parameter {name}")
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)

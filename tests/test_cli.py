@@ -316,6 +316,20 @@ def test_sweep_over_combine_mode_and_granularity_names_both_axes(corpus, tmp_pat
         assert (echoed["model"]["combine_mode"], echoed["harness"]["granularity"]) == (c, g)
 
 
+def test_sweep_points_name_their_own_table_rows_apart(corpus, tmp_path):
+    _, _, manifest = corpus
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--manifest", str(manifest), "--out-dir", str(out),
+                 "--grid", "combine_mode=concat,highway"] + TINY_MODEL + TINY_RUN) == 0
+    rows = []
+    for entry in json.loads((out / "sweep.json").read_text()):
+        point = out / f"combine_mode={entry['grid']['combine_mode']}"
+        (row,) = (point / "table.txt").read_text().splitlines()[1:]
+        assert entry["run_id"] in row
+        rows.append(row.split("  ")[0])
+    assert rows[0] != rows[1]
+
+
 def test_invalid_sweep_point_exits_one_before_any_training(corpus, tmp_path, capsys):
     _, _, manifest = corpus
     out = tmp_path / "sweep"

@@ -189,6 +189,14 @@ def test_freeze_fine_hides_fine_params_from_training_only():
     assert {"proj_fine.weight", "proj_utt.weight", "head.weight"} <= trainable
 
 
+def test_fine_head_is_kept_but_never_trained():
+    # the fused head replaces it, so no gradient can reach it
+    model, _, _ = make_fusion(seed=27, utt_dim=8)
+    trainable = {name for name, _ in model.trainable_named_parameters()}
+    everything = {name for name, _ in model.named_parameters()}
+    assert everything - trainable == {"fine.head.weight", "fine.head.bias"}
+
+
 def test_fusion_checkpoint_round_trip(tmp_path):
     model, cfg, wv = make_fusion(seed=28, utt_dim=8)
     model.eval()

@@ -1,22 +1,27 @@
 """Optimizer, splitting, metrics, the fold trainer, and aggregation."""
 
+import gc
 import json
 import math
+import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from helpers import mask_tensor_dropout, small_config, zero_fill_backward
+from helpers import (WORDS, PerParameterAdam, mask_tensor_dropout, small_config,
+                     zero_fill_backward)
 from melformer import autograd as ag
 from melformer import data, harness
 from melformer.autograd import Tensor
-from melformer.config import HarnessConfig, LABELS, RunConfig
+from melformer.config import HarnessConfig, LABELS, ModelConfig, RunConfig
 from melformer.data import (Manifest, Record, encode_manifest, gen_synthetic,
                             parse_manifest)
-from melformer.errors import NumericError, TrainingDiverged, ValidationError
+from melformer.errors import (ContractError, NumericError, ShapeError, TrainingDiverged,
+                             ValidationError)
 from melformer.fusion import build_fusion_model
-from melformer.harness import (Adam, FoldMetrics, TrainResult, build_model,
+from melformer.harness import (BLOCK, Adam, FoldMetrics, TrainResult, build_model,
                                clip_gradients, evaluate, format_mean_std, kfold_split,
                                metrics_from_confusion, run_protocol, summarize,
                                train_epochs, train_fold, write_results,
@@ -99,6 +104,114 @@ def test_adam_rejects_non_finite_gradient_by_name():
     q.grad = np.array([np.nan])
     with pytest.raises(NumericError, match="layers.0.bias"):
         opt.step()
+
+
+def twin_params(shapes, seed=0):
+    """Two parameter sets with equal values: one for Adam, one for the oracle."""
+    rng = np.random.default_rng(seed)
+    ours = [param(rng.standard_normal(s)) for s in shapes]
+    return ours, [param(p.data.copy()) for p in ours]
+
+
+def named(params):
+    return [(f"p{i}", p) for i, p in enumerate(params)]
+
+
+def segment(opt, i):
+    return slice(opt.offsets[i], opt.offsets[i + 1])
+
+
+def test_adam_matches_per_parameter_oracle_bit_for_bit_across_blocks():
+    shapes = [(1,), (BLOCK - 1,), (BLOCK,), (7,), (BLOCK + 1,), (3 * BLOCK + 7,),
+              (13, 11), (3, 4, 5)]
+    skipped = 3  # its grad stays None: a gap in the middle of a block
+    ours, ref = twin_params(shapes)
+    untouched = ours[skipped].data.copy()
+    opt = Adam(named(ours), lr=1e-2)
+    oracle = PerParameterAdam(named(ref), lr=1e-2)
+    rng = np.random.default_rng(1)
+    for step in range(50):
+        for i, (p, q) in enumerate(zip(ours, ref)):
+            if i == skipped or (i == 4 and step % 3 == 0):  # p4 skips every third step
+                p.grad = q.grad = None
+                continue
+            g = rng.standard_normal(p.shape) * 10.0 ** rng.uniform(-8, 3)
+            p.grad, q.grad = g.copy(), g.copy()
+        opt.step()
+        oracle.step()
+    for i, (p, q) in enumerate(zip(ours, ref)):
+        assert np.array_equal(p.data, q.data), i
+        assert np.array_equal(opt.m[segment(opt, i)], oracle.m[i].ravel()), i
+        assert np.array_equal(opt.v[segment(opt, i)], oracle.v[i].ravel()), i
+    assert np.array_equal(ours[skipped].data, untouched)
+    assert not opt.m[segment(opt, skipped)].any() and not opt.v[segment(opt, skipped)].any()
+
+
+@pytest.mark.parametrize("where", [0, 2, 3, 9])  # in the first block, or in the second
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adam_names_a_non_finite_gradient_in_a_parameter_that_straddles_blocks(where, bad):
+    ours, _ = twin_params([(BLOCK - 3,), (10,), (5,)])
+    opt = Adam([("before", ours[0]), ("straddler", ours[1]), ("after", ours[2])], lr=0.1)
+    for p in ours:
+        p.grad = np.ones(p.shape)
+    ours[1].grad[where] = bad
+    with pytest.raises(NumericError, match="straddler"):
+        opt.step()
+
+
+def test_adam_takes_a_huge_finite_gradient_like_the_oracle():
+    # 1e200 squared overflows the block's finiteness dot product; the
+    # gradient itself is finite, so the step goes on as the oracle's does
+    ours, ref = twin_params([(BLOCK + 5,), (4,)])
+    opt = Adam(named(ours), lr=0.1)
+    oracle = PerParameterAdam(named(ref), lr=0.1)
+    for step in range(3):
+        for p, q in zip(ours, ref):
+            g = np.full(p.shape, 0.5)
+            g[::7] = 1e200 * (-1) ** step
+            p.grad, q.grad = g, g.copy()
+        opt.step()
+        oracle.step()
+    for p, q in zip(ours, ref):
+        assert np.array_equal(p.data, q.data)
+
+
+def test_adam_refuses_a_rebound_parameter_by_name():
+    ours, _ = twin_params([(3,), (4,)])
+    opt = Adam([("kept", ours[0]), ("rebound", ours[1])], lr=0.1)
+    ours[1].data = ours[1].data + 1.0  # a copy: the optimizer would no longer train it
+    for p in ours:
+        p.grad = np.ones(p.shape)
+    with pytest.raises(ContractError, match="rebound"):
+        opt.step()
+
+
+def test_adam_refuses_a_gradient_of_another_shape_by_name():
+    # the same size in another shape would scramble the flat gather silently
+    ours, _ = twin_params([(3,), (2, 3)])
+    opt = Adam([("a", ours[0]), ("b", ours[1])], lr=0.1)
+    ours[0].grad, ours[1].grad = np.ones(3), np.ones((3, 2))
+    with pytest.raises(ShapeError, match="parameter b:"):
+        opt.step()
+
+
+def test_adam_step_allocates_no_full_size_temporaries():
+    cfg = ModelConfig(d_model=16, heads=2, layers_text=1, layers_cross=1, layers_fusion=1,
+                      d_ff=32, dropout=0.0)  # the quick-start model
+    model = MultilevelTransformer(cfg, hash_word_vectors(WORDS, dim=cfg.word_dim), seed=0)
+    opt = Adam(model.trainable_named_parameters(), lr=1e-3)
+    assert opt.arena.size > 800_000
+    rng = np.random.default_rng(0)
+    for p in model.parameters():
+        p.grad = rng.standard_normal(p.shape)
+    opt.step()
+    tracemalloc.start()
+    try:
+        opt.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"Adam.step peaked at {peak} traced bytes"
 
 
 def test_clip_rescales_to_global_norm():
@@ -420,6 +533,60 @@ def test_lazy_backward_and_mask_dropout_train_bit_identically(corpus, monkeypatc
         assert value.tobytes() == ref[name].tobytes(), name
 
 
+@pytest.mark.parametrize("granularity", ["fine", "multi"])
+def test_arena_adam_trains_folds_like_the_per_parameter_oracle(corpus, monkeypatch,
+                                                               granularity):
+    state = _trained_state(corpus, 0.1, granularity)
+    monkeypatch.setattr(harness, "Adam", PerParameterAdam)
+    ref = _trained_state(corpus, 0.1, granularity)
+    for name, value in state.items():
+        assert value.tobytes() == ref[name].tobytes(), name
+
+
+def test_parameters_still_view_the_arena_after_training(corpus, monkeypatch):
+    _, encs, wv = corpus
+    made = []
+
+    class RecordingAdam(Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(harness, "Adam", RecordingAdam)
+    model = build_model(tiny_cfg(), hcfg(granularity="multi"), wv, seed=3)
+    best_state, *_ = train_epochs(model, encs, encs, hcfg(max_epochs=2, patience=5), seed=3)
+    (opt,) = made
+    assert [name for name, _ in opt.items] == [n for n, _ in model.trainable_named_parameters()]
+    for (name, p), view in zip(opt.items, opt.views):
+        assert p.data is view and view.base is opt.arena, name
+        np.testing.assert_array_equal(p.data, best_state[name])
+
+
+@pytest.mark.parametrize("granularity", ["fine", "multi"])
+def test_a_trained_model_frees_its_arena_without_the_cycle_collector(corpus, monkeypatch,
+                                                                     granularity):
+    # a graph node off the loss's path (a reference cycle) holding one
+    # parameter would keep the whole arena alive until the collector runs
+    _, encs, wv = corpus
+    arenas = []
+
+    class RecordingAdam(Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            arenas.append(weakref.ref(self.arena))
+
+    monkeypatch.setattr(harness, "Adam", RecordingAdam)
+    gc.collect()
+    gc.disable()
+    try:
+        model = build_model(tiny_cfg(), hcfg(granularity=granularity), wv, seed=3)
+        train_epochs(model, encs, encs, hcfg(max_epochs=1), seed=3)
+        del model
+        assert arenas[0]() is None
+    finally:
+        gc.enable()
+
+
 def test_freezing_fine_model_trains_only_fusion_side(corpus):
     _, encs, wv = corpus
     model = build_fusion_model(tiny_cfg(), wv, utt_dim=None, seed=2, freeze_fine=True)
@@ -509,4 +676,5 @@ def test_write_results_emits_json_and_table(tmp_path):
     assert doc["folds"][0]["confusion"] == [[0, 0], [0, 0]]
     table = (tmp_path / "table.txt").read_text().splitlines()
     assert table[0].split() == ["model", "WA", "UA"]
+    assert table[1].startswith(f"fine (1|1|2) {run_cfg.run_id()}  ")
     assert "0.900 ± 0.000" in table[1]
