@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binfile import BinaryReader
 from .errors import ContractError, FormatError, ValidationError
 
 N_MELS = 128
@@ -41,42 +42,41 @@ def load_wav(path):
 
     Returns (samples, sample_rate) with samples scaled by 1/32768 and
     multi-channel audio downmixed by averaging.  Parsing is done by hand so
-    malformed files produce errors that name the offending chunk.
+    malformed files produce errors that name the offending chunk.  A sample
+    rate too low for one sample per hop is rejected here, before framing.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 12:
-        raise IOError(f"{path}: truncated before RIFF header")
-    if raw[0:4] != b"RIFF":
-        raise FormatError(f"{path}: missing RIFF chunk")
-    if raw[8:12] != b"WAVE":
-        raise FormatError(f"{path}: RIFF form type is {raw[8:12]!r}, not WAVE")
-
     fmt = None
     data = None
-    pos = 12
-    while pos + 8 <= len(raw):
-        chunk_id = raw[pos:pos + 4]
-        (size,) = struct.unpack_from("<I", raw, pos + 4)
-        body_start = pos + 8
-        if body_start + size > len(raw):
-            raise IOError(f"{path}: {chunk_id.decode('ascii', 'replace')} chunk truncated")
-        body = raw[body_start:body_start + size]
-        if chunk_id == b"fmt ":
-            if size < 16:
-                raise FormatError(f"{path}: fmt chunk too small ({size} bytes)")
-            audio_format, channels, sample_rate, _, _, bits = struct.unpack_from("<HHIIHH", body, 0)
-            if audio_format != 1:
-                raise FormatError(f"{path}: fmt chunk declares codec {audio_format}, only PCM (1) is supported")
-            if bits != 16:
-                raise FormatError(f"{path}: fmt chunk declares {bits}-bit samples, only 16-bit is supported")
-            if channels < 1:
-                raise FormatError(f"{path}: fmt chunk declares {channels} channels")
-            fmt = (channels, sample_rate)
-        elif chunk_id == b"data":
-            data = body
-        # unknown chunks (LIST, fact, ...) are skipped; chunks are word-aligned
-        pos = body_start + size + (size & 1)
+    with open(path, "rb") as fh:
+        reader = BinaryReader(fh, path)
+        head = reader.take(12, "RIFF header")
+        if head[0:4] != b"RIFF":
+            raise FormatError(f"{path}: missing RIFF chunk")
+        if head[8:12] != b"WAVE":
+            raise FormatError(f"{path}: RIFF form type is {head[8:12]!r}, not WAVE")
+        while reader.left() >= 8:
+            chunk_id = reader.take(4)
+            (size,) = reader.u32s(1)
+            body = reader.take(size, f"{chunk_id.decode('ascii', 'replace')} chunk")
+            if chunk_id == b"fmt ":
+                if size < 16:
+                    raise FormatError(f"{path}: fmt chunk too small ({size} bytes)")
+                audio_format, channels, sample_rate, _, _, bits = struct.unpack_from("<HHIIHH", body, 0)
+                if audio_format != 1:
+                    raise FormatError(f"{path}: fmt chunk declares codec {audio_format}, only PCM (1) is supported")
+                if bits != 16:
+                    raise FormatError(f"{path}: fmt chunk declares {bits}-bit samples, only 16-bit is supported")
+                if channels < 1:
+                    raise FormatError(f"{path}: fmt chunk declares {channels} channels")
+                if sample_rate * HOP_MS // 1000 < 1:
+                    raise FormatError(f"{path}: fmt chunk declares {sample_rate} Hz, under one "
+                                      f"sample per {HOP_MS} ms hop")
+                fmt = (channels, sample_rate)
+            elif chunk_id == b"data":
+                data = body
+            # unknown chunks (LIST, fact, ...) are skipped; chunks are word-aligned,
+            # and a final odd chunk may lack its pad byte
+            reader.take(min(size & 1, reader.left()))
 
     if fmt is None:
         raise FormatError(f"{path}: missing fmt chunk")
@@ -189,15 +189,19 @@ def write_mel_cache(path, mel: MelMatrix):
 
 
 def read_mel_cache(path, sample_rate=16000) -> MelMatrix:
+    """A MEL1 file: 128 columns, the dummy row and at least one frame, nothing after."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != CACHE_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}, expected {CACHE_MAGIC!r}")
-    if len(raw) < 12:
-        raise IOError(f"{path}: truncated header")
-    rows, cols = struct.unpack_from("<II", raw, 4)
-    expected = 12 + 4 * rows * cols
-    if len(raw) < expected:
-        raise IOError(f"{path}: expected {expected} bytes for {rows}x{cols}, got {len(raw)}")
-    frames = np.frombuffer(raw[12:expected], dtype="<f4").reshape(rows, cols).astype(np.float64)
+        reader = BinaryReader(fh, path)
+        magic = fh.read(4)
+        if magic != CACHE_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}, expected {CACHE_MAGIC!r}")
+        rows, cols = reader.u32s(2, "header")
+        if cols != N_MELS or rows < 2:
+            raise FormatError(f"{path}: {rows}x{cols} features, expected {N_MELS} columns and "
+                              f"at least 2 rows (the dummy row and one frame)")
+        payload = reader.take(4 * rows * cols, f"{rows}x{cols} payload")
+        trailing = reader.left()
+    if trailing:
+        raise FormatError(f"{path}: {trailing} trailing bytes after the {rows}x{cols} payload")
+    frames = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float64)
     return MelMatrix(frames=frames, sample_rate=sample_rate, has_dummy=True)

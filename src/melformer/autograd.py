@@ -519,13 +519,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _track(out, (x, gain, bias), _bw)
 
 
-def conv1d(x: Tensor, kernels: Tensor, padding: str = "same") -> Tensor:
-    """Cross-correlation along the time axis.
+def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
+    """Cross-correlation along the time axis, same padding.
 
     ``x`` is [T, Cin], or [N, T, Cin] for N independent sequences of one
-    length; ``kernels`` is [W, Cin, Cout].  With ``same`` padding the input
-    is zero-padded to keep T; with ``valid`` the output has T - W + 1 steps.
-    out[..., t, o] = sum_w sum_i x[..., t+w, i] * k[w, i, o].
+    length; ``kernels`` is [W, Cin, Cout].  The input gets (W-1)//2 leading
+    and W//2 trailing zero steps, so the output keeps T steps:
+    out[..., t, o] = sum_w sum_i xpad[..., t+w, i] * k[w, i, o].
     """
     if x.ndim not in (2, 3) or kernels.ndim != 3:
         raise ShapeError(f"conv1d needs x[T,Cin] or x[N,T,Cin] and kernels[W,Cin,Cout], "
@@ -534,30 +534,22 @@ def conv1d(x: Tensor, kernels: Tensor, padding: str = "same") -> Tensor:
     w, kc_in, c_out = kernels.shape
     if kc_in != c_in:
         raise ShapeError(f"conv1d channel mismatch: input has {c_in}, kernels expect {kc_in}")
-    if padding == "same":
-        pad_left, pad_right = (w - 1) // 2, w // 2
-    elif padding == "valid":
-        pad_left = pad_right = 0
-        if w > t_in:
-            raise ShapeError(f"kernel width {w} exceeds input length {t_in} with valid padding")
-    else:
-        raise ValidationError(f"unknown padding {padding!r}")
-    xp = np.pad(x.data, [(0, 0)] * len(lead) + [(pad_left, pad_right), (0, 0)])
-    t_out = xp.shape[-2] - w + 1
-    # [..., T', W, Cin] windows flattened to one row per output step
-    cols = np.stack([xp[..., i : i + t_out, :] for i in range(w)], axis=-2).reshape(-1, w * c_in)
+    pad_left = (w - 1) // 2
+    xp = np.pad(x.data, [(0, 0)] * len(lead) + [(pad_left, w // 2), (0, 0)])
+    # [..., T, W, Cin] windows flattened to one row per output step
+    cols = np.stack([xp[..., i : i + t_in, :] for i in range(w)], axis=-2).reshape(-1, w * c_in)
     kmat = kernels.data.reshape(w * c_in, c_out)
-    out = Tensor((cols @ kmat).reshape(*lead, t_out, c_out))
+    out = Tensor((cols @ kmat).reshape(*lead, t_in, c_out))
 
     def _bw():
         g = out.grad.reshape(-1, c_out)
         if kernels.requires_grad:
             _accumulate(kernels, (cols.T @ g).reshape(w, c_in, c_out))
         if x.requires_grad:
-            dcols = (g @ kmat.T).reshape(*lead, t_out, w, c_in)
+            dcols = (g @ kmat.T).reshape(*lead, t_in, w, c_in)
             dxp = np.zeros_like(xp)
             for i in range(w):
-                dxp[..., i : i + t_out, :] += dcols[..., i, :]
+                dxp[..., i : i + t_in, :] += dcols[..., i, :]
             _accumulate(x, dxp[..., pad_left : pad_left + t_in, :])
 
     return _track(out, (x, kernels), _bw)
@@ -655,9 +647,13 @@ def embedding_rows(table: Tensor, ids, frozen_row: int | None = None) -> Tensor:
 
 
 def zero_rows(x: Tensor, valid: int) -> Tensor:
-    """Zero every row at index >= ``valid``; gradient is blocked the same way."""
+    """Zero every row at index >= ``valid``; gradient is blocked the same way.
+
+    With no row to zero, ``x`` itself comes back and no node is added."""
     if x.ndim != 2:
         raise ShapeError(f"zero_rows needs a rank-2 tensor, got {x.shape}")
+    if valid >= x.shape[0]:
+        return x
     out_data = x.data.copy()
     out_data[valid:] = 0.0
     out = Tensor(out_data)

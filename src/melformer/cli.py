@@ -19,7 +19,7 @@ from .config import CHOICES, LABELS, resolve_config, run_keys
 from .data import (SyntheticSpec, encode_manifest, featurize_manifest,
                    gen_synthetic, parse_manifest)
 from .errors import MelformerError, ValidationError
-from .fusion import check_coverage, load_utterance_embeddings
+from .fusion import MultiGranularityModel, check_coverage, load_utterance_embeddings
 from .harness import evaluate, kfold_split, run_protocol, write_results, write_table
 from .model import read_checkpoint_header, restore_model
 from .text import Lexicon, hash_word_vectors, load_word_vectors, tokenize_and_g2p
@@ -78,9 +78,11 @@ def _config_and_flags(args):
         if not path.exists():
             raise ValidationError(f"config not found: {path}")
         try:
-            file_dict = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: bad JSON ({exc.msg})") from None
+            file_dict = json.loads(path.read_bytes().decode("utf-8"))
+        except UnicodeDecodeError:
+            raise ValidationError(f"{path}: config is not UTF-8 text") from None
+        except (ValueError, RecursionError) as exc:  # bad JSON, huge ints, deep nesting
+            raise ValidationError(f"{path}: bad JSON ({getattr(exc, 'msg', exc)})") from None
     flags = {"model": {}, "harness": {}}
     for section, key, _ in run_keys():
         if getattr(args, key) is not None:
@@ -120,6 +122,35 @@ def _word_vectors_for(path, transcripts, lexicon, word_dim):
     return hash_word_vectors(vocab, dim=word_dim)
 
 
+def _utt_table(path, ids):
+    """The utterance-embedding file at ``path``, checked to cover ``ids`` -> (dim, table)."""
+    if not Path(path).exists():
+        raise ValidationError(f"utterance embeddings not found: {path}")
+    dim, table = load_utterance_embeddings(path)
+    check_coverage(table, ids)
+    return dim, table
+
+
+def _checkpoint_utt_table(model, path, ids):
+    """The utterance table a restored model reads, or None.
+
+    Only a multi-granularity model without a built-in encoder reads one, and
+    it needs one; a built-in encoder refuses a file that would bypass it; a
+    fine-grained model ignores ``path``, as ``train`` does.
+    """
+    if not isinstance(model, MultiGranularityModel):
+        return None
+    if model.utt_encoder is not None:
+        if path:
+            raise ValidationError("this checkpoint encodes utterances with its built-in "
+                                  "encoder; --utt-embeddings would bypass it")
+        return None
+    if not path:
+        raise ValidationError("this checkpoint was trained on an utterance-embedding file; "
+                              "pass --utt-embeddings")
+    return _utt_table(path, ids)[1]
+
+
 def _load_resources(run_cfg):
     manifest = _load_manifest(run_cfg.manifest)
     lexicon = _load_lexicon(run_cfg.lexicon)
@@ -127,10 +158,8 @@ def _load_resources(run_cfg):
                            lexicon, run_cfg.model.word_dim)
     utt_table = utt_dim = None
     if run_cfg.harness.granularity == "multi" and run_cfg.utt_embeddings:
-        if not Path(run_cfg.utt_embeddings).exists():
-            raise ValidationError(f"utterance embeddings not found: {run_cfg.utt_embeddings}")
-        utt_dim, utt_table = load_utterance_embeddings(run_cfg.utt_embeddings)
-        check_coverage(utt_table, [r.utt_embedding_id or r.id for r in manifest.records])
+        utt_dim, utt_table = _utt_table(run_cfg.utt_embeddings,
+                                        [r.utt_embedding_id or r.id for r in manifest.records])
     return manifest, lexicon, wv, utt_table, utt_dim
 
 
@@ -207,23 +236,20 @@ def cmd_sweep(args):
 
 
 def _restore(args, transcripts, lexicon):
-    """The checkpoint's model and header, with word vectors for ``transcripts``."""
+    """The checkpoint's model, with word vectors for ``transcripts``."""
     if not Path(args.checkpoint).exists():
         raise ValidationError(f"checkpoint not found: {args.checkpoint}")
     word_dim = read_checkpoint_header(args.checkpoint)[0].word_dim
     wv = _word_vectors_for(args.word_vectors, transcripts, lexicon, word_dim)
-    model, _, extra = restore_model(args.checkpoint, wv)
-    return model, extra, wv
+    return restore_model(args.checkpoint, wv)[0], wv
 
 
 def cmd_eval(args):
     manifest = _load_manifest(args.manifest)
     lexicon = _load_lexicon(args.lexicon)
-    model, extra, wv = _restore(args, [r.transcript for r in manifest.records], lexicon)
-    utt_table = None
-    if extra.get("granularity") == "multi" and args.utt_embeddings:
-        _, utt_table = load_utterance_embeddings(args.utt_embeddings)
-        check_coverage(utt_table, [r.utt_embedding_id or r.id for r in manifest.records])
+    model, wv = _restore(args, [r.transcript for r in manifest.records], lexicon)
+    utt_table = _checkpoint_utt_table(model, args.utt_embeddings,
+                                      [r.utt_embedding_id or r.id for r in manifest.records])
     encs = encode_manifest(manifest, lexicon, wv, utt_table=utt_table)
     m = evaluate(model, encs)
     print(f"WA {m.wa:.4f}")
@@ -243,13 +269,12 @@ def cmd_predict(args):
         raise ValidationError(f"wav not found: {args.wav}")
     lexicon = _load_lexicon(args.lexicon)
     seq = tokenize_and_g2p(args.transcript, lexicon)
-    model, extra, wv = _restore(args, [args.transcript], lexicon)
+    model, wv = _restore(args, [args.transcript], lexicon)
+    table = _checkpoint_utt_table(model, args.utt_embeddings, [args.utt_id] if args.utt_id else [])
     emb = None
-    if extra.get("granularity") == "multi" and args.utt_embeddings:
+    if table is not None:
         if not args.utt_id:
             raise ValidationError("--utt-id is required with --utt-embeddings")
-        _, table = load_utterance_embeddings(args.utt_embeddings)
-        check_coverage(table, [args.utt_id])
         emb = table[args.utt_id]
     mel = featurize_wav(args.wav)
     enc = SimpleNamespace(word_ids=[wv.lookup(w) for w in seq.words],
@@ -329,6 +354,9 @@ def main(argv=None):
         return 1
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a directory where a file belongs, no permission, ...
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -10,6 +10,8 @@ The model implements ``model.EmotionModel`` like the fine-grained one, and
 ``model.restore_model`` rebuilds it from a checkpoint.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import autograd as ag
@@ -138,9 +140,7 @@ class MultiGranularityModel(EmotionModel):
 
     def forward_utterance(self, enc, pad_words=0, pad_frames=0) -> ForwardTrace:
         trace = self.fine.forward_utterance(enc, pad_words=pad_words, pad_frames=pad_frames)
-        logits = self.fuse_and_classify(trace.cls, self.utt_vector(enc))
-        return ForwardTrace(text_enc_out=trace.text_enc_out, cross_out=trace.cross_out,
-                            fusion_out=trace.fusion_out, cls=trace.cls, logits=logits)
+        return replace(trace, logits=self.fuse_and_classify(trace.cls, self.utt_vector(enc)))
 
     def checkpoint_extra(self) -> dict:
         return {"granularity": "multi", "utt_dim": self.utt_dim,

@@ -32,7 +32,8 @@ import numpy as np
 from . import autograd as ag
 from . import nn
 from .autograd import Tensor
-from .config import ModelConfig, model_config_from_dict
+from .binfile import BinaryReader
+from .config import CHOICES, ModelConfig, _typed, model_config_from_dict
 from .errors import FormatError, ShapeError, ValidationError
 from .text import (PAD_PHONEME, PHONEMES, EncoderPrenet, PhonemeCNN, WordCombiner, WordVectors,
                    phoneme_block)
@@ -83,10 +84,13 @@ class MultiHeadAttention(nn.Module):
 
 
 class FeedForward(nn.Module):
-    def __init__(self, d_model, d_ff, rng):
+    """Two affine layers with a ReLU between, row-wise: each block's
+    feed-forward (d, d_ff, d) and the mel prenet (128, d, d)."""
+
+    def __init__(self, d_in, d_hidden, d_out, rng):
         super().__init__()
-        self.lin1 = nn.Linear(d_model, d_ff, rng)
-        self.lin2 = nn.Linear(d_ff, d_model, rng)
+        self.lin1 = nn.Linear(d_in, d_hidden, rng)
+        self.lin2 = nn.Linear(d_hidden, d_out, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.lin2(ag.relu(self.lin1(x)))
@@ -98,7 +102,7 @@ class EncoderBlock(nn.Module):
     def __init__(self, d_model, heads, d_ff, rng, drop_rng, dropout):
         super().__init__()
         self.attn = MultiHeadAttention(d_model, heads, rng)
-        self.ffn = FeedForward(d_model, d_ff, rng)
+        self.ffn = FeedForward(d_model, d_ff, d_model, rng)
         self.norm1 = nn.LayerNorm(d_model)
         self.norm2 = nn.LayerNorm(d_model)
         self.drop = nn.Dropout(dropout, drop_rng)
@@ -115,7 +119,7 @@ class CrossModalBlock(nn.Module):
         super().__init__()
         self.self_attn = MultiHeadAttention(d_model, heads, rng)
         self.cross_attn = MultiHeadAttention(d_model, heads, rng)
-        self.ffn = FeedForward(d_model, d_ff, rng)
+        self.ffn = FeedForward(d_model, d_ff, d_model, rng)
         self.norm1 = nn.LayerNorm(d_model)
         self.norm2 = nn.LayerNorm(d_model)
         self.norm3 = nn.LayerNorm(d_model)
@@ -125,18 +129,6 @@ class CrossModalBlock(nn.Module):
         mel = self.norm1(ag.add(mel, self.drop(self.self_attn(mel, mel, mel_valid, drop=self.drop))))
         mel = self.norm2(ag.add(mel, self.drop(self.cross_attn(mel, text, text_valid, drop=self.drop))))
         return self.norm3(ag.add(mel, self.drop(self.ffn(mel))))
-
-
-class MelPrenet(nn.Module):
-    """Two affine layers with a ReLU between; operates row-wise on frames."""
-
-    def __init__(self, d_in, d_model, rng):
-        super().__init__()
-        self.lin1 = nn.Linear(d_in, d_model, rng)
-        self.lin2 = nn.Linear(d_model, d_model, rng)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.lin2(ag.relu(self.lin1(x)))
 
 
 class EmotionModel(nn.Module):
@@ -202,7 +194,7 @@ class MultilevelTransformer(EmotionModel):
         self.text_blocks = nn.ModuleList(
             [EncoderBlock(cfg.d_model, cfg.heads, cfg.d_ff, rng, self.drop_rng, cfg.dropout)
              for _ in range(cfg.layers_text)])
-        self.mel_prenet = MelPrenet(128, cfg.d_model, rng)
+        self.mel_prenet = FeedForward(128, cfg.d_model, cfg.d_model, rng)
         self.cross_blocks = nn.ModuleList(
             [CrossModalBlock(cfg.d_model, cfg.heads, cfg.d_ff, rng, self.drop_rng, cfg.dropout)
              for _ in range(cfg.layers_cross)])
@@ -327,26 +319,12 @@ def save_checkpoint(path, model: nn.Module, cfg: ModelConfig, extra=None):
             fh.write(p.data.astype("<f4").tobytes())
 
 
-class _CheckpointReader:
+class _CheckpointReader(BinaryReader):
     """Bounds-checked reads from an open checkpoint file.
 
     Every read that the file cannot satisfy, and a header that is not a
     UTF-8 JSON object with a ``model`` object, raises FormatError.
     """
-
-    def __init__(self, fh, path):
-        self.fh = fh
-        self.path = path
-
-    def take(self, n):
-        chunk = self.fh.read(n)
-        if len(chunk) != n:
-            raise FormatError(f"{self.path}: truncated: {n} bytes needed at offset "
-                              f"{self.fh.tell() - len(chunk)}, {len(chunk)} left")
-        return chunk
-
-    def u32s(self, count):
-        return struct.unpack(f"<{count}I", self.take(4 * count))
 
     def header(self):
         """Magic and JSON header -> (ModelConfig, extra dict)."""
@@ -356,7 +334,7 @@ class _CheckpointReader:
         (hlen,) = self.u32s(1)
         try:
             header = json.loads(self.take(hlen).decode("utf-8"))
-        except ValueError as exc:  # bad UTF-8 or bad JSON
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
             raise FormatError(f"{self.path}: unreadable header ({exc})") from None
         if not (isinstance(header, dict) and isinstance(header.get("model"), dict)
                 and isinstance(header.get("extra", {}), dict)):
@@ -395,7 +373,7 @@ def load_checkpoint(path):
             if name in params:
                 raise ValidationError(f"{path}: duplicate parameter record {name!r}")
             params[name] = arr.astype(np.float64)
-        trailing = len(fh.read())
+        trailing = reader.left()
     if trailing:
         raise FormatError(f"{path}: {trailing} trailing bytes after the last record")
     return cfg, extra, params
@@ -404,20 +382,32 @@ def load_checkpoint(path):
 def restore_model(path, word_vectors: WordVectors):
     """Rebuild the model a checkpoint came from -> (model, cfg, extra).
 
-    The header's ``granularity`` picks the variant.  A multi-granularity
-    header carries ``utt_dim`` and ``builtin_encoder``; ``freeze_fine``
-    defaults to False when absent.
+    The header's ``granularity`` picks the variant (fine when absent).  A
+    multi-granularity header carries ``builtin_encoder`` and, without a
+    built-in encoder, ``utt_dim``; ``freeze_fine`` defaults to False.  Each
+    field is type-checked like a config value before it is used.
     """
     cfg, extra, params = load_checkpoint(path)
-    seed = int(extra.get("seed", 0))
-    if extra.get("granularity") == "multi":
+    origin = f"{path}: checkpoint header"
+
+    def field(key, default, at_least=None):
+        value = _typed(key, extra.get(key, default), type(default), origin)
+        if at_least is not None and value < at_least:
+            raise ValidationError(f"{origin}: {key} must be >= {at_least}, got {value}")
+        return value
+
+    granularity, seed = field("granularity", "fine"), field("seed", 0, at_least=0)
+    if granularity not in CHOICES["granularity"]:
+        raise ValidationError(f"{origin}: granularity must be one of "
+                              f"{', '.join(CHOICES['granularity'])}, got {granularity!r}")
+    if granularity == "multi":
         from .fusion import build_fusion_model  # fusion builds on this module
-        builtin = bool(extra.get("builtin_encoder"))
+        builtin = field("builtin_encoder", False)
         if not builtin and "utt_dim" not in extra:
             raise FormatError(f"{path}: multi-granularity header lacks utt_dim")
         model = build_fusion_model(cfg, word_vectors,
-                                   utt_dim=None if builtin else int(extra["utt_dim"]),
-                                   seed=seed, freeze_fine=bool(extra.get("freeze_fine", False)))
+                                   utt_dim=None if builtin else field("utt_dim", 0, at_least=1),
+                                   seed=seed, freeze_fine=field("freeze_fine", False))
     else:
         model = MultilevelTransformer(cfg, word_vectors, seed=seed)
     model.load_state_dict(params)

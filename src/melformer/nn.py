@@ -149,16 +149,15 @@ class Embedding(Module):
 
 
 class Conv1d(Module):
-    """Time-axis cross-correlation layer; see autograd.conv1d for conventions."""
+    """Time-axis same-padding cross-correlation layer; see autograd.conv1d."""
 
-    def __init__(self, width, c_in, c_out, rng, padding="same", bias=True):
+    def __init__(self, width, c_in, c_out, rng, bias=True):
         super().__init__()
-        self.padding = padding
         self.kernels = Tensor(fan_in_uniform(rng, (width, c_in, c_out), width * c_in), requires_grad=True)
         self.bias = Tensor(np.zeros(c_out), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = ag.conv1d(x, self.kernels, padding=self.padding)
+        out = ag.conv1d(x, self.kernels)
         if self.bias is not None:
             out = ag.add(out, self.bias)
         return out

@@ -215,7 +215,7 @@ class PhonemeCNN(nn.Module):
         self.out_dim = channels_per_width * len(widths)
         self.embedding = nn.Embedding(len(PHONEMES), d_p, rng, pad_id=PAD_PHONEME)
         self.convs = nn.ModuleList(
-            [nn.Conv1d(w, d_p, channels_per_width, rng, padding="same", bias=False) for w in widths])
+            [nn.Conv1d(w, d_p, channels_per_width, rng, bias=False) for w in widths])
 
     def embed_word(self, phoneme_ids) -> Tensor:
         """[L] phoneme ids -> [out_dim], or [N, L] ids -> [N, out_dim] one row per word."""
@@ -235,11 +235,11 @@ class HighwayLayer(nn.Module):
     bias starts at -1 so a fresh layer mostly copies its input.
     """
 
-    def __init__(self, dim, rng, gate_bias=-1.0):
+    def __init__(self, dim, rng):
         super().__init__()
         self.transform = nn.Linear(dim, dim, rng)
         self.gate = nn.Linear(dim, dim, rng)
-        self.gate.bias.data[:] = gate_bias
+        self.gate.bias.data[:] = -1.0
 
     def __call__(self, u: Tensor) -> Tensor:
         h = ag.relu(self.transform(u))
@@ -249,20 +249,20 @@ class HighwayLayer(nn.Module):
 
 
 class WordCombiner(nn.Module):
-    """Concatenate word and phoneme vectors; optionally mix with highways.
+    """Concatenate word and phoneme vectors; optionally mix with two highways.
 
     Takes one word ([word_dim] and [phon_dim]) or a whole utterance row-wise
     ([T, word_dim] and [T, phon_dim]) and returns [..., word_dim + phon_dim].
     """
 
-    def __init__(self, mode, rng, word_dim=WORD_DIM, phon_dim=150, n_layers=2):
+    def __init__(self, mode, rng, word_dim=WORD_DIM, phon_dim=150):
         super().__init__()
         if mode not in ("concat", "highway"):
             raise ValidationError(f"combine mode must be concat or highway, got {mode!r}")
         self.mode = mode
         self.out_dim = word_dim + phon_dim
         if mode == "highway":
-            self.layers = nn.ModuleList([HighwayLayer(self.out_dim, rng) for _ in range(n_layers)])
+            self.layers = nn.ModuleList([HighwayLayer(self.out_dim, rng) for _ in range(2)])
 
     def __call__(self, word_vec: Tensor, phon_vec: Tensor) -> Tensor:
         u = ag.concat([word_vec, phon_vec], axis=-1)
@@ -280,11 +280,11 @@ class EncoderPrenet(nn.Module):
     through the conv windows.
     """
 
-    def __init__(self, rng, d_in=450, d_model=128, width=5, n_layers=3):
+    def __init__(self, rng, d_in=450, d_model=128, width=5):
         super().__init__()
         convs, norms = [], []
-        for i in range(n_layers):
-            convs.append(nn.Conv1d(width, d_in if i == 0 else d_model, d_model, rng, padding="same"))
+        for i in range(3):
+            convs.append(nn.Conv1d(width, d_in if i == 0 else d_model, d_model, rng))
             norms.append(nn.LayerNorm(d_model))
         self.convs = nn.ModuleList(convs)
         self.norms = nn.ModuleList(norms)

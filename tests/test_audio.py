@@ -129,12 +129,12 @@ def test_eight_bit_samples_rejected(tmp_path):
         audio.load_wav(path)
 
 
-def test_truncated_data_chunk_is_io_error(tmp_path):
+def test_truncated_data_chunk_is_format_error(tmp_path):
     path = tmp_path / "t.wav"
     write_pcm_wav(path, np.zeros(100, dtype=np.int16))
     whole = path.read_bytes()
     path.write_bytes(whole[:-50])
-    with pytest.raises(IOError):
+    with pytest.raises(FormatError, match="data chunk truncated"):
         audio.load_wav(path)
 
 
@@ -302,10 +302,10 @@ def test_cache_bad_magic_rejected(tmp_path):
         audio.read_mel_cache(path)
 
 
-def test_cache_truncated_payload_is_io_error(tmp_path, tone_wav):
+def test_cache_truncated_payload_is_format_error(tmp_path, tone_wav):
     mel = audio.featurize_wav(tone_wav)
     path = tmp_path / "short.mel"
     audio.write_mel_cache(path, mel)
     path.write_bytes(path.read_bytes()[:-10])
-    with pytest.raises(IOError):
+    with pytest.raises(FormatError, match="truncated"):
         audio.read_mel_cache(path)

@@ -33,10 +33,12 @@ def softmax_oracle(row):
     return e / e.sum()
 
 
-def conv_valid_oracle(x, k):
-    """Direct sliding window, single channel in/out, cross-correlation."""
+def conv_same_oracle(x, k):
+    """Direct sliding window over (w-1)//2 leading and w//2 trailing zeros,
+    single channel in/out, cross-correlation."""
     w = len(k)
-    return np.array([sum(x[t + i] * k[i] for i in range(w)) for t in range(len(x) - w + 1)])
+    xp = np.concatenate([np.zeros((w - 1) // 2), x, np.zeros(w // 2)])
+    return np.array([sum(xp[t + i] * k[i] for i in range(w)) for t in range(len(x))])
 
 
 # --- matmul ------------------------------------------------------------------
@@ -139,24 +141,28 @@ def test_layer_norm_rows_standardized():
 def test_conv1d_ones_kernel_is_moving_sum():
     x = np.arange(1.0, 7.0).reshape(6, 1)
     k = np.ones((3, 1, 1))
-    out = ag.conv1d(Tensor(x), Tensor(k), padding="valid")
-    np.testing.assert_allclose(out.data[:, 0], [6.0, 9.0, 12.0, 15.0])
+    expected = conv_same_oracle(x[:, 0], k[:, 0, 0])
+    np.testing.assert_array_equal(expected, [3.0, 6.0, 9.0, 12.0, 15.0, 11.0])
+    out = ag.conv1d(Tensor(x), Tensor(k))
+    np.testing.assert_allclose(out.data[:, 0], expected)
 
 
 def test_conv1d_width_one_is_per_step_linear_map():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(5, 3))
     w = rng.normal(size=(1, 3, 2))
-    out = ag.conv1d(Tensor(x), Tensor(w), padding="valid")
+    out = ag.conv1d(Tensor(x), Tensor(w))
     np.testing.assert_allclose(out.data, x @ w[0], atol=1e-12)
+    per_channel = [sum(conv_same_oracle(x[:, i], w[:, i, o]) for i in range(3)) for o in range(2)]
+    np.testing.assert_allclose(out.data, np.stack(per_channel, axis=1), atol=1e-12)
 
 
 def test_conv1d_small_case_against_oracle():
     x = np.array([1.0, 2.0, 3.0, 4.0])
     k = np.array([1.0, -1.0])
-    expected = conv_valid_oracle(x, k)
-    np.testing.assert_array_equal(expected, [-1.0, -1.0, -1.0])
-    out = ag.conv1d(Tensor(x.reshape(4, 1)), Tensor(k.reshape(2, 1, 1)), padding="valid")
+    expected = conv_same_oracle(x, k)
+    np.testing.assert_array_equal(expected, [-1.0, -1.0, -1.0, 4.0])
+    out = ag.conv1d(Tensor(x.reshape(4, 1)), Tensor(k.reshape(2, 1, 1)))
     np.testing.assert_allclose(out.data[:, 0], expected)
 
 
@@ -165,23 +171,27 @@ def test_conv1d_same_padding_keeps_length():
     for w in (2, 3, 4, 5):
         x = rng.normal(size=(7, 2))
         k = rng.normal(size=(w, 2, 3))
-        assert ag.conv1d(Tensor(x), Tensor(k), padding="same").shape == (7, 3)
-
-
-def test_conv1d_kernel_wider_than_input_valid():
-    with pytest.raises(ShapeError):
-        ag.conv1d(Tensor(np.zeros((2, 1))), Tensor(np.zeros((3, 1, 1))), padding="valid")
+        assert ag.conv1d(Tensor(x), Tensor(k)).shape == (7, 3)
 
 
 def test_conv1d_rank3_rows_match_rank2_calls():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(3, 6, 2))
     k = Tensor(rng.normal(size=(3, 2, 4)))
-    for padding in ("same", "valid"):
-        out = ag.conv1d(Tensor(x), k, padding=padding)
-        for i in range(3):
-            np.testing.assert_allclose(out.data[i], ag.conv1d(Tensor(x[i]), k, padding=padding).data,
-                                       rtol=0, atol=1e-12)
+    out = ag.conv1d(Tensor(x), k)
+    for i in range(3):
+        np.testing.assert_allclose(out.data[i], ag.conv1d(Tensor(x[i]), k).data, rtol=0, atol=1e-12)
+
+
+# --- zero_rows -------------------------------------------------------------------
+
+def test_zero_rows_zeroes_padding_and_passes_unpadded_input_through():
+    x = Tensor(np.arange(1.0, 7.0).reshape(3, 2), requires_grad=True)
+    out = ag.zero_rows(x, 2)
+    np.testing.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]])
+    ag.backward(ag.tsum(out))
+    np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+    assert ag.zero_rows(x, 3) is x and ag.zero_rows(x, 4) is x
 
 
 # --- max_pool_time ---------------------------------------------------------------
@@ -433,8 +443,7 @@ def test_all_ops_gradcheck(seed):
     )
 
     k = Tensor(rng.normal(size=(2, d, 3)), requires_grad=True)
-    checks.append((lambda x, k: ag.tsum(ag.conv1d(x, k, "same")), [a, k]))
-    checks.append((lambda x, k: ag.tsum(ag.conv1d(x, k, "valid")), [a, k]))
+    checks.append((lambda x, k: ag.tsum(ag.conv1d(x, k)), [a, k]))
 
     checks.append((lambda x: ag.tsum(ag.max_pool_time(x)), [kinkless]))
     checks.append((lambda x: ag.tsum(ag.max_pool_time(x, valid=t - 1)), [kinkless]))

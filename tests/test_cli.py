@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -457,6 +458,130 @@ def test_non_finite_checkpoint_header_value_exits_one(corpus, tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: checkpoint header: dropout must be a finite number")
+
+
+# ---------------------------------------------------------------------------
+# every malformed input exits 1 with `error:`, never a traceback
+
+def _with_extra(raw, **changes):
+    """Checkpoint bytes ``raw`` with header extras changed."""
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8:8 + hlen])
+    header["extra"].update(changes)
+    new = json.dumps(header).encode("utf-8")
+    return raw[:4] + struct.pack("<I", len(new)) + new + raw[8 + hlen:]
+
+
+def _with_first_record_u32(raw, index, value):
+    """Checkpoint bytes ``raw`` with the first record's u32 at ``index``
+    (0: rank, 1: first dim) set to ``value``."""
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    at = 8 + hlen + 4  # past the record count
+    at += 4 + struct.unpack("<I", raw[at:at + 4])[0] + 4 * index  # past the name
+    return raw[:at] + struct.pack("<I", value) + raw[at + 4:]
+
+
+def _wav_at_rate(rate):
+    fmt = struct.pack("<HHIIHH", 1, 1, rate, 2 * rate, 2, 16)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", 2000) + bytes(2000)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def _mel1(rows, cols, trailing=b""):
+    return b"MEL1" + struct.pack("<II", rows, cols) + bytes(4 * rows * cols) + trailing
+
+
+@pytest.fixture(scope="module")
+def checkpoints(corpus, tmp_path_factory):
+    """A fine and a built-in-encoder multi checkpoint of a small model."""
+    from melformer.fusion import build_fusion_model
+    from melformer.model import MultilevelTransformer
+    from melformer.text import hash_word_vectors
+    root = tmp_path_factory.mktemp("ckpts")
+    cfg = ModelConfig(d_model=16, heads=2, d_ff=32, layers_text=1, layers_cross=1,
+                      layers_fusion=1, word_dim=8, phoneme_channels=6, phoneme_dim=4)
+    wv = hash_word_vectors(["stop"], dim=cfg.word_dim)
+    fine, multi = root / "fine.ckpt", root / "multi.ckpt"
+    save_checkpoint(fine, MultilevelTransformer(cfg, wv), cfg,
+                    extra={"seed": 0, "granularity": "fine"})
+    model = build_fusion_model(cfg, wv)
+    save_checkpoint(multi, model, cfg, extra={"seed": 0, **model.checkpoint_extra()})
+    return fine.read_bytes(), multi.read_bytes()
+
+
+# name -> (command, {file: bytes, or a function of the good inputs' bytes}, message);
+# each file is written to the test's directory and named in the command as {file}
+REPRODUCTIONS = {
+    "wav_truncated": ("predict --checkpoint {fine} --wav {bad}",
+                      {"bad": lambda b: b.wav[:30]}, "truncated"),
+    "wav_10_hz": ("predict --checkpoint {fine} --wav {bad}", {"bad": _wav_at_rate(10)}, "10 Hz"),
+    "wav_0_hz": ("predict --checkpoint {fine} --wav {bad}", {"bad": _wav_at_rate(0)}, "0 Hz"),
+    "mel1_truncated": ("eval --checkpoint {fine} --manifest {manifest}",
+                       {"bad": _mel1(3, 128)[:-10]}, "truncated"),
+    "mel1_zero_rows": ("eval --checkpoint {fine} --manifest {manifest}",
+                       {"bad": _mel1(0, 128)}, "at least 2 rows"),
+    "mel1_127_columns": ("eval --checkpoint {fine} --manifest {manifest}",
+                         {"bad": _mel1(3, 127)}, "128 columns"),
+    "mel1_trailing_bytes": ("eval --checkpoint {fine} --manifest {manifest}",
+                            {"bad": _mel1(3, 128, b"\0")}, "trailing"),
+    "ckpt_huge_dims": ("predict --checkpoint {ckpt}",
+                       {"ckpt": lambda b: _with_first_record_u32(b.fine, 1, 2**32 - 1)},
+                       "truncated"),
+    "ckpt_huge_rank": ("predict --checkpoint {ckpt}",
+                       {"ckpt": lambda b: _with_first_record_u32(b.fine, 0, 2**32 - 1)},
+                       "truncated"),
+    "seed_negative": ("predict --checkpoint {ckpt}",
+                      {"ckpt": lambda b: _with_extra(b.fine, seed=-1)}, "seed"),
+    "seed_string": ("predict --checkpoint {ckpt}",
+                    {"ckpt": lambda b: _with_extra(b.fine, seed="x")}, "seed"),
+    "granularity_bogus": ("predict --checkpoint {ckpt}",
+                          {"ckpt": lambda b: _with_extra(b.fine, granularity="bogus")},
+                          "granularity"),
+    "utt_dim_string": ("predict --checkpoint {ckpt}",
+                       {"ckpt": lambda b: _with_extra(b.multi, builtin_encoder=False,
+                                                      utt_dim="abc")}, "utt_dim"),
+    "utt_dim_zero": ("predict --checkpoint {ckpt}",
+                     {"ckpt": lambda b: _with_extra(b.multi, builtin_encoder=False, utt_dim=0)},
+                     "utt_dim"),
+    "builtin_encoder_string": ("predict --checkpoint {ckpt}",
+                               {"ckpt": lambda b: _with_extra(b.multi, builtin_encoder="no")},
+                               "builtin_encoder"),
+    "utt_embeddings_on_builtin_encoder": (
+        "predict --checkpoint {multi} --utt-embeddings {uemb} --utt-id angry-000", {},
+        "built-in encoder"),
+    "utt_embeddings_on_builtin_encoder_eval": (
+        "eval --checkpoint {multi} --manifest {feats} --utt-embeddings {uemb}", {},
+        "built-in encoder"),
+    "config_not_utf8": ("train --config {cfg}", {"cfg": b'{"lr": "caf\xe9"}'}, "UTF-8"),
+    "manifest_is_a_directory": ("train --manifest {dir}", {}, "Is a directory"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPRODUCTIONS))
+def test_malformed_input_exits_one_without_traceback(corpus, checkpoints, tmp_path, capsys, name):
+    _, raw, feats = corpus
+    command, files, message = REPRODUCTIONS[name]
+    paths = {"fine": tmp_path / "fine.ckpt", "multi": tmp_path / "multi.ckpt",
+             "uemb": raw / "uemb.txt", "feats": feats, "dir": tmp_path,
+             "manifest": tmp_path / "m.jsonl", "bad": tmp_path / "bad",
+             "ckpt": tmp_path / "ckpt", "cfg": tmp_path / "cfg"}
+    paths["fine"].write_bytes(checkpoints[0])
+    paths["multi"].write_bytes(checkpoints[1])
+    paths["manifest"].write_text(json.dumps({"id": "angry-000", "transcript": "stop",
+                                             "label": "angry", "features_path": "bad"}) + "\n")
+    good = SimpleNamespace(wav=(raw / "angry-000.wav").read_bytes(),
+                           fine=checkpoints[0], multi=checkpoints[1])
+    for key, content in files.items():
+        paths[key].write_bytes(content(good) if callable(content) else content)
+    argv = shlex.split(command.format(**paths))
+    if argv[0] == "predict":
+        argv += [] if "--wav" in argv else ["--wav", str(raw / "angry-000.wav")]
+        argv += ["--transcript", "stop shouting right now"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert message in err
 
 
 def _readme_commands():

@@ -22,7 +22,7 @@ from melformer.config import ModelConfig
 from melformer.errors import FormatError, ShapeError
 from melformer.fusion import build_fusion_model
 from melformer.model import (
-    MelPrenet,
+    FeedForward,
     MultiHeadAttention,
     MultilevelTransformer,
     expected_parameter_count,
@@ -158,7 +158,7 @@ def test_attention_graph_does_not_grow_with_heads():
 
 def test_mel_prenet_shape_and_zero_map():
     rng = np.random.default_rng(9)
-    prenet = MelPrenet(128, 16, rng)
+    prenet = FeedForward(128, 16, 16, rng)
     out = prenet(Tensor(np.zeros((7, 128))))
     assert out.shape == (7, 16)
     assert np.all(out.data == 0.0)  # biases start at zero
@@ -166,7 +166,7 @@ def test_mel_prenet_shape_and_zero_map():
 
 def test_mel_prenet_gradcheck():
     rng = np.random.default_rng(10)
-    prenet = MelPrenet(6, 5, rng)
+    prenet = FeedForward(6, 5, 5, rng)
     x = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
 
     def f(*_):
@@ -427,6 +427,14 @@ def _graph_nodes(out):
                 seen.add(id(parent))
                 stack.append(parent)
     return len(seen)
+
+
+def test_unpadded_forward_has_no_row_zeroing_nodes():
+    model, _, wv = make_model(seed=36)
+    enc = make_enc(wv, seed=37)
+    unpadded = _graph_nodes(model.forward_utterance(enc).logits)
+    padded = _graph_nodes(model.forward_utterance(enc, pad_words=1).logits)
+    assert padded - unpadded == 3  # one zero_rows before each of the 3 prenet convs
 
 
 def test_encode_text_graph_does_not_grow_with_word_count():

@@ -1,20 +1,28 @@
-"""The four text parsers fail closed: manifest, lexicon, word vectors and
-utterance embeddings.
+"""The input parsers fail closed: the four text formats (manifest, lexicon,
+word vectors, utterance embeddings) and the three binary ones (WAV, MEL1
+feature caches, checkpoints).
 
 Malformed records and undecodable bytes name the file and the line; the
 fuzz tests feed each parser arbitrary bytes and bytes built from its own
-syntax, and demand that it either parses or raises a MelformerError.
+syntax (or, for a binary format, a valid file cut short and overwritten in
+places), and demand that it either parses or raises a MelformerError.
 """
 
 import json
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from melformer import nn
+from melformer.audio import featurize_wav, read_mel_cache
+from melformer.config import ModelConfig
 from melformer.data import parse_manifest
 from melformer.errors import FormatError, MelformerError, ValidationError
 from melformer.fusion import load_utterance_embeddings
+from melformer.model import load_checkpoint, save_checkpoint
 from melformer.text import Lexicon, WORD_DIM, load_word_vectors
 
 GOOD = {"id": "u0", "transcript": "hello there", "label": "happy", "audio_path": "u0.wav"}
@@ -169,3 +177,65 @@ def test_fuzz_word_vectors(tmp_path, payload):
 @given(payload=UEMB_BYTES)
 def test_fuzz_utterance_embeddings(tmp_path, payload):
     _parses_or_fails_closed(load_utterance_embeddings, tmp_path / "e.uemb", payload)
+
+
+# ---------------------------------------------------------------------------
+# binary formats: a valid file, cut anywhere, with bytes and u32 fields overwritten
+
+def _damaged(valid):
+    """``valid`` with up to four bytes and two little-endian u32s overwritten
+    (lengths, counts, rates), cut at any point, plus up to 8 appended bytes."""
+    n = len(valid)
+    byte_edits = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 255)), max_size=4)
+    u32_edits = st.lists(st.tuples(st.integers(0, n - 4), st.sampled_from(
+        [0, 1, 2, 10, 83, 84, 127, 128, 2**16, 2**31, 2**32 - 1])), max_size=2)
+
+    def apply(bytes_, u32s, cut, tail):
+        out = bytearray(valid)
+        for at, value in bytes_:
+            out[at] = value
+        for at, value in u32s:
+            struct.pack_into("<I", out, at, value)
+        return bytes(out[:cut]) + tail
+    return st.builds(apply, byte_edits, u32_edits, st.integers(0, n), st.binary(max_size=8))
+
+
+def _wav_bytes():
+    """A 100 Hz mono 16-bit WAV (a 2-sample window, a 1-sample hop) of 40
+    samples, with an odd-sized chunk before its data chunk."""
+    fmt = struct.pack("<HHIIHH", 1, 1, 100, 200, 2, 16)
+    pcm = np.arange(-20, 20, dtype="<i2").tobytes()
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", 16) + fmt + b"LIST" + struct.pack("<I", 3)
+            + b"abc\0" + b"data" + struct.pack("<I", len(pcm)) + pcm)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def _mel1_bytes():
+    return b"MEL1" + struct.pack("<II", 3, 128) + np.ones(3 * 128, dtype="<f4").tobytes()
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "small.ckpt"
+    save_checkpoint(path, nn.Linear(2, 3, np.random.default_rng(0)), ModelConfig(),
+                    extra={"seed": 1})
+    return path.read_bytes()
+
+
+@FUZZ
+@given(payload=st.one_of(st.binary(max_size=64), _damaged(_wav_bytes())))
+def test_fuzz_wav(tmp_path, payload):
+    _parses_or_fails_closed(featurize_wav, tmp_path / "a.wav", payload)
+
+
+@FUZZ
+@given(payload=st.one_of(st.binary(max_size=64), _damaged(_mel1_bytes())))
+def test_fuzz_mel1(tmp_path, payload):
+    _parses_or_fails_closed(read_mel_cache, tmp_path / "a.mel", payload)
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_checkpoint(tmp_path, checkpoint_bytes, data):
+    payload = data.draw(st.one_of(st.binary(max_size=64), _damaged(checkpoint_bytes)))
+    _parses_or_fails_closed(load_checkpoint, tmp_path / "a.ckpt", payload)

@@ -210,7 +210,8 @@ def _unit(rng, dim=450):
 
 def test_gate_forced_closed_returns_input_unchanged():
     rng = np.random.default_rng(4)
-    layer = HighwayLayer(450, rng, gate_bias=-1e9)
+    layer = HighwayLayer(450, rng)
+    layer.gate.bias.data[:] = -1e9
     u = Tensor(_unit(np.random.default_rng(5)))
     out = layer(u)
     assert np.allclose(out.data, u.data, atol=1e-12)
