@@ -122,6 +122,50 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+class Segments:
+    """Row layout of a packed stream: one segment of rows per sequence.
+
+    Segment s spans rows ``offsets[s]:offsets[s + 1]`` (``offsets`` holds
+    the cumulative lengths, like FlashAttention's ``cu_seqlens``), and its
+    first ``valid[s]`` rows are real: the rest are padding.  Row-wise ops
+    ignore the layout; the ops that look across rows (attention, conv
+    windows, row zeroing) take it and stay inside each segment.
+    """
+
+    def __init__(self, lengths, valid=None):
+        self.lengths = np.asarray(lengths, dtype=np.int64)
+        self.valid = self.lengths if valid is None else np.asarray(valid, dtype=np.int64)
+        if (self.lengths.ndim != 1 or not self.lengths.size
+                or self.valid.shape != self.lengths.shape or np.any(self.lengths < 1)):
+            raise ShapeError(f"segments need one length >= 1 and one valid count each, "
+                             f"got lengths {self.lengths} and valid {self.valid}")
+        if np.any(self.valid < 0) or np.any(self.valid > self.lengths):
+            raise ShapeError(f"valid counts {self.valid} outside [0, lengths {self.lengths}]")
+        self.offsets = np.concatenate([[0], np.cumsum(self.lengths)])
+        self.total = int(self.offsets[-1])
+        self.padded = bool(np.any(self.valid < self.lengths))
+
+    def __len__(self):
+        return len(self.lengths)
+
+    def positions(self) -> np.ndarray:
+        """Each row's index inside its own segment."""
+        return np.arange(self.total) - np.repeat(self.offsets[:-1], self.lengths)
+
+    def spans(self):
+        """``(start, stop, valid)`` of each segment, as Python ints."""
+        return zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist(), self.valid.tolist())
+
+
+def _layout(segs, rows, what):
+    """``segs``, or one fully valid segment when None; checked against ``rows``."""
+    if segs is None:
+        return Segments([rows])
+    if segs.total != rows:
+        raise ShapeError(f"{what} has {rows} rows, its segments cover {segs.total}")
+    return segs
+
+
 def _track(out: Tensor, parents, backward_fn) -> Tensor:
     """Attach lineage to ``out`` if recording is on and any parent needs it."""
     if _grad_enabled and any(p.requires_grad for p in parents):
@@ -302,7 +346,8 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def getitem(a: Tensor, idx) -> Tensor:
-    """Basic indexing (ints and slices); backward scatters into the source."""
+    """Basic indexing (ints and slices) or an integer array of rows;
+    backward scatters into the source."""
     out = Tensor(a.data[idx])
 
     def _bw():
@@ -394,12 +439,12 @@ def sigmoid(a: Tensor) -> Tensor:
 # fused neural-network operations
 
 
-def _softmax_last(x):
+def _softmax_last(x, out=None):
     """Softmax of an array over its last axis, computed with max-subtraction."""
     if np.isnan(x).any():
         raise NumericError("softmax input contains NaN")
     e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    return np.divide(e, e.sum(axis=-1, keepdims=True), out=out)
 
 
 def _softmax_grad(y, g):
@@ -431,61 +476,106 @@ def _merge_heads(x):
     return x.transpose(1, 0, 2).reshape(t, heads * d_head)
 
 
-def attention_weights(q: Tensor, k: Tensor, heads: int, key_valid=None) -> Tensor:
-    """Scaled dot-product attention distributions of all heads in one node.
+def _attention_spans(heads, q_segs, k_segs):
+    """Per segment ``(q0, q1, k0, k1, valid, a0, a1)``: its query rows, its
+    key rows and valid keys, and where its [heads, Tq, Tk] map sits in the
+    flat attention array."""
+    if len(q_segs) != len(k_segs):
+        raise ShapeError(f"{len(q_segs)} query segments vs {len(k_segs)} key segments")
+    at = np.concatenate([[0], np.cumsum(heads * q_segs.lengths * k_segs.lengths)]).tolist()
+    return [(q0, q1, k0, k1, valid, a0, a1) for (q0, q1, _), (k0, k1, valid), a0, a1
+            in zip(q_segs.spans(), k_segs.spans(), at[:-1], at[1:])]
 
-    ``q`` is [Tq, D] and ``k`` is [Tk, D]; head h owns the h-th block of
-    D / heads columns of both.  Returns [heads, Tq, Tk]: for each head the
-    softmax over keys of q_h k_h^T / sqrt(D / heads).  Key columns at and
-    after ``key_valid`` get NEG_MASK added to their scores, so their weight
-    underflows to exactly zero.
+
+def attention_weights(q: Tensor, k: Tensor, heads: int, q_segs=None, k_segs=None) -> Tensor:
+    """Scaled dot-product attention distributions of all heads and segments in one node.
+
+    ``q`` is [Tq, D] and ``k`` is [Tk, D], packed streams laid out by
+    ``q_segs`` and ``k_segs`` (:class:`Segments`; None is one segment of
+    all rows).  Segment s of the queries attends only to segment s of the
+    keys, and head h owns the h-th block of D / heads columns of both.
+    Returns one flat array holding, segment after segment, each segment's
+    [heads, Tq_s, Tk_s] softmax over keys of q_h k_h^T / sqrt(D / heads).
+    Key rows past a segment's valid count get NEG_MASK added to their
+    scores, so their weight underflows to exactly zero.
     """
     if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
         raise ShapeError(f"attention needs q[Tq,D] and k[Tk,D], got {q.shape} and {k.shape}")
     if heads < 1 or q.shape[1] % heads != 0:
         raise ShapeError(f"width {q.shape[1]} does not split into {heads} heads")
-    if key_valid is not None and key_valid > k.shape[0]:
-        raise ShapeError(f"key_valid {key_valid} exceeds key sequence length {k.shape[0]}")
+    spans = _attention_spans(heads, _layout(q_segs, q.shape[0], "q"),
+                             _layout(k_segs, k.shape[0], "k"))
     scale = 1.0 / np.sqrt(q.shape[1] // heads)
-    qh, kh = _split_heads(q.data, heads), _split_heads(k.data, heads)
-    scores = np.matmul(qh, kh.transpose(0, 2, 1)) * scale
-    if key_valid is not None:
-        scores[..., key_valid:] += NEG_MASK
-    y = _softmax_last(scores)
+    y = np.empty(spans[-1][-1])
+    for q0, q1, k0, k1, valid, a0, a1 in spans:
+        qh, kh = _split_heads(q.data[q0:q1], heads), _split_heads(k.data[k0:k1], heads)
+        scores = np.matmul(qh, kh.transpose(0, 2, 1)) * scale
+        if valid < k1 - k0:
+            scores[..., valid:] += NEG_MASK
+        _softmax_last(scores, out=y[a0:a1].reshape(scores.shape))
     out = Tensor(y)
 
     def _bw():
-        ds = _softmax_grad(y, out.grad) * scale
-        if q.requires_grad:
-            _accumulate(q, _merge_heads(np.matmul(ds, kh)))
-        if k.requires_grad:
-            _accumulate(k, _merge_heads(np.matmul(ds.transpose(0, 2, 1), qh)))
+        g = out.grad
+        dq = np.empty_like(q.data) if q.requires_grad else None
+        dk = np.empty_like(k.data) if k.requires_grad else None
+        for q0, q1, k0, k1, _, a0, a1 in spans:
+            qh, kh = _split_heads(q.data[q0:q1], heads), _split_heads(k.data[k0:k1], heads)
+            shape = (heads, q1 - q0, k1 - k0)
+            ds = _softmax_grad(y[a0:a1].reshape(shape), g[a0:a1].reshape(shape)) * scale
+            if dq is not None:
+                dq[q0:q1] = _merge_heads(np.matmul(ds, kh))
+            if dk is not None:
+                dk[k0:k1] = _merge_heads(np.matmul(ds.transpose(0, 2, 1), qh))
+        if dq is not None:
+            _accumulate(q, dq)
+        if dk is not None:
+            _accumulate(k, dk)
 
     return _track(out, (q, k), _bw)
 
 
-def attention_mix(att: Tensor, v: Tensor) -> Tensor:
+def attention_mix(att: Tensor, v: Tensor, heads: int, q_segs=None, k_segs=None) -> Tensor:
     """Each head's weighted sum of its value columns, heads merged back.
 
-    ``att`` is [heads, Tq, Tk], as from :func:`attention_weights`; ``v`` is
-    [Tk, D] with head h owning its h-th block of D / heads columns.
-    Returns [Tq, D] with head h's output in that same column block.
+    ``att`` is the flat array of :func:`attention_weights` for the same
+    ``q_segs`` and ``k_segs`` (None is one segment; for the queries, of as
+    many rows as ``att`` holds); ``v`` is [Tk, D] with head h owning its
+    h-th block of D / heads columns.  Returns [Tq, D] with each query
+    segment's output in its rows and head h's output in that column block.
     """
-    if att.ndim != 3 or v.ndim != 2 or att.shape[2] != v.shape[0]:
-        raise ShapeError(f"attention_mix needs att[H,Tq,Tk] and v[Tk,D], "
+    if att.ndim != 1 or v.ndim != 2:
+        raise ShapeError(f"attention_mix needs a flat att and v[Tk,D], "
                          f"got {att.shape} and {v.shape}")
-    heads = att.shape[0]
-    if v.shape[1] % heads != 0:
+    if heads < 1 or v.shape[1] % heads != 0:
         raise ShapeError(f"width {v.shape[1]} does not split into {heads} heads")
-    vh = _split_heads(v.data, heads)
-    out = Tensor(_merge_heads(np.matmul(att.data, vh)))
+    k_segs = _layout(k_segs, v.shape[0], "v")
+    if q_segs is None:
+        q_segs = Segments([att.size // (heads * v.shape[0])])
+    spans = _attention_spans(heads, q_segs, k_segs)
+    if spans[-1][-1] != att.size:
+        raise ShapeError(f"att has {att.size} weights, {heads} heads over the segments "
+                         f"need {spans[-1][-1]}")
+    out = Tensor(np.empty((q_segs.total, v.shape[1])))
+    for q0, q1, k0, k1, _, a0, a1 in spans:
+        weights = att.data[a0:a1].reshape(heads, q1 - q0, k1 - k0)
+        out.data[q0:q1] = _merge_heads(np.matmul(weights, _split_heads(v.data[k0:k1], heads)))
 
     def _bw():
-        gh = _split_heads(out.grad, heads)
-        if att.requires_grad:
-            _accumulate(att, np.matmul(gh, vh.transpose(0, 2, 1)))
-        if v.requires_grad:
-            _accumulate(v, _merge_heads(np.matmul(att.data.transpose(0, 2, 1), gh)))
+        datt = np.empty_like(att.data) if att.requires_grad else None
+        dv = np.empty_like(v.data) if v.requires_grad else None
+        for q0, q1, k0, k1, _, a0, a1 in spans:
+            gh, vh = _split_heads(out.grad[q0:q1], heads), _split_heads(v.data[k0:k1], heads)
+            shape = (heads, q1 - q0, k1 - k0)
+            if datt is not None:
+                np.matmul(gh, vh.transpose(0, 2, 1), out=datt[a0:a1].reshape(shape))
+            if dv is not None:
+                weights = att.data[a0:a1].reshape(shape)
+                dv[k0:k1] = _merge_heads(np.matmul(weights.transpose(0, 2, 1), gh))
+        if datt is not None:
+            _accumulate(att, datt)
+        if dv is not None:
+            _accumulate(v, dv)
 
     return _track(out, (att, v), _bw)
 
@@ -519,12 +609,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _track(out, (x, gain, bias), _bw)
 
 
-def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
-    """Cross-correlation along the time axis, same padding.
+def conv1d(x: Tensor, kernels: Tensor, segs=None) -> Tensor:
+    """Cross-correlation along the time axis, same padding, inside each segment.
 
-    ``x`` is [T, Cin], or [N, T, Cin] for N independent sequences of one
-    length; ``kernels`` is [W, Cin, Cout].  The input gets (W-1)//2 leading
-    and W//2 trailing zero steps, so the output keeps T steps:
+    ``x`` is [T, Cin], packed by ``segs`` (:class:`Segments`; None is one
+    segment), or [N, T, Cin] for N independent sequences of one length;
+    ``kernels`` is [W, Cin, Cout].  Each sequence gets (W-1)//2 leading and
+    W//2 trailing zero steps of its own, so the output keeps its T steps and
+    no window reaches into a neighbouring sequence:
     out[..., t, o] = sum_w sum_i xpad[..., t+w, i] * k[w, i, o].
     """
     if x.ndim not in (2, 3) or kernels.ndim != 3:
@@ -534,23 +626,33 @@ def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     w, kc_in, c_out = kernels.shape
     if kc_in != c_in:
         raise ShapeError(f"conv1d channel mismatch: input has {c_in}, kernels expect {kc_in}")
+    if lead:
+        if segs is not None:
+            raise ShapeError("conv1d takes segments for a rank-2 input only")
+        segs = Segments(np.full(lead[0], t_in))
+    else:
+        segs = _layout(segs, t_in, "conv1d input")
     pad_left = (w - 1) // 2
-    xp = np.pad(x.data, [(0, 0)] * len(lead) + [(pad_left, w // 2), (0, 0)])
-    # [..., T, W, Cin] windows flattened to one row per output step
-    cols = np.stack([xp[..., i : i + t_in, :] for i in range(w)], axis=-2).reshape(-1, w * c_in)
+    # the sequences sit in one zero buffer with W - 1 zero steps between
+    # neighbours; row r's window starts at step start[r] of that buffer
+    n = segs.total
+    start = np.arange(n) + (w - 1) * np.repeat(np.arange(len(segs)), segs.lengths)
+    xp = np.zeros((n + len(segs) * (w - 1), c_in))
+    xp[start + pad_left] = x.data.reshape(n, c_in)
+    cols = xp[start[:, None] + np.arange(w)].reshape(n, w * c_in)
     kmat = kernels.data.reshape(w * c_in, c_out)
     out = Tensor((cols @ kmat).reshape(*lead, t_in, c_out))
 
     def _bw():
-        g = out.grad.reshape(-1, c_out)
+        g = out.grad.reshape(n, c_out)
         if kernels.requires_grad:
             _accumulate(kernels, (cols.T @ g).reshape(w, c_in, c_out))
         if x.requires_grad:
-            dcols = (g @ kmat.T).reshape(*lead, t_in, w, c_in)
+            dcols = (g @ kmat.T).reshape(n, w, c_in)
             dxp = np.zeros_like(xp)
             for i in range(w):
-                dxp[..., i : i + t_in, :] += dcols[..., i, :]
-            _accumulate(x, dxp[..., pad_left : pad_left + t_in, :])
+                dxp[start + i] += dcols[:, i]  # no step repeats within one i
+            _accumulate(x, dxp[start + pad_left].reshape(x.shape))
 
     return _track(out, (x, kernels), _bw)
 
@@ -646,22 +748,24 @@ def embedding_rows(table: Tensor, ids, frozen_row: int | None = None) -> Tensor:
     return _track(out, (table,), _bw)
 
 
-def zero_rows(x: Tensor, valid: int) -> Tensor:
-    """Zero every row at index >= ``valid``; gradient is blocked the same way.
+def zero_rows(x: Tensor, segs: Segments) -> Tensor:
+    """Zero each segment's rows past its valid count; gradient is blocked the same way.
 
     With no row to zero, ``x`` itself comes back and no node is added."""
     if x.ndim != 2:
         raise ShapeError(f"zero_rows needs a rank-2 tensor, got {x.shape}")
-    if valid >= x.shape[0]:
+    segs = _layout(segs, x.shape[0], "zero_rows input")
+    if not segs.padded:
         return x
+    pad = segs.positions() >= np.repeat(segs.valid, segs.lengths)
     out_data = x.data.copy()
-    out_data[valid:] = 0.0
+    out_data[pad] = 0.0
     out = Tensor(out_data)
 
     def _bw():
         if x.requires_grad:
             g = out.grad.copy()
-            g[valid:] = 0.0
+            g[pad] = 0.0
             _accumulate(x, g)
 
     return _track(out, (x,), _bw)

@@ -99,6 +99,8 @@ class HarnessConfig:
             raise ValidationError(f"clip_norm must be positive, got {self.clip_norm}")
         if not self.seeds:
             raise ValidationError("at least one seed is required")
+        if min(self.seeds) < 0:
+            raise ValidationError(f"seeds must be >= 0, got {min(self.seeds)}")
         return self
 
 

@@ -152,9 +152,9 @@ def encode_manifest(manifest: Manifest, lexicon: Lexicon, word_vectors: WordVect
 def batches(encs, batch_size, rng=None):
     """Yield minibatches of ``(enc, 0, 0)`` rows, optionally shuffling order each pass.
 
-    Each utterance runs through the model on its own, so a row carries no
-    padding; the two zeros are the ``pad_words``/``pad_frames`` of
-    ``forward_utterance``.
+    A batch runs through the model as one pack with no padding between its
+    utterances, so a row carries none; the two zeros are the per-row
+    ``pad_words``/``pad_frames`` that ``EmotionModel.forward_batch`` takes.
     """
     order = np.arange(len(encs))
     if rng is not None:
@@ -184,6 +184,10 @@ class SyntheticSpec:
             raise ValidationError(f"per_class must be >= 1, got {self.per_class}")
         if self.duration_range[0] > self.duration_range[1]:
             raise ValidationError(f"bad duration range {self.duration_range}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        if self.utt_dim < 1:
+            raise ValidationError(f"utt_dim must be >= 1, got {self.utt_dim}")
         return self
 
 

@@ -70,7 +70,7 @@ def check_coverage(table, required_ids):
 class MeanPoolUtteranceEncoder(nn.Module):
     """Trainable stand-in for a pre-trained sentence encoder.
 
-    Mean of the utterance's word vectors through one affine layer.  Used
+    Mean of each utterance's word vectors through one affine layer.  Used
     when no embedding file is supplied, so multi-granularity runs stay
     self-contained.
     """
@@ -81,9 +81,11 @@ class MeanPoolUtteranceEncoder(nn.Module):
         self.proj = nn.Linear(word_vectors.dim, d_out, rng)
         self.d_out = d_out
 
-    def __call__(self, enc) -> Tensor:
-        rows = self.word_vectors.matrix[np.asarray(enc.word_ids, dtype=np.int64)]
-        return self.proj(Tensor(rows.mean(axis=0)))
+    def __call__(self, encs) -> Tensor:
+        """N utterances -> [N, d_out], one row each."""
+        means = [self.word_vectors.matrix[np.asarray(enc.word_ids, dtype=np.int64)].mean(axis=0)
+                 for enc in encs]
+        return self.proj(Tensor(np.stack(means)))
 
 
 class MultiGranularityModel(EmotionModel):
@@ -102,6 +104,7 @@ class MultiGranularityModel(EmotionModel):
         rng = np.random.default_rng(seed + 17)
         self.cfg = cfg
         self.fine = fine
+        self.word_vectors = fine.word_vectors
         self.utt_dim = utt_dim
         self.freeze_fine = freeze_fine
         self.utt_encoder = utt_encoder
@@ -112,10 +115,8 @@ class MultiGranularityModel(EmotionModel):
     def trainable_named_parameters(self):
         """Checkpoints keep everything; the optimizer sees what can train.
 
-        ``fine.head`` never can: the fused head replaces it, so its logits
-        never reach the loss.  Its graph nodes are reference cycles that
-        only the cyclic collector frees, so were it in the optimizer's
-        arena, they would keep the whole arena alive after the fold.  With
+        ``fine.head`` never can: the fused head replaces it, and the forward
+        takes the fine encoder's cls rows without running it.  With
         ``freeze_fine`` nothing under ``fine.`` trains.
         """
         for name, p in self.named_parameters():
@@ -123,24 +124,31 @@ class MultiGranularityModel(EmotionModel):
                 continue
             yield name, p
 
-    def utt_vector(self, enc) -> Tensor:
-        if getattr(enc, "utt_embedding", None) is not None:
-            vec = np.asarray(enc.utt_embedding, dtype=np.float64)
-            if vec.shape != (self.utt_dim,):
-                raise ValidationError(
-                    f"utterance embedding has shape {vec.shape}, expected ({self.utt_dim},)")
-            return Tensor(vec)
+    def utt_vector(self, encs) -> Tensor:
+        """[N, utt_dim] utterance embeddings: each enc's own (from a file)
+        when every enc carries one, else the built-in encoder's."""
+        given = [getattr(enc, "utt_embedding", None) for enc in encs]
+        if all(vec is not None for vec in given):
+            rows = [np.asarray(vec, dtype=np.float64) for vec in given]
+            for vec in rows:
+                if vec.shape != (self.utt_dim,):
+                    raise ValidationError(
+                        f"utterance embedding has shape {vec.shape}, expected ({self.utt_dim},)")
+            return Tensor(np.stack(rows))
+        if any(vec is not None for vec in given):
+            raise ValidationError("a batch mixes utterances with and without embeddings")
         if self.utt_encoder is not None:
-            return self.utt_encoder(enc)
+            return self.utt_encoder(encs)
         raise ValidationError("no utterance embedding available: supply a file or an encoder")
 
     def fuse_and_classify(self, cls_fine: Tensor, utt_emb: Tensor) -> Tensor:
-        both = ag.concat([self.proj_fine(cls_fine), self.proj_utt(utt_emb)], axis=0)
+        """[N, d] cls rows and [N, utt_dim] embeddings -> [N, K] logits."""
+        both = ag.concat([self.proj_fine(cls_fine), self.proj_utt(utt_emb)], axis=1)
         return self.head(both)
 
-    def forward_utterance(self, enc, pad_words=0, pad_frames=0) -> ForwardTrace:
-        trace = self.fine.forward_utterance(enc, pad_words=pad_words, pad_frames=pad_frames)
-        return replace(trace, logits=self.fuse_and_classify(trace.cls, self.utt_vector(enc)))
+    def forward_pack(self, pack) -> ForwardTrace:
+        trace = self.fine.encode(pack)
+        return replace(trace, logits=self.fuse_and_classify(trace.cls, self.utt_vector(pack.encs)))
 
     def checkpoint_extra(self) -> dict:
         return {"granularity": "multi", "utt_dim": self.utt_dim,

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autograd as ag
+from . import data
 from .config import HarnessConfig, LABELS, ModelConfig, RunConfig
 from .data import batches
 from .errors import (ContractError, NumericError, ShapeError, TrainingDiverged,
@@ -259,8 +260,9 @@ def metrics_from_confusion(confusion) -> FoldMetrics:
         confusion=conf)
 
 
-def evaluate(model, encs) -> FoldMetrics:
-    """Argmax predictions over an evaluation set; ties break to the first class."""
+def evaluate(model, encs, batch_size=HarnessConfig.batch_size) -> FoldMetrics:
+    """Argmax predictions over an evaluation set, run in unshuffled batches
+    of ``batch_size``; ties break to the first class."""
     if not encs:
         raise ValidationError("evaluation set is empty")
     was_training = model.training
@@ -268,9 +270,11 @@ def evaluate(model, encs) -> FoldMetrics:
     k = model.head.n_out
     conf = np.zeros((k, k), dtype=np.int64)
     with ag.no_grad():
-        for enc in encs:
-            logits = model.forward_utterance(enc).logits.data
-            conf[enc.label, int(np.argmax(logits))] += 1
+        # data.batches, not this module's name for it: a traced run counts
+        # each batch drawn through that name as a training step
+        for batch in data.batches(encs, batch_size):
+            predicted = np.argmax(model.forward_batch(batch).data, axis=1)
+            np.add.at(conf, ([enc.label for enc, _, _ in batch], predicted), 1)
     if was_training:
         model.train()
     return metrics_from_confusion(conf)
@@ -338,7 +342,7 @@ def train_epochs(model, train_encs, dev_encs, hcfg: HarnessConfig, seed,
             last_norm = clip_gradients(trainable, hcfg.clip_norm)
             opt.step()
             last_loss = float(loss.data)
-        dev_wa = evaluate(model, dev_encs).wa
+        dev_wa = evaluate(model, dev_encs, hcfg.batch_size).wa
         history.append(dev_wa)
         if dev_wa > best_wa:
             best_wa = dev_wa
@@ -368,7 +372,7 @@ def train_fold(plan: FoldPlan, encs_by_id, model_cfg: ModelConfig, hcfg: Harness
     _, history, best_epoch, epochs_run, ckpt = train_epochs(
         model, train_encs, dev_encs, hcfg, seed=100000 * seed + plan.fold,
         out_dir=out_dir, tag=f"seed{seed}-fold{plan.fold}")
-    test = evaluate(model, test_encs)
+    test = evaluate(model, test_encs, hcfg.batch_size)
     return TrainResult(fold=plan.fold, seed=seed, test=test, dev_history=history,
                        best_epoch=best_epoch, epochs_run=epochs_run,
                        checkpoint_path=ckpt)

@@ -1,37 +1,52 @@
 """The fine-grained multimodal transformer.
 
 Text path: phoneme CNN + word vector -> combiner -> conv prenet ->
-transformer encoder, each stage run once over the utterance's word rows.
-Audio path: normalized log-mel frames (zero dummy row at position 0) ->
-two-layer affine prenet -> cross-modality blocks whose queries are the mel
-stream and whose keys/values are the text encoding -> self-attention fusion
-blocks.  The fused vector at position 0 feeds an affine head that emits
-class logits.
+transformer encoder, each stage run once over the word rows of a whole
+batch.  Audio path: normalized log-mel frames (zero dummy row at position
+0) -> two-layer affine prenet -> cross-modality blocks whose queries are
+the mel stream and whose keys/values are the text encoding -> self-attention
+fusion blocks.  Each utterance's fused row at position 0 feeds an affine
+head that emits class logits.
+
+A batch runs as one ``Pack``: its utterances' word rows are stacked into
+one [ΣW, ·] stream and their mel frames into one [ΣT, d] stream, with no
+padding between them.  Utterance i is segment i of each stream, laid out
+by an ``autograd.Segments`` (offsets plus per-segment valid counts).
+Every row-wise stage (``Linear``, FFN, ``layer_norm``, ``dropout``,
+residual adds) runs once per batch and never sees the layout; only
+attention, the text prenet's conv windows, row zeroing and positions do,
+and they stay inside each segment.  So no utterance sees another, and a
+batch gives each utterance's logits as a forward of that utterance alone
+would, up to rounding.  After a pack, each attention module's
+``last_weights`` holds the [heads, Tq, Tk] map of the pack's last
+utterance; after a pack of one (``forward_utterance``, ``predict_probs``)
+that is the utterance's own map.
 
 No position is ever masked as a query and no causal structure exists:
-classification sees the whole utterance in both modalities.  Padded
-positions are handled by key masks at every attention layer plus row
-zeroing inside the text prenet, which keeps logits exactly invariant to
-trailing padding.  A key mask is a count of valid keys, not a tensor: the
-attention op gives every key column past it zero weight.
+classification sees the whole utterance in both modalities.  Padding only
+comes from ``forward_utterance``'s ``pad_words``/``pad_frames`` (or padded
+batch rows): a padded segment's valid count stays at its real length, so
+attention gives its padding keys zero weight and the text prenet zeroes its
+padding rows, which keeps logits invariant to trailing padding.
 
 ``EmotionModel`` is the interface both this model and the
 multi-granularity model (``fusion.MultiGranularityModel``) implement:
-``forward_batch`` for training, ``predict_probs`` for inference and
-``checkpoint_extra`` for the checkpoint header.  ``restore_model`` is the
-one way back from a checkpoint to either variant.
+``forward_pack`` is the one forward, ``forward_batch`` (training and
+evaluation) and ``forward_utterance``/``predict_probs`` (a pack of one) go
+through it, and ``checkpoint_extra`` fills the checkpoint header.
+``restore_model`` is the one way back from a checkpoint to either variant.
 """
 
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import autograd as ag
 from . import nn
-from .autograd import Tensor
+from .autograd import Segments, Tensor
 from .binfile import BinaryReader
 from .config import CHOICES, ModelConfig, _typed, model_config_from_dict
 from .errors import FormatError, ShapeError, ValidationError
@@ -43,22 +58,58 @@ CHECKPOINT_MAGIC = b"MLT1"
 
 @dataclass
 class ForwardTrace:
-    text_enc_out: Tensor   # [T, d]
-    cross_out: Tensor      # [T'+1, d]
-    fusion_out: Tensor     # [T'+1, d]
-    cls: Tensor            # [d]
-    logits: Tensor         # [K]
+    text_enc_out: Tensor   # [ΣW, d], the pack's word stream
+    cross_out: Tensor      # [ΣT, d], its mel stream after the cross-modal blocks
+    fusion_out: Tensor     # [ΣT, d]
+    cls: Tensor            # [N, d], each utterance's position-0 fused row
+    logits: Tensor = None  # [N, K]; None from an encoder without its head
+
+
+class Pack:
+    """A batch of ``(enc, pad_words, pad_frames)`` rows as two packed streams.
+
+    Utterance i is segment i of ``words`` (its word ids and phoneme lists,
+    then ``pad_words`` pad rows) and of ``frames`` (its normalized mel
+    matrix, dummy row first, then ``pad_frames`` zero frames); each
+    segment's valid count is the utterance's own length.
+    """
+
+    def __init__(self, rows, pad_id):
+        rows = list(rows)
+        if not rows:
+            raise ShapeError("a pack needs at least one utterance")
+        word_ids, phonemes, mels = [], [], []
+        for enc, pad_words, pad_frames in rows:
+            if len(enc.word_ids) != len(enc.phonemes):
+                raise ShapeError(f"{len(enc.word_ids)} word ids vs "
+                                 f"{len(enc.phonemes)} phoneme lists")
+            word_ids += [*enc.word_ids, *[pad_id] * pad_words]
+            phonemes += [*enc.phonemes, *[[PAD_PHONEME]] * pad_words]
+            mels.append(np.asarray(enc.mel, dtype=np.float64))
+            if pad_frames:
+                mels.append(np.zeros((pad_frames, mels[-1].shape[1])))
+        self.encs = [enc for enc, _, _ in rows]
+        self.word_ids = np.asarray(word_ids, dtype=np.int64)
+        self.phonemes = phonemes
+        self.mel = mels[0] if len(mels) == 1 else np.concatenate(mels)
+        self.words = Segments([len(e.word_ids) + pw for e, pw, _ in rows],
+                              valid=[len(e.word_ids) for e in self.encs])
+        self.frames = Segments([len(e.mel) + pf for e, _, pf in rows],
+                               valid=[len(e.mel) for e in self.encs])
 
 
 class MultiHeadAttention(nn.Module):
-    """Scaled dot-product attention, all heads in one [heads, T, d_head] block.
+    """Scaled dot-product attention, all heads and segments in one node.
 
     Head h owns the h-th block of d_model / heads columns of the query, key
     and value projections; ``autograd.attention_weights`` scores, masks and
-    normalizes every head at once and ``autograd.attention_mix`` writes each
-    head's output back into its column block before the output projection.
-    After each call, ``last_weights`` holds the [heads, Tq, Tk] attention
-    distributions (post-softmax, pre-dropout) for inspection.
+    normalizes every head of every segment at once, holding each segment's
+    [heads, Tq, Tk] map once in one flat array (so dropout masks it in one
+    draw), and ``autograd.attention_mix`` writes each head's output back
+    into its column block before the output projection.  After each call,
+    ``last_weights`` holds the last segment's [heads, Tq, Tk] attention
+    distributions (post-softmax, pre-dropout) for inspection: after a pack
+    of one, the utterance's map.
     """
 
     def __init__(self, d_model, heads, rng):
@@ -74,13 +125,16 @@ class MultiHeadAttention(nn.Module):
         self.wo = nn.Linear(d_model, d_model, rng)
         self.last_weights = None
 
-    def __call__(self, queries: Tensor, keys_values: Tensor, key_valid=None,
-                 drop: nn.Dropout = None) -> Tensor:
-        att = ag.attention_weights(self.wq(queries), self.wk(keys_values), self.heads, key_valid)
-        self.last_weights = att.data
+    def __call__(self, queries: Tensor, keys_values: Tensor, q_segs: Segments = None,
+                 k_segs: Segments = None, drop: nn.Dropout = None) -> Tensor:
+        att = ag.attention_weights(self.wq(queries), self.wk(keys_values), self.heads,
+                                   q_segs, k_segs)
+        tq = queries.shape[0] if q_segs is None else int(q_segs.lengths[-1])
+        tk = keys_values.shape[0] if k_segs is None else int(k_segs.lengths[-1])
+        self.last_weights = att.data[att.size - self.heads * tq * tk:].reshape(self.heads, tq, tk)
         if drop is not None:
             att = drop(att)
-        return self.wo(ag.attention_mix(att, self.wv(keys_values)))
+        return self.wo(ag.attention_mix(att, self.wv(keys_values), self.heads, q_segs, k_segs))
 
 
 class FeedForward(nn.Module):
@@ -107,8 +161,8 @@ class EncoderBlock(nn.Module):
         self.norm2 = nn.LayerNorm(d_model)
         self.drop = nn.Dropout(dropout, drop_rng)
 
-    def __call__(self, x: Tensor, key_valid=None) -> Tensor:
-        x = self.norm1(ag.add(x, self.drop(self.attn(x, x, key_valid, drop=self.drop))))
+    def __call__(self, x: Tensor, segs: Segments = None) -> Tensor:
+        x = self.norm1(ag.add(x, self.drop(self.attn(x, x, segs, segs, drop=self.drop))))
         return self.norm2(ag.add(x, self.drop(self.ffn(x))))
 
 
@@ -125,29 +179,42 @@ class CrossModalBlock(nn.Module):
         self.norm3 = nn.LayerNorm(d_model)
         self.drop = nn.Dropout(dropout, drop_rng)
 
-    def __call__(self, mel: Tensor, text: Tensor, mel_valid=None, text_valid=None) -> Tensor:
-        mel = self.norm1(ag.add(mel, self.drop(self.self_attn(mel, mel, mel_valid, drop=self.drop))))
-        mel = self.norm2(ag.add(mel, self.drop(self.cross_attn(mel, text, text_valid, drop=self.drop))))
+    def __call__(self, mel: Tensor, text: Tensor, mel_segs: Segments = None,
+                 text_segs: Segments = None) -> Tensor:
+        attend = self.self_attn(mel, mel, mel_segs, mel_segs, drop=self.drop)
+        mel = self.norm1(ag.add(mel, self.drop(attend)))
+        attend = self.cross_attn(mel, text, mel_segs, text_segs, drop=self.drop)
+        mel = self.norm2(ag.add(mel, self.drop(attend)))
         return self.norm3(ag.add(mel, self.drop(self.ffn(mel))))
 
 
 class EmotionModel(nn.Module):
     """Interface shared by the fine-grained and multi-granularity models.
 
-    A subclass sets ``cfg`` (its ModelConfig) and ``head``, and implements
-    ``forward_utterance(enc, pad_words=0, pad_frames=0) -> ForwardTrace``;
-    training, evaluation, inference and checkpoints go through the methods
-    below, so callers never need to know which variant they hold.
+    A subclass sets ``cfg`` (its ModelConfig), ``word_vectors`` and
+    ``head``, and implements ``forward_pack(pack) -> ForwardTrace``, the one
+    forward; training, evaluation, inference and checkpoints go through the
+    methods below, so callers never need to know which variant they hold.
     """
 
     def forward_batch(self, batch) -> Tensor:
-        """``(enc, pad_words, pad_frames)`` rows -> [N, K] logits.
+        """``(enc, pad_words, pad_frames)`` rows -> [N, K] logits, as one pack.
 
-        Each row runs through ``forward_utterance`` on its own.  The rows of
-        ``data.batches`` carry no padding; padded rows give the same logits
-        up to rounding, since key masks and row zeroing hide the padding."""
-        return ag.stack_rows([self.forward_utterance(e, pad_words=pw, pad_frames=pf).logits
-                              for e, pw, pf in batch])
+        The rows of ``data.batches`` carry no padding; padded rows give the
+        same logits up to rounding, since each segment's valid count hides
+        its padding."""
+        return self.forward_pack(Pack(batch, self.word_vectors.pad_id)).logits
+
+    def forward_utterance(self, enc, pad_words=0, pad_frames=0) -> ForwardTrace:
+        """One utterance as a pack of one; its ``cls`` is [d] and its
+        ``logits`` [K].  The optional extra padding must not change logits.
+
+        ``enc`` carries word_ids, phonemes (list per word), and mel (the
+        normalized feature matrix whose row 0 is the dummy vector).
+        """
+        trace = self.forward_pack(Pack([(enc, pad_words, pad_frames)], self.word_vectors.pad_id))
+        return replace(trace, cls=ag.reshape(trace.cls, (-1,)),
+                       logits=ag.reshape(trace.logits, (-1,)))
 
     def predict_probs(self, enc) -> np.ndarray:
         """Class probabilities for one utterance, in eval mode (no dropout).
@@ -158,8 +225,7 @@ class EmotionModel(nn.Module):
         self.eval()
         try:
             with ag.no_grad():
-                logits = self.forward_utterance(enc).logits
-                return ag.softmax(ag.reshape(logits, (1, -1))).data[0]
+                return ag.softmax(self.forward_batch([(enc, 0, 0)])).data[0]
         finally:
             self.train(was_training)
 
@@ -205,60 +271,45 @@ class MultilevelTransformer(EmotionModel):
 
     # -- pieces ------------------------------------------------------------
 
-    def encode_text(self, word_ids, phonemes, n_valid=None) -> Tensor:
-        """T word ids + T per-word phoneme lists -> [T, d_model] text encoding.
+    def encode_text(self, pack: Pack) -> Tensor:
+        """The pack's word stream -> [ΣW, d_model] text encoding.
 
-        The frontend runs once per utterance: the phoneme lists are padded
-        into a [T, max_phonemes] block, the phoneme CNN turns it into
-        [T, phoneme_channels], and the combiner mixes that with the
-        [T, word_dim] word vectors row-wise before the prenet.
+        The frontend runs once per pack: the phoneme lists are padded into a
+        [ΣW, max_phonemes] block, the phoneme CNN turns it into
+        [ΣW, phoneme_channels], and the combiner mixes that with the
+        [ΣW, word_dim] word vectors row-wise before the prenet.
         """
-        if len(word_ids) != len(phonemes):
-            raise ShapeError(f"{len(word_ids)} word ids vs {len(phonemes)} phoneme lists")
-        n_valid = len(word_ids) if n_valid is None else n_valid
-        word_emb = ag.embedding_rows(self.word_table, np.asarray(word_ids, dtype=np.int64),
+        word_emb = ag.embedding_rows(self.word_table, pack.word_ids,
                                      frozen_row=self.word_vectors.pad_id)
-        phon_emb = self.phoneme_cnn.embed_word(phoneme_block(phonemes))
+        phon_emb = self.phoneme_cnn.embed_word(phoneme_block(pack.phonemes))
         x = self.combiner(word_emb, phon_emb)
-        x = self.prenet(x, valid=n_valid)
-        x = nn.add_positions(x)
+        x = nn.add_positions(self.prenet(x, pack.words), pack.words)
         for block in self.text_blocks:
-            x = block(x, key_valid=n_valid)
+            x = block(x, pack.words)
         return x
 
-    def encode_mel(self, mel_frames, text_enc: Tensor, mel_valid=None, text_valid=None) -> Tensor:
-        """Normalized mel matrix (dummy row first) -> [T'+1, d_model] fused stream."""
-        x = self.mel_prenet(Tensor(np.asarray(mel_frames, dtype=np.float64)))
-        x = nn.add_positions(x)
+    def encode_mel(self, pack: Pack, text_enc: Tensor) -> Tensor:
+        """The pack's mel stream (dummy row first in each segment) -> [ΣT, d_model]."""
+        x = nn.add_positions(self.mel_prenet(Tensor(pack.mel)), pack.frames)
         for block in self.cross_blocks:
-            x = block(x, text_enc, mel_valid=mel_valid, text_valid=text_valid)
+            x = block(x, text_enc, pack.frames, pack.words)
         return x
 
     # -- whole model -------------------------------------------------------
 
-    def forward_utterance(self, enc, pad_words=0, pad_frames=0) -> ForwardTrace:
-        """Run one utterance; optional extra padding must not change logits.
-
-        ``enc`` carries word_ids, phonemes (list per word), and mel (the
-        normalized feature matrix whose row 0 is the dummy vector).
-        """
-        word_ids = list(enc.word_ids) + [self.word_vectors.pad_id] * pad_words
-        phonemes = list(enc.phonemes) + [[PAD_PHONEME]] * pad_words
-        mel = np.asarray(enc.mel, dtype=np.float64)
-        if pad_frames:
-            mel = np.vstack([mel, np.zeros((pad_frames, mel.shape[1]))])
-        n_words = len(enc.word_ids)
-        n_frames = enc.mel.shape[0]
-
-        text_enc = self.encode_text(word_ids, phonemes, n_valid=n_words)
-        cross = self.encode_mel(mel, text_enc, mel_valid=n_frames, text_valid=n_words)
+    def encode(self, pack: Pack) -> ForwardTrace:
+        """Everything up to the head: the trace with ``logits`` None."""
+        text_enc = self.encode_text(pack)
+        cross = self.encode_mel(pack, text_enc)
         fused = cross
         for block in self.fusion_blocks:
-            fused = block(fused, key_valid=n_frames)
-        cls = ag.getitem(fused, 0)
-        logits = self.head(cls)
-        return ForwardTrace(text_enc_out=text_enc, cross_out=cross,
-                            fusion_out=fused, cls=cls, logits=logits)
+            fused = block(fused, pack.frames)
+        return ForwardTrace(text_enc_out=text_enc, cross_out=cross, fusion_out=fused,
+                            cls=ag.getitem(fused, pack.frames.offsets[:-1]))
+
+    def forward_pack(self, pack: Pack) -> ForwardTrace:
+        trace = self.encode(pack)
+        return replace(trace, logits=self.head(trace.cls))
 
     def attention_modules(self):
         return [m for m in self.modules() if isinstance(m, MultiHeadAttention)]

@@ -156,8 +156,8 @@ class Conv1d(Module):
         self.kernels = Tensor(fan_in_uniform(rng, (width, c_in, c_out), width * c_in), requires_grad=True)
         self.bias = Tensor(np.zeros(c_out), requires_grad=True) if bias else None
 
-    def __call__(self, x: Tensor) -> Tensor:
-        out = ag.conv1d(x, self.kernels)
+    def __call__(self, x: Tensor, segs=None) -> Tensor:
+        out = ag.conv1d(x, self.kernels, segs)
         if self.bias is not None:
             out = ag.add(out, self.bias)
         return out
@@ -177,17 +177,36 @@ class Dropout(Module):
         return ag.dropout(x, self.rate, self.rng)
 
 
+_POSITION_TABLES = {}  # width -> read-only table, grown on demand
+
+
 def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
-    """Fixed sine/cosine position signal, one row per time step."""
-    position = np.arange(length)[:, None].astype(np.float64)
-    div = np.exp(np.arange(0, dim, 2) * (-math.log(10000.0) / dim))
-    pe = np.zeros((length, dim))
-    pe[:, 0::2] = np.sin(position * div)
-    pe[:, 1::2] = np.cos(position * div[: dim // 2])
-    return pe
+    """Fixed sine/cosine position signal, one row per time step.
+
+    Rows are computed once per width: the table grows (at least doubling)
+    when a longer one is asked for, and callers get a read-only slice.
+    Each entry depends only on its row and column, so a row reads the same
+    whatever the table's length.
+    """
+    table = _POSITION_TABLES.get(dim)
+    if table is None or len(table) < length:
+        rows = max(length, 2 * len(table)) if table is not None else length
+        position = np.arange(rows)[:, None].astype(np.float64)
+        div = np.exp(np.arange(0, dim, 2) * (-math.log(10000.0) / dim))
+        table = np.zeros((rows, dim))
+        table[:, 0::2] = np.sin(position * div)
+        table[:, 1::2] = np.cos(position * div[: dim // 2])
+        table.flags.writeable = False
+        _POSITION_TABLES[dim] = table
+    return table[:length]
 
 
-def add_positions(x: Tensor) -> Tensor:
-    """Add the sinusoidal position signal to a [T, D] sequence."""
+def add_positions(x: Tensor, segs=None) -> Tensor:
+    """Add the sinusoidal position signal to a [T, D] sequence; with
+    ``segs`` (``autograd.Segments``), positions count from 0 in each segment."""
     t, d = x.shape
-    return ag.add(x, Tensor(sinusoidal_positions(t, d)))
+    if segs is None or len(segs) == 1:
+        positions = sinusoidal_positions(t, d)
+    else:
+        positions = sinusoidal_positions(int(segs.lengths.max()), d)[segs.positions()]
+    return ag.add(x, Tensor(positions))

@@ -5,9 +5,9 @@ through a CMU-style lexicon with a total letter-spelling fallback, so G2P
 never fails.  Each word then gets a fixed-size vector from a small CNN over
 its phoneme embeddings, concatenated with a 300-dim word vector, optionally
 passed through a two-layer highway network, and finally run through a
-convolutional prenet that projects to the model dimension.  Every stage is
-row-wise, so an utterance runs through the frontend once, with one row per
-word, rather than once per word.
+convolutional prenet that projects to the model dimension.  Every stage
+works on one row per word, and the prenet's conv windows stay inside each
+utterance, so a whole batch runs through the frontend once.
 """
 
 import hashlib
@@ -275,9 +275,10 @@ class WordCombiner(nn.Module):
 class EncoderPrenet(nn.Module):
     """Three same-padding conv layers (ReLU + layer norm) and a projection.
 
-    ``valid`` is the count of real rows; everything after them is zeroed
-    before every convolution so pad values never bleed into real rows
-    through the conv windows.
+    ``segs`` (``autograd.Segments``) lays out the utterances of a packed
+    [T, d_in] input: each conv window stays inside its utterance, and each
+    utterance's padding rows are zeroed before every convolution so pad
+    values never bleed into real rows through the conv windows.
     """
 
     def __init__(self, rng, d_in=450, d_model=128, width=5):
@@ -290,9 +291,9 @@ class EncoderPrenet(nn.Module):
         self.norms = nn.ModuleList(norms)
         self.proj = nn.Linear(d_model, d_model, rng)
 
-    def __call__(self, x: Tensor, valid=None) -> Tensor:
+    def __call__(self, x: Tensor, segs=None) -> Tensor:
         for conv, norm in zip(self.convs, self.norms):
-            if valid is not None:
-                x = ag.zero_rows(x, valid)
-            x = norm(ag.relu(conv(x)))
+            if segs is not None:
+                x = ag.zero_rows(x, segs)
+            x = norm(ag.relu(conv(x, segs)))
         return self.proj(x)

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Tensor, gradcheck, gradcheck_sampled
+from .autograd import Segments, Tensor, gradcheck, gradcheck_sampled
 from .config import ModelConfig
 from .fusion import build_fusion_model
 from .model import MultilevelTransformer
@@ -98,6 +98,9 @@ def op_checks(rng):
     check("conv1d", lambda x, k: rc(ag.conv1d(x, k)), [_t(rng, 5, 3), _t(rng, 3, 3, 4)])
     rc3 = _weighted(rng, (2, 5, 4))
     check("conv1d rank 3", lambda x, k: rc3(ag.conv1d(x, k)), [_t(rng, 2, 5, 3), _t(rng, 3, 3, 4)])
+    rcs = _weighted(rng, (7, 4))
+    check("conv1d segments", lambda x, k: rcs(ag.conv1d(x, k, Segments([3, 4]))),
+          [_t(rng, 7, 3), _t(rng, 3, 3, 4)])
     rp = _weighted(rng, (4,))
     check("max_pool_time", lambda x: rp(ag.max_pool_time(x)), [_distinct_columns(rng, 6, 4)])
     check("max_pool_time masked", lambda x: rp(ag.max_pool_time(x, valid=4)),
@@ -111,30 +114,46 @@ def op_checks(rng):
     check("embedding_rows", lambda table: re(ag.embedding_rows(table, [1, 3, 3, 2], frozen_row=0)),
           [_t(rng, 6, 5)])
     rz = _weighted(rng, (5, 4))
-    check("zero_rows", lambda x: rz(ag.zero_rows(x, valid=3)), [_t(rng, 5, 4)])
+    check("zero_rows segments", lambda x: rz(ag.zero_rows(x, Segments([2, 3], valid=[1, 2]))),
+          [_t(rng, 5, 4)])
     # a freshly seeded generator per call draws the same mask at every
     # finite-difference point
     check("dropout", lambda x: r(ag.dropout(x, 0.5, np.random.default_rng(7))), [_t(rng, 3, 4)])
-    ra = _weighted(rng, (2, 3, 5))
-    check("attention_weights masked", lambda q, k: ra(ag.attention_weights(q, k, 2, key_valid=3)),
+    ra = _weighted(rng, (2 * 3 * 5,))
+    check("attention_weights masked",
+          lambda q, k: ra(ag.attention_weights(q, k, 2, k_segs=Segments([5], valid=[3]))),
           [_t(rng, 3, 4), _t(rng, 5, 4)])
-    check("attention_mix", lambda att, v: r(ag.attention_mix(att, v)),
-          [_t(rng, 2, 3, 5), _t(rng, 5, 4)])
+    check("attention_mix", lambda att, v: r(ag.attention_mix(att, v, 2)),
+          [_t(rng, 2 * 3 * 5), _t(rng, 5, 4)])
+    # two segments of unequal length; the first one's keys partly padding
+    q_segs, k_segs = Segments([2, 3]), Segments([3, 4], valid=[2, 4])
+    ras = _weighted(rng, (2 * (2 * 3 + 3 * 4),))
+    check("attention_weights segments",
+          lambda q, k: ras(ag.attention_weights(q, k, 2, q_segs, k_segs)),
+          [_t(rng, 5, 4), _t(rng, 7, 4)])
+    rms = _weighted(rng, (5, 4))
+    check("attention_mix segments",
+          lambda att, v: rms(ag.attention_mix(att, v, 2, q_segs, k_segs)),
+          [_t(rng, 2 * (2 * 3 + 3 * 4)), _t(rng, 7, 4)])
     return checks
 
 
 def _demo_inputs(rng, word_dim):
+    """Word vectors and two utterances of unequal lengths (3 words and 6
+    frames, 2 words and 4 frames), so the checks run a real pack."""
     words = ["alpha", "beta", "gamma", "delta", "echo"]
     wv = hash_word_vectors(words, dim=word_dim)
     pool = [PHONEME_TO_ID[p] for p in ("K", "AE", "T", "S", "OW")]
-    mel = rng.standard_normal((6, 128))
-    mel[0] = 0.0
-    enc = SimpleNamespace(
-        word_ids=[wv.lookup(w) for w in words[:3]],
-        phonemes=[[pool[(i + j) % len(pool)] for j in range(2 + i)] for i in range(3)],
-        mel=mel,
-        utt_embedding=None)
-    return wv, enc
+    encs = []
+    for n_words, n_frames in ((3, 6), (2, 4)):
+        mel = rng.standard_normal((n_frames, 128))
+        mel[0] = 0.0
+        encs.append(SimpleNamespace(
+            word_ids=[wv.lookup(w) for w in words[5 - n_words:]],
+            phonemes=[[pool[(i + j) % len(pool)] for j in range(2 + i)] for i in range(n_words)],
+            mel=mel,
+            utt_embedding=None))
+    return wv, encs
 
 
 def _demo_config():
@@ -148,25 +167,26 @@ def model_checks(rng):
     """Sampled whole-model checks through a cross-entropy loss."""
     checks = []
 
-    def sampled(model, enc, label, name):
+    def sampled(model, encs, labels, name):
         nudge_off_kinks(model, seed=5)
         model.eval()
         params = [p for _, p in model.named_parameters()]
+        batch = [(enc, 0, 0) for enc in encs]
 
         def f(*_):
-            logits = model.forward_utterance(enc).logits
-            return ag.cross_entropy(ag.stack_rows([logits]), [label])
+            return ag.cross_entropy(model.forward_batch(batch), labels)
 
         checks.append((name, lambda: gradcheck_sampled(
             f, params, per_tensor=2, rng=np.random.default_rng(11))))
 
     cfg = _demo_config()
-    wv, enc = _demo_inputs(np.random.default_rng(3), cfg.word_dim)
-    sampled(MultilevelTransformer(cfg, wv, seed=1), enc, 2, "transformer end to end")
+    wv, encs = _demo_inputs(np.random.default_rng(3), cfg.word_dim)
+    sampled(MultilevelTransformer(cfg, wv, seed=1), encs, [2, 0], "transformer end to end")
 
-    wv2, enc2 = _demo_inputs(np.random.default_rng(4), cfg.word_dim)
-    enc2.utt_embedding = np.random.default_rng(6).standard_normal(6)
-    sampled(build_fusion_model(cfg, wv2, utt_dim=6, seed=2), enc2, 1,
+    wv2, encs2 = _demo_inputs(np.random.default_rng(4), cfg.word_dim)
+    for i, enc in enumerate(encs2):
+        enc.utt_embedding = np.random.default_rng(6 + i).standard_normal(6)
+    sampled(build_fusion_model(cfg, wv2, utt_dim=6, seed=2), encs2, [1, 3],
             "fusion model end to end")
     return checks
 

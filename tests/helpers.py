@@ -1,17 +1,20 @@
 """Shared builders for model-level tests: small configs, synthetic encoded
 utterances, the off-kink parameter nudge used before finite differences, and
-the zero-filling backward, mask-tensor dropout and per-parameter Adam kept as
-oracles for the engine and the optimizer."""
+the per-utterance forward, zero-filling backward, mask-tensor dropout and
+per-parameter Adam kept as oracles for the model, the engine and the
+optimizer."""
 
 from types import SimpleNamespace
 
 import numpy as np
 
 from melformer import autograd as ag
+from melformer import nn
+from melformer.autograd import Segments, Tensor
 from melformer.config import ModelConfig
 from melformer.errors import NumericError
 from melformer.model import MultilevelTransformer
-from melformer.text import PHONEME_TO_ID, hash_word_vectors
+from melformer.text import PAD_PHONEME, PHONEME_TO_ID, hash_word_vectors, phoneme_block
 
 WORDS = ["one", "two", "three", "four", "five"]
 
@@ -47,6 +50,44 @@ def make_enc(wv, seed=0, n_words=3, n_frames=5, utt_embedding=None):
 
 
 from melformer.verify import nudge_off_kinks  # noqa: F401  (shared with the CLI suite)
+
+
+def utterance_logits(model, enc, pad_words=0, pad_frames=0):
+    """The earlier forward, kept as an oracle: one utterance through the
+    model on its own -> [K] logits, with no pack and no stream offsets."""
+    fine = getattr(model, "fine", model)
+    word_ids = list(enc.word_ids) + [fine.word_vectors.pad_id] * pad_words
+    phonemes = list(enc.phonemes) + [[PAD_PHONEME]] * pad_words
+    mel = np.vstack([np.asarray(enc.mel, dtype=np.float64), np.zeros((pad_frames, 128))])
+    words = Segments([len(word_ids)], valid=[len(enc.word_ids)])
+    frames = Segments([len(mel)], valid=[len(enc.mel)])
+
+    x = fine.combiner(ag.embedding_rows(fine.word_table, word_ids,
+                                        frozen_row=fine.word_vectors.pad_id),
+                      fine.phoneme_cnn.embed_word(phoneme_block(phonemes)))
+    text = nn.add_positions(fine.prenet(x, words))
+    for block in fine.text_blocks:
+        text = block(text, words)
+    x = nn.add_positions(fine.mel_prenet(Tensor(mel)))
+    for block in fine.cross_blocks:
+        x = block(x, text, frames, words)
+    for block in fine.fusion_blocks:
+        x = block(x, frames)
+    cls = ag.getitem(x, 0)
+    if fine is model:
+        return model.head(cls)
+    if enc.utt_embedding is not None:
+        utt = Tensor(np.asarray(enc.utt_embedding, dtype=np.float64))
+    else:
+        rows = model.utt_encoder.word_vectors.matrix[np.asarray(enc.word_ids)]
+        utt = model.utt_encoder.proj(Tensor(rows.mean(axis=0)))
+    return model.head(ag.concat([model.proj_fine(cls), model.proj_utt(utt)], axis=0))
+
+
+def per_utterance_batch(model, batch):
+    """The earlier ``forward_batch``, kept as an oracle: each
+    ``(enc, pad_words, pad_frames)`` row on its own -> [N, K] logits."""
+    return ag.stack_rows([utterance_logits(model, *row) for row in batch])
 
 
 def zero_fill_backward(loss):

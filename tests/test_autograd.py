@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import melformer.autograd as ag
-from melformer.autograd import Tensor
+from melformer.autograd import Segments, Tensor
 from melformer.errors import ContractError, NumericError, ShapeError, ValidationError
 from melformer.verify import op_checks
 
@@ -183,15 +183,46 @@ def test_conv1d_rank3_rows_match_rank2_calls():
         np.testing.assert_allclose(out.data[i], ag.conv1d(Tensor(x[i]), k).data, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 5])
+def test_conv1d_segments_match_one_call_per_segment(width):
+    """No window crosses a segment boundary, in either direction."""
+    rng = np.random.default_rng(6)
+    lengths = [1, 4, 2, 6]
+    x = Tensor(rng.normal(size=(sum(lengths), 3)), requires_grad=True)
+    k = Tensor(rng.normal(size=(width, 3, 2)), requires_grad=True)
+    probe = rng.normal(size=(sum(lengths), 2))
+    out = ag.conv1d(x, k, Segments(lengths))
+    ag.backward(ag.tsum(ag.mul(out, Tensor(probe))))
+    starts = np.cumsum([0] + lengths)
+    x_grad, k_grad = np.zeros_like(x.data), np.zeros_like(k.data)
+    for a, b in zip(starts[:-1], starts[1:]):
+        xs = Tensor(x.data[a:b], requires_grad=True)
+        ks = Tensor(k.data, requires_grad=True)
+        ref = ag.conv1d(xs, ks)
+        np.testing.assert_allclose(out.data[a:b], ref.data, rtol=0, atol=1e-12)
+        ag.backward(ag.tsum(ag.mul(ref, Tensor(probe[a:b]))))
+        x_grad[a:b], k_grad = xs.grad, k_grad + ks.grad
+    np.testing.assert_allclose(x.grad, x_grad, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(k.grad, k_grad, rtol=0, atol=1e-12)
+
+
 # --- zero_rows -------------------------------------------------------------------
 
 def test_zero_rows_zeroes_padding_and_passes_unpadded_input_through():
     x = Tensor(np.arange(1.0, 7.0).reshape(3, 2), requires_grad=True)
-    out = ag.zero_rows(x, 2)
+    out = ag.zero_rows(x, Segments([3], valid=[2]))
     np.testing.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]])
     ag.backward(ag.tsum(out))
     np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
-    assert ag.zero_rows(x, 3) is x and ag.zero_rows(x, 4) is x
+    assert ag.zero_rows(x, Segments([3])) is x and ag.zero_rows(x, Segments([1, 2])) is x
+    with pytest.raises(ShapeError):
+        ag.zero_rows(x, Segments([3], valid=[4]))
+
+
+def test_zero_rows_zeroes_each_segments_own_padding():
+    x = Tensor(np.arange(1.0, 6.0).reshape(5, 1))
+    out = ag.zero_rows(x, Segments([2, 3], valid=[1, 2]))
+    np.testing.assert_array_equal(out.data[:, 0], [1.0, 0.0, 3.0, 4.0, 0.0])
 
 
 # --- max_pool_time ---------------------------------------------------------------
@@ -255,11 +286,17 @@ def test_attention_ops_reject_mismatched_shapes():
         with pytest.raises(ShapeError):
             ag.attention_weights(*args)
     with pytest.raises(ShapeError):
-        ag.attention_weights(q, k, 2, key_valid=6)
+        ag.attention_weights(q, k, 2, k_segs=Segments([5], valid=[6]))
+    with pytest.raises(ShapeError):  # segments that do not cover the rows
+        ag.attention_weights(q, k, 2, q_segs=Segments([1, 1]), k_segs=Segments([2, 3]))
+    with pytest.raises(ShapeError):  # as many query as key segments
+        ag.attention_weights(q, k, 2, q_segs=Segments([1, 2]), k_segs=Segments([5]))
     with pytest.raises(ShapeError):
-        ag.attention_mix(Tensor(np.zeros((2, 3, 4))), k)
+        ag.attention_mix(Tensor(np.zeros(2 * 3 * 4)), k, 2)
     with pytest.raises(ShapeError):
-        ag.attention_mix(Tensor(np.zeros((3, 3, 5))), k)
+        ag.attention_mix(Tensor(np.zeros((2, 3, 5))), k, 2)
+    with pytest.raises(ShapeError):
+        ag.attention_mix(Tensor(np.zeros(2 * 3 * 5)), k, 3)
 
 
 # --- pointwise -------------------------------------------------------------------
@@ -454,16 +491,26 @@ def test_all_ops_gradcheck(seed):
     table = Tensor(rng.normal(size=(5, d)), requires_grad=True)
     ids = rng.integers(0, 5, size=t)
     checks.append((lambda tab: ag.tsum(ag.embedding_rows(tab, ids)), [table]))
-    checks.append((lambda x: ag.tsum(ag.zero_rows(x, t - 1)), [a]))
+    checks.append((lambda x: ag.tsum(ag.zero_rows(x, Segments([1, t - 1], valid=[0, t - 2]))), [a]))
 
     # two heads over t queries and t + 1 keys, the last key masked
     q = Tensor(rng.normal(size=(t, 2 * d)), requires_grad=True)
     kv = Tensor(rng.normal(size=(t + 1, 2 * d)), requires_grad=True)
-    att = Tensor(rng.normal(size=(2, t, t + 1)), requires_grad=True)
-    att_probe = Tensor(rng.normal(size=(2, t, t + 1)))
-    checks.append((lambda q, k: ag.tsum(ag.mul(ag.attention_weights(q, k, 2, key_valid=t),
+    att = Tensor(rng.normal(size=2 * t * (t + 1)), requires_grad=True)
+    att_probe = Tensor(rng.normal(size=2 * t * (t + 1)))
+    masked = Segments([t + 1], valid=[t])
+    checks.append((lambda q, k: ag.tsum(ag.mul(ag.attention_weights(q, k, 2, k_segs=masked),
                                                att_probe)), [q, kv]))
-    checks.append((lambda w, v: ag.tsum(ag.attention_mix(w, v)), [att, kv]))
+    checks.append((lambda w, v: ag.tsum(ag.attention_mix(w, v, 2)), [att, kv]))
+    # the same over two segments: queries 1 and t - 1 rows, keys 2 and t - 1
+    q_segs, k_segs = Segments([1, t - 1]), Segments([2, t - 1], valid=[1, t - 1])
+    seg_probe = Tensor(rng.normal(size=2 * (2 + (t - 1) ** 2)))
+    checks.append((lambda q, k: ag.tsum(ag.mul(ag.attention_weights(q, k, 2, q_segs, k_segs),
+                                               seg_probe)), [q, kv]))
+    seg_att = Tensor(rng.normal(size=2 * (2 + (t - 1) ** 2)), requires_grad=True)
+    checks.append((lambda w, v: ag.tsum(ag.attention_mix(w, v, 2, q_segs, k_segs)),
+                   [seg_att, kv]))
+    checks.append((lambda x, k: ag.tsum(ag.conv1d(x, k, Segments([1, t - 1]))), [a, k]))
 
     for f, xs in checks:
         assert ag.gradcheck(f, xs, eps=1e-5) < 1e-4
@@ -552,9 +599,11 @@ def _every_op_graph(rng):
     const = Tensor(rng.standard_normal((4, 6)))
     h = ag.relu(x @ w + b) * s + x                        # bias add, scalar mul, residual
     h = ag.layer_norm(h - const, gain, b)
-    att = ag.attention_weights(h, h, 2, key_valid=3)
-    h = ag.attention_mix(att, h) + ag.softmax(h) + ag.transpose(ag.transpose(h))
-    h = ag.dropout(ag.zero_rows(ag.sigmoid(h), 3), 0.3, np.random.default_rng(1))
+    segs = Segments([1, 3], valid=[1, 2])
+    att = ag.attention_weights(h, h, 2, segs, segs)
+    h = ag.attention_mix(att, h, 2, segs, segs) + ag.softmax(h) + ag.transpose(ag.transpose(h))
+    h = ag.conv1d(h, Tensor(rng.standard_normal((3, 6, 6))), segs)
+    h = ag.dropout(ag.zero_rows(ag.sigmoid(h), segs), 0.3, np.random.default_rng(1))
     emb = ag.embedding_rows(table, [[1, 2, 0], [3, 4, 4]], frozen_row=0)
     pooled = ag.max_pool_time(ag.conv1d(emb, kern), valid=[2, 3])
     rows = ag.stack_rows([h[0], h[1] + pooled[0], ag.reshape(h[2:], (12,))[:6]])

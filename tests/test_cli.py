@@ -554,6 +554,11 @@ REPRODUCTIONS = {
         "eval --checkpoint {multi} --manifest {feats} --utt-embeddings {uemb}", {},
         "built-in encoder"),
     "config_not_utf8": ("train --config {cfg}", {"cfg": b'{"lr": "caf\xe9"}'}, "UTF-8"),
+    "seeds_negative_flag": ("train --manifest {feats} --seeds -1", {}, "seeds"),
+    "seeds_negative_config": ("train --manifest {feats} --config {cfg}",
+                              {"cfg": b'{"harness": {"seeds": [-1]}}'}, "seeds"),
+    "gen_synthetic_seed_negative": ("gen-synthetic --out {dir}/g --seed -1", {}, "seed"),
+    "gen_synthetic_utt_dim_zero": ("gen-synthetic --out {dir}/g --utt-dim 0", {}, "utt_dim"),
     "manifest_is_a_directory": ("train --manifest {dir}", {}, "Is a directory"),
 }
 

@@ -172,6 +172,14 @@ def test_no_embedding_and_no_encoder_rejected():
         model.forward_utterance(make_enc(wv, seed=24))
 
 
+def test_batch_mixing_file_and_missing_embeddings_rejected():
+    model, _, wv = make_fusion(seed=24, builtin=True)
+    rows = [(make_enc(wv, seed=26, utt_embedding=np.zeros(300)), 0, 0),
+            (make_enc(wv, seed=27), 0, 0)]
+    with pytest.raises(ValidationError, match="mixes"):
+        model.forward_batch(rows)
+
+
 def test_wrong_embedding_width_rejected():
     model, _, wv = make_fusion(seed=25, utt_dim=8)
     with pytest.raises(ValidationError, match="shape"):
@@ -254,8 +262,8 @@ def test_restore_model_rejects_multi_header_without_utt_dim(tmp_path):
 def test_mean_pool_encoder_is_deterministic():
     wv = hash_word_vectors(WORDS, dim=12)
     encoder = MeanPoolUtteranceEncoder(wv, 6, np.random.default_rng(31))
-    enc = make_enc(wv, seed=32)
-    a = encoder(enc).data
-    b = encoder(enc).data
+    encs = [make_enc(wv, seed=32), make_enc(wv, seed=33, n_words=5)]
+    a = encoder(encs).data
+    b = encoder(encs).data
     assert np.array_equal(a, b)
-    assert a.shape == (6,)
+    assert a.shape == (2, 6)

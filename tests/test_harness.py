@@ -348,8 +348,8 @@ def fixed_model(logits_by_id, k):
     return SimpleNamespace(
         training=False, eval=lambda: None, train=lambda: None,
         head=SimpleNamespace(n_out=k),
-        forward_utterance=lambda enc: SimpleNamespace(
-            logits=Tensor(np.asarray(logits_by_id[enc.id], dtype=np.float64))))
+        forward_batch=lambda batch: Tensor(np.asarray(
+            [logits_by_id[enc.id] for enc, _, _ in batch], dtype=np.float64)))
 
 
 def test_evaluate_accumulates_confusion_and_breaks_ties_low():
@@ -360,6 +360,16 @@ def test_evaluate_accumulates_confusion_and_breaks_ties_low():
     np.testing.assert_array_equal(m.confusion, [[1, 0, 0], [1, 0, 0], [0, 0, 1]])
     assert m.wa == pytest.approx(2 / 3)
     assert m.ua == pytest.approx(2 / 3)
+
+
+def test_evaluate_runs_unshuffled_batches_of_the_batch_size():
+    encs = [SimpleNamespace(id=str(i), label=i % 2) for i in range(5)]
+    model = fixed_model({str(i): [0, 1] for i in range(5)}, k=2)
+    seen = []
+    forward = model.forward_batch
+    model.forward_batch = lambda batch: seen.append([e.id for e, _, _ in batch]) or forward(batch)
+    assert evaluate(model, encs, batch_size=2).confusion.tolist() == [[0, 3], [0, 2]]
+    assert seen == [["0", "1"], ["2", "3"], ["4"]]
 
 
 def test_evaluate_rejects_empty_set():
@@ -583,6 +593,26 @@ def test_a_trained_model_frees_its_arena_without_the_cycle_collector(corpus, mon
         train_epochs(model, encs, encs, hcfg(max_epochs=1), seed=3)
         del model
         assert arenas[0]() is None
+    finally:
+        gc.enable()
+
+
+def test_a_multi_training_step_leaves_no_reference_cycles(corpus):
+    # every node of the step's graph reaches the loss, so backward frees it;
+    # a node off that path (the fine model's unused head) would be a cycle
+    _, encs, wv = corpus
+    model = build_model(tiny_cfg(), hcfg(granularity="multi"), wv, seed=4)
+    opt = Adam(model.trainable_named_parameters(), lr=1e-3)
+    batch = [(e, 0, 0) for e in encs[:4]]
+    gc.collect()
+    gc.disable()
+    try:
+        loss = ag.cross_entropy(model.forward_batch(batch), [e.label for e, _, _ in batch])
+        ag.backward(loss)
+        clip_gradients([p for _, p in model.trainable_named_parameters()], 5.0)
+        opt.step()
+        del loss
+        assert gc.collect() == 0
     finally:
         gc.enable()
 

@@ -17,7 +17,7 @@ import pytest
 
 from melformer import autograd as ag
 from melformer import nn
-from melformer.autograd import Tensor, gradcheck_sampled
+from melformer.autograd import Segments, Tensor, gradcheck_sampled
 from melformer.config import ModelConfig
 from melformer.errors import FormatError, ShapeError
 from melformer.fusion import build_fusion_model
@@ -25,6 +25,7 @@ from melformer.model import (
     FeedForward,
     MultiHeadAttention,
     MultilevelTransformer,
+    Pack,
     expected_parameter_count,
     load_checkpoint,
     read_checkpoint_header,
@@ -33,8 +34,8 @@ from melformer.model import (
 )
 from melformer.text import hash_word_vectors
 
-from helpers import (WORDS, make_enc, make_model, nudge_off_kinks, small_config,
-                     zero_fill_backward)
+from helpers import (WORDS, make_enc, make_model, nudge_off_kinks, per_utterance_batch,
+                     small_config, utterance_logits, zero_fill_backward)
 
 # ---------------------------------------------------------------------------
 # attention structure
@@ -53,7 +54,7 @@ def test_attention_rows_are_distributions():
     mha = MultiHeadAttention(16, 2, rng)
     q = Tensor(np.random.default_rng(3).standard_normal((4, 16)))
     kv = Tensor(np.random.default_rng(4).standard_normal((6, 16)))
-    mha(q, kv, key_valid=4)
+    mha(q, kv, k_segs=Segments([6], valid=[4]))
     assert np.all(mha.last_weights >= 0.0)
     assert np.allclose(mha.last_weights.sum(axis=2), 1.0, atol=1e-6)
     # masked key columns get exactly zero weight
@@ -79,7 +80,7 @@ def test_key_valid_longer_than_sequence_rejected():
     mha = MultiHeadAttention(16, 2, rng)
     x = Tensor(np.zeros((3, 16)))
     with pytest.raises(ShapeError):
-        mha(x, x, key_valid=4)
+        mha(x, x, k_segs=Segments([3], valid=[4]))
 
 
 def _per_head_attention(mha, queries, keys_values, key_valid=None, drop=None):
@@ -104,7 +105,8 @@ def _per_head_attention(mha, queries, keys_values, key_valid=None, drop=None):
 
 
 def _batched_attention(mha, queries, keys_values, key_valid=None, drop=None):
-    out = mha(queries, keys_values, key_valid, drop=drop)
+    k_segs = None if key_valid is None else Segments([keys_values.shape[0]], valid=[key_valid])
+    out = mha(queries, keys_values, k_segs=k_segs, drop=drop)
     return out, mha.last_weights
 
 
@@ -149,7 +151,7 @@ def test_attention_graph_does_not_grow_with_heads():
         mha = MultiHeadAttention(16, heads, np.random.default_rng(43))
         x = Tensor(np.random.default_rng(44).standard_normal((6, 16)), requires_grad=True)
         drop = nn.Dropout(0.5, np.random.default_rng(45))
-        counts.append(_graph_nodes(mha(x, x, key_valid=4, drop=drop)))
+        counts.append(_graph_nodes(mha(x, x, k_segs=Segments([6], valid=[4]), drop=drop)))
     assert counts[0] == counts[1] == counts[2]
 
 
@@ -260,6 +262,104 @@ def test_untrained_models_predict_near_uniform():
         totals += model.predict_probs(make_enc(wv, seed=2000 + seed))
     mean = totals / n
     assert np.all(np.abs(mean - 0.25) < 0.05)
+
+
+# ---------------------------------------------------------------------------
+# packed batches against the per-utterance oracle
+
+def _model(granularity, combine_mode, seed=50, **overrides):
+    cfg = small_config(combine_mode=combine_mode, **overrides)
+    wv = hash_word_vectors(WORDS, dim=cfg.word_dim)
+    if granularity == "fine":
+        return MultilevelTransformer(cfg, wv, seed=seed), wv
+    utt_dim = None if granularity == "multi" else 6
+    return build_fusion_model(cfg, wv, utt_dim=utt_dim, seed=seed), wv
+
+
+def _rows(wv, n, granularity):
+    """n utterances of unequal lengths, each padded differently."""
+    shapes = [(3, 5, 0, 0), (5, 9, 2, 0), (1, 4, 0, 3), (4, 7, 1, 2)]
+    rows, from_file = [], granularity == "multi-file"
+    for i, (n_words, n_frames, pad_words, pad_frames) in enumerate(shapes[:n]):
+        emb = np.random.default_rng(60 + i).standard_normal(6) if from_file else None
+        rows.append((make_enc(wv, seed=51 + i, n_words=n_words, n_frames=n_frames,
+                              utt_embedding=emb), pad_words, pad_frames))
+    return rows
+
+
+def _logits_grads_and_maps(model, forward, rows):
+    model.zero_grad()
+    logits = forward(model, rows)
+    ag.backward(ag.cross_entropy(logits, list(range(len(rows)))))
+    grads = {name: p.grad.copy() for name, p in model.named_parameters() if p.grad is not None}
+    maps = [mha.last_weights.copy() for mha in getattr(model, "fine", model).attention_modules()]
+    return logits.data.copy(), grads, maps
+
+
+@pytest.mark.parametrize("granularity", ["fine", "multi", "multi-file"])
+@pytest.mark.parametrize("combine_mode", ["highway", "concat"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_packed_batch_matches_the_per_utterance_oracle(granularity, combine_mode, n):
+    model, wv = _model(granularity, combine_mode, dropout=0.0, finetune_word_vectors=True)
+    rows = _rows(wv, n, granularity)
+    logits, grads, maps = _logits_grads_and_maps(model, lambda m, r: m.forward_batch(r), rows)
+    ref_logits, ref_grads, ref_maps = _logits_grads_and_maps(model, per_utterance_batch, rows)
+
+    def rel_err(a, b):
+        return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+    assert logits.shape == (n, 4)
+    assert rel_err(logits, ref_logits) <= 1e-10
+    assert grads.keys() == ref_grads.keys()
+    for name, ref in ref_grads.items():
+        assert rel_err(grads[name], ref) <= 1e-10, name
+    # last_weights holds the pack's last segment, which the oracle ran last
+    for weights, ref in zip(maps, ref_maps):
+        assert weights.shape == ref.shape
+        assert rel_err(weights, ref) <= 1e-10
+
+
+@pytest.mark.parametrize("granularity", ["fine", "multi"])
+def test_predict_probs_matches_the_per_utterance_oracle(granularity):
+    model, wv = _model(granularity, "highway", seed=52)
+    enc = make_enc(wv, seed=53, n_words=4, n_frames=8)
+    probs = model.predict_probs(enc)
+    model.eval()
+    ref = ag.softmax(ag.reshape(utterance_logits(model, enc), (1, -1))).data[0]
+    assert np.max(np.abs(probs - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("granularity", ["fine", "multi"])
+@pytest.mark.parametrize("combine_mode", ["highway", "concat"])
+def test_forward_batch_graph_does_not_grow_with_the_batch(granularity, combine_mode):
+    model, wv = _model(granularity, combine_mode)
+    rows = [(enc, 0, 0) for enc, _, _ in _rows(wv, 4, granularity)]
+    one = _graph_nodes(model.forward_batch(rows[:1]))
+    four = _graph_nodes(model.forward_batch(rows))
+    assert one == four
+
+
+def test_position_table_rows_are_the_formula_and_read_only():
+    def formula(length, dim):
+        position = np.arange(length)[:, None].astype(np.float64)
+        div = np.exp(np.arange(0, dim, 2) * (-np.log(10000.0) / dim))
+        pe = np.zeros((length, dim))
+        pe[:, 0::2] = np.sin(position * div)
+        pe[:, 1::2] = np.cos(position * div[: dim // 2])
+        return pe
+
+    for dim in (16, 7):
+        for length in [*range(1, 301), 5]:
+            rows = nn.sinusoidal_positions(length, dim)
+            assert rows.tobytes() == formula(length, dim).tobytes(), (dim, length)
+            assert not rows.flags.writeable
+
+
+def test_packed_positions_count_from_zero_in_each_segment():
+    x = Tensor(np.zeros((5, 4)))
+    packed = nn.add_positions(x, Segments([2, 3])).data
+    np.testing.assert_array_equal(packed[:2], nn.sinusoidal_positions(2, 4))
+    np.testing.assert_array_equal(packed[2:], nn.sinusoidal_positions(3, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -380,16 +480,15 @@ def test_checkpoint_header_restores_config(tmp_path):
 # ---------------------------------------------------------------------------
 # row-wise text frontend
 
-def _per_word_encode_text(model, word_ids, phonemes, n_valid=None):
+def _per_word_encode_text(model, pack):
     """Reference frontend: phoneme CNN and combiner one word at a time."""
-    n_valid = len(word_ids) if n_valid is None else n_valid
-    word_emb = ag.embedding_rows(model.word_table, np.asarray(word_ids, dtype=np.int64),
+    word_emb = ag.embedding_rows(model.word_table, pack.word_ids,
                                  frozen_row=model.word_vectors.pad_id)
     rows = [model.combiner(ag.getitem(word_emb, i), model.phoneme_cnn.embed_word(phons))
-            for i, phons in enumerate(phonemes)]
-    x = nn.add_positions(model.prenet(ag.stack_rows(rows), valid=n_valid))
+            for i, phons in enumerate(pack.phonemes)]
+    x = nn.add_positions(model.prenet(ag.stack_rows(rows), pack.words), pack.words)
     for block in model.text_blocks:
-        x = block(x, key_valid=n_valid)
+        x = block(x, pack.words)
     return x
 
 
@@ -442,7 +541,7 @@ def test_encode_text_graph_does_not_grow_with_word_count():
     counts = []
     for n_words in (1, 4, 12):
         enc = make_enc(wv, seed=33, n_words=n_words)
-        counts.append(_graph_nodes(model.encode_text(enc.word_ids, enc.phonemes)))
+        counts.append(_graph_nodes(model.encode_text(Pack([(enc, 0, 0)], wv.pad_id))))
     assert counts[0] == counts[1] == counts[2]
 
 

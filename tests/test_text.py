@@ -10,7 +10,7 @@ import pytest
 
 from melformer import autograd as ag
 from melformer import text
-from melformer.autograd import Tensor, gradcheck_sampled
+from melformer.autograd import Segments, Tensor, gradcheck_sampled
 from melformer.errors import FormatError, ValidationError
 from melformer.text import (
     PAD_PHONEME,
@@ -297,9 +297,21 @@ def test_prenet_padding_rows_do_not_leak():
     rng = np.random.default_rng(17)
     real = rng.standard_normal((3, 450))
     garbage = rng.standard_normal((2, 450)) * 50.0
-    full = prenet(Tensor(np.vstack([real, garbage])), valid=3)
-    trimmed = prenet(Tensor(real), valid=3)
+    full = prenet(Tensor(np.vstack([real, garbage])), Segments([5], valid=[3]))
+    trimmed = prenet(Tensor(real), Segments([3]))
     assert np.allclose(full.data[:3], trimmed.data, atol=1e-10)
+
+
+def test_prenet_segments_see_neither_neighbour():
+    """Two utterances packed back to back, the first one padded, come out
+    as each one alone."""
+    prenet = EncoderPrenet(np.random.default_rng(20), d_in=6, d_model=8, width=5)
+    rng = np.random.default_rng(21)
+    first, pad, second = (rng.standard_normal((n, 6)) for n in (3, 2, 4))
+    packed = prenet(Tensor(np.vstack([first, pad * 50.0, second])),
+                    Segments([5, 4], valid=[3, 4]))
+    np.testing.assert_allclose(packed.data[:3], prenet(Tensor(first)).data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(packed.data[5:], prenet(Tensor(second)).data, rtol=0, atol=1e-12)
 
 
 def test_prenet_gradcheck():
