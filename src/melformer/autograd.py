@@ -158,9 +158,7 @@ class Segments:
 
 
 def _layout(segs, rows, what):
-    """``segs``, or one fully valid segment when None; checked against ``rows``."""
-    if segs is None:
-        return Segments([rows])
+    """``segs``, checked against the ``rows`` it lays out."""
     if segs.total != rows:
         raise ShapeError(f"{what} has {rows} rows, its segments cover {segs.total}")
     return segs
@@ -487,13 +485,14 @@ def _attention_spans(heads, q_segs, k_segs):
             in zip(q_segs.spans(), k_segs.spans(), at[:-1], at[1:])]
 
 
-def attention_weights(q: Tensor, k: Tensor, heads: int, q_segs=None, k_segs=None) -> Tensor:
+def attention_weights(q: Tensor, k: Tensor, heads: int, q_segs: Segments,
+                      k_segs: Segments) -> Tensor:
     """Scaled dot-product attention distributions of all heads and segments in one node.
 
     ``q`` is [Tq, D] and ``k`` is [Tk, D], packed streams laid out by
-    ``q_segs`` and ``k_segs`` (:class:`Segments`; None is one segment of
-    all rows).  Segment s of the queries attends only to segment s of the
-    keys, and head h owns the h-th block of D / heads columns of both.
+    ``q_segs`` and ``k_segs`` (:class:`Segments`).  Segment s of the
+    queries attends only to segment s of the keys, and head h owns the h-th
+    block of D / heads columns of both.
     Returns one flat array holding, segment after segment, each segment's
     [heads, Tq_s, Tk_s] softmax over keys of q_h k_h^T / sqrt(D / heads).
     Key rows past a segment's valid count get NEG_MASK added to their
@@ -535,12 +534,12 @@ def attention_weights(q: Tensor, k: Tensor, heads: int, q_segs=None, k_segs=None
     return _track(out, (q, k), _bw)
 
 
-def attention_mix(att: Tensor, v: Tensor, heads: int, q_segs=None, k_segs=None) -> Tensor:
+def attention_mix(att: Tensor, v: Tensor, heads: int, q_segs: Segments,
+                  k_segs: Segments) -> Tensor:
     """Each head's weighted sum of its value columns, heads merged back.
 
     ``att`` is the flat array of :func:`attention_weights` for the same
-    ``q_segs`` and ``k_segs`` (None is one segment; for the queries, of as
-    many rows as ``att`` holds); ``v`` is [Tk, D] with head h owning its
+    ``q_segs`` and ``k_segs``; ``v`` is [Tk, D] with head h owning its
     h-th block of D / heads columns.  Returns [Tq, D] with each query
     segment's output in its rows and head h's output in that column block.
     """
@@ -549,10 +548,7 @@ def attention_mix(att: Tensor, v: Tensor, heads: int, q_segs=None, k_segs=None) 
                          f"got {att.shape} and {v.shape}")
     if heads < 1 or v.shape[1] % heads != 0:
         raise ShapeError(f"width {v.shape[1]} does not split into {heads} heads")
-    k_segs = _layout(k_segs, v.shape[0], "v")
-    if q_segs is None:
-        q_segs = Segments([att.size // (heads * v.shape[0])])
-    spans = _attention_spans(heads, q_segs, k_segs)
+    spans = _attention_spans(heads, q_segs, _layout(k_segs, v.shape[0], "v"))
     if spans[-1][-1] != att.size:
         raise ShapeError(f"att has {att.size} weights, {heads} heads over the segments "
                          f"need {spans[-1][-1]}")
@@ -612,8 +608,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 def conv1d(x: Tensor, kernels: Tensor, segs=None) -> Tensor:
     """Cross-correlation along the time axis, same padding, inside each segment.
 
-    ``x`` is [T, Cin], packed by ``segs`` (:class:`Segments`; None is one
-    segment), or [N, T, Cin] for N independent sequences of one length;
+    ``x`` is [T, Cin], packed by ``segs`` (:class:`Segments`), or
+    [N, T, Cin] for N independent sequences of one length, with no ``segs``;
     ``kernels`` is [W, Cin, Cout].  Each sequence gets (W-1)//2 leading and
     W//2 trailing zero steps of its own, so the output keeps its T steps and
     no window reaches into a neighbouring sequence:
@@ -626,9 +622,9 @@ def conv1d(x: Tensor, kernels: Tensor, segs=None) -> Tensor:
     w, kc_in, c_out = kernels.shape
     if kc_in != c_in:
         raise ShapeError(f"conv1d channel mismatch: input has {c_in}, kernels expect {kc_in}")
+    if (segs is None) != bool(lead):
+        raise ShapeError("conv1d takes segments for a rank-2 input, and only for it")
     if lead:
-        if segs is not None:
-            raise ShapeError("conv1d takes segments for a rank-2 input only")
         segs = Segments(np.full(lead[0], t_in))
     else:
         segs = _layout(segs, t_in, "conv1d input")

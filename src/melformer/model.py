@@ -19,8 +19,9 @@ and they stay inside each segment.  So no utterance sees another, and a
 batch gives each utterance's logits as a forward of that utterance alone
 would, up to rounding.  After a pack, each attention module's
 ``last_weights`` holds the [heads, Tq, Tk] map of the pack's last
-utterance; after a pack of one (``forward_utterance``, ``predict_probs``)
-that is the utterance's own map.
+utterance; after a pack of one (one utterance through
+``forward_utterance``, or ``predict_probs``) that is the utterance's own
+map.
 
 No position is ever masked as a query and no causal structure exists:
 classification sees the whole utterance in both modalities.  Padding only
@@ -31,9 +32,10 @@ padding rows, which keeps logits invariant to trailing padding.
 
 ``EmotionModel`` is the interface both this model and the
 multi-granularity model (``fusion.MultiGranularityModel``) implement:
-``forward_pack`` is the one forward, ``forward_batch`` (training and
-evaluation) and ``forward_utterance``/``predict_probs`` (a pack of one) go
-through it, and ``checkpoint_extra`` fills the checkpoint header.
+``forward_utterance`` is the one forward, over a whole ``Pack`` or one
+utterance as a pack of one; ``forward_batch`` (training and evaluation)
+and ``predict_probs`` go through it, and ``checkpoint_extra`` fills the
+checkpoint header.
 ``restore_model`` is the one way back from a checkpoint to either variant.
 """
 
@@ -125,12 +127,11 @@ class MultiHeadAttention(nn.Module):
         self.wo = nn.Linear(d_model, d_model, rng)
         self.last_weights = None
 
-    def __call__(self, queries: Tensor, keys_values: Tensor, q_segs: Segments = None,
-                 k_segs: Segments = None, drop: nn.Dropout = None) -> Tensor:
+    def __call__(self, queries: Tensor, keys_values: Tensor, q_segs: Segments,
+                 k_segs: Segments, drop: nn.Dropout = None) -> Tensor:
         att = ag.attention_weights(self.wq(queries), self.wk(keys_values), self.heads,
                                    q_segs, k_segs)
-        tq = queries.shape[0] if q_segs is None else int(q_segs.lengths[-1])
-        tk = keys_values.shape[0] if k_segs is None else int(k_segs.lengths[-1])
+        tq, tk = int(q_segs.lengths[-1]), int(k_segs.lengths[-1])
         self.last_weights = att.data[att.size - self.heads * tq * tk:].reshape(self.heads, tq, tk)
         if drop is not None:
             att = drop(att)
@@ -161,7 +162,7 @@ class EncoderBlock(nn.Module):
         self.norm2 = nn.LayerNorm(d_model)
         self.drop = nn.Dropout(dropout, drop_rng)
 
-    def __call__(self, x: Tensor, segs: Segments = None) -> Tensor:
+    def __call__(self, x: Tensor, segs: Segments) -> Tensor:
         x = self.norm1(ag.add(x, self.drop(self.attn(x, x, segs, segs, drop=self.drop))))
         return self.norm2(ag.add(x, self.drop(self.ffn(x))))
 
@@ -179,8 +180,8 @@ class CrossModalBlock(nn.Module):
         self.norm3 = nn.LayerNorm(d_model)
         self.drop = nn.Dropout(dropout, drop_rng)
 
-    def __call__(self, mel: Tensor, text: Tensor, mel_segs: Segments = None,
-                 text_segs: Segments = None) -> Tensor:
+    def __call__(self, mel: Tensor, text: Tensor, mel_segs: Segments,
+                 text_segs: Segments) -> Tensor:
         attend = self.self_attn(mel, mel, mel_segs, mel_segs, drop=self.drop)
         mel = self.norm1(ag.add(mel, self.drop(attend)))
         attend = self.cross_attn(mel, text, mel_segs, text_segs, drop=self.drop)
@@ -192,10 +193,31 @@ class EmotionModel(nn.Module):
     """Interface shared by the fine-grained and multi-granularity models.
 
     A subclass sets ``cfg`` (its ModelConfig), ``word_vectors`` and
-    ``head``, and implements ``forward_pack(pack) -> ForwardTrace``, the one
-    forward; training, evaluation, inference and checkpoints go through the
-    methods below, so callers never need to know which variant they hold.
+    ``head``, and implements ``forward_pack(pack) -> ForwardTrace``, which
+    ``forward_utterance`` runs; training, evaluation, inference and
+    checkpoints go through the methods below, so callers never need to know
+    which variant they hold.
     """
+
+    def forward_utterance(self, enc, pad_words=0, pad_frames=0) -> ForwardTrace:
+        """The one forward: every training step, evaluation batch and
+        prediction passes through here (the benchmark in ``perfbench/``
+        times this method as the model's forward).
+
+        ``enc`` is a whole ``Pack``, whose trace has [N, d] ``cls`` and
+        [N, K] ``logits``, or one utterance's encoding (word_ids, phonemes
+        as a list per word, and mel, the normalized feature matrix whose
+        row 0 is the dummy vector), run as a pack of one whose trace has
+        [d] ``cls`` and [K] ``logits``.  The optional extra padding of one
+        utterance must not change its logits; a pack carries its own.
+        """
+        if isinstance(enc, Pack):
+            if pad_words or pad_frames:
+                raise ShapeError("a pack carries its own padding")
+            return self.forward_pack(enc)
+        trace = self.forward_pack(Pack([(enc, pad_words, pad_frames)], self.word_vectors.pad_id))
+        return replace(trace, cls=ag.reshape(trace.cls, (-1,)),
+                       logits=ag.reshape(trace.logits, (-1,)))
 
     def forward_batch(self, batch) -> Tensor:
         """``(enc, pad_words, pad_frames)`` rows -> [N, K] logits, as one pack.
@@ -203,18 +225,7 @@ class EmotionModel(nn.Module):
         The rows of ``data.batches`` carry no padding; padded rows give the
         same logits up to rounding, since each segment's valid count hides
         its padding."""
-        return self.forward_pack(Pack(batch, self.word_vectors.pad_id)).logits
-
-    def forward_utterance(self, enc, pad_words=0, pad_frames=0) -> ForwardTrace:
-        """One utterance as a pack of one; its ``cls`` is [d] and its
-        ``logits`` [K].  The optional extra padding must not change logits.
-
-        ``enc`` carries word_ids, phonemes (list per word), and mel (the
-        normalized feature matrix whose row 0 is the dummy vector).
-        """
-        trace = self.forward_pack(Pack([(enc, pad_words, pad_frames)], self.word_vectors.pad_id))
-        return replace(trace, cls=ag.reshape(trace.cls, (-1,)),
-                       logits=ag.reshape(trace.logits, (-1,)))
+        return self.forward_utterance(Pack(batch, self.word_vectors.pad_id)).logits
 
     def predict_probs(self, enc) -> np.ndarray:
         """Class probabilities for one utterance, in eval mode (no dropout).
@@ -225,7 +236,7 @@ class EmotionModel(nn.Module):
         self.eval()
         try:
             with ag.no_grad():
-                return ag.softmax(self.forward_batch([(enc, 0, 0)])).data[0]
+                return ag.softmax(self.forward_utterance(enc).logits).data
         finally:
             self.train(was_training)
 

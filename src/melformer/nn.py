@@ -201,11 +201,11 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
     return table[:length]
 
 
-def add_positions(x: Tensor, segs=None) -> Tensor:
-    """Add the sinusoidal position signal to a [T, D] sequence; with
-    ``segs`` (``autograd.Segments``), positions count from 0 in each segment."""
+def add_positions(x: Tensor, segs) -> Tensor:
+    """Add the sinusoidal position signal to a [T, D] stream laid out by
+    ``segs`` (``autograd.Segments``): positions count from 0 in each segment."""
     t, d = x.shape
-    if segs is None or len(segs) == 1:
+    if len(segs) == 1:
         positions = sinusoidal_positions(t, d)
     else:
         positions = sinusoidal_positions(int(segs.lengths.max()), d)[segs.positions()]

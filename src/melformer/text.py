@@ -19,7 +19,7 @@ import numpy as np
 from . import autograd as ag
 from . import nn
 from .autograd import Tensor
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ShapeError, ValidationError
 
 WORD_DIM = 300
 
@@ -218,8 +218,10 @@ class PhonemeCNN(nn.Module):
             [nn.Conv1d(w, d_p, channels_per_width, rng, bias=False) for w in widths])
 
     def embed_word(self, phoneme_ids) -> Tensor:
-        """[L] phoneme ids -> [out_dim], or [N, L] ids -> [N, out_dim] one row per word."""
+        """[N, L] phoneme ids, one trailing-padded word per row -> [N, out_dim]."""
         ids = np.asarray(phoneme_ids, dtype=np.int64)
+        if ids.ndim != 2:
+            raise ShapeError(f"phoneme ids need shape [words, phonemes], got {ids.shape}")
         n_valid = (ids != PAD_PHONEME).sum(axis=-1)  # pads are trailing by construction
         # all-pad words pool over their zero embeddings to an exact zero vector
         valid = np.where(n_valid > 0, n_valid, ids.shape[-1])
@@ -291,9 +293,7 @@ class EncoderPrenet(nn.Module):
         self.norms = nn.ModuleList(norms)
         self.proj = nn.Linear(d_model, d_model, rng)
 
-    def __call__(self, x: Tensor, segs=None) -> Tensor:
+    def __call__(self, x: Tensor, segs) -> Tensor:
         for conv, norm in zip(self.convs, self.norms):
-            if segs is not None:
-                x = ag.zero_rows(x, segs)
-            x = norm(ag.relu(conv(x, segs)))
+            x = norm(ag.relu(conv(ag.zero_rows(x, segs), segs)))
         return self.proj(x)

@@ -95,7 +95,8 @@ def op_checks(rng):
     check("layer_norm", lambda x, g, b: r(ag.layer_norm(x, g, b)),
           [_t(rng, 3, 4), gain, bias])
     rc = _weighted(rng, (5, 4))
-    check("conv1d", lambda x, k: rc(ag.conv1d(x, k)), [_t(rng, 5, 3), _t(rng, 3, 3, 4)])
+    check("conv1d", lambda x, k: rc(ag.conv1d(x, k, Segments([5]))),
+          [_t(rng, 5, 3), _t(rng, 3, 3, 4)])
     rc3 = _weighted(rng, (2, 5, 4))
     check("conv1d rank 3", lambda x, k: rc3(ag.conv1d(x, k)), [_t(rng, 2, 5, 3), _t(rng, 3, 3, 4)])
     rcs = _weighted(rng, (7, 4))
@@ -121,9 +122,11 @@ def op_checks(rng):
     check("dropout", lambda x: r(ag.dropout(x, 0.5, np.random.default_rng(7))), [_t(rng, 3, 4)])
     ra = _weighted(rng, (2 * 3 * 5,))
     check("attention_weights masked",
-          lambda q, k: ra(ag.attention_weights(q, k, 2, k_segs=Segments([5], valid=[3]))),
+          lambda q, k: ra(ag.attention_weights(q, k, 2, Segments([3]),
+                                               Segments([5], valid=[3]))),
           [_t(rng, 3, 4), _t(rng, 5, 4)])
-    check("attention_mix", lambda att, v: r(ag.attention_mix(att, v, 2)),
+    check("attention_mix",
+          lambda att, v: r(ag.attention_mix(att, v, 2, Segments([3]), Segments([5]))),
           [_t(rng, 2 * 3 * 5), _t(rng, 5, 4)])
     # two segments of unequal length; the first one's keys partly padding
     q_segs, k_segs = Segments([2, 3]), Segments([3, 4], valid=[2, 4])

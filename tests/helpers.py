@@ -65,10 +65,10 @@ def utterance_logits(model, enc, pad_words=0, pad_frames=0):
     x = fine.combiner(ag.embedding_rows(fine.word_table, word_ids,
                                         frozen_row=fine.word_vectors.pad_id),
                       fine.phoneme_cnn.embed_word(phoneme_block(phonemes)))
-    text = nn.add_positions(fine.prenet(x, words))
+    text = nn.add_positions(fine.prenet(x, words), words)
     for block in fine.text_blocks:
         text = block(text, words)
-    x = nn.add_positions(fine.mel_prenet(Tensor(mel)))
+    x = nn.add_positions(fine.mel_prenet(Tensor(mel)), frames)
     for block in fine.cross_blocks:
         x = block(x, text, frames, words)
     for block in fine.fusion_blocks:

@@ -143,7 +143,7 @@ def test_conv1d_ones_kernel_is_moving_sum():
     k = np.ones((3, 1, 1))
     expected = conv_same_oracle(x[:, 0], k[:, 0, 0])
     np.testing.assert_array_equal(expected, [3.0, 6.0, 9.0, 12.0, 15.0, 11.0])
-    out = ag.conv1d(Tensor(x), Tensor(k))
+    out = ag.conv1d(Tensor(x), Tensor(k), Segments([6]))
     np.testing.assert_allclose(out.data[:, 0], expected)
 
 
@@ -151,7 +151,7 @@ def test_conv1d_width_one_is_per_step_linear_map():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(5, 3))
     w = rng.normal(size=(1, 3, 2))
-    out = ag.conv1d(Tensor(x), Tensor(w))
+    out = ag.conv1d(Tensor(x), Tensor(w), Segments([5]))
     np.testing.assert_allclose(out.data, x @ w[0], atol=1e-12)
     per_channel = [sum(conv_same_oracle(x[:, i], w[:, i, o]) for i in range(3)) for o in range(2)]
     np.testing.assert_allclose(out.data, np.stack(per_channel, axis=1), atol=1e-12)
@@ -162,7 +162,7 @@ def test_conv1d_small_case_against_oracle():
     k = np.array([1.0, -1.0])
     expected = conv_same_oracle(x, k)
     np.testing.assert_array_equal(expected, [-1.0, -1.0, -1.0, 4.0])
-    out = ag.conv1d(Tensor(x.reshape(4, 1)), Tensor(k.reshape(2, 1, 1)))
+    out = ag.conv1d(Tensor(x.reshape(4, 1)), Tensor(k.reshape(2, 1, 1)), Segments([4]))
     np.testing.assert_allclose(out.data[:, 0], expected)
 
 
@@ -171,7 +171,7 @@ def test_conv1d_same_padding_keeps_length():
     for w in (2, 3, 4, 5):
         x = rng.normal(size=(7, 2))
         k = rng.normal(size=(w, 2, 3))
-        assert ag.conv1d(Tensor(x), Tensor(k)).shape == (7, 3)
+        assert ag.conv1d(Tensor(x), Tensor(k), Segments([7])).shape == (7, 3)
 
 
 def test_conv1d_rank3_rows_match_rank2_calls():
@@ -180,7 +180,12 @@ def test_conv1d_rank3_rows_match_rank2_calls():
     k = Tensor(rng.normal(size=(3, 2, 4)))
     out = ag.conv1d(Tensor(x), k)
     for i in range(3):
-        np.testing.assert_allclose(out.data[i], ag.conv1d(Tensor(x[i]), k).data, rtol=0, atol=1e-12)
+        row = ag.conv1d(Tensor(x[i]), k, Segments([6]))
+        np.testing.assert_allclose(out.data[i], row.data, rtol=0, atol=1e-12)
+    with pytest.raises(ShapeError):  # segments lay out a rank-2 input only
+        ag.conv1d(Tensor(x), k, Segments([6, 6, 6]))
+    with pytest.raises(ShapeError):
+        ag.conv1d(Tensor(x[0]), k)
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 5])
@@ -198,7 +203,7 @@ def test_conv1d_segments_match_one_call_per_segment(width):
     for a, b in zip(starts[:-1], starts[1:]):
         xs = Tensor(x.data[a:b], requires_grad=True)
         ks = Tensor(k.data, requires_grad=True)
-        ref = ag.conv1d(xs, ks)
+        ref = ag.conv1d(xs, ks, Segments([b - a]))
         np.testing.assert_allclose(out.data[a:b], ref.data, rtol=0, atol=1e-12)
         ag.backward(ag.tsum(ag.mul(ref, Tensor(probe[a:b]))))
         x_grad[a:b], k_grad = xs.grad, k_grad + ks.grad
@@ -281,22 +286,23 @@ def test_max_pool_rejects_bad_valid_counts():
 
 def test_attention_ops_reject_mismatched_shapes():
     q, k = Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 4)))
+    segs = (Segments([3]), Segments([5]))
     for args in [(q, Tensor(np.zeros((5, 6))), 2), (q, k, 3), (q, k, 0),
                  (Tensor(np.zeros(4)), k, 2)]:
         with pytest.raises(ShapeError):
-            ag.attention_weights(*args)
+            ag.attention_weights(*args, *segs)
     with pytest.raises(ShapeError):
-        ag.attention_weights(q, k, 2, k_segs=Segments([5], valid=[6]))
+        ag.attention_weights(q, k, 2, Segments([3]), Segments([5], valid=[6]))
     with pytest.raises(ShapeError):  # segments that do not cover the rows
-        ag.attention_weights(q, k, 2, q_segs=Segments([1, 1]), k_segs=Segments([2, 3]))
+        ag.attention_weights(q, k, 2, Segments([1, 1]), Segments([2, 3]))
     with pytest.raises(ShapeError):  # as many query as key segments
-        ag.attention_weights(q, k, 2, q_segs=Segments([1, 2]), k_segs=Segments([5]))
+        ag.attention_weights(q, k, 2, Segments([1, 2]), Segments([5]))
     with pytest.raises(ShapeError):
-        ag.attention_mix(Tensor(np.zeros(2 * 3 * 4)), k, 2)
+        ag.attention_mix(Tensor(np.zeros(2 * 3 * 4)), k, 2, *segs)
     with pytest.raises(ShapeError):
-        ag.attention_mix(Tensor(np.zeros((2, 3, 5))), k, 2)
+        ag.attention_mix(Tensor(np.zeros((2, 3, 5))), k, 2, *segs)
     with pytest.raises(ShapeError):
-        ag.attention_mix(Tensor(np.zeros(2 * 3 * 5)), k, 3)
+        ag.attention_mix(Tensor(np.zeros(2 * 3 * 5)), k, 3, *segs)
 
 
 # --- pointwise -------------------------------------------------------------------
@@ -480,7 +486,7 @@ def test_all_ops_gradcheck(seed):
     )
 
     k = Tensor(rng.normal(size=(2, d, 3)), requires_grad=True)
-    checks.append((lambda x, k: ag.tsum(ag.conv1d(x, k)), [a, k]))
+    checks.append((lambda x, k: ag.tsum(ag.conv1d(x, k, Segments([t]))), [a, k]))
 
     checks.append((lambda x: ag.tsum(ag.max_pool_time(x)), [kinkless]))
     checks.append((lambda x: ag.tsum(ag.max_pool_time(x, valid=t - 1)), [kinkless]))
@@ -499,9 +505,11 @@ def test_all_ops_gradcheck(seed):
     att = Tensor(rng.normal(size=2 * t * (t + 1)), requires_grad=True)
     att_probe = Tensor(rng.normal(size=2 * t * (t + 1)))
     masked = Segments([t + 1], valid=[t])
-    checks.append((lambda q, k: ag.tsum(ag.mul(ag.attention_weights(q, k, 2, k_segs=masked),
+    whole = Segments([t])
+    checks.append((lambda q, k: ag.tsum(ag.mul(ag.attention_weights(q, k, 2, whole, masked),
                                                att_probe)), [q, kv]))
-    checks.append((lambda w, v: ag.tsum(ag.attention_mix(w, v, 2)), [att, kv]))
+    checks.append((lambda w, v: ag.tsum(ag.attention_mix(w, v, 2, whole, Segments([t + 1]))),
+                   [att, kv]))
     # the same over two segments: queries 1 and t - 1 rows, keys 2 and t - 1
     q_segs, k_segs = Segments([1, t - 1]), Segments([2, t - 1], valid=[1, t - 1])
     seg_probe = Tensor(rng.normal(size=2 * (2 + (t - 1) ** 2)))

@@ -44,7 +44,7 @@ def test_single_token_self_attention_weight_is_one():
     rng = np.random.default_rng(0)
     mha = MultiHeadAttention(16, 2, rng)
     x = Tensor(np.random.default_rng(1).standard_normal((1, 16)))
-    mha(x, x)
+    mha(x, x, Segments([1]), Segments([1]))
     assert mha.last_weights.shape == (2, 1, 1)
     assert np.allclose(mha.last_weights, 1.0)
 
@@ -54,7 +54,7 @@ def test_attention_rows_are_distributions():
     mha = MultiHeadAttention(16, 2, rng)
     q = Tensor(np.random.default_rng(3).standard_normal((4, 16)))
     kv = Tensor(np.random.default_rng(4).standard_normal((6, 16)))
-    mha(q, kv, k_segs=Segments([6], valid=[4]))
+    mha(q, kv, Segments([4]), Segments([6], valid=[4]))
     assert np.all(mha.last_weights >= 0.0)
     assert np.allclose(mha.last_weights.sum(axis=2), 1.0, atol=1e-6)
     # masked key columns get exactly zero weight
@@ -69,7 +69,7 @@ def test_single_key_attention_is_affine_in_the_key():
     mha = MultiHeadAttention(16, 2, rng)
     q = Tensor(np.random.default_rng(6).standard_normal((5, 16)))
     kv = Tensor(np.random.default_rng(7).standard_normal((1, 16)))
-    out = mha(q, kv)
+    out = mha(q, kv, Segments([5]), Segments([1]))
     v = kv.data @ mha.wv.weight.data + mha.wv.bias.data
     expected = v @ mha.wo.weight.data + mha.wo.bias.data
     assert np.allclose(out.data, np.repeat(expected, 5, axis=0), atol=1e-12)
@@ -80,7 +80,7 @@ def test_key_valid_longer_than_sequence_rejected():
     mha = MultiHeadAttention(16, 2, rng)
     x = Tensor(np.zeros((3, 16)))
     with pytest.raises(ShapeError):
-        mha(x, x, k_segs=Segments([3], valid=[4]))
+        mha(x, x, Segments([3]), Segments([3], valid=[4]))
 
 
 def _per_head_attention(mha, queries, keys_values, key_valid=None, drop=None):
@@ -105,8 +105,9 @@ def _per_head_attention(mha, queries, keys_values, key_valid=None, drop=None):
 
 
 def _batched_attention(mha, queries, keys_values, key_valid=None, drop=None):
-    k_segs = None if key_valid is None else Segments([keys_values.shape[0]], valid=[key_valid])
-    out = mha(queries, keys_values, k_segs=k_segs, drop=drop)
+    n_k = keys_values.shape[0]
+    k_segs = Segments([n_k], valid=[n_k if key_valid is None else key_valid])
+    out = mha(queries, keys_values, Segments([queries.shape[0]]), k_segs, drop=drop)
     return out, mha.last_weights
 
 
@@ -151,7 +152,7 @@ def test_attention_graph_does_not_grow_with_heads():
         mha = MultiHeadAttention(16, heads, np.random.default_rng(43))
         x = Tensor(np.random.default_rng(44).standard_normal((6, 16)), requires_grad=True)
         drop = nn.Dropout(0.5, np.random.default_rng(45))
-        counts.append(_graph_nodes(mha(x, x, k_segs=Segments([6], valid=[4]), drop=drop)))
+        counts.append(_graph_nodes(mha(x, x, Segments([6]), Segments([6], valid=[4]), drop=drop)))
     assert counts[0] == counts[1] == counts[2]
 
 
@@ -339,6 +340,23 @@ def test_forward_batch_graph_does_not_grow_with_the_batch(granularity, combine_m
     assert one == four
 
 
+@pytest.mark.parametrize("granularity", ["fine", "multi"])
+def test_every_forward_goes_through_forward_utterance(granularity, monkeypatch):
+    """Training batches, evaluation and prediction all enter the model's
+    one forward, which is what the benchmark times as its forward span."""
+    model, wv = _model(granularity, "highway")
+    rows = [(enc, 0, 0) for enc, _, _ in _rows(wv, 3, granularity)]
+    seen = []
+    forward = type(model).forward_utterance
+    monkeypatch.setattr(type(model), "forward_utterance",
+                        lambda self, enc, *args: seen.append(type(enc)) or forward(self, enc, *args))
+    assert model.forward_batch(rows).shape == (3, 4)
+    assert model.predict_probs(rows[0][0]).shape == (4,)
+    assert seen == [Pack, type(rows[0][0])]
+    with pytest.raises(ShapeError):  # a pack carries its own padding
+        forward(model, Pack(rows, wv.pad_id), 1)
+
+
 def test_position_table_rows_are_the_formula_and_read_only():
     def formula(length, dim):
         position = np.arange(length)[:, None].astype(np.float64)
@@ -484,7 +502,8 @@ def _per_word_encode_text(model, pack):
     """Reference frontend: phoneme CNN and combiner one word at a time."""
     word_emb = ag.embedding_rows(model.word_table, pack.word_ids,
                                  frozen_row=model.word_vectors.pad_id)
-    rows = [model.combiner(ag.getitem(word_emb, i), model.phoneme_cnn.embed_word(phons))
+    rows = [model.combiner(ag.getitem(word_emb, i),
+                           ag.getitem(model.phoneme_cnn.embed_word([phons]), 0))
             for i, phons in enumerate(pack.phonemes)]
     x = nn.add_positions(model.prenet(ag.stack_rows(rows), pack.words), pack.words)
     for block in model.text_blocks:

@@ -11,7 +11,7 @@ import pytest
 from melformer import autograd as ag
 from melformer import text
 from melformer.autograd import Segments, Tensor, gradcheck_sampled
-from melformer.errors import FormatError, ValidationError
+from melformer.errors import FormatError, ShapeError, ValidationError
 from melformer.text import (
     PAD_PHONEME,
     PHONEME_TO_ID,
@@ -134,36 +134,38 @@ def test_hash_vectors_are_deterministic():
 
 def test_phoneme_cnn_output_is_fixed_size():
     cnn = PhonemeCNN(np.random.default_rng(0))
-    one = cnn.embed_word([PHONEME_TO_ID["K"]])
-    thirty = cnn.embed_word([PHONEME_TO_ID["AA"]] * 30)
-    assert one.shape == (150,)
-    assert thirty.shape == (150,)
+    one = cnn.embed_word([[PHONEME_TO_ID["K"]]])
+    thirty = cnn.embed_word([[PHONEME_TO_ID["AA"]] * 30])
+    assert one.shape == (1, 150)
+    assert thirty.shape == (1, 150)
+    with pytest.raises(ShapeError):  # a word is a row of a block
+        cnn.embed_word([PHONEME_TO_ID["K"]])
 
 
 def test_zero_embedding_table_gives_zero_output():
     cnn = PhonemeCNN(np.random.default_rng(0))
     cnn.embedding.table.data[:] = 0.0
-    out = cnn.embed_word([PHONEME_TO_ID["K"], PHONEME_TO_ID["T"]])
+    out = cnn.embed_word([[PHONEME_TO_ID["K"], PHONEME_TO_ID["T"]]])
     assert np.all(out.data == 0.0)  # convs carry no bias
 
 
 def test_trailing_pad_phonemes_do_not_change_embedding():
     cnn = PhonemeCNN(np.random.default_rng(1))
     word = [PHONEME_TO_ID[p] for p in ("K", "AE", "T")]
-    plain = cnn.embed_word(word)
-    padded = cnn.embed_word(word + [PAD_PHONEME] * 4)
+    plain = cnn.embed_word([word])
+    padded = cnn.embed_word([word + [PAD_PHONEME] * 4])
     assert np.allclose(plain.data, padded.data, atol=1e-12)
 
 
 def test_all_pad_word_embeds_to_zero():
     cnn = PhonemeCNN(np.random.default_rng(2))
-    out = cnn.embed_word([PAD_PHONEME, PAD_PHONEME])
+    out = cnn.embed_word([[PAD_PHONEME, PAD_PHONEME]])
     assert np.all(out.data == 0.0)
 
 
 def test_pad_row_stays_zero_after_backward():
     cnn = PhonemeCNN(np.random.default_rng(3))
-    out = cnn.embed_word([PHONEME_TO_ID["K"], PAD_PHONEME])
+    out = cnn.embed_word([[PHONEME_TO_ID["K"], PAD_PHONEME]])
     ag.backward(ag.tsum(out))
     assert np.all(cnn.embedding.table.grad[PAD_PHONEME] == 0.0)
 
@@ -181,8 +183,9 @@ def test_word_block_rows_equal_single_word_calls():
     rows = cnn.embed_word(block)
     assert rows.shape == (len(words), 150)
     for i, word in enumerate(words):
-        np.testing.assert_allclose(rows.data[i], cnn.embed_word(block[i]).data, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(rows.data[i], cnn.embed_word(word).data, rtol=0, atol=1e-12)
+        alone = cnn.embed_word(block[i:i + 1]).data[0]
+        np.testing.assert_allclose(rows.data[i], alone, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rows.data[i], cnn.embed_word([word]).data[0], rtol=0, atol=1e-12)
     assert np.all(rows.data[2] == 0.0)  # all-pad word
 
 
@@ -281,14 +284,14 @@ def test_prenet_output_shape_for_any_length():
     prenet = EncoderPrenet(np.random.default_rng(14))
     for t in (1, 7):
         x = Tensor(np.random.default_rng(t).standard_normal((t, 450)))
-        assert prenet(x).shape == (t, 128)
+        assert prenet(x, Segments([t])).shape == (t, 128)
 
 
 def test_prenet_weights_are_shared_across_lengths():
     prenet = EncoderPrenet(np.random.default_rng(15))
     n_before = prenet.parameter_count()
-    prenet(Tensor(np.zeros((3, 450))))
-    prenet(Tensor(np.zeros((9, 450))))
+    prenet(Tensor(np.zeros((3, 450))), Segments([3]))
+    prenet(Tensor(np.zeros((9, 450))), Segments([9]))
     assert prenet.parameter_count() == n_before
 
 
@@ -310,8 +313,9 @@ def test_prenet_segments_see_neither_neighbour():
     first, pad, second = (rng.standard_normal((n, 6)) for n in (3, 2, 4))
     packed = prenet(Tensor(np.vstack([first, pad * 50.0, second])),
                     Segments([5, 4], valid=[3, 4]))
-    np.testing.assert_allclose(packed.data[:3], prenet(Tensor(first)).data, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(packed.data[5:], prenet(Tensor(second)).data, rtol=0, atol=1e-12)
+    alone = [prenet(Tensor(x), Segments([len(x)])).data for x in (first, second)]
+    np.testing.assert_allclose(packed.data[:3], alone[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(packed.data[5:], alone[1], rtol=0, atol=1e-12)
 
 
 def test_prenet_gradcheck():
@@ -320,7 +324,7 @@ def test_prenet_gradcheck():
     x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
 
     def f(*_):
-        return ag.tsum(prenet(x))
+        return ag.tsum(prenet(x, Segments([4])))
 
     err = gradcheck_sampled(f, [x] + prenet.parameters(), per_tensor=6,
                             rng=np.random.default_rng(19))
@@ -346,7 +350,7 @@ def test_phoneme_cnn_gradcheck():
     ids = [PHONEME_TO_ID["K"], PHONEME_TO_ID["AE"], PHONEME_TO_ID["T"]]
 
     def f(*_):
-        return ag.tsum(cnn.embed_word(ids))
+        return ag.tsum(cnn.embed_word([ids]))
 
     err = gradcheck_sampled(f, cnn.parameters(), per_tensor=6,
                             rng=np.random.default_rng(23))
