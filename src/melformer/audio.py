@@ -10,6 +10,7 @@ log compression with a 1e-10 floor, per-utterance per-channel
 normalization, and an all-zero dummy row prepended at position 0.
 """
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -122,11 +123,14 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=8)
 def mel_filterbank(sample_rate, n_fft, n_mels=N_MELS):
     """Triangular mel filters evaluated at the FFT bin center frequencies.
 
     Returns (weights[n_mels, n_fft//2+1], center_freqs[n_mels]).  Filter
-    edges are spaced uniformly in mel between 0 Hz and Nyquist.
+    edges are spaced uniformly in mel between 0 Hz and Nyquist.  The bank
+    is built once per (sample_rate, n_fft, n_mels) and shared, so both
+    arrays are read-only.
     """
     edges_hz = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_mels + 2))
     bin_hz = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
@@ -136,7 +140,9 @@ def mel_filterbank(sample_rate, n_fft, n_mels=N_MELS):
         up = (bin_hz - left) / max(center - left, 1e-12)
         down = (right - bin_hz) / max(right - center, 1e-12)
         weights[k] = np.maximum(0.0, np.minimum(up, down))
-    return weights, edges_hz[1:-1]
+    centers = edges_hz[1:-1].copy()
+    weights.flags.writeable = centers.flags.writeable = False
+    return weights, centers
 
 
 def log_mel(frames, sample_rate):

@@ -438,10 +438,14 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def _softmax_last(x, out=None):
-    """Softmax of an array over its last axis, computed with max-subtraction."""
-    if np.isnan(x).any():
+    """Softmax of an array over its last axis, computed with max-subtraction.
+
+    A row's max is NaN exactly when the row holds a NaN, so the check reads
+    the maxima, not the whole input."""
+    peak = x.max(axis=-1, keepdims=True)
+    if np.isnan(peak).any():
         raise NumericError("softmax input contains NaN")
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    e = np.exp(x - peak)
     return np.divide(e, e.sum(axis=-1, keepdims=True), out=out)
 
 

@@ -6,7 +6,12 @@ batch.  Audio path: normalized log-mel frames (zero dummy row at position
 0) -> two-layer affine prenet -> cross-modality blocks whose queries are
 the mel stream and whose keys/values are the text encoding -> self-attention
 fusion blocks.  Each utterance's fused row at position 0 feeds an affine
-head that emits class logits.
+head that emits class logits.  Since nothing else reaches the head, the last
+fusion block computes only those position-0 rows: its queries are the
+pack's N cls rows, its keys and values the whole mel stream, and its
+attention, FFN and layer norms run on N rows instead of ΣT (as in CaiT's
+class-attention layers).  Every other row of that block would never reach
+the loss, so the logits are those of a full last block up to rounding.
 
 A batch runs as one ``Pack``: its utterances' word rows are stacked into
 one [ΣW, ·] stream and their mel frames into one [ΣT, d] stream, with no
@@ -19,9 +24,9 @@ and they stay inside each segment.  So no utterance sees another, and a
 batch gives each utterance's logits as a forward of that utterance alone
 would, up to rounding.  After a pack, each attention module's
 ``last_weights`` holds the [heads, Tq, Tk] map of the pack's last
-utterance; after a pack of one (one utterance through
-``forward_utterance``, or ``predict_probs``) that is the utterance's own
-map.
+utterance (the last fusion block's is its cls row's [heads, 1, Tk]);
+after a pack of one (one utterance through ``forward_utterance``, or
+``predict_probs``) that is the utterance's own map.
 
 No position is ever masked as a query and no causal structure exists:
 classification sees the whole utterance in both modalities.  Padding only
@@ -62,7 +67,6 @@ CHECKPOINT_MAGIC = b"MLT1"
 class ForwardTrace:
     text_enc_out: Tensor   # [ΣW, d], the pack's word stream
     cross_out: Tensor      # [ΣT, d], its mel stream after the cross-modal blocks
-    fusion_out: Tensor     # [ΣT, d]
     cls: Tensor            # [N, d], each utterance's position-0 fused row
     logits: Tensor = None  # [N, K]; None from an encoder without its head
 
@@ -111,7 +115,8 @@ class MultiHeadAttention(nn.Module):
     into its column block before the output projection.  After each call,
     ``last_weights`` holds the last segment's [heads, Tq, Tk] attention
     distributions (post-softmax, pre-dropout) for inspection: after a pack
-    of one, the utterance's map.
+    of one, the utterance's map.  In the last fusion block, which queries
+    with the cls rows only, that is the cls row's [heads, 1, Tk] map.
     """
 
     def __init__(self, d_model, heads, rng):
@@ -152,7 +157,13 @@ class FeedForward(nn.Module):
 
 
 class EncoderBlock(nn.Module):
-    """Self-attention + feed-forward, each with residual then layer norm."""
+    """Attention + feed-forward, each with residual then layer norm.
+
+    The rows ``q`` (laid out by ``q_segs``) attend to ``kv`` (by
+    ``kv_segs``), and the block returns one row per query row.  A full
+    self-attention block is ``block(x, x, segs, segs)``; the model's last
+    fusion block passes only the cls rows as queries, one per segment.
+    """
 
     def __init__(self, d_model, heads, d_ff, rng, drop_rng, dropout):
         super().__init__()
@@ -162,8 +173,8 @@ class EncoderBlock(nn.Module):
         self.norm2 = nn.LayerNorm(d_model)
         self.drop = nn.Dropout(dropout, drop_rng)
 
-    def __call__(self, x: Tensor, segs: Segments) -> Tensor:
-        x = self.norm1(ag.add(x, self.drop(self.attn(x, x, segs, segs, drop=self.drop))))
+    def __call__(self, q: Tensor, kv: Tensor, q_segs: Segments, kv_segs: Segments) -> Tensor:
+        x = self.norm1(ag.add(q, self.drop(self.attn(q, kv, q_segs, kv_segs, drop=self.drop))))
         return self.norm2(ag.add(x, self.drop(self.ffn(x))))
 
 
@@ -296,7 +307,7 @@ class MultilevelTransformer(EmotionModel):
         x = self.combiner(word_emb, phon_emb)
         x = nn.add_positions(self.prenet(x, pack.words), pack.words)
         for block in self.text_blocks:
-            x = block(x, pack.words)
+            x = block(x, x, pack.words, pack.words)
         return x
 
     def encode_mel(self, pack: Pack, text_enc: Tensor) -> Tensor:
@@ -309,14 +320,19 @@ class MultilevelTransformer(EmotionModel):
     # -- whole model -------------------------------------------------------
 
     def encode(self, pack: Pack) -> ForwardTrace:
-        """Everything up to the head: the trace with ``logits`` None."""
+        """Everything up to the head: the trace with ``logits`` None.
+
+        The last fusion block runs on the cls rows only (see the module
+        docstring)."""
         text_enc = self.encode_text(pack)
         cross = self.encode_mel(pack, text_enc)
+        *full, last = self.fusion_blocks
         fused = cross
-        for block in self.fusion_blocks:
-            fused = block(fused, pack.frames)
-        return ForwardTrace(text_enc_out=text_enc, cross_out=cross, fusion_out=fused,
-                            cls=ag.getitem(fused, pack.frames.offsets[:-1]))
+        for block in full:
+            fused = block(fused, fused, pack.frames, pack.frames)
+        cls = last(ag.getitem(fused, pack.frames.offsets[:-1]), fused,
+                   Segments([1] * len(pack.frames)), pack.frames)
+        return ForwardTrace(text_enc_out=text_enc, cross_out=cross, cls=cls)
 
     def forward_pack(self, pack: Pack) -> ForwardTrace:
         trace = self.encode(pack)

@@ -138,6 +138,19 @@ def op_checks(rng):
     check("attention_mix segments",
           lambda att, v: rms(ag.attention_mix(att, v, 2, q_segs, k_segs)),
           [_t(rng, 2 * (2 * 3 + 3 * 4)), _t(rng, 7, 4)])
+    # the last fusion block's pattern: one cls query per segment against
+    # all of its keys, and the integer-array gather of those rows
+    cls_segs = Segments([1, 1])
+    rac = _weighted(rng, (2 * (3 + 4),))
+    check("attention_weights cls queries",
+          lambda q, k: rac(ag.attention_weights(q, k, 2, cls_segs, k_segs)),
+          [_t(rng, 2, 4), _t(rng, 7, 4)])
+    rmc = _weighted(rng, (2, 4))
+    check("attention_mix cls queries",
+          lambda att, v: rmc(ag.attention_mix(att, v, 2, cls_segs, k_segs)),
+          [_t(rng, 2 * (3 + 4)), _t(rng, 7, 4)])
+    rg = _weighted(rng, (3, 5))
+    check("getitem rows", lambda a: rg(ag.getitem(a, np.array([0, 3, 5]))), [_t(rng, 7, 5)])
     return checks
 
 
@@ -203,5 +216,5 @@ def run_all(report=print):
         ok = err < GRAD_TOL
         results.append((name, err, ok))
         if report is not None:
-            report(f"{'ok  ' if ok else 'FAIL'}  {name:<26} max rel err {err:.2e}")
+            report(f"{'ok  ' if ok else 'FAIL'}  {name:<29} max rel err {err:.2e}")
     return results

@@ -67,12 +67,12 @@ def utterance_logits(model, enc, pad_words=0, pad_frames=0):
                       fine.phoneme_cnn.embed_word(phoneme_block(phonemes)))
     text = nn.add_positions(fine.prenet(x, words), words)
     for block in fine.text_blocks:
-        text = block(text, words)
+        text = block(text, text, words, words)
     x = nn.add_positions(fine.mel_prenet(Tensor(mel)), frames)
     for block in fine.cross_blocks:
         x = block(x, text, frames, words)
-    for block in fine.fusion_blocks:
-        x = block(x, frames)
+    for block in fine.fusion_blocks:  # every fusion block over all rows
+        x = block(x, x, frames, frames)
     cls = ag.getitem(x, 0)
     if fine is model:
         return model.head(cls)

@@ -228,6 +228,19 @@ def test_filterbank_centers_match_oracle():
     assert np.allclose(centers, mel_centers_oracle(16000, 128), atol=1e-6)
 
 
+@pytest.mark.parametrize("sr,n_fft", [(8000, 256), (16000, 512), (22050, 1024)])
+def test_cached_filterbank_equals_a_fresh_one_and_is_read_only(sr, n_fft):
+    weights, centers = audio.mel_filterbank(sr, n_fft)
+    fresh_weights, fresh_centers = audio.mel_filterbank.__wrapped__(sr, n_fft)
+    assert audio.mel_filterbank(sr, n_fft)[0] is weights  # built once, then shared
+    assert weights.tobytes() == fresh_weights.tobytes()
+    assert centers.tobytes() == fresh_centers.tobytes()
+    for arr in (weights, centers):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # normalize_and_prepend_dummy
 
@@ -269,6 +282,14 @@ def test_featurize_is_deterministic(tone_wav):
     a = audio.featurize_wav(tone_wav)
     b = audio.featurize_wav(tone_wav)
     assert np.array_equal(a.frames, b.frames)
+
+
+def test_featurize_gives_the_same_payload_with_a_fresh_or_cached_filterbank(tone_wav):
+    audio.mel_filterbank.cache_clear()
+    payloads = [audio.mel_cache_bytes(audio.featurize_wav(tone_wav)) for _ in range(3)]
+    assert audio.mel_filterbank.cache_info().hits == 2
+    assert payloads[0][:4] == b"MEL1"
+    assert payloads[0] == payloads[1] == payloads[2]
 
 
 def test_cache_round_trip(tmp_path, tone_wav):

@@ -104,6 +104,21 @@ def test_softmax_rejects_nan():
         ag.softmax(Tensor([np.nan, 0.0]))
 
 
+@pytest.mark.parametrize("row, col", [(0, 0), (2, 3), (1, 1)])
+def test_a_nan_score_raises_from_softmax_and_attention_weights(row, col):
+    """The NaN check reads each row's max, which is NaN exactly when the
+    row holds one; a masked key's NaN score is caught too."""
+    x = np.random.default_rng(0).standard_normal((3, 4))
+    x[row, col] = np.nan
+    with pytest.raises(NumericError):
+        ag.softmax(Tensor(x))
+    q = np.random.default_rng(1).standard_normal((3, 4))
+    k = np.random.default_rng(2).standard_normal((4, 4))
+    k[col, row] = np.nan  # NaN scores for key col in one head (key 3 is masked)
+    with pytest.raises(NumericError):
+        ag.attention_weights(Tensor(q), Tensor(k), 2, Segments([3]), Segments([4], valid=[3]))
+
+
 # --- layer_norm ----------------------------------------------------------------
 
 def test_layer_norm_constant_row_is_zero():

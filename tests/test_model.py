@@ -190,10 +190,10 @@ def test_forward_shapes_and_trace_contract():
     trace = model.forward_utterance(enc)
     assert trace.text_enc_out.shape == (3, 16)
     assert trace.cross_out.shape == (5, 16)
-    assert trace.fusion_out.shape == (5, 16)
     assert trace.cls.shape == (16,)
     assert trace.logits.shape == (4,)
-    assert np.array_equal(trace.cls.data, trace.fusion_out.data[0])
+    relogits = trace.cls.data @ model.head.weight.data + model.head.bias.data
+    assert np.allclose(relogits, trace.logits.data, atol=1e-12)
 
 
 def test_probabilities_sum_to_one():
@@ -243,14 +243,22 @@ def test_attention_rows_sum_to_one_at_every_layer():
         assert np.allclose(mha.last_weights.sum(axis=2), 1.0, atol=1e-6)
 
 
-def test_head_reads_only_position_zero():
-    model, _, wv = make_model(seed=11)
+@pytest.mark.parametrize("layers_fusion", [1, 2])
+def test_cls_rows_equal_row_zero_of_the_full_last_block(layers_fusion):
+    """The last fusion block runs on the cls rows only; run over every row
+    as ``block(x, x, segs, segs)``, its position-0 rows are the same."""
+    model, _, wv = make_model(seed=11, layers_fusion=layers_fusion)
     model.eval()
-    trace = model.forward_utterance(make_enc(wv, seed=12))
-    tampered = trace.fusion_out.data.copy()
-    tampered[1:] = 999.0
-    relogits = tampered[0] @ model.head.weight.data + model.head.bias.data
-    assert np.allclose(relogits, trace.logits.data, atol=1e-12)
+    rows = [(make_enc(wv, seed=12, n_words=3, n_frames=6), 1, 2),
+            (make_enc(wv, seed=13, n_words=2, n_frames=4), 0, 0)]
+    pack = Pack(rows, wv.pad_id)
+    trace = model.forward_utterance(pack)
+    x = trace.cross_out
+    for block in model.fusion_blocks:
+        x = block(x, x, pack.frames, pack.frames)
+    full_cls = x.data[pack.frames.offsets[:-1]]
+    assert trace.cls.shape == (2, 16)
+    assert np.max(np.abs(trace.cls.data - full_cls)) <= 1e-12
 
 
 def test_untrained_models_predict_near_uniform():
@@ -297,27 +305,66 @@ def _logits_grads_and_maps(model, forward, rows):
     return logits.data.copy(), grads, maps
 
 
-@pytest.mark.parametrize("granularity", ["fine", "multi", "multi-file"])
-@pytest.mark.parametrize("combine_mode", ["highway", "concat"])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_packed_batch_matches_the_per_utterance_oracle(granularity, combine_mode, n):
-    model, wv = _model(granularity, combine_mode, dropout=0.0, finetune_word_vectors=True)
-    rows = _rows(wv, n, granularity)
+def _assert_packed_matches_the_oracle(model, rows):
     logits, grads, maps = _logits_grads_and_maps(model, lambda m, r: m.forward_batch(r), rows)
     ref_logits, ref_grads, ref_maps = _logits_grads_and_maps(model, per_utterance_batch, rows)
 
     def rel_err(a, b):
         return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
 
-    assert logits.shape == (n, 4)
+    assert logits.shape == (len(rows), 4)
     assert rel_err(logits, ref_logits) <= 1e-10
     assert grads.keys() == ref_grads.keys()
     for name, ref in ref_grads.items():
         assert rel_err(grads[name], ref) <= 1e-10, name
-    # last_weights holds the pack's last segment, which the oracle ran last
+    # last_weights holds the pack's last segment, which the oracle ran last;
+    # the last fusion block computes only the oracle's query row 0
+    assert len(maps) == len(ref_maps)
+    ref_maps[-1] = ref_maps[-1][:, :1]
     for weights, ref in zip(maps, ref_maps):
         assert weights.shape == ref.shape
         assert rel_err(weights, ref) <= 1e-10
+
+
+@pytest.mark.parametrize("granularity", ["fine", "multi", "multi-file"])
+@pytest.mark.parametrize("combine_mode", ["highway", "concat"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_packed_batch_matches_the_per_utterance_oracle(granularity, combine_mode, n):
+    model, wv = _model(granularity, combine_mode, dropout=0.0, finetune_word_vectors=True)
+    _assert_packed_matches_the_oracle(model, _rows(wv, n, granularity))
+
+
+@pytest.mark.parametrize("granularity", ["fine", "multi", "multi-file"])
+@pytest.mark.parametrize("layers_fusion", [1, 2])
+def test_cls_only_last_block_matches_the_oracle_at_each_fusion_depth(granularity,
+                                                                     layers_fusion):
+    """With one fusion block the cls-only block reads the cross-modal stream
+    itself; every row of the pack carries word and frame padding."""
+    model, wv = _model(granularity, "highway", dropout=0.0, finetune_word_vectors=True,
+                       layers_fusion=layers_fusion)
+    rows = [(enc, pad_words + 1, pad_frames + 2)
+            for enc, pad_words, pad_frames in _rows(wv, 4, granularity)]
+    _assert_packed_matches_the_oracle(model, rows)
+
+
+@pytest.mark.parametrize("layers_fusion", [1, 2, 3])
+def test_only_the_last_fusion_block_runs_on_cls_rows(layers_fusion):
+    """Structural guard: every FFN but the last fusion block's has ΣT
+    hidden rows; that one has one row per utterance, and its attention map
+    has one query row."""
+    model, wv = _model("fine", "highway", layers_fusion=layers_fusion)
+    rows = _rows(wv, 3, "fine")
+    pack = Pack(rows, wv.pad_id)
+    out = model.forward_utterance(pack).logits
+    d_ff, heads = model.cfg.d_ff, model.cfg.heads
+    assert pack.words.total != pack.frames.total and d_ff not in (model.cfg.d_model, 128)
+    hidden = [node.shape[0] for node in _graph_tensors(out) if node._prev
+              and node._backward.__qualname__.startswith("relu.") and node.shape[1:] == (d_ff,)]
+    assert sorted(hidden) == sorted([len(rows)]
+                                    + [pack.words.total] * model.cfg.layers_text
+                                    + [pack.frames.total] * (model.cfg.layers_cross
+                                                             + layers_fusion - 1))
+    assert model.fusion_blocks[-1].attn.last_weights.shape == (heads, 1, pack.frames.lengths[-1])
 
 
 @pytest.mark.parametrize("granularity", ["fine", "multi"])
@@ -507,7 +554,7 @@ def _per_word_encode_text(model, pack):
             for i, phons in enumerate(pack.phonemes)]
     x = nn.add_positions(model.prenet(ag.stack_rows(rows), pack.words), pack.words)
     for block in model.text_blocks:
-        x = block(x, pack.words)
+        x = block(x, x, pack.words, pack.words)
     return x
 
 
@@ -537,14 +584,19 @@ def test_row_wise_text_frontend_matches_per_word_loop(monkeypatch, combine_mode,
         assert rel_err(grads[name], ref) <= 1e-12, name
 
 
-def _graph_nodes(out):
-    seen, stack = {id(out)}, [out]
+def _graph_tensors(out):
+    """Every tensor of ``out``'s graph, ``out`` and the leaves included."""
+    seen, stack = {id(out): out}, [out]
     while stack:
         for parent in stack.pop()._prev:
             if id(parent) not in seen:
-                seen.add(id(parent))
+                seen[id(parent)] = parent
                 stack.append(parent)
-    return len(seen)
+    return list(seen.values())
+
+
+def _graph_nodes(out):
+    return len(_graph_tensors(out))
 
 
 def test_unpadded_forward_has_no_row_zeroing_nodes():
