@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over dense float64 numpy arrays.
+"""Reverse-mode automatic differentiation over dense float32 or float64 numpy arrays.
 
 The engine is deliberately small: it provides exactly the operations the
 emotion model needs, each with a hand-written backward rule, plus a
@@ -17,15 +17,21 @@ interior node the caller does not hold is freed by reference counting
 during backward, without waiting for the cyclic garbage collector.  Leaves
 (parameters, inputs, constants) are left as they are, so parameters keep
 their ``grad`` and feed the next step's graph.
+
+Every op computes in its operands' dtype, so a float32 model runs float32
+end to end and a float64 one float64: no op brings in a float64 scalar,
+buffer or mask of its own, and each gradient takes its tensor's dtype.
 """
 
 import contextlib
+import math
 
 import numpy as np
 
 from .errors import ContractError, NumericError, ShapeError, ValidationError
 
-DTYPE = np.float64
+DTYPE = np.float64  # what a tensor built from anything but a float32/float64 array holds
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
 NEG_MASK = -1e9  # additive score of a masked attention key; its weight underflows to 0
 
 _grad_enabled = True
@@ -46,19 +52,22 @@ def no_grad():
 class Tensor:
     """Dense n-dimensional array with an optional gradient and lineage.
 
-    ``data`` is always float64.  :func:`backward` leaves a ``grad`` of the
-    same shape as ``data`` on each leaf that requires one; interior nodes
-    and constants end it with ``grad`` None.  Ops never write into their
-    operands' ``data``.  Parameters are the exception: the optimizer and
-    ``load_state_dict`` update them in place, and under ``harness.Adam``
-    a parameter's ``data`` is a view of the optimizer's flat arena, so it
-    must be written (``data[...] = x``), never rebound.
+    ``data`` keeps the dtype of a float32 or float64 array; anything else
+    (lists, ints, Python scalars) becomes ``DTYPE``.  :func:`backward`
+    leaves a ``grad`` of the same shape and dtype as ``data`` on each leaf
+    that requires one; interior nodes and constants end it with ``grad``
+    None.  Ops never write into their operands' ``data``.  Parameters are
+    the exception: the optimizer and ``load_state_dict`` update them in
+    place, and under ``harness.Adam`` a parameter's ``data`` is a view of
+    the optimizer's flat arena, so it must be written (``data[...] = x``),
+    never rebound.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "__weakref__")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=DTYPE)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _FLOATS else data.astype(DTYPE)
         self.grad = None
         self.requires_grad = requires_grad
         self._backward = None
@@ -91,25 +100,25 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def __add__(self, other):
-        return add(self, _as_tensor(other))
+        return add(self, _as_tensor(other, self))
 
     def __radd__(self, other):
-        return add(_as_tensor(other), self)
+        return add(_as_tensor(other, self), self)
 
     def __sub__(self, other):
-        return add(self, neg(_as_tensor(other)))
+        return add(self, neg(_as_tensor(other, self)))
 
     def __rsub__(self, other):
-        return add(_as_tensor(other), neg(self))
+        return add(_as_tensor(other, self), neg(self))
 
     def __neg__(self):
         return neg(self)
 
     def __mul__(self, other):
-        return mul(self, _as_tensor(other))
+        return mul(self, _as_tensor(other, self))
 
     def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
+        return mul(_as_tensor(other, self), self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -118,8 +127,10 @@ class Tensor:
         return getitem(self, idx)
 
 
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _as_tensor(x, like: Tensor):
+    """``x`` as a tensor; a number or array takes the dtype of ``like``, the
+    tensor it meets, so ``t + 1.0`` stays in ``t``'s dtype."""
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 class Segments:
@@ -185,11 +196,12 @@ def _accumulate(t: Tensor, g, owned=True):
     rule, or the consumer's own grad handed to a single operand (backward
     drops that grad right after the rule).  An owned first contribution
     becomes the grad as it is; any other is copied, so no two tensors ever
-    share a gradient buffer.
+    share a gradient buffer.  The grad always has ``t``'s dtype.
     """
     if t.grad is None:
-        if type(g) is not np.ndarray or g.shape != t.data.shape:
-            g = np.asarray(g).reshape(t.data.shape)  # scalar sums, size-1 operands
+        if type(g) is not np.ndarray or g.shape != t.data.shape or g.dtype != t.data.dtype:
+            # scalar sums, size-1 operands, a contribution from a wider operand
+            g = np.asarray(g, dtype=t.data.dtype).reshape(t.data.shape)
         t.grad = g if owned else g.copy()
     else:
         t.grad += g
@@ -508,8 +520,8 @@ def attention_weights(q: Tensor, k: Tensor, heads: int, q_segs: Segments,
         raise ShapeError(f"width {q.shape[1]} does not split into {heads} heads")
     spans = _attention_spans(heads, _layout(q_segs, q.shape[0], "q"),
                              _layout(k_segs, k.shape[0], "k"))
-    scale = 1.0 / np.sqrt(q.shape[1] // heads)
-    y = np.empty(spans[-1][-1])
+    scale = 1.0 / math.sqrt(q.shape[1] // heads)  # a Python float keeps float32 scores float32
+    y = np.empty(spans[-1][-1], dtype=np.result_type(q.data, k.data))
     for q0, q1, k0, k1, valid, a0, a1 in spans:
         qh, kh = _split_heads(q.data[q0:q1], heads), _split_heads(k.data[k0:k1], heads)
         scores = np.matmul(qh, kh.transpose(0, 2, 1)) * scale
@@ -556,7 +568,7 @@ def attention_mix(att: Tensor, v: Tensor, heads: int, q_segs: Segments,
     if spans[-1][-1] != att.size:
         raise ShapeError(f"att has {att.size} weights, {heads} heads over the segments "
                          f"need {spans[-1][-1]}")
-    out = Tensor(np.empty((q_segs.total, v.shape[1])))
+    out = Tensor(np.empty((q_segs.total, v.shape[1]), dtype=np.result_type(att.data, v.data)))
     for q0, q1, k0, k1, _, a0, a1 in spans:
         weights = att.data[a0:a1].reshape(heads, q1 - q0, k1 - k0)
         out.data[q0:q1] = _merge_heads(np.matmul(weights, _split_heads(v.data[k0:k1], heads)))
@@ -637,7 +649,7 @@ def conv1d(x: Tensor, kernels: Tensor, segs=None) -> Tensor:
     # neighbours; row r's window starts at step start[r] of that buffer
     n = segs.total
     start = np.arange(n) + (w - 1) * np.repeat(np.arange(len(segs)), segs.lengths)
-    xp = np.zeros((n + len(segs) * (w - 1), c_in))
+    xp = np.zeros((n + len(segs) * (w - 1), c_in), dtype=x.data.dtype)
     xp[start + pad_left] = x.data.reshape(n, c_in)
     cols = xp[start[:, None] + np.arange(w)].reshape(n, w * c_in)
     kmat = kernels.data.reshape(w * c_in, c_out)
@@ -780,7 +792,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     if rate <= 0.0:
         return x
     keep = rng.random(x.shape) >= rate
-    scale = 1.0 / (1.0 - rate)
+    scale = x.data.dtype.type(1.0 / (1.0 - rate))  # bool * Python float would be float64
     out = Tensor(x.data * (keep * scale))
 
     def _bw():

@@ -19,7 +19,8 @@ LABEL_ALIASES = {"excited": "happy"}
 # allowed values of the string fields; group_mode auto: sessions when present, else random
 CHOICES = {"combine_mode": ("concat", "highway"),
            "group_mode": ("auto", "session", "random"),
-           "granularity": ("fine", "multi")}
+           "granularity": ("fine", "multi"),
+           "precision": ("float32", "float64")}
 
 
 def _check_choices(section):
@@ -47,6 +48,9 @@ class ModelConfig:
     prenet_width: int = 5
     finetune_word_vectors: bool = False
     d_fuse: int = 128
+    # dtype of parameters, activations, gradients and Adam state; float32 is
+    # the paper's setting, float64 what the gradient checks need
+    precision: str = "float32"
 
     def validate(self):
         _check_choices(self)

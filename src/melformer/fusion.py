@@ -82,10 +82,10 @@ class MeanPoolUtteranceEncoder(nn.Module):
         self.d_out = d_out
 
     def __call__(self, encs) -> Tensor:
-        """N utterances -> [N, d_out], one row each."""
+        """N utterances -> [N, d_out], one row each, in the projection's dtype."""
         means = [self.word_vectors.matrix[np.asarray(enc.word_ids, dtype=np.int64)].mean(axis=0)
                  for enc in encs]
-        return self.proj(Tensor(np.stack(means)))
+        return self.proj(Tensor(np.stack(means).astype(self.proj.weight.data.dtype)))
 
 
 class MultiGranularityModel(EmotionModel):
@@ -111,6 +111,7 @@ class MultiGranularityModel(EmotionModel):
         self.proj_fine = nn.Linear(cfg.d_model, cfg.d_fuse, rng)
         self.proj_utt = nn.Linear(utt_dim, cfg.d_fuse, rng)
         self.head = nn.Linear(2 * cfg.d_fuse, cfg.num_classes, rng)
+        self.cast_parameters(self.dtype)
 
     def trainable_named_parameters(self):
         """Checkpoints keep everything; the optimizer sees what can train.
@@ -125,11 +126,12 @@ class MultiGranularityModel(EmotionModel):
             yield name, p
 
     def utt_vector(self, encs) -> Tensor:
-        """[N, utt_dim] utterance embeddings: each enc's own (from a file)
-        when every enc carries one, else the built-in encoder's."""
+        """[N, utt_dim] utterance embeddings in the model's dtype: each enc's
+        own (from a file) when every enc carries one, else the built-in
+        encoder's."""
         given = [getattr(enc, "utt_embedding", None) for enc in encs]
         if all(vec is not None for vec in given):
-            rows = [np.asarray(vec, dtype=np.float64) for vec in given]
+            rows = [np.asarray(vec, dtype=self.dtype) for vec in given]
             for vec in rows:
                 if vec.shape != (self.utt_dim,):
                     raise ValidationError(

@@ -9,6 +9,7 @@ processes; only finished metrics cross process boundaries.
 """
 
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -26,16 +27,18 @@ from .model import MultilevelTransformer, save_checkpoint
 from .text import WordVectors
 
 
-BLOCK = 1 << 15  # elements per block of the Adam walk: 256 KB per f64 operand
+BLOCK = 1 << 15  # elements per block of the Adam walk: 128 KB per f32 operand, 256 KB per f64
 
 
 class Adam:
     """Bias-corrected Adam over named parameters held in one flat arena.
 
     The update is theta -= lr * mhat / (sqrt(vhat) + eps).  The constructor
-    copies the parameters, in the order given, into one contiguous float64
-    arena and rebinds each ``p.data`` to a reshaped view of its segment; the
-    moments ``m`` and ``v`` are flat arrays of the arena's length.
+    copies the parameters, in the order given, into one contiguous arena of
+    their dtype (float32 or float64; they must share one) and rebinds each
+    ``p.data`` to a reshaped view of its segment; the moments ``m`` and
+    ``v`` and the scratch blocks are flat arrays of the same dtype, so the
+    whole step runs in the parameters' precision.
 
     ``step`` walks the arena in blocks of ``BLOCK`` elements.  It gathers a
     block's gradients into a scratch array and runs the update as in-place
@@ -66,15 +69,20 @@ class Adam:
         for _, p in self.items:
             self.offsets.append(self.offsets[-1] + p.data.size)
         n = self.offsets[-1]
-        self.arena = np.empty(n)
+        dtypes = {p.data.dtype for _, p in self.items}
+        if len(dtypes) > 1:
+            raise ContractError(f"parameters mix dtypes {sorted(map(str, dtypes))}")
+        dtype = dtypes.pop() if dtypes else np.dtype(np.float64)
+        self.arena = np.empty(n, dtype=dtype)
         self.views = []
         for (_, p), lo, hi in zip(self.items, self.offsets, self.offsets[1:]):
             self.arena[lo:hi] = p.data.reshape(-1)
             p.data = self.arena[lo:hi].reshape(p.data.shape)
             self.views.append(p.data)
-        self.m = np.zeros(n)
-        self.v = np.zeros(n)
-        self._g, self._s = np.empty(min(n, BLOCK)), np.empty(min(n, BLOCK))
+        self.m = np.zeros(n, dtype=dtype)
+        self.v = np.zeros(n, dtype=dtype)
+        self._g = np.empty(min(n, BLOCK), dtype=dtype)
+        self._s = np.empty(min(n, BLOCK), dtype=dtype)
 
     def step(self):
         grads = []
@@ -144,11 +152,25 @@ class Adam:
 
 
 def clip_gradients(params, max_norm):
-    """Scale all gradients so their global L2 norm is at most max_norm."""
+    """Scale all gradients so their global L2 norm is at most max_norm;
+    returns the norm before clipping.
+
+    Each gradient's squared norm is one dot product in its own dtype,
+    summed as a Python float.  A float32 dot overflows to inf once the
+    squared norm passes float32's max (a finite gradient near 2e19), which
+    would scale every gradient to zero; such a dot is redone in float64,
+    which holds the square of any finite float32 gradient.
+    """
     total = 0.0
     grads = [p.grad for p in params if p.grad is not None]
     for g in grads:
-        total += float((g * g).sum())
+        flat = g.reshape(-1)
+        with np.errstate(over="ignore"):
+            sq = float(np.dot(flat, flat))
+        if sq == math.inf and flat.dtype != np.float64:
+            flat = flat.astype(np.float64)
+            sq = float(np.dot(flat, flat))
+        total += sq
     norm = total ** 0.5
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm

@@ -42,6 +42,12 @@ utterance as a pack of one; ``forward_batch`` (training and evaluation)
 and ``predict_probs`` go through it, and ``checkpoint_extra`` fills the
 checkpoint header.
 ``restore_model`` is the one way back from a checkpoint to either variant.
+
+A model computes in one dtype, ``cfg.precision`` (float32 by default, as
+the paper trained; float64 for the gradient checks): its parameters, the
+word table, the pack's mel stream and the position signal all take it, so
+every activation and gradient does too.  Only ``predict_probs`` widens, for
+its final softmax.
 """
 
 import json
@@ -65,8 +71,6 @@ CHECKPOINT_MAGIC = b"MLT1"
 
 @dataclass
 class ForwardTrace:
-    text_enc_out: Tensor   # [ΣW, d], the pack's word stream
-    cross_out: Tensor      # [ΣT, d], its mel stream after the cross-modal blocks
     cls: Tensor            # [N, d], each utterance's position-0 fused row
     logits: Tensor = None  # [N, K]; None from an encoder without its head
 
@@ -77,10 +81,11 @@ class Pack:
     Utterance i is segment i of ``words`` (its word ids and phoneme lists,
     then ``pad_words`` pad rows) and of ``frames`` (its normalized mel
     matrix, dummy row first, then ``pad_frames`` zero frames); each
-    segment's valid count is the utterance's own length.
+    segment's valid count is the utterance's own length.  The mel stream
+    ``mel`` is built in ``dtype``, the model's.
     """
 
-    def __init__(self, rows, pad_id):
+    def __init__(self, rows, pad_id, dtype):
         rows = list(rows)
         if not rows:
             raise ShapeError("a pack needs at least one utterance")
@@ -91,9 +96,9 @@ class Pack:
                                  f"{len(enc.phonemes)} phoneme lists")
             word_ids += [*enc.word_ids, *[pad_id] * pad_words]
             phonemes += [*enc.phonemes, *[[PAD_PHONEME]] * pad_words]
-            mels.append(np.asarray(enc.mel, dtype=np.float64))
+            mels.append(np.asarray(enc.mel, dtype=dtype))
             if pad_frames:
-                mels.append(np.zeros((pad_frames, mels[-1].shape[1])))
+                mels.append(np.zeros((pad_frames, mels[-1].shape[1]), dtype=dtype))
         self.encs = [enc for enc, _, _ in rows]
         self.word_ids = np.asarray(word_ids, dtype=np.int64)
         self.phonemes = phonemes
@@ -207,8 +212,15 @@ class EmotionModel(nn.Module):
     ``head``, and implements ``forward_pack(pack) -> ForwardTrace``, which
     ``forward_utterance`` runs; training, evaluation, inference and
     checkpoints go through the methods below, so callers never need to know
-    which variant they hold.
+    which variant they hold.  A subclass draws its initial parameters in
+    float64 and casts them to ``dtype`` once, at the end of its constructor:
+    a float32 model starts from the float64 model's values, rounded.
     """
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of every parameter, input stream and activation: ``cfg.precision``."""
+        return np.dtype(self.cfg.precision)
 
     def forward_utterance(self, enc, pad_words=0, pad_frames=0) -> ForwardTrace:
         """The one forward: every training step, evaluation batch and
@@ -226,7 +238,8 @@ class EmotionModel(nn.Module):
             if pad_words or pad_frames:
                 raise ShapeError("a pack carries its own padding")
             return self.forward_pack(enc)
-        trace = self.forward_pack(Pack([(enc, pad_words, pad_frames)], self.word_vectors.pad_id))
+        trace = self.forward_pack(Pack([(enc, pad_words, pad_frames)], self.word_vectors.pad_id,
+                                       self.dtype))
         return replace(trace, cls=ag.reshape(trace.cls, (-1,)),
                        logits=ag.reshape(trace.logits, (-1,)))
 
@@ -236,18 +249,21 @@ class EmotionModel(nn.Module):
         The rows of ``data.batches`` carry no padding; padded rows give the
         same logits up to rounding, since each segment's valid count hides
         its padding."""
-        return self.forward_utterance(Pack(batch, self.word_vectors.pad_id)).logits
+        return self.forward_utterance(Pack(batch, self.word_vectors.pad_id, self.dtype)).logits
 
     def predict_probs(self, enc) -> np.ndarray:
         """Class probabilities for one utterance, in eval mode (no dropout).
 
-        The model's train/eval mode is restored afterwards.
+        The softmax runs in float64 at any precision, so the probabilities
+        sum to 1 within float64 rounding.  The model's train/eval mode is
+        restored afterwards.
         """
         was_training = self.training
         self.eval()
         try:
             with ag.no_grad():
-                return ag.softmax(self.forward_utterance(enc).logits).data
+                logits = self.forward_utterance(enc).logits.data
+                return ag.softmax(Tensor(logits.astype(np.float64))).data
         finally:
             self.train(was_training)
 
@@ -270,7 +286,7 @@ class MultilevelTransformer(EmotionModel):
         rng = np.random.default_rng(seed)
         self.drop_rng = np.random.default_rng(seed + 1)
 
-        self.word_table = Tensor(word_vectors.matrix.copy(),
+        self.word_table = Tensor(word_vectors.matrix.astype(self.dtype),
                                  requires_grad=cfg.finetune_word_vectors)
         cpw = cfg.phoneme_channels // len(cfg.phoneme_widths)
         self.phoneme_cnn = PhonemeCNN(rng, d_p=cfg.phoneme_dim,
@@ -290,6 +306,7 @@ class MultilevelTransformer(EmotionModel):
             [EncoderBlock(cfg.d_model, cfg.heads, cfg.d_ff, rng, self.drop_rng, cfg.dropout)
              for _ in range(cfg.layers_fusion)])
         self.head = nn.Linear(cfg.d_model, cfg.num_classes, rng)
+        self.cast_parameters(self.dtype)
 
     # -- pieces ------------------------------------------------------------
 
@@ -324,15 +341,13 @@ class MultilevelTransformer(EmotionModel):
 
         The last fusion block runs on the cls rows only (see the module
         docstring)."""
-        text_enc = self.encode_text(pack)
-        cross = self.encode_mel(pack, text_enc)
+        fused = self.encode_mel(pack, self.encode_text(pack))
         *full, last = self.fusion_blocks
-        fused = cross
         for block in full:
             fused = block(fused, fused, pack.frames, pack.frames)
         cls = last(ag.getitem(fused, pack.frames.offsets[:-1]), fused,
                    Segments([1] * len(pack.frames)), pack.frames)
-        return ForwardTrace(text_enc_out=text_enc, cross_out=cross, cls=cls)
+        return ForwardTrace(cls=cls)
 
     def forward_pack(self, pack: Pack) -> ForwardTrace:
         trace = self.encode(pack)
@@ -379,7 +394,12 @@ def expected_parameter_count(cfg: ModelConfig, vocab_rows=0) -> int:
 # Checkpoints
 
 def save_checkpoint(path, model: nn.Module, cfg: ModelConfig, extra=None):
-    """Write config header + named f32 parameter records, little-endian."""
+    """Write config header + named f32 parameter records, little-endian.
+
+    Records are float32 at any precision: exact for a float32 model (the
+    default), rounded for a float64 one, whose restore is then float32
+    values held in float64.
+    """
     header = {"model": asdict(cfg), "extra": extra or {}}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     records = sorted(model.named_parameters())
@@ -428,10 +448,12 @@ def read_checkpoint_header(path):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint -> (ModelConfig, extra dict, {name: float64 array}).
+    """Read a checkpoint -> (ModelConfig, extra dict, {name: float32 array}).
 
-    Every read is bounds-checked: a short file, a header that is not UTF-8
-    JSON, or bytes after the last record raise FormatError.
+    The arrays are the stored records as they are, read-only, with no
+    upcast; ``load_state_dict`` casts them to the model's dtype.  Every read
+    is bounds-checked: a short file, a header that is not UTF-8 JSON, or
+    bytes after the last record raise FormatError.
     """
     with open(path, "rb") as fh:
         reader = _CheckpointReader(fh, path)
@@ -450,7 +472,7 @@ def load_checkpoint(path):
             arr = np.frombuffer(reader.take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
             if name in params:
                 raise ValidationError(f"{path}: duplicate parameter record {name!r}")
-            params[name] = arr.astype(np.float64)
+            params[name] = arr
         trailing = reader.left()
     if trailing:
         raise FormatError(f"{path}: {trailing} trailing bytes after the last record")

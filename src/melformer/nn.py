@@ -64,6 +64,8 @@ class Module:
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
     def load_state_dict(self, state):
+        """Copy named arrays into the parameters, in place and cast to each
+        parameter's dtype (a checkpoint's float32 records fit any model)."""
         own = dict(self.named_parameters())
         missing = sorted(set(own) - set(state))
         extra = sorted(set(state) - set(own))
@@ -77,6 +79,12 @@ class Module:
 
     def parameter_count(self):
         return sum(p.size for p in self.parameters())
+
+    def cast_parameters(self, dtype):
+        """Round every parameter to ``dtype``, once, before an optimizer
+        takes them (``harness.Adam`` holds views of their arrays)."""
+        for p in self.parameters():
+            p.data = p.data.astype(dtype, copy=False)
 
 
 class ModuleList(Module):
@@ -177,18 +185,20 @@ class Dropout(Module):
         return ag.dropout(x, self.rate, self.rng)
 
 
-_POSITION_TABLES = {}  # width -> read-only table, grown on demand
+_POSITION_TABLES = {}  # (width, dtype) -> read-only table, grown on demand
 
 
-def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
+def sinusoidal_positions(length: int, dim: int, dtype=np.float64) -> np.ndarray:
     """Fixed sine/cosine position signal, one row per time step.
 
-    Rows are computed once per width: the table grows (at least doubling)
-    when a longer one is asked for, and callers get a read-only slice.
-    Each entry depends only on its row and column, so a row reads the same
+    Rows are computed once per width and dtype: the table grows (at least
+    doubling) when a longer one is asked for, and callers get a read-only
+    slice.  Entries are computed in float64, then rounded to ``dtype``, and
+    each depends only on its row and column, so a row reads the same
     whatever the table's length.
     """
-    table = _POSITION_TABLES.get(dim)
+    key = (dim, np.dtype(dtype))
+    table = _POSITION_TABLES.get(key)
     if table is None or len(table) < length:
         rows = max(length, 2 * len(table)) if table is not None else length
         position = np.arange(rows)[:, None].astype(np.float64)
@@ -196,17 +206,20 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
         table = np.zeros((rows, dim))
         table[:, 0::2] = np.sin(position * div)
         table[:, 1::2] = np.cos(position * div[: dim // 2])
+        table = table.astype(dtype, copy=False)
         table.flags.writeable = False
-        _POSITION_TABLES[dim] = table
+        _POSITION_TABLES[key] = table
     return table[:length]
 
 
 def add_positions(x: Tensor, segs) -> Tensor:
-    """Add the sinusoidal position signal to a [T, D] stream laid out by
-    ``segs`` (``autograd.Segments``): positions count from 0 in each segment."""
+    """Add the sinusoidal position signal, in ``x``'s dtype, to a [T, D]
+    stream laid out by ``segs`` (``autograd.Segments``): positions count
+    from 0 in each segment."""
     t, d = x.shape
     if len(segs) == 1:
-        positions = sinusoidal_positions(t, d)
+        positions = sinusoidal_positions(t, d, x.data.dtype)
     else:
-        positions = sinusoidal_positions(int(segs.lengths.max()), d)[segs.positions()]
+        positions = sinusoidal_positions(int(segs.lengths.max()), d,
+                                         x.data.dtype)[segs.positions()]
     return ag.add(x, Tensor(positions))

@@ -2,7 +2,8 @@
 
 Every differentiable op gets an exhaustive central-difference check on a
 small tensor; both model variants get a sampled whole-model check through a
-real cross-entropy loss.  The suite is what `gradcheck` runs from the
+real cross-entropy loss.  Everything here runs in float64, whatever the
+training precision.  The suite is what `gradcheck` runs from the
 command line, and it doubles as the acceptance check for the engine.
 
 Finite differences disagree with subgradients exactly at ReLU kinks, so
@@ -173,10 +174,12 @@ def _demo_inputs(rng, word_dim):
 
 
 def _demo_config():
+    # float64: central differences with eps 1e-5 need its resolution to
+    # stay under the 1e-4 bound
     return ModelConfig(d_model=16, heads=2, layers_text=1, layers_cross=1,
                        layers_fusion=1, num_classes=4, dropout=0.0, d_ff=32,
                        phoneme_dim=8, phoneme_channels=12, phoneme_widths=(2, 3),
-                       word_dim=24, prenet_width=3)
+                       word_dim=24, prenet_width=3, precision="float64")
 
 
 def model_checks(rng):

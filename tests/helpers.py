@@ -58,7 +58,7 @@ def utterance_logits(model, enc, pad_words=0, pad_frames=0):
     fine = getattr(model, "fine", model)
     word_ids = list(enc.word_ids) + [fine.word_vectors.pad_id] * pad_words
     phonemes = list(enc.phonemes) + [[PAD_PHONEME]] * pad_words
-    mel = np.vstack([np.asarray(enc.mel, dtype=np.float64), np.zeros((pad_frames, 128))])
+    mel = np.vstack([enc.mel, np.zeros((pad_frames, 128))]).astype(model.dtype)
     words = Segments([len(word_ids)], valid=[len(enc.word_ids)])
     frames = Segments([len(mel)], valid=[len(enc.mel)])
 
@@ -77,10 +77,10 @@ def utterance_logits(model, enc, pad_words=0, pad_frames=0):
     if fine is model:
         return model.head(cls)
     if enc.utt_embedding is not None:
-        utt = Tensor(np.asarray(enc.utt_embedding, dtype=np.float64))
+        utt = Tensor(np.asarray(enc.utt_embedding, dtype=model.dtype))
     else:
         rows = model.utt_encoder.word_vectors.matrix[np.asarray(enc.word_ids)]
-        utt = model.utt_encoder.proj(Tensor(rows.mean(axis=0)))
+        utt = model.utt_encoder.proj(Tensor(rows.mean(axis=0).astype(model.dtype)))
     return model.head(ag.concat([model.proj_fine(cls), model.proj_utt(utt)], axis=0))
 
 

@@ -423,7 +423,7 @@ def test_no_flag_turns_a_config_file_boolean_off(tmp_path):
 
 
 def test_default_run_id_is_pinned():
-    assert RunConfig().run_id() == "d8b76ea3c235"
+    assert RunConfig().run_id() == "e737cb57a111"
 
 
 @pytest.mark.parametrize("doc, named", [
@@ -609,7 +609,7 @@ def test_readme_commands_parse():
 def test_readme_quick_start_run_id_is_unchanged():
     train = next(c for c in _readme_commands() if c[0] == "train")
     cfg = resolve_config(*_config_and_flags(build_parser().parse_args(train)))
-    assert cfg.run_id() == "fdcf1760538d"
+    assert cfg.run_id() == "7028c092dfa2"
 
 
 def test_gradcheck_command_passes(capsys):

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import (WORDS, PerParameterAdam, mask_tensor_dropout, small_config,
+from helpers import (WORDS, PerParameterAdam, make_enc, mask_tensor_dropout, small_config,
                      zero_fill_backward)
 from melformer import autograd as ag
 from melformer import data, harness
@@ -229,6 +229,100 @@ def test_clip_leaves_small_gradients_alone():
     norm = clip_gradients([a], max_norm=5.0)
     assert norm == pytest.approx(5.0)
     np.testing.assert_array_equal(a.grad, [3.0, 4.0])
+
+
+def test_clip_scales_a_huge_finite_float32_gradient_instead_of_zeroing_it():
+    # each entry's square (4e38) is past float32's max (3.4e38): a float32
+    # dot overflows to inf, and max_norm / inf would zero every gradient
+    a = Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
+    b = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    a.grad = np.full(4, 2e19, dtype=np.float32)
+    b.grad = np.array([1.0, -2.0, 3.0], dtype=np.float32)
+    norm = clip_gradients([a, b], max_norm=5.0)
+    assert math.isfinite(norm) and norm == pytest.approx(4e19, rel=1e-6)
+    assert a.grad.dtype == b.grad.dtype == np.float32
+    scaled = np.sqrt(np.dot(a.grad.astype(np.float64), a.grad)
+                     + np.dot(b.grad.astype(np.float64), b.grad))
+    assert scaled == pytest.approx(5.0, rel=1e-6)
+    np.testing.assert_allclose(a.grad, 2.5, rtol=1e-6)
+    assert np.all(b.grad != 0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_clip_norm_matches_a_float64_reference(dtype):
+    rng = np.random.default_rng(7)
+    shapes = [(450, 450), (128,), (3, 64, 50), (1,)]
+    params = [Tensor(np.zeros(s, dtype=dtype), requires_grad=True) for s in shapes]
+    for p in params:
+        p.grad = (rng.standard_normal(p.shape) * 0.3).astype(dtype)
+    grads = [p.grad.astype(np.float64) for p in params]
+    ref = math.sqrt(sum(float((g * g).sum()) for g in grads))
+    norm = clip_gradients(params, max_norm=1.0)
+    # one float32 dot per tensor rounds at about 1e-7 relative per partial sum
+    assert norm == pytest.approx(ref, rel=1e-5 if dtype == np.float32 else 1e-12)
+    for p, g in zip(params, grads):
+        assert p.grad.dtype == dtype
+        np.testing.assert_allclose(p.grad, g * (1.0 / norm), rtol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# precision: one training step stays in the model's dtype
+
+def _graph_dtypes(loss):
+    """The dtypes of every tensor in the graph below ``loss``, constants included."""
+    seen, stack, dtypes = {id(loss)}, [loss], set()
+    while stack:
+        node = stack.pop()
+        dtypes.add(node.data.dtype)
+        for parent in node._prev:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return dtypes
+
+
+def _paper_multi(precision):
+    cfg = ModelConfig(precision=precision)  # the paper's shape, dropout 0.1
+    wv = hash_word_vectors(WORDS, dim=cfg.word_dim)
+    return build_model(cfg, HarnessConfig(granularity="multi"), wv, seed=0), wv
+
+
+def _fine_highway(precision):
+    cfg = small_config(combine_mode="highway", precision=precision)
+    wv = hash_word_vectors(WORDS, dim=cfg.word_dim)
+    return MultilevelTransformer(cfg, wv, seed=0), wv
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("build", [_paper_multi, _fine_highway])
+def test_one_training_step_stays_in_the_model_precision(build, precision):
+    model, wv = build(precision)
+    dtype = np.dtype(precision)
+    assert model.dtype == dtype
+    encs = [make_enc(wv, seed=70 + i, n_words=2 + i, n_frames=5 + 3 * i) for i in range(3)]
+    named = list(model.trainable_named_parameters())
+    params = [p for _, p in named]
+    opt = Adam(named, lr=1e-3)
+    model.train()
+    loss = ag.cross_entropy(model.forward_batch([(e, 0, 0) for e in encs]), [0, 1, 3])
+    assert _graph_dtypes(loss) == {dtype}
+    ag.backward(loss)
+    assert all(p.grad is not None for p in params)
+    assert {p.grad.dtype for p in params} == {dtype}
+    clip_gradients(params, max_norm=1e-3)  # small enough to scale every gradient
+    assert {p.grad.dtype for p in params} == {dtype}
+    opt.step()
+    assert {a.dtype for a in (opt.arena, opt.m, opt.v, opt._g, opt._s)} == {dtype}
+    assert {p.data.dtype for p in model.parameters()} == {dtype}
+    probs = model.predict_probs(encs[0])
+    assert probs.dtype == np.float64
+    assert abs(probs.sum() - 1.0) <= 1e-12
+
+
+def test_adam_refuses_parameters_of_mixed_dtypes():
+    a = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+    with pytest.raises(ContractError, match="mix dtypes"):
+        Adam([("a", a), ("b", param([1.0]))])
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +607,11 @@ def padded_batches(encs, batch_size, rng=None):
         yield [(e, max_words - e.n_words, max_frames - e.n_frames) for e, _, _ in batch]
 
 
-def _trained_state(corpus, rate, granularity="fine"):
+def _trained_state(corpus, rate, granularity="fine", precision="float64"):
+    # float64 unless asked: its callers hold training to an oracle within
+    # 1e-10 or bit for bit, bounds set at that precision
     _, encs, wv = corpus
-    cfg = small_config(num_classes=2, dropout=rate)
+    cfg = small_config(num_classes=2, dropout=rate, precision=precision)
     model = build_model(cfg, hcfg(granularity=granularity), wv, seed=6)
     train_epochs(model, encs, encs, hcfg(max_epochs=2, patience=5), seed=6)
     return model.state_dict()
@@ -543,13 +639,16 @@ def test_lazy_backward_and_mask_dropout_train_bit_identically(corpus, monkeypatc
         assert value.tobytes() == ref[name].tobytes(), name
 
 
-@pytest.mark.parametrize("granularity", ["fine", "multi"])
+@pytest.mark.parametrize("granularity, precision", [
+    ("fine", "float64"), ("multi", "float64"), ("fine", "float32"), ("multi", "float32")],
+    ids=["fine", "multi", "fine-float32", "multi-float32"])
 def test_arena_adam_trains_folds_like_the_per_parameter_oracle(corpus, monkeypatch,
-                                                               granularity):
-    state = _trained_state(corpus, 0.1, granularity)
+                                                               granularity, precision):
+    state = _trained_state(corpus, 0.1, granularity, precision)
     monkeypatch.setattr(harness, "Adam", PerParameterAdam)
-    ref = _trained_state(corpus, 0.1, granularity)
+    ref = _trained_state(corpus, 0.1, granularity, precision)
     for name, value in state.items():
+        assert value.dtype == ref[name].dtype == precision, name
         assert value.tobytes() == ref[name].tobytes(), name
 
 

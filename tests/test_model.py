@@ -10,6 +10,7 @@ finite-difference harness.  Gradient and determinism tests run in eval mode
 noise.
 """
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -184,12 +185,15 @@ def test_mel_prenet_gradcheck():
 # whole-model forward
 
 def test_forward_shapes_and_trace_contract():
-    model, cfg, wv = make_model()
+    model, cfg, wv = make_model(precision="float64")
     model.eval()
     enc = make_enc(wv, n_words=3, n_frames=5)
     trace = model.forward_utterance(enc)
-    assert trace.text_enc_out.shape == (3, 16)
-    assert trace.cross_out.shape == (5, 16)
+    assert set(vars(trace)) == {"cls", "logits"}
+    pack = Pack([(enc, 0, 0)], wv.pad_id, model.dtype)
+    text = model.encode_text(pack)
+    assert text.shape == (3, 16)
+    assert model.encode_mel(pack, text).shape == (5, 16)
     assert trace.cls.shape == (16,)
     assert trace.logits.shape == (4,)
     relogits = trace.cls.data @ model.head.weight.data + model.head.bias.data
@@ -247,13 +251,13 @@ def test_attention_rows_sum_to_one_at_every_layer():
 def test_cls_rows_equal_row_zero_of_the_full_last_block(layers_fusion):
     """The last fusion block runs on the cls rows only; run over every row
     as ``block(x, x, segs, segs)``, its position-0 rows are the same."""
-    model, _, wv = make_model(seed=11, layers_fusion=layers_fusion)
+    model, _, wv = make_model(seed=11, layers_fusion=layers_fusion, precision="float64")
     model.eval()
     rows = [(make_enc(wv, seed=12, n_words=3, n_frames=6), 1, 2),
             (make_enc(wv, seed=13, n_words=2, n_frames=4), 0, 0)]
-    pack = Pack(rows, wv.pad_id)
+    pack = Pack(rows, wv.pad_id, model.dtype)
     trace = model.forward_utterance(pack)
-    x = trace.cross_out
+    x = model.encode_mel(pack, model.encode_text(pack))
     for block in model.fusion_blocks:
         x = block(x, x, pack.frames, pack.frames)
     full_cls = x.data[pack.frames.offsets[:-1]]
@@ -305,7 +309,7 @@ def _logits_grads_and_maps(model, forward, rows):
     return logits.data.copy(), grads, maps
 
 
-def _assert_packed_matches_the_oracle(model, rows):
+def _assert_packed_matches_the_oracle(model, rows, bound=1e-10):
     logits, grads, maps = _logits_grads_and_maps(model, lambda m, r: m.forward_batch(r), rows)
     ref_logits, ref_grads, ref_maps = _logits_grads_and_maps(model, per_utterance_batch, rows)
 
@@ -313,25 +317,42 @@ def _assert_packed_matches_the_oracle(model, rows):
         return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
 
     assert logits.shape == (len(rows), 4)
-    assert rel_err(logits, ref_logits) <= 1e-10
+    assert rel_err(logits, ref_logits) <= bound
     assert grads.keys() == ref_grads.keys()
     for name, ref in ref_grads.items():
-        assert rel_err(grads[name], ref) <= 1e-10, name
+        assert grads[name].dtype == ref.dtype == model.dtype, name
+        assert rel_err(grads[name], ref) <= bound, name
     # last_weights holds the pack's last segment, which the oracle ran last;
     # the last fusion block computes only the oracle's query row 0
     assert len(maps) == len(ref_maps)
     ref_maps[-1] = ref_maps[-1][:, :1]
     for weights, ref in zip(maps, ref_maps):
         assert weights.shape == ref.shape
-        assert rel_err(weights, ref) <= 1e-10
+        assert rel_err(weights, ref) <= bound
 
 
 @pytest.mark.parametrize("granularity", ["fine", "multi", "multi-file"])
 @pytest.mark.parametrize("combine_mode", ["highway", "concat"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_packed_batch_matches_the_per_utterance_oracle(granularity, combine_mode, n):
-    model, wv = _model(granularity, combine_mode, dropout=0.0, finetune_word_vectors=True)
+    model, wv = _model(granularity, combine_mode, dropout=0.0, finetune_word_vectors=True,
+                       precision="float64")
     _assert_packed_matches_the_oracle(model, _rows(wv, n, granularity))
+
+
+# float32 rounds at about 6e-8 relative, and the pack sums in another order
+# than the oracle; through these models that grows to at most about 2e-6
+# (logits, gradients and maps).  1e-4 leaves room for other BLAS builds and
+# still catches a packing fault, which shows at order 1.
+F32_ORACLE_BOUND = 1e-4
+
+
+@pytest.mark.parametrize("granularity", ["fine", "multi", "multi-file"])
+@pytest.mark.parametrize("combine_mode", ["highway", "concat"])
+def test_float32_packed_batch_matches_the_per_utterance_oracle(granularity, combine_mode):
+    model, wv = _model(granularity, combine_mode, dropout=0.0, finetune_word_vectors=True)
+    assert model.dtype == np.float32
+    _assert_packed_matches_the_oracle(model, _rows(wv, 4, granularity), bound=F32_ORACLE_BOUND)
 
 
 @pytest.mark.parametrize("granularity", ["fine", "multi", "multi-file"])
@@ -341,7 +362,7 @@ def test_cls_only_last_block_matches_the_oracle_at_each_fusion_depth(granularity
     """With one fusion block the cls-only block reads the cross-modal stream
     itself; every row of the pack carries word and frame padding."""
     model, wv = _model(granularity, "highway", dropout=0.0, finetune_word_vectors=True,
-                       layers_fusion=layers_fusion)
+                       layers_fusion=layers_fusion, precision="float64")
     rows = [(enc, pad_words + 1, pad_frames + 2)
             for enc, pad_words, pad_frames in _rows(wv, 4, granularity)]
     _assert_packed_matches_the_oracle(model, rows)
@@ -354,7 +375,7 @@ def test_only_the_last_fusion_block_runs_on_cls_rows(layers_fusion):
     has one query row."""
     model, wv = _model("fine", "highway", layers_fusion=layers_fusion)
     rows = _rows(wv, 3, "fine")
-    pack = Pack(rows, wv.pad_id)
+    pack = Pack(rows, wv.pad_id, model.dtype)
     out = model.forward_utterance(pack).logits
     d_ff, heads = model.cfg.d_ff, model.cfg.heads
     assert pack.words.total != pack.frames.total and d_ff not in (model.cfg.d_model, 128)
@@ -369,7 +390,7 @@ def test_only_the_last_fusion_block_runs_on_cls_rows(layers_fusion):
 
 @pytest.mark.parametrize("granularity", ["fine", "multi"])
 def test_predict_probs_matches_the_per_utterance_oracle(granularity):
-    model, wv = _model(granularity, "highway", seed=52)
+    model, wv = _model(granularity, "highway", seed=52, precision="float64")
     enc = make_enc(wv, seed=53, n_words=4, n_frames=8)
     probs = model.predict_probs(enc)
     model.eval()
@@ -401,7 +422,7 @@ def test_every_forward_goes_through_forward_utterance(granularity, monkeypatch):
     assert model.predict_probs(rows[0][0]).shape == (4,)
     assert seen == [Pack, type(rows[0][0])]
     with pytest.raises(ShapeError):  # a pack carries its own padding
-        forward(model, Pack(rows, wv.pad_id), 1)
+        forward(model, Pack(rows, wv.pad_id, model.dtype), 1)
 
 
 def test_position_table_rows_are_the_formula_and_read_only():
@@ -431,7 +452,7 @@ def test_packed_positions_count_from_zero_in_each_segment():
 # gradients
 
 def test_end_to_end_gradcheck_two_sample_batch():
-    model, _, wv = make_model(seed=13)
+    model, _, wv = make_model(seed=13, precision="float64")
     model.eval()
     nudge_off_kinks(model, seed=99)
     encs = [make_enc(wv, seed=14, n_words=2, n_frames=4),
@@ -526,10 +547,46 @@ def test_restored_model_reproduces_logits(tmp_path):
     save_checkpoint(path, model, cfg)
     restored, _, _ = restore_model(path, wv)
     restored.eval()
-    a = model.forward_utterance(enc).logits.data.astype("<f4")
-    b = restored.forward_utterance(enc).logits.data.astype("<f4")
-    # restored weights went through f32; compare at f32 resolution
-    assert np.allclose(a, b, atol=1e-5)
+    # float32 records restore a default-precision (float32) model exactly
+    assert restored.dtype == model.dtype == np.float32
+    a = model.forward_utterance(enc).logits.data
+    b = restored.forward_utterance(enc).logits.data
+    assert np.array_equal(a, b)
+
+
+def _drop_header_key(path, section, key):
+    """Rewrite a checkpoint's JSON header without ``header[section][key]``."""
+    raw = path.read_bytes()
+    end = 8 + int.from_bytes(raw[4:8], "little")
+    header = json.loads(raw[8:end])
+    del header[section][key]
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:4] + len(blob).to_bytes(4, "little") + blob + raw[end:])
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_header_without_precision_restores_as_float32(tmp_path, precision):
+    """Checkpoints written before the precision field restore at the default."""
+    model, cfg, wv = make_model(seed=23, precision=precision)
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, model, cfg, extra={"seed": 23})
+    _drop_header_key(path, "model", "precision")
+    restored, rcfg, _ = restore_model(path, wv)
+    assert rcfg.precision == "float32" and restored.dtype == np.float32
+    stored = load_checkpoint(path)[2]
+    for name, p in restored.named_parameters():
+        assert p.data.dtype == np.float32, name
+        assert np.array_equal(p.data, stored[name]), name
+
+
+def test_load_checkpoint_returns_the_float32_records_as_stored(tmp_path):
+    model, cfg, _ = make_model(seed=24, precision="float64")
+    path = tmp_path / "f64.ckpt"
+    save_checkpoint(path, model, cfg)
+    params = load_checkpoint(path)[2]
+    for name, p in model.named_parameters():
+        assert params[name].dtype == np.float32, name
+        assert np.array_equal(params[name], p.data.astype(np.float32)), name
 
 
 def test_checkpoint_header_restores_config(tmp_path):
@@ -569,7 +626,7 @@ def _logits_and_grads(model, enc, pad_words):
 @pytest.mark.parametrize("pad_words", [0, 2])
 def test_row_wise_text_frontend_matches_per_word_loop(monkeypatch, combine_mode, pad_words):
     model, _, wv = make_model(seed=30, combine_mode=combine_mode, dropout=0.0,
-                              finetune_word_vectors=True)
+                              finetune_word_vectors=True, precision="float64")
     enc = make_enc(wv, seed=31, n_words=5)  # 2-4 phonemes per word
     logits, grads = _logits_and_grads(model, enc, pad_words)
     monkeypatch.setattr(MultilevelTransformer, "encode_text", _per_word_encode_text)
@@ -612,7 +669,7 @@ def test_encode_text_graph_does_not_grow_with_word_count():
     counts = []
     for n_words in (1, 4, 12):
         enc = make_enc(wv, seed=33, n_words=n_words)
-        counts.append(_graph_nodes(model.encode_text(Pack([(enc, 0, 0)], wv.pad_id))))
+        counts.append(_graph_nodes(model.encode_text(Pack([(enc, 0, 0)], wv.pad_id, model.dtype))))
     assert counts[0] == counts[1] == counts[2]
 
 
