@@ -31,7 +31,6 @@ CACHE_MAGIC = b"MEL1"
 @dataclass
 class MelMatrix:
     frames: np.ndarray      # [T, 128] float64 rows of log filterbank energies
-    sample_rate: int
     has_dummy: bool = False
 
 
@@ -157,7 +156,7 @@ def log_mel(frames, sample_rate):
     power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
     weights, _ = mel_filterbank(sample_rate, n_fft)
     energies = power @ weights.T
-    return MelMatrix(frames=np.log(energies + LOG_FLOOR), sample_rate=sample_rate)
+    return MelMatrix(frames=np.log(energies + LOG_FLOOR))
 
 
 def normalize_and_prepend_dummy(mel: MelMatrix) -> MelMatrix:
@@ -169,7 +168,7 @@ def normalize_and_prepend_dummy(mel: MelMatrix) -> MelMatrix:
     std = np.maximum(x.std(axis=0), STD_FLOOR)
     normed = (x - mean) / std
     out = np.vstack([np.zeros((1, x.shape[1])), normed])
-    return MelMatrix(frames=out, sample_rate=mel.sample_rate, has_dummy=True)
+    return MelMatrix(frames=out, has_dummy=True)
 
 
 def featurize_wav(path) -> MelMatrix:
@@ -194,7 +193,7 @@ def write_mel_cache(path, mel: MelMatrix):
         fh.write(mel_cache_bytes(mel))
 
 
-def read_mel_cache(path, sample_rate=16000) -> MelMatrix:
+def read_mel_cache(path) -> MelMatrix:
     """A MEL1 file: 128 columns, the dummy row and at least one frame, nothing after."""
     with open(path, "rb") as fh:
         reader = BinaryReader(fh, path)
@@ -210,4 +209,4 @@ def read_mel_cache(path, sample_rate=16000) -> MelMatrix:
     if trailing:
         raise FormatError(f"{path}: {trailing} trailing bytes after the {rows}x{cols} payload")
     frames = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float64)
-    return MelMatrix(frames=frames, sample_rate=sample_rate, has_dummy=True)
+    return MelMatrix(frames=frames, has_dummy=True)

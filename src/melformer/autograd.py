@@ -140,7 +140,7 @@ class Segments:
     the cumulative lengths, like FlashAttention's ``cu_seqlens``), and its
     first ``valid[s]`` rows are real: the rest are padding.  Row-wise ops
     ignore the layout; the ops that look across rows (attention, conv
-    windows, row zeroing) take it and stay inside each segment.
+    windows, max pooling, row zeroing) take it and stay inside each segment.
     """
 
     def __init__(self, lengths, valid=None):
@@ -621,80 +621,70 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _track(out, (x, gain, bias), _bw)
 
 
-def conv1d(x: Tensor, kernels: Tensor, segs=None) -> Tensor:
+def conv1d(x: Tensor, kernels: Tensor, segs: Segments) -> Tensor:
     """Cross-correlation along the time axis, same padding, inside each segment.
 
-    ``x`` is [T, Cin], packed by ``segs`` (:class:`Segments`), or
-    [N, T, Cin] for N independent sequences of one length, with no ``segs``;
-    ``kernels`` is [W, Cin, Cout].  Each sequence gets (W-1)//2 leading and
+    ``x`` is [T, Cin], packed by ``segs`` (:class:`Segments`), and
+    ``kernels`` is [W, Cin, Cout].  Each segment gets (W-1)//2 leading and
     W//2 trailing zero steps of its own, so the output keeps its T steps and
-    no window reaches into a neighbouring sequence:
-    out[..., t, o] = sum_w sum_i xpad[..., t+w, i] * k[w, i, o].
+    no window reaches into a neighbouring segment:
+    out[t, o] = sum_w sum_i xpad[t+w, i] * k[w, i, o].
     """
-    if x.ndim not in (2, 3) or kernels.ndim != 3:
-        raise ShapeError(f"conv1d needs x[T,Cin] or x[N,T,Cin] and kernels[W,Cin,Cout], "
+    if x.ndim != 2 or kernels.ndim != 3:
+        raise ShapeError(f"conv1d needs x[T,Cin] and kernels[W,Cin,Cout], "
                          f"got {x.shape} and {kernels.shape}")
-    *lead, t_in, c_in = x.shape
+    t_in, c_in = x.shape
     w, kc_in, c_out = kernels.shape
     if kc_in != c_in:
         raise ShapeError(f"conv1d channel mismatch: input has {c_in}, kernels expect {kc_in}")
-    if (segs is None) != bool(lead):
-        raise ShapeError("conv1d takes segments for a rank-2 input, and only for it")
-    if lead:
-        segs = Segments(np.full(lead[0], t_in))
-    else:
-        segs = _layout(segs, t_in, "conv1d input")
+    segs = _layout(segs, t_in, "conv1d input")
     pad_left = (w - 1) // 2
-    # the sequences sit in one zero buffer with W - 1 zero steps between
+    # the segments sit in one zero buffer with W - 1 zero steps between
     # neighbours; row r's window starts at step start[r] of that buffer
-    n = segs.total
-    start = np.arange(n) + (w - 1) * np.repeat(np.arange(len(segs)), segs.lengths)
-    xp = np.zeros((n + len(segs) * (w - 1), c_in), dtype=x.data.dtype)
-    xp[start + pad_left] = x.data.reshape(n, c_in)
-    cols = xp[start[:, None] + np.arange(w)].reshape(n, w * c_in)
+    start = np.arange(t_in) + (w - 1) * np.repeat(np.arange(len(segs)), segs.lengths)
+    xp = np.zeros((t_in + len(segs) * (w - 1), c_in), dtype=x.data.dtype)
+    xp[start + pad_left] = x.data
+    cols = xp[start[:, None] + np.arange(w)].reshape(t_in, w * c_in)
     kmat = kernels.data.reshape(w * c_in, c_out)
-    out = Tensor((cols @ kmat).reshape(*lead, t_in, c_out))
+    out = Tensor(cols @ kmat)
 
     def _bw():
-        g = out.grad.reshape(n, c_out)
+        g = out.grad
         if kernels.requires_grad:
             _accumulate(kernels, (cols.T @ g).reshape(w, c_in, c_out))
         if x.requires_grad:
-            dcols = (g @ kmat.T).reshape(n, w, c_in)
+            dcols = (g @ kmat.T).reshape(t_in, w, c_in)
             dxp = np.zeros_like(xp)
             for i in range(w):
                 dxp[start + i] += dcols[:, i]  # no step repeats within one i
-            _accumulate(x, dxp[start + pad_left].reshape(x.shape))
+            _accumulate(x, dxp[start + pad_left])
 
     return _track(out, (x, kernels), _bw)
 
 
-def max_pool_time(x: Tensor, valid=None) -> Tensor:
-    """Per-channel maximum over time steps; gradient goes to the first argmax.
+def max_pool_time(x: Tensor, segs: Segments) -> Tensor:
+    """Per-channel maximum of each segment; gradient goes to its first argmax.
 
-    ``x`` is [T, C] -> [C], or [N, T, C] -> [N, C] with each row pooled on
-    its own.  ``valid`` restricts the pool to the first ``valid`` steps, so
-    trailing padding cannot win the max; for a rank-3 ``x`` it is one count
-    for all rows or one count per row.
+    ``x`` is [T, C], packed by ``segs`` (:class:`Segments`) -> [segments, C].
+    Every row of a segment takes part, so a layout with padding rows is
+    refused.
     """
-    if x.ndim not in (2, 3):
-        raise ShapeError(f"max_pool_time needs x[T,C] or x[N,T,C], got {x.shape}")
-    lead, t = x.shape[:-2], x.shape[-2]
-    if t < 1:
-        raise ShapeError("max_pool_time on an empty time axis")
-    v = np.asarray(t if valid is None else valid, dtype=np.int64)
-    if v.shape not in ((), lead):
-        raise ShapeError(f"valid counts have shape {v.shape}, expected () or {lead}")
-    if np.any(v < 1) or np.any(v > t):
-        raise ShapeError(f"valid count {v} outside [1, {t}]")
-    in_pool = np.arange(t)[:, None] < v[..., None, None]  # [..., T, 1]
-    idx = np.argmax(np.where(in_pool, x.data, -np.inf), axis=-2)[..., None, :]  # [..., 1, C]
-    out = Tensor(np.take_along_axis(x.data, idx, axis=-2)[..., 0, :])
+    if x.ndim != 2:
+        raise ShapeError(f"max_pool_time needs x[T,C], got {x.shape}")
+    segs = _layout(segs, x.shape[0], "max_pool_time input")
+    if segs.padded:
+        raise ShapeError("max_pool_time pools whole segments; its layout has padding rows")
+    starts = segs.offsets[:-1]
+    out = Tensor(np.maximum.reduceat(x.data, starts, axis=0))
+    # each segment's first row not below its maximum (a NaN row counts as one)
+    rows = np.where(x.data < np.repeat(out.data, segs.lengths, axis=0), segs.total,
+                    np.arange(segs.total)[:, None])
+    idx = np.minimum.reduceat(rows, starts, axis=0)  # [segments, C]
 
     def _bw():
         if x.requires_grad:
             scatter = np.zeros_like(x.data)
-            np.put_along_axis(scatter, idx, out.grad[..., None, :], axis=-2)
+            scatter[idx, np.arange(x.shape[1])] = out.grad
             _accumulate(x, scatter)
 
     return _track(out, (x,), _bw)

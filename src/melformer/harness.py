@@ -55,7 +55,8 @@ class Adam:
     already updated).  Once handed to the optimizer, parameters must be
     changed in place (``p.data[...] = x``): ``step`` refuses one whose
     ``data`` is no longer its arena view, since it would silently stop
-    training.
+    training.  It also refuses a gradient of another shape or dtype than its
+    parameter, before any block is updated.
     """
 
     def __init__(self, named_params, lr=1e-5, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -93,6 +94,9 @@ class Adam:
                     "update parameters in place (p.data[...] = x)")
             if p.grad is not None and p.grad.shape != view.shape:
                 raise ShapeError(f"parameter {name}: gradient {p.grad.shape} vs {view.shape}")
+            if p.grad is not None and p.grad.dtype != view.dtype:
+                # the block gather would cast it silently
+                raise ContractError(f"parameter {name}: gradient {p.grad.dtype} vs {view.dtype}")
             grads.append(p.grad)
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t

@@ -2,9 +2,10 @@
 
 Text path: phoneme CNN + word vector -> combiner -> conv prenet ->
 transformer encoder, each stage run once over the word rows of a whole
-batch.  Audio path: normalized log-mel frames (zero dummy row at position
-0) -> two-layer affine prenet -> cross-modality blocks whose queries are
-the mel stream and whose keys/values are the text encoding -> self-attention
+batch (the phoneme CNN over its phoneme rows, pooled to one row per word).
+Audio path: normalized log-mel frames (zero dummy row at position 0) ->
+two-layer affine prenet -> cross-modality blocks whose queries are the mel
+stream and whose keys/values are the text encoding -> self-attention
 fusion blocks.  Each utterance's fused row at position 0 feeds an affine
 head that emits class logits.  Since nothing else reaches the head, the last
 fusion block computes only those position-0 rows: its queries are the
@@ -16,13 +17,14 @@ the loss, so the logits are those of a full last block up to rounding.
 A batch runs as one ``Pack``: its utterances' word rows are stacked into
 one [ΣW, ·] stream and their mel frames into one [ΣT, d] stream, with no
 padding between them.  Utterance i is segment i of each stream, laid out
-by an ``autograd.Segments`` (offsets plus per-segment valid counts).
-Every row-wise stage (``Linear``, FFN, ``layer_norm``, ``dropout``,
-residual adds) runs once per batch and never sees the layout; only
-attention, the text prenet's conv windows, row zeroing and positions do,
-and they stay inside each segment.  So no utterance sees another, and a
-batch gives each utterance's logits as a forward of that utterance alone
-would, up to rounding.  After a pack, each attention module's
+by an ``autograd.Segments`` (offsets plus per-segment valid counts).  A
+third stream holds every word's phonemes, [Σphonemes] with one segment per
+word, for the phoneme CNN.  Every row-wise stage (``Linear``, FFN,
+``layer_norm``, ``dropout``, residual adds) runs once per batch and never
+sees the layout; only attention, the conv windows, max pooling, row zeroing
+and positions do, and they stay inside each segment.  So no utterance sees
+another, and a batch gives each utterance's logits as a forward of that
+utterance alone would, up to rounding.  After a pack, each attention module's
 ``last_weights`` holds the [heads, Tq, Tk] map of the pack's last
 utterance (the last fusion block's is its cls row's [heads, 1, Tk]);
 after a pack of one (one utterance through ``forward_utterance``, or
@@ -63,8 +65,7 @@ from .autograd import Segments, Tensor
 from .binfile import BinaryReader
 from .config import CHOICES, ModelConfig, _typed, model_config_from_dict
 from .errors import FormatError, ShapeError, ValidationError
-from .text import (PAD_PHONEME, PHONEMES, EncoderPrenet, PhonemeCNN, WordCombiner, WordVectors,
-                   phoneme_block)
+from .text import PAD_PHONEME, PHONEMES, EncoderPrenet, PhonemeCNN, WordCombiner, WordVectors
 
 CHECKPOINT_MAGIC = b"MLT1"
 
@@ -313,14 +314,14 @@ class MultilevelTransformer(EmotionModel):
     def encode_text(self, pack: Pack) -> Tensor:
         """The pack's word stream -> [ΣW, d_model] text encoding.
 
-        The frontend runs once per pack: the phoneme lists are padded into a
-        [ΣW, max_phonemes] block, the phoneme CNN turns it into
+        The frontend runs once per pack: the phoneme CNN turns the pack's
+        phoneme lists, one segment of a [Σphonemes] stream per word, into
         [ΣW, phoneme_channels], and the combiner mixes that with the
         [ΣW, word_dim] word vectors row-wise before the prenet.
         """
         word_emb = ag.embedding_rows(self.word_table, pack.word_ids,
                                      frozen_row=self.word_vectors.pad_id)
-        phon_emb = self.phoneme_cnn.embed_word(phoneme_block(pack.phonemes))
+        phon_emb = self.phoneme_cnn.embed_word(pack.phonemes)
         x = self.combiner(word_emb, phon_emb)
         x = nn.add_positions(self.prenet(x, pack.words), pack.words)
         for block in self.text_blocks:

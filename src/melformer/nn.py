@@ -164,7 +164,7 @@ class Conv1d(Module):
         self.kernels = Tensor(fan_in_uniform(rng, (width, c_in, c_out), width * c_in), requires_grad=True)
         self.bias = Tensor(np.zeros(c_out), requires_grad=True) if bias else None
 
-    def __call__(self, x: Tensor, segs=None) -> Tensor:
+    def __call__(self, x: Tensor, segs: ag.Segments) -> Tensor:
         out = ag.conv1d(x, self.kernels, segs)
         if self.bias is not None:
             out = ag.add(out, self.bias)
@@ -216,10 +216,5 @@ def add_positions(x: Tensor, segs) -> Tensor:
     """Add the sinusoidal position signal, in ``x``'s dtype, to a [T, D]
     stream laid out by ``segs`` (``autograd.Segments``): positions count
     from 0 in each segment."""
-    t, d = x.shape
-    if len(segs) == 1:
-        positions = sinusoidal_positions(t, d, x.data.dtype)
-    else:
-        positions = sinusoidal_positions(int(segs.lengths.max()), d,
-                                         x.data.dtype)[segs.positions()]
-    return ag.add(x, Tensor(positions))
+    table = sinusoidal_positions(int(segs.lengths.max()), x.shape[1], x.data.dtype)
+    return ag.add(x, Tensor(table[segs.positions()]))

@@ -6,8 +6,11 @@ never fails.  Each word then gets a fixed-size vector from a small CNN over
 its phoneme embeddings, concatenated with a 300-dim word vector, optionally
 passed through a two-layer highway network, and finally run through a
 convolutional prenet that projects to the model dimension.  Every stage
-works on one row per word, and the prenet's conv windows stay inside each
-utterance, so a whole batch runs through the frontend once.
+after the phoneme CNN works on one row per word.  The phoneme CNN works on
+one row per phoneme, in one packed stream with one segment per word, and
+pools each segment to its word's row.  The CNN's windows stay inside each
+word and the prenet's inside each utterance, so a whole batch runs through
+the frontend once, with no padding.
 """
 
 import hashlib
@@ -189,24 +192,16 @@ def hash_word_vectors(words, dim=WORD_DIM, scale=0.1) -> WordVectors:
     return WordVectors(vocab=vocab, matrix=matrix)
 
 
-def phoneme_block(phonemes) -> np.ndarray:
-    """Per-word phoneme id lists -> [n_words, max_phonemes] ids, trailing-padded."""
-    block = np.full((len(phonemes), max(len(p) for p in phonemes)), PAD_PHONEME, dtype=np.int64)
-    for i, ids in enumerate(phonemes):
-        block[i, :len(ids)] = ids
-    return block
-
-
 class PhonemeCNN(nn.Module):
     """Fixed-size word vector from a CNN over the word's phoneme embeddings.
 
     Phonemes are embedded (pad ids read as zero), run through bias-free
     same-padding convolutions of several widths, ReLU'd, and max-pooled over
-    time; the per-width pools are concatenated.  Trailing pad phonemes do
-    not change the output: their embeddings are zero (matching the conv's
-    own zero padding) and pooling is restricted to valid positions.  So a
-    [n_words, max_phonemes] block of trailing-padded words (see
-    :func:`phoneme_block`) embeds row by row exactly as each word alone.
+    each word's phonemes; the per-width pools are concatenated.  The words'
+    phonemes run as one packed stream with one segment per word, so each
+    conv window and each pool stays inside its word, and a word embeds
+    exactly as it would alone.  A pad word (``[PAD_PHONEME]``) embeds to an
+    exact zero vector.
     """
 
     def __init__(self, rng, d_p=64, widths=(2, 3, 4), channels_per_width=50):
@@ -217,16 +212,14 @@ class PhonemeCNN(nn.Module):
         self.convs = nn.ModuleList(
             [nn.Conv1d(w, d_p, channels_per_width, rng, bias=False) for w in widths])
 
-    def embed_word(self, phoneme_ids) -> Tensor:
-        """[N, L] phoneme ids, one trailing-padded word per row -> [N, out_dim]."""
-        ids = np.asarray(phoneme_ids, dtype=np.int64)
-        if ids.ndim != 2:
-            raise ShapeError(f"phoneme ids need shape [words, phonemes], got {ids.shape}")
-        n_valid = (ids != PAD_PHONEME).sum(axis=-1)  # pads are trailing by construction
-        # all-pad words pool over their zero embeddings to an exact zero vector
-        valid = np.where(n_valid > 0, n_valid, ids.shape[-1])
-        x = self.embedding(ids)
-        pools = [ag.max_pool_time(ag.relu(conv(x)), valid=valid) for conv in self.convs]
+    def embed_word(self, phonemes) -> Tensor:
+        """One phoneme id list per word -> [n_words, out_dim], one row per word."""
+        ids = [np.asarray(word, dtype=np.int64) for word in phonemes]
+        if any(word.ndim != 1 for word in ids):
+            raise ShapeError("phoneme ids need one list of ids per word")
+        segs = ag.Segments([len(word) for word in ids])
+        x = self.embedding(np.concatenate(ids))
+        pools = [ag.max_pool_time(ag.relu(conv(x, segs)), segs) for conv in self.convs]
         return ag.concat(pools, axis=-1)
 
 

@@ -14,7 +14,7 @@ from melformer.autograd import Segments, Tensor
 from melformer.config import ModelConfig
 from melformer.errors import NumericError
 from melformer.model import MultilevelTransformer
-from melformer.text import PAD_PHONEME, PHONEME_TO_ID, hash_word_vectors, phoneme_block
+from melformer.text import PAD_PHONEME, PHONEME_TO_ID, hash_word_vectors
 
 WORDS = ["one", "two", "three", "four", "five"]
 
@@ -64,7 +64,7 @@ def utterance_logits(model, enc, pad_words=0, pad_frames=0):
 
     x = fine.combiner(ag.embedding_rows(fine.word_table, word_ids,
                                         frozen_row=fine.word_vectors.pad_id),
-                      fine.phoneme_cnn.embed_word(phoneme_block(phonemes)))
+                      fine.phoneme_cnn.embed_word(phonemes))
     text = nn.add_positions(fine.prenet(x, words), words)
     for block in fine.text_blocks:
         text = block(text, text, words, words)

@@ -269,7 +269,7 @@ def test_double_prepend_is_a_contract_error():
 
 
 def test_constant_channel_survives_std_floor():
-    mel = audio.MelMatrix(frames=np.ones((6, 128)) * 3.5, sample_rate=16000)
+    mel = audio.MelMatrix(frames=np.ones((6, 128)) * 3.5)
     out = audio.normalize_and_prepend_dummy(mel)
     assert np.all(np.isfinite(out.frames))
     assert np.allclose(out.frames[1:], 0.0)

@@ -189,20 +189,6 @@ def test_conv1d_same_padding_keeps_length():
         assert ag.conv1d(Tensor(x), Tensor(k), Segments([7])).shape == (7, 3)
 
 
-def test_conv1d_rank3_rows_match_rank2_calls():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(3, 6, 2))
-    k = Tensor(rng.normal(size=(3, 2, 4)))
-    out = ag.conv1d(Tensor(x), k)
-    for i in range(3):
-        row = ag.conv1d(Tensor(x[i]), k, Segments([6]))
-        np.testing.assert_allclose(out.data[i], row.data, rtol=0, atol=1e-12)
-    with pytest.raises(ShapeError):  # segments lay out a rank-2 input only
-        ag.conv1d(Tensor(x), k, Segments([6, 6, 6]))
-    with pytest.raises(ShapeError):
-        ag.conv1d(Tensor(x[0]), k)
-
-
 @pytest.mark.parametrize("width", [1, 2, 3, 5])
 def test_conv1d_segments_match_one_call_per_segment(width):
     """No window crosses a segment boundary, in either direction."""
@@ -248,53 +234,49 @@ def test_zero_rows_zeroes_each_segments_own_padding():
 # --- max_pool_time ---------------------------------------------------------------
 
 def test_max_pool_small_case():
-    out = ag.max_pool_time(Tensor([[1.0, 3.0], [2.0, 0.0]]))
-    np.testing.assert_array_equal(out.data, [2.0, 3.0])
+    out = ag.max_pool_time(Tensor([[1.0, 3.0], [2.0, 0.0]]), Segments([2]))
+    np.testing.assert_array_equal(out.data, [[2.0, 3.0]])
 
 
 def test_max_pool_single_row_identity():
-    out = ag.max_pool_time(Tensor([[4.0, -1.0, 0.5]]))
-    np.testing.assert_array_equal(out.data, [4.0, -1.0, 0.5])
+    out = ag.max_pool_time(Tensor([[4.0, -1.0, 0.5]]), Segments([1]))
+    np.testing.assert_array_equal(out.data, [[4.0, -1.0, 0.5]])
 
 
 def test_max_pool_gradient_goes_to_argmax():
     x = Tensor([[1.0, 5.0], [7.0, 2.0], [3.0, 4.0]], requires_grad=True)
-    ag.backward(ag.tsum(ag.max_pool_time(x)))
+    ag.backward(ag.tsum(ag.max_pool_time(x, Segments([3]))))
     np.testing.assert_array_equal(x.grad, [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
 
 
 def test_max_pool_tie_goes_to_first_occurrence():
-    x = Tensor([[2.0], [2.0]], requires_grad=True)
-    ag.backward(ag.tsum(ag.max_pool_time(x)))
-    np.testing.assert_array_equal(x.grad, [[1.0], [0.0]])
+    # the second segment's tie resolves inside it, not to the first row overall
+    x = Tensor([[2.0], [2.0], [2.0], [2.0]], requires_grad=True)
+    ag.backward(ag.tsum(ag.max_pool_time(x, Segments([1, 3]))))
+    np.testing.assert_array_equal(x.grad, [[1.0], [1.0], [0.0], [0.0]])
 
 
 def test_max_pool_empty_axis_rejected():
     with pytest.raises(ShapeError):
-        ag.max_pool_time(Tensor(np.zeros((0, 3))))
+        ag.max_pool_time(Tensor(np.zeros((0, 3))), Segments([1]))
 
 
-def test_max_pool_valid_excludes_padding():
-    x = Tensor([[1.0], [9.0], [100.0]])
-    assert ag.max_pool_time(x, valid=2).data[0] == 9.0
-
-
-def test_max_pool_per_row_valid():
-    x = Tensor([[[1.0], [9.0], [100.0]],
-                [[3.0], [2.0], [1.0]],
-                [[5.0], [6.0], [7.0]]], requires_grad=True)
-    out = ag.max_pool_time(x, valid=[2, 1, 3])
+def test_max_pool_pools_each_segment_on_its_own():
+    x = Tensor([[1.0], [9.0], [3.0], [5.0], [6.0], [7.0]], requires_grad=True)
+    out = ag.max_pool_time(x, Segments([2, 1, 3]))
     np.testing.assert_array_equal(out.data, [[9.0], [3.0], [7.0]])
     ag.backward(ag.tsum(out))
-    np.testing.assert_array_equal(x.grad[:, :, 0], [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    np.testing.assert_array_equal(x.grad[:, 0], [0, 1, 1, 0, 0, 1])
 
 
-def test_max_pool_rejects_bad_valid_counts():
-    x = Tensor(np.zeros((2, 3, 1)))
+def test_max_pool_refuses_padding_rows_and_a_mismatched_layout():
+    x = Tensor(np.zeros((3, 1)))
+    with pytest.raises(ShapeError, match="padding"):
+        ag.max_pool_time(x, Segments([3], valid=[2]))
     with pytest.raises(ShapeError):
-        ag.max_pool_time(x, valid=[1, 4])
+        ag.max_pool_time(x, Segments([1, 1]))
     with pytest.raises(ShapeError):
-        ag.max_pool_time(x, valid=[1, 2, 3])
+        ag.max_pool_time(Tensor(np.zeros((1, 3, 1))), Segments([3]))
 
 
 # --- attention -------------------------------------------------------------------
@@ -503,8 +485,8 @@ def test_all_ops_gradcheck(seed):
     k = Tensor(rng.normal(size=(2, d, 3)), requires_grad=True)
     checks.append((lambda x, k: ag.tsum(ag.conv1d(x, k, Segments([t]))), [a, k]))
 
-    checks.append((lambda x: ag.tsum(ag.max_pool_time(x)), [kinkless]))
-    checks.append((lambda x: ag.tsum(ag.max_pool_time(x, valid=t - 1)), [kinkless]))
+    checks.append((lambda x: ag.tsum(ag.max_pool_time(x, Segments([t]))), [kinkless]))
+    checks.append((lambda x: ag.tsum(ag.max_pool_time(x, Segments([1, t - 1]))), [kinkless]))
 
     labels = rng.integers(0, d, size=t)
     checks.append((lambda l: ag.cross_entropy(l, labels), [a]))
@@ -627,8 +609,9 @@ def _every_op_graph(rng):
     h = ag.attention_mix(att, h, 2, segs, segs) + ag.softmax(h) + ag.transpose(ag.transpose(h))
     h = ag.conv1d(h, Tensor(rng.standard_normal((3, 6, 6))), segs)
     h = ag.dropout(ag.zero_rows(ag.sigmoid(h), segs), 0.3, np.random.default_rng(1))
-    emb = ag.embedding_rows(table, [[1, 2, 0], [3, 4, 4]], frozen_row=0)
-    pooled = ag.max_pool_time(ag.conv1d(emb, kern), valid=[2, 3])
+    words = Segments([2, 1, 3])  # the middle word is the frozen pad id alone
+    emb = ag.embedding_rows(table, [1, 2, 0, 3, 4, 4], frozen_row=0)
+    pooled = ag.max_pool_time(ag.conv1d(emb, kern, words), words)
     rows = ag.stack_rows([h[0], h[1] + pooled[0], ag.reshape(h[2:], (12,))[:6]])
     mixed = ag.concat([rows, rows * 2.0], axis=1)
     loss = ag.cross_entropy(mixed, [0, 3, 11]) + ag.tsum(ag.neg(h * h)) * 1e-2 + s

@@ -195,6 +195,22 @@ def test_adam_refuses_a_gradient_of_another_shape_by_name():
         opt.step()
 
 
+def test_adam_refuses_a_gradient_of_another_dtype_before_any_update():
+    # a float64 gradient on a float32 parameter would be narrowed silently
+    rng = np.random.default_rng(0)
+    ps = [Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+          for s in ((BLOCK + 5,), (4,))]
+    opt = Adam([("first", ps[0]), ("wide", ps[1])], lr=0.1)
+    ps[0].grad = np.ones(ps[0].shape, dtype=np.float32)
+    ps[1].grad = np.ones(4)
+    before = [opt.arena.copy(), opt.m.copy(), opt.v.copy()]
+    with pytest.raises(ContractError, match="parameter wide: gradient float64 vs float32"):
+        opt.step()
+    for now, then in zip((opt.arena, opt.m, opt.v), before):
+        assert np.array_equal(now, then)
+    assert opt.t == 0
+
+
 def test_adam_step_allocates_no_full_size_temporaries():
     cfg = ModelConfig(d_model=16, heads=2, layers_text=1, layers_cross=1, layers_fusion=1,
                       d_ff=32, dropout=0.0)  # the quick-start model
@@ -203,7 +219,7 @@ def test_adam_step_allocates_no_full_size_temporaries():
     assert opt.arena.size > 800_000
     rng = np.random.default_rng(0)
     for p in model.parameters():
-        p.grad = rng.standard_normal(p.shape)
+        p.grad = rng.standard_normal(p.shape, dtype=p.data.dtype)
     opt.step()
     tracemalloc.start()
     try:

@@ -7,6 +7,8 @@ layers.  Gradient checks go through the shared finite-difference harness.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melformer import autograd as ag
 from melformer import text
@@ -138,7 +140,7 @@ def test_phoneme_cnn_output_is_fixed_size():
     thirty = cnn.embed_word([[PHONEME_TO_ID["AA"]] * 30])
     assert one.shape == (1, 150)
     assert thirty.shape == (1, 150)
-    with pytest.raises(ShapeError):  # a word is a row of a block
+    with pytest.raises(ShapeError):  # one list of ids per word
         cnn.embed_word([PHONEME_TO_ID["K"]])
 
 
@@ -149,54 +151,65 @@ def test_zero_embedding_table_gives_zero_output():
     assert np.all(out.data == 0.0)  # convs carry no bias
 
 
-def test_trailing_pad_phonemes_do_not_change_embedding():
-    cnn = PhonemeCNN(np.random.default_rng(1))
-    word = [PHONEME_TO_ID[p] for p in ("K", "AE", "T")]
-    plain = cnn.embed_word([word])
-    padded = cnn.embed_word([word + [PAD_PHONEME] * 4])
-    assert np.allclose(plain.data, padded.data, atol=1e-12)
-
-
 def test_all_pad_word_embeds_to_zero():
     cnn = PhonemeCNN(np.random.default_rng(2))
-    out = cnn.embed_word([[PAD_PHONEME, PAD_PHONEME]])
-    assert np.all(out.data == 0.0)
+    out = cnn.embed_word([[PHONEME_TO_ID["K"], PHONEME_TO_ID["T"]], [PAD_PHONEME],
+                          [PAD_PHONEME, PAD_PHONEME]])
+    assert np.all(out.data[1:] == 0.0)
 
 
 def test_pad_row_stays_zero_after_backward():
     cnn = PhonemeCNN(np.random.default_rng(3))
-    out = cnn.embed_word([[PHONEME_TO_ID["K"], PAD_PHONEME]])
+    out = cnn.embed_word([[PHONEME_TO_ID["K"]], [PAD_PHONEME]])
     ag.backward(ag.tsum(out))
     assert np.all(cnn.embedding.table.grad[PAD_PHONEME] == 0.0)
-
-
-def test_phoneme_block_pads_trailing():
-    block = text.phoneme_block([[5, 6, 7], [8], [PAD_PHONEME]])
-    np.testing.assert_array_equal(block, [[5, 6, 7], [8, 0, 0], [0, 0, 0]])
 
 
 def test_word_block_rows_equal_single_word_calls():
     cnn = PhonemeCNN(np.random.default_rng(24))
     k, ae, t, aa = (PHONEME_TO_ID[p] for p in ("K", "AE", "T", "AA"))
-    words = [[k, ae, t], [aa, PAD_PHONEME], [PAD_PHONEME, PAD_PHONEME], [t, t, aa, k, ae], [k]]
-    block = text.phoneme_block(words)
-    rows = cnn.embed_word(block)
+    words = [[k, ae, t], [aa], [PAD_PHONEME], [t, t, aa, k, ae], [k]]
+    rows = cnn.embed_word(words)
     assert rows.shape == (len(words), 150)
     for i, word in enumerate(words):
-        alone = cnn.embed_word(block[i:i + 1]).data[0]
-        np.testing.assert_allclose(rows.data[i], alone, rtol=0, atol=1e-12)
         np.testing.assert_allclose(rows.data[i], cnn.embed_word([word]).data[0], rtol=0, atol=1e-12)
-    assert np.all(rows.data[2] == 0.0)  # all-pad word
+    assert np.all(rows.data[2] == 0.0)  # pad word
+
+
+def phoneme_cnn_oracle(cnn, word):
+    """One word through plain numpy: zero-padded correlation per width, ReLU,
+    max over the word's phonemes, widths side by side."""
+    emb = np.where(np.asarray(word)[:, None] == PAD_PHONEME, 0.0, cnn.embedding.table.data[word])
+    pools = []
+    for conv in cnn.convs:
+        k = conv.kernels.data
+        w = len(k)
+        xp = np.vstack([np.zeros(((w - 1) // 2, emb.shape[1])), emb, np.zeros((w // 2, emb.shape[1]))])
+        out = np.array([sum(xp[t + i] @ k[i] for i in range(w)) for t in range(len(word))])
+        pools.append(np.maximum(out, 0.0).max(axis=0))
+    return np.concatenate(pools)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(st.just([PAD_PHONEME]),
+                          st.lists(st.integers(1, len(text.PHONEMES) - 1), min_size=1, max_size=12)),
+                min_size=1, max_size=8))
+def test_packed_words_match_a_per_word_numpy_oracle(words):
+    cnn = PhonemeCNN(np.random.default_rng(27), d_p=6, widths=(2, 3, 4), channels_per_width=5)
+    rows = cnn.embed_word(words)
+    assert rows.shape == (len(words), 15)
+    for row, word in zip(rows.data, words):
+        np.testing.assert_allclose(row, phoneme_cnn_oracle(cnn, word), rtol=0, atol=1e-12)
 
 
 def test_word_block_gradcheck():
     rng = np.random.default_rng(25)
     cnn = PhonemeCNN(rng, d_p=6, widths=(2, 3), channels_per_width=4)
-    block = text.phoneme_block([[PHONEME_TO_ID["K"], PHONEME_TO_ID["AE"], PHONEME_TO_ID["T"]],
-                                [PHONEME_TO_ID["S"]], [PAD_PHONEME]])
+    words = [[PHONEME_TO_ID["K"], PHONEME_TO_ID["AE"], PHONEME_TO_ID["T"]],
+             [PHONEME_TO_ID["S"]], [PAD_PHONEME]]
 
     def f(*_):
-        return ag.tsum(cnn.embed_word(block))
+        return ag.tsum(cnn.embed_word(words))
 
     err = gradcheck_sampled(f, cnn.parameters(), per_tensor=6,
                             rng=np.random.default_rng(26))
