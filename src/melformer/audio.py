@@ -188,11 +188,6 @@ def mel_cache_bytes(mel: MelMatrix) -> bytes:
     return CACHE_MAGIC + struct.pack("<II", rows, cols) + mel.frames.astype("<f4").tobytes()
 
 
-def write_mel_cache(path, mel: MelMatrix):
-    with open(path, "wb") as fh:
-        fh.write(mel_cache_bytes(mel))
-
-
 def read_mel_cache(path) -> MelMatrix:
     """A MEL1 file: 128 columns, the dummy row and at least one frame, nothing after."""
     with open(path, "rb") as fh:

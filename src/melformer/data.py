@@ -154,7 +154,8 @@ def batches(encs, batch_size, rng=None):
 
     A batch runs through the model as one pack with no padding between its
     utterances, so a row carries none; the two zeros are the per-row
-    ``pad_words``/``pad_frames`` that ``EmotionModel.forward_batch`` takes.
+    ``pad_words``/``pad_frames`` that ``MultilevelTransformer.forward_batch``
+    takes.
     """
     order = np.arange(len(encs))
     if rng is not None:

@@ -6,11 +6,10 @@ projections are concatenated, and an affine head emits logits.  Utterance
 embeddings normally come from a file (provider-agnostic); a small built-in
 mean-pool encoder exists so end-to-end runs need no external artifacts.
 
-The model implements ``model.EmotionModel`` like the fine-grained one, and
-``model.restore_model`` rebuilds it from a checkpoint.
+The model is a ``model.MultilevelTransformer`` whose fused head replaces
+the fine one: it shares the encoder and the forward, and overrides only
+``classify``.  ``model.restore_model`` rebuilds it from a checkpoint.
 """
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from . import nn
 from .autograd import Tensor
 from .config import ModelConfig
 from .errors import FormatError, ValidationError
-from .model import EmotionModel, ForwardTrace, MultilevelTransformer, restore_model
+from .model import MultilevelTransformer, restore_model
 from .text import WordVectors, utf8_lines
 
 UEMB_MAGIC = "UEMB"
@@ -79,7 +78,6 @@ class MeanPoolUtteranceEncoder(nn.Module):
         super().__init__()
         self.word_vectors = word_vectors
         self.proj = nn.Linear(word_vectors.dim, d_out, rng)
-        self.d_out = d_out
 
     def __call__(self, encs) -> Tensor:
         """N utterances -> [N, d_out], one row each, in the projection's dtype."""
@@ -88,23 +86,21 @@ class MeanPoolUtteranceEncoder(nn.Module):
         return self.proj(Tensor(np.stack(means).astype(self.proj.weight.data.dtype)))
 
 
-class MultiGranularityModel(EmotionModel):
+class MultiGranularityModel(MultilevelTransformer):
     """Fine-grained transformer + utterance embedding, fused before the head.
 
     ``utt_dim`` is the embedding width D_u.  ``utt_encoder`` (optional)
     computes embeddings on the fly; otherwise callers pass vectors fetched
-    from a file.  With ``freeze_fine`` the transformer's parameters are
-    excluded from training while the projections and head still learn.
+    from a file.  The fused ``head`` takes the place of the fine model's,
+    which the base constructor draws last, so every encoder parameter
+    starts as in a fine model of the same seed.  With ``freeze_fine`` only
+    the utterance encoder, the projections and the head train.
     """
 
-    def __init__(self, fine: MultilevelTransformer, utt_dim, seed=0,
+    def __init__(self, cfg: ModelConfig, word_vectors: WordVectors, utt_dim, seed=0,
                  utt_encoder: MeanPoolUtteranceEncoder = None, freeze_fine=False):
-        super().__init__()
-        cfg: ModelConfig = fine.cfg
+        super().__init__(cfg, word_vectors, seed=seed)
         rng = np.random.default_rng(seed + 17)
-        self.cfg = cfg
-        self.fine = fine
-        self.word_vectors = fine.word_vectors
         self.utt_dim = utt_dim
         self.freeze_fine = freeze_fine
         self.utt_encoder = utt_encoder
@@ -114,16 +110,11 @@ class MultiGranularityModel(EmotionModel):
         self.cast_parameters(self.dtype)
 
     def trainable_named_parameters(self):
-        """Checkpoints keep everything; the optimizer sees what can train.
-
-        ``fine.head`` never can: the fused head replaces it, and the forward
-        takes the fine encoder's cls rows without running it.  With
-        ``freeze_fine`` nothing under ``fine.`` trains.
-        """
+        """Checkpoints keep everything; with ``freeze_fine`` the optimizer
+        sees only the fusion parts."""
         for name, p in self.named_parameters():
-            if name.startswith("fine.head.") or (self.freeze_fine and name.startswith("fine.")):
-                continue
-            yield name, p
+            if not self.freeze_fine or name.startswith(("utt_encoder.", "proj_", "head.")):
+                yield name, p
 
     def utt_vector(self, encs) -> Tensor:
         """[N, utt_dim] utterance embeddings in the model's dtype: each enc's
@@ -143,14 +134,10 @@ class MultiGranularityModel(EmotionModel):
             return self.utt_encoder(encs)
         raise ValidationError("no utterance embedding available: supply a file or an encoder")
 
-    def fuse_and_classify(self, cls_fine: Tensor, utt_emb: Tensor) -> Tensor:
-        """[N, d] cls rows and [N, utt_dim] embeddings -> [N, K] logits."""
-        both = ag.concat([self.proj_fine(cls_fine), self.proj_utt(utt_emb)], axis=1)
+    def classify(self, cls: Tensor, encs) -> Tensor:
+        """[N, d] cls rows and the utterances' embeddings -> [N, K] logits."""
+        both = ag.concat([self.proj_fine(cls), self.proj_utt(self.utt_vector(encs))], axis=1)
         return self.head(both)
-
-    def forward_pack(self, pack) -> ForwardTrace:
-        trace = self.fine.encode(pack)
-        return replace(trace, logits=self.fuse_and_classify(trace.cls, self.utt_vector(pack.encs)))
 
     def checkpoint_extra(self) -> dict:
         return {"granularity": "multi", "utt_dim": self.utt_dim,
@@ -159,14 +146,13 @@ class MultiGranularityModel(EmotionModel):
 
 
 def build_fusion_model(cfg, word_vectors, utt_dim=None, seed=0, freeze_fine=False):
-    """Fine model + fusion wrapper; a mean-pool encoder fills in when no
+    """The multi-granularity model; a mean-pool encoder fills in when no
     embedding file provides vectors (utt_dim defaults to the word width)."""
-    fine = MultilevelTransformer(cfg, word_vectors, seed=seed)
     encoder = None
     if utt_dim is None:
         utt_dim = word_vectors.dim
         encoder = MeanPoolUtteranceEncoder(word_vectors, utt_dim, np.random.default_rng(seed + 23))
-    return MultiGranularityModel(fine, utt_dim, seed=seed, utt_encoder=encoder,
+    return MultiGranularityModel(cfg, word_vectors, utt_dim, seed=seed, utt_encoder=encoder,
                                  freeze_fine=freeze_fine)
 
 

@@ -287,12 +287,17 @@ def metrics_from_confusion(confusion) -> FoldMetrics:
 
 def evaluate(model, encs, batch_size=HarnessConfig.batch_size) -> FoldMetrics:
     """Argmax predictions over an evaluation set, run in unshuffled batches
-    of ``batch_size``; ties break to the first class."""
+    of ``batch_size``; ties break to the first class.  Every label must be
+    one of the model's classes."""
     if not encs:
         raise ValidationError("evaluation set is empty")
+    k = model.head.n_out
+    for enc in encs:
+        if not 0 <= enc.label < k:
+            raise ValidationError(
+                f"utterance {enc.id!r} has label {enc.label}, but the model has {k} classes")
     was_training = model.training
     model.eval()
-    k = model.head.n_out
     conf = np.zeros((k, k), dtype=np.int64)
     with ag.no_grad():
         for i in range(0, len(encs), batch_size):

@@ -37,12 +37,12 @@ batch rows): a padded segment's valid count stays at its real length, so
 attention gives its padding keys zero weight and the text prenet zeroes its
 padding rows, which keeps logits invariant to trailing padding.
 
-``EmotionModel`` is the interface both this model and the
-multi-granularity model (``fusion.MultiGranularityModel``) implement:
-``forward_utterance`` is the one forward, over a whole ``Pack`` or one
-utterance as a pack of one; ``forward_batch`` (training and evaluation)
-and ``predict_probs`` go through it, and ``checkpoint_extra`` fills the
-checkpoint header.
+``MultilevelTransformer.forward_utterance`` is the one forward, over a
+whole ``Pack`` or one utterance as a pack of one; ``forward_batch``
+(training and evaluation) and ``predict_probs`` go through it, and
+``checkpoint_extra`` fills the checkpoint header.  The multi-granularity
+model (``fusion.MultiGranularityModel``) is a subclass that overrides only
+``classify``, the step from cls rows to logits, and its header fields.
 ``restore_model`` is the one way back from a checkpoint to either variant.
 
 A model computes in one dtype, ``cfg.precision`` (float32 by default, as
@@ -55,7 +55,7 @@ its final softmax.
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -72,8 +72,8 @@ CHECKPOINT_MAGIC = b"MLT1"
 
 @dataclass
 class ForwardTrace:
-    cls: Tensor            # [N, d], each utterance's position-0 fused row
-    logits: Tensor = None  # [N, K]; None from an encoder without its head
+    cls: Tensor     # [N, d], each utterance's position-0 fused row
+    logits: Tensor  # [N, K]
 
 
 class Pack:
@@ -206,75 +206,14 @@ class CrossModalBlock(nn.Module):
         return self.norm3(ag.add(mel, self.drop(self.ffn(mel))))
 
 
-class EmotionModel(nn.Module):
-    """Interface shared by the fine-grained and multi-granularity models.
+class MultilevelTransformer(nn.Module):
+    """Fine-grained audio+text classifier; see the module docstring.
 
-    A subclass sets ``cfg`` (its ModelConfig), ``word_vectors`` and
-    ``head``, and implements ``forward_pack(pack) -> ForwardTrace``, which
-    ``forward_utterance`` runs; training, evaluation, inference and
-    checkpoints go through the methods below, so callers never need to know
-    which variant they hold.  A subclass draws its initial parameters in
-    float64 and casts them to ``dtype`` once, at the end of its constructor:
-    a float32 model starts from the float64 model's values, rounded.
+    Initial parameters are drawn in float64 and cast to ``dtype`` once, at
+    the end of the constructor: a float32 model starts from the float64
+    model's values, rounded.  The head is drawn last, so a subclass that
+    replaces it leaves every other initial value as it is.
     """
-
-    @property
-    def dtype(self) -> np.dtype:
-        """The dtype of every parameter, input stream and activation: ``cfg.precision``."""
-        return np.dtype(self.cfg.precision)
-
-    def forward_utterance(self, enc, pad_words=0, pad_frames=0) -> ForwardTrace:
-        """The one forward: every training step, evaluation batch and
-        prediction passes through here (the benchmark in ``perfbench/``
-        times this method as the model's forward).
-
-        ``enc`` is a whole ``Pack``, whose trace has [N, d] ``cls`` and
-        [N, K] ``logits``, or one utterance's encoding (word_ids, phonemes
-        as a list per word, and mel, the normalized feature matrix whose
-        row 0 is the dummy vector), run as a pack of one whose trace has
-        [d] ``cls`` and [K] ``logits``.  The optional extra padding of one
-        utterance must not change its logits; a pack carries its own.
-        """
-        if isinstance(enc, Pack):
-            if pad_words or pad_frames:
-                raise ShapeError("a pack carries its own padding")
-            return self.forward_pack(enc)
-        trace = self.forward_pack(Pack([(enc, pad_words, pad_frames)], self.word_vectors.pad_id,
-                                       self.dtype))
-        return replace(trace, cls=ag.reshape(trace.cls, (-1,)),
-                       logits=ag.reshape(trace.logits, (-1,)))
-
-    def forward_batch(self, batch) -> Tensor:
-        """``(enc, pad_words, pad_frames)`` rows -> [N, K] logits, as one pack.
-
-        The rows of ``data.batches`` carry no padding; padded rows give the
-        same logits up to rounding, since each segment's valid count hides
-        its padding."""
-        return self.forward_utterance(Pack(batch, self.word_vectors.pad_id, self.dtype)).logits
-
-    def predict_probs(self, enc) -> np.ndarray:
-        """Class probabilities for one utterance, in eval mode (no dropout).
-
-        The softmax runs in float64 at any precision, so the probabilities
-        sum to 1 within float64 rounding.  The model's train/eval mode is
-        restored afterwards.
-        """
-        was_training = self.training
-        self.eval()
-        try:
-            with ag.no_grad():
-                logits = self.forward_utterance(enc).logits.data
-                return ag.softmax(Tensor(logits.astype(np.float64))).data
-        finally:
-            self.train(was_training)
-
-    def checkpoint_extra(self) -> dict:
-        """Header fields that ``restore_model`` needs to rebuild this variant."""
-        return {"granularity": "fine"}
-
-
-class MultilevelTransformer(EmotionModel):
-    """Fine-grained audio+text classifier; see the module docstring."""
 
     def __init__(self, cfg: ModelConfig, word_vectors: WordVectors, seed=0):
         super().__init__()
@@ -309,6 +248,11 @@ class MultilevelTransformer(EmotionModel):
         self.head = nn.Linear(cfg.d_model, cfg.num_classes, rng)
         self.cast_parameters(self.dtype)
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of every parameter, input stream and activation: ``cfg.precision``."""
+        return np.dtype(self.cfg.precision)
+
     # -- pieces ------------------------------------------------------------
 
     def encode_text(self, pack: Pack) -> Tensor:
@@ -337,8 +281,8 @@ class MultilevelTransformer(EmotionModel):
 
     # -- whole model -------------------------------------------------------
 
-    def encode(self, pack: Pack) -> ForwardTrace:
-        """Everything up to the head: the trace with ``logits`` None.
+    def encode(self, pack: Pack) -> Tensor:
+        """Everything up to the head: the pack's [N, d] cls rows.
 
         The last fusion block runs on the cls rows only (see the module
         docstring)."""
@@ -346,13 +290,62 @@ class MultilevelTransformer(EmotionModel):
         *full, last = self.fusion_blocks
         for block in full:
             fused = block(fused, fused, pack.frames, pack.frames)
-        cls = last(ag.getitem(fused, pack.frames.offsets[:-1]), fused,
-                   Segments([1] * len(pack.frames)), pack.frames)
-        return ForwardTrace(cls=cls)
+        return last(ag.getitem(fused, pack.frames.offsets[:-1]), fused,
+                    Segments([1] * len(pack.frames)), pack.frames)
 
-    def forward_pack(self, pack: Pack) -> ForwardTrace:
-        trace = self.encode(pack)
-        return replace(trace, logits=self.head(trace.cls))
+    def classify(self, cls: Tensor, encs) -> Tensor:
+        """[N, d] cls rows of the utterances ``encs`` -> [N, K] logits."""
+        return self.head(cls)
+
+    def forward_utterance(self, enc, pad_words=0, pad_frames=0) -> ForwardTrace:
+        """The one forward: every training step, evaluation batch and
+        prediction passes through here (the benchmark in ``perfbench/``
+        times this method as the model's forward).
+
+        ``enc`` is a whole ``Pack``, whose trace has [N, d] ``cls`` and
+        [N, K] ``logits``, or one utterance's encoding (word_ids, phonemes
+        as a list per word, and mel, the normalized feature matrix whose
+        row 0 is the dummy vector), run as a pack of one whose trace has
+        [d] ``cls`` and [K] ``logits``.  The optional extra padding of one
+        utterance must not change its logits; a pack carries its own.
+        """
+        if isinstance(enc, Pack):
+            if pad_words or pad_frames:
+                raise ShapeError("a pack carries its own padding")
+            cls = self.encode(enc)
+            return ForwardTrace(cls=cls, logits=self.classify(cls, enc.encs))
+        cls = self.encode(Pack([(enc, pad_words, pad_frames)], self.word_vectors.pad_id,
+                               self.dtype))
+        logits = self.classify(cls, [enc])
+        return ForwardTrace(cls=ag.reshape(cls, (-1,)), logits=ag.reshape(logits, (-1,)))
+
+    def forward_batch(self, batch) -> Tensor:
+        """``(enc, pad_words, pad_frames)`` rows -> [N, K] logits, as one pack.
+
+        The rows of ``data.batches`` carry no padding; padded rows give the
+        same logits up to rounding, since each segment's valid count hides
+        its padding."""
+        return self.forward_utterance(Pack(batch, self.word_vectors.pad_id, self.dtype)).logits
+
+    def predict_probs(self, enc) -> np.ndarray:
+        """Class probabilities for one utterance, in eval mode (no dropout).
+
+        The softmax runs in float64 at any precision, so the probabilities
+        sum to 1 within float64 rounding.  The model's train/eval mode is
+        restored afterwards.
+        """
+        was_training = self.training
+        self.eval()
+        try:
+            with ag.no_grad():
+                logits = self.forward_utterance(enc).logits.data
+                return ag.softmax(Tensor(logits.astype(np.float64))).data
+        finally:
+            self.train(was_training)
+
+    def checkpoint_extra(self) -> dict:
+        """Header fields that ``restore_model`` needs to rebuild this variant."""
+        return {"granularity": "fine"}
 
     def attention_modules(self):
         return [m for m in self.modules() if isinstance(m, MultiHeadAttention)]
@@ -509,6 +502,12 @@ def restore_model(path, word_vectors: WordVectors):
         model = build_fusion_model(cfg, word_vectors,
                                    utt_dim=None if builtin else field("utt_dim", 0, at_least=1),
                                    seed=seed, freeze_fine=field("freeze_fine", False))
+        # Older multi checkpoints wrapped a whole fine model: its encoder is
+        # stored under ``fine.``, with that model's head, which never ran.
+        kept = {name: arr for name, arr in params.items() if not name.startswith("fine.head.")}
+        params = {name.removeprefix("fine."): arr for name, arr in kept.items()}
+        if len(params) < len(kept):
+            raise ValidationError(f"{path}: parameters stored both with and without 'fine.'")
     else:
         model = MultilevelTransformer(cfg, word_vectors, seed=seed)
     model.load_state_dict(params)

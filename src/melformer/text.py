@@ -147,29 +147,34 @@ def tokenize_and_g2p(transcript: str, lexicon: Lexicon,
 
 
 def load_word_vectors(path) -> WordVectors:
-    """Parse `word v1 ... v300` lines into a WordVectors table.
+    """Parse `word v1 ... vD` lines into a WordVectors table.
 
-    Row 0 is a zero pad row and row 1 the unknown-word row (columnwise mean
-    of all loaded vectors).
+    The first line sets the width D; every other line must match it, and
+    every value must be finite.  Row 0 is a zero pad row and row 1 the
+    unknown-word row (columnwise mean of all loaded vectors).
     """
     words = []
     rows = []
+    dim = None
     for lineno, line in utf8_lines(path):
         parts = line.split()
         if not parts:
             continue
-        if len(parts) != WORD_DIM + 1:
+        dim = len(parts) - 1 if dim is None else dim
+        if len(parts) != dim + 1:
             raise FormatError(
-                f"{path}: line {lineno}: expected a word and {WORD_DIM} values, got {len(parts) - 1}")
+                f"{path}: line {lineno}: expected a word and {dim} values, got {len(parts) - 1}")
         words.append(parts[0].lower())
         try:
             rows.append([float(v) for v in parts[1:]])
         except ValueError as exc:
             raise FormatError(f"{path}: line {lineno}: {exc}") from None
+        if not np.all(np.isfinite(rows[-1])):
+            raise ValidationError(f"{path}: line {lineno}: non-finite value for {parts[0]!r}")
     if not rows:
         raise FormatError(f"{path}: no word vectors found")
     loaded = np.asarray(rows, dtype=np.float64)
-    matrix = np.vstack([np.zeros((1, WORD_DIM)), loaded.mean(axis=0, keepdims=True), loaded])
+    matrix = np.vstack([np.zeros((1, dim)), loaded.mean(axis=0, keepdims=True), loaded])
     vocab = {w: i + 2 for i, w in enumerate(words)}
     return WordVectors(vocab=vocab, matrix=matrix)
 

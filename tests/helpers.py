@@ -13,6 +13,7 @@ from melformer import nn
 from melformer.autograd import Segments, Tensor
 from melformer.config import ModelConfig
 from melformer.errors import NumericError
+from melformer.fusion import MultiGranularityModel
 from melformer.model import MultilevelTransformer
 from melformer.text import PAD_PHONEME, PHONEME_TO_ID, hash_word_vectors
 
@@ -55,26 +56,25 @@ from melformer.verify import nudge_off_kinks  # noqa: F401  (shared with the CLI
 def utterance_logits(model, enc, pad_words=0, pad_frames=0):
     """The earlier forward, kept as an oracle: one utterance through the
     model on its own -> [K] logits, with no pack and no stream offsets."""
-    fine = getattr(model, "fine", model)
-    word_ids = list(enc.word_ids) + [fine.word_vectors.pad_id] * pad_words
+    word_ids = list(enc.word_ids) + [model.word_vectors.pad_id] * pad_words
     phonemes = list(enc.phonemes) + [[PAD_PHONEME]] * pad_words
     mel = np.vstack([enc.mel, np.zeros((pad_frames, 128))]).astype(model.dtype)
     words = Segments([len(word_ids)], valid=[len(enc.word_ids)])
     frames = Segments([len(mel)], valid=[len(enc.mel)])
 
-    x = fine.combiner(ag.embedding_rows(fine.word_table, word_ids,
-                                        frozen_row=fine.word_vectors.pad_id),
-                      fine.phoneme_cnn.embed_word(phonemes))
-    text = nn.add_positions(fine.prenet(x, words), words)
-    for block in fine.text_blocks:
+    x = model.combiner(ag.embedding_rows(model.word_table, word_ids,
+                                         frozen_row=model.word_vectors.pad_id),
+                       model.phoneme_cnn.embed_word(phonemes))
+    text = nn.add_positions(model.prenet(x, words), words)
+    for block in model.text_blocks:
         text = block(text, text, words, words)
-    x = nn.add_positions(fine.mel_prenet(Tensor(mel)), frames)
-    for block in fine.cross_blocks:
+    x = nn.add_positions(model.mel_prenet(Tensor(mel)), frames)
+    for block in model.cross_blocks:
         x = block(x, text, frames, words)
-    for block in fine.fusion_blocks:  # every fusion block over all rows
+    for block in model.fusion_blocks:  # every fusion block over all rows
         x = block(x, x, frames, frames)
     cls = ag.getitem(x, 0)
-    if fine is model:
+    if not isinstance(model, MultiGranularityModel):
         return model.head(cls)
     if enc.utt_embedding is not None:
         utt = Tensor(np.asarray(enc.utt_embedding, dtype=model.dtype))

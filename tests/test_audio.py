@@ -295,7 +295,7 @@ def test_featurize_gives_the_same_payload_with_a_fresh_or_cached_filterbank(tone
 def test_cache_round_trip(tmp_path, tone_wav):
     mel = audio.featurize_wav(tone_wav)
     path = tmp_path / "tone.mel"
-    audio.write_mel_cache(path, mel)
+    path.write_bytes(audio.mel_cache_bytes(mel))
     back = audio.read_mel_cache(path)
     assert back.has_dummy
     assert np.array_equal(back.frames, mel.frames.astype("<f4").astype(np.float64))
@@ -305,15 +305,15 @@ def test_cache_round_trip(tmp_path, tone_wav):
 def test_cache_rewrite_is_byte_identical(tmp_path, tone_wav):
     mel = audio.featurize_wav(tone_wav)
     p1, p2 = tmp_path / "a.mel", tmp_path / "b.mel"
-    audio.write_mel_cache(p1, mel)
-    audio.write_mel_cache(p2, audio.read_mel_cache(p1))
+    p1.write_bytes(audio.mel_cache_bytes(mel))
+    p2.write_bytes(audio.mel_cache_bytes(audio.read_mel_cache(p1)))
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_cache_requires_dummy_row():
     mel = audio.log_mel(np.zeros((2, 400)), 16000)
     with pytest.raises(ContractError):
-        audio.write_mel_cache("/tmp/never-written.mel", mel)
+        audio.mel_cache_bytes(mel)
 
 
 def test_cache_bad_magic_rejected(tmp_path):
@@ -326,7 +326,6 @@ def test_cache_bad_magic_rejected(tmp_path):
 def test_cache_truncated_payload_is_format_error(tmp_path, tone_wav):
     mel = audio.featurize_wav(tone_wav)
     path = tmp_path / "short.mel"
-    audio.write_mel_cache(path, mel)
-    path.write_bytes(path.read_bytes()[:-10])
+    path.write_bytes(audio.mel_cache_bytes(mel)[:-10])
     with pytest.raises(FormatError, match="truncated"):
         audio.read_mel_cache(path)

@@ -95,6 +95,45 @@ def test_train_writes_results_and_config_echo(corpus, tmp_path, capsys):
     assert list(out.glob("seed0-fold*-best.ckpt"))
 
 
+@pytest.mark.parametrize("granularity", ["fine", "multi"])
+def test_eval_on_each_best_checkpoint_reproduces_its_fold(corpus, tmp_path, capsys, granularity):
+    from melformer.data import parse_manifest
+    from melformer.harness import kfold_split
+    _, _, manifest = corpus
+    out = tmp_path / "run"
+    argv = ["train", "--manifest", str(manifest), "--out-dir", str(out),
+            "--granularity", granularity] + TINY_MODEL + TINY_RUN + ["--batch-size", "4"]
+    assert main(argv) == 0
+    folds = {f["fold"]: f for f in json.loads((out / "results.json").read_text())["folds"]}
+    records = {}
+    for line in manifest.read_text().splitlines():
+        rec = json.loads(line)
+        records[rec["id"]] = {**rec, "features_path": str(manifest.parent / rec["features_path"])}
+    for plan in kfold_split(parse_manifest(manifest)):
+        fold_manifest = tmp_path / f"fold{plan.fold}.jsonl"
+        fold_manifest.write_text("".join(json.dumps(records[i]) + "\n" for i in plan.test_ids))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(out / f"seed0-fold{plan.fold}-best.ckpt"),
+                     "--manifest", str(fold_manifest)]) == 0
+        shown = capsys.readouterr().out.split("confusion (rows true, cols predicted):\n")[1]
+        confusion = [[int(v) for v in line.split()] for line in shown.splitlines()]
+        assert confusion == folds[plan.fold]["confusion"], plan.fold
+
+
+def test_word_vector_file_sets_its_own_width(corpus, tmp_path, capsys):
+    _, raw, manifest = corpus
+    narrow = tmp_path / "wv24.txt"
+    narrow.write_text("".join(" ".join(line.split()[:25]) + "\n"
+                              for line in (raw / "wordvecs.txt").read_text().splitlines()))
+    run = ["train", "--manifest", str(manifest), "--word-vectors", str(narrow)]
+    assert main(run + ["--out-dir", str(tmp_path / "run"), "--word-dim", "24"]
+                + TINY_MODEL + TINY_RUN) == 0
+    capsys.readouterr()
+    assert main(run + ["--out-dir", str(tmp_path / "run300")] + TINY_MODEL + TINY_RUN) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: word vectors are 24-dimensional") and "word_dim=300" in err
+
+
 def test_flags_override_config_file(corpus, tmp_path):
     _, _, manifest = corpus
     cfg_file = tmp_path / "base.json"
@@ -240,10 +279,12 @@ def test_malformed_manifest_record_exits_one(tmp_path, capsys, line):
 @pytest.mark.parametrize("flag, payload, message", [
     ("--lexicon", b"HELLO HH AH0\nCAF\xc9 K AE F\n", "line 2: not UTF-8"),
     ("--word-vectors", b"w\xff " + b" ".join([b"0.5"] * 300) + b"\n", "line 1: not UTF-8"),
+    ("--word-vectors", b"stop 0.5 0.5\nnow 0.5 nan\n", "line 2: non-finite value for 'now'"),
     ("--utt-embeddings", b"UEMB 2\nangry-000 1.0 \xe9\n", "line 2: not UTF-8"),
     ("--utt-embeddings", b"UEMB 2\nangry-000 1.0 2.0\nangry-001 1.0 zz\n",
      "line 3: bad value for 'angry-001'"),
-], ids=["lexicon_non_utf8", "word_vectors_non_utf8", "uemb_non_utf8", "uemb_non_numeric"])
+], ids=["lexicon_non_utf8", "word_vectors_non_utf8", "word_vectors_nan", "uemb_non_utf8",
+        "uemb_non_numeric"])
 def test_malformed_text_input_exits_one(corpus, tmp_path, capsys, flag, payload, message):
     _, _, manifest = corpus
     bad = tmp_path / "input.txt"
@@ -494,13 +535,14 @@ def _mel1(rows, cols, trailing=b""):
 
 @pytest.fixture(scope="module")
 def checkpoints(corpus, tmp_path_factory):
-    """A fine and a built-in-encoder multi checkpoint of a small model."""
+    """A fine and a built-in-encoder multi checkpoint of a small 2-class model."""
     from melformer.fusion import build_fusion_model
     from melformer.model import MultilevelTransformer
     from melformer.text import hash_word_vectors
     root = tmp_path_factory.mktemp("ckpts")
     cfg = ModelConfig(d_model=16, heads=2, d_ff=32, layers_text=1, layers_cross=1,
-                      layers_fusion=1, word_dim=8, phoneme_channels=6, phoneme_dim=4)
+                      layers_fusion=1, word_dim=8, phoneme_channels=6, phoneme_dim=4,
+                      num_classes=2)
     wv = hash_word_vectors(["stop"], dim=cfg.word_dim)
     fine, multi = root / "fine.ckpt", root / "multi.ckpt"
     save_checkpoint(fine, MultilevelTransformer(cfg, wv), cfg,
@@ -525,6 +567,12 @@ REPRODUCTIONS = {
                          {"bad": _mel1(3, 127)}, "128 columns"),
     "mel1_trailing_bytes": ("eval --checkpoint {fine} --manifest {manifest}",
                             {"bad": _mel1(3, 128, b"\0")}, "trailing"),
+    "eval_label_beyond_classes": (
+        "eval --checkpoint {fine} --manifest {manifest}",
+        {"bad": _mel1(3, 128), "manifest": json.dumps({
+            "id": "happy-000", "transcript": "stop", "label": "happy",
+            "features_path": "bad"}).encode() + b"\n"},
+        "utterance 'happy-000' has label 3, but the model has 2 classes"),
     "ckpt_huge_dims": ("predict --checkpoint {ckpt}",
                        {"ckpt": lambda b: _with_first_record_u32(b.fine, 1, 2**32 - 1)},
                        "truncated"),

@@ -5,6 +5,8 @@ The degradation oracle builds the equivalent single-branch head by hand from
 the fusion model's own weight slices and demands exact logit equality.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -89,7 +91,7 @@ def test_missing_ids_reported_as_complete_list():
 
 
 # ---------------------------------------------------------------------------
-# fuse_and_classify structure
+# classify structure
 
 def test_fused_logits_have_k_classes():
     model, _, wv = make_fusion(seed=1)
@@ -189,20 +191,22 @@ def test_wrong_embedding_width_rejected():
 def test_freeze_fine_hides_fine_params_from_training_only():
     cfg = small_config()
     wv = hash_word_vectors(WORDS, dim=cfg.word_dim)
-    model = build_fusion_model(cfg, wv, utt_dim=8, seed=27, freeze_fine=True)
-    trainable = {name for name, _ in model.trainable_named_parameters()}
-    everything = {name for name, _ in model.named_parameters()}
-    assert not any(name.startswith("fine.") for name in trainable)
-    assert any(name.startswith("fine.") for name in everything)
-    assert {"proj_fine.weight", "proj_utt.weight", "head.weight"} <= trainable
+    fusion = {"proj_fine.weight", "proj_fine.bias", "proj_utt.weight", "proj_utt.bias",
+              "head.weight", "head.bias"}
+    for utt_dim, encoder in [(8, set()), (None, {"utt_encoder.proj.weight",
+                                                 "utt_encoder.proj.bias"})]:
+        model = build_fusion_model(cfg, wv, utt_dim=utt_dim, seed=27, freeze_fine=True)
+        trainable = {name for name, _ in model.trainable_named_parameters()}
+        assert trainable == fusion | encoder
+        assert "fusion_blocks.0.attn.wq.weight" in dict(model.named_parameters())
 
 
-def test_fine_head_is_kept_but_never_trained():
-    # the fused head replaces it, so no gradient can reach it
-    model, _, _ = make_fusion(seed=27, utt_dim=8)
-    trainable = {name for name, _ in model.trainable_named_parameters()}
-    everything = {name for name, _ in model.named_parameters()}
-    assert everything - trainable == {"fine.head.weight", "fine.head.bias"}
+def test_fused_head_replaces_the_fine_head_and_everything_trains():
+    model, cfg, _ = make_fusion(seed=27, utt_dim=8)
+    names = [name for name, _ in model.trainable_named_parameters()]
+    assert names == [name for name, _ in model.named_parameters()]
+    assert not any(name.startswith("fine.") for name in names)
+    assert model.head.weight.shape == (2 * cfg.d_fuse, cfg.num_classes)
 
 
 def test_fusion_checkpoint_round_trip(tmp_path):
@@ -250,6 +254,37 @@ def test_restore_model_rebuilds_multi_from_its_header(tmp_path, builtin, freeze_
     emb = None if builtin else np.random.default_rng(38).standard_normal(8)
     enc = make_enc(wv, seed=37, utt_embedding=emb)
     np.testing.assert_allclose(restored.predict_probs(enc), model.predict_probs(enc), atol=1e-5)
+
+
+@pytest.mark.parametrize("builtin,freeze_fine", [(False, False), (True, True)])
+def test_restore_model_reads_the_older_fine_prefixed_layout(tmp_path, builtin, freeze_fine):
+    """Multi checkpoints written before the fused head replaced the fine one
+    store the encoder under ``fine.``, with a ``fine.head`` that never ran."""
+    cfg = small_config()
+    wv = hash_word_vectors(WORDS, dim=cfg.word_dim)
+    model = build_fusion_model(cfg, wv, utt_dim=None if builtin else 8, seed=40,
+                               freeze_fine=freeze_fine)
+    nudge_off_kinks(model, seed=41)  # so a restore that skips a record shows
+    fusion = ("utt_encoder.", "proj_fine.", "proj_utt.", "head.")
+    old = {name if name.startswith(fusion) else "fine." + name: p
+           for name, p in model.named_parameters()}
+    rng = np.random.default_rng(42)
+    old["fine.head.weight"] = Tensor(rng.standard_normal((cfg.d_model, cfg.num_classes)))
+    old["fine.head.bias"] = Tensor(rng.standard_normal(cfg.num_classes))
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, SimpleNamespace(named_parameters=old.items), cfg,
+                    extra={"seed": 40, **model.checkpoint_extra()})
+    restored, _, _ = restore_model(path, wv)
+    assert restored.freeze_fine == freeze_fine
+    emb = None if builtin else np.random.default_rng(43).standard_normal(8)
+    enc = make_enc(wv, seed=44, utt_embedding=emb)
+    assert np.array_equal(restored.predict_probs(enc), model.predict_probs(enc))
+
+    old["fine.proj_utt.bias"] = model.proj_utt.bias  # stored twice
+    save_checkpoint(path, SimpleNamespace(named_parameters=old.items), cfg,
+                    extra={"seed": 40, **model.checkpoint_extra()})
+    with pytest.raises(ValidationError, match="both with and without 'fine.'"):
+        restore_model(path, wv)
 
 
 def test_restore_model_rejects_multi_header_without_utt_dim(tmp_path):

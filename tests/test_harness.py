@@ -714,7 +714,7 @@ def test_a_trained_model_frees_its_arena_without_the_cycle_collector(corpus, mon
 
 def test_a_multi_training_step_leaves_no_reference_cycles(corpus):
     # every node of the step's graph reaches the loss, so backward frees it;
-    # a node off that path (the fine model's unused head) would be a cycle
+    # a node off that path (say, a head the forward never ran) would be a cycle
     _, encs, wv = corpus
     model = build_model(tiny_cfg(), hcfg(granularity="multi"), wv, seed=4)
     opt = Adam(model.trainable_named_parameters(), lr=1e-3)
@@ -738,9 +738,11 @@ def test_freezing_fine_model_trains_only_fusion_side(corpus):
     before = {name: p.data.copy() for name, p in model.named_parameters()}
     train_epochs(model, encs, encs, hcfg(max_epochs=1, lr=1e-2), seed=2)
     after = dict(model.named_parameters())
-    for name in before:
-        if name.startswith("fine."):
-            np.testing.assert_array_equal(after[name].data, before[name], err_msg=name)
+    frozen = [name for name in before
+              if not name.startswith(("utt_encoder.", "proj_fine.", "proj_utt.", "head."))]
+    assert "fusion_blocks.0.ffn.lin1.weight" in frozen
+    for name in frozen:
+        np.testing.assert_array_equal(after[name].data, before[name], err_msg=name)
     assert not np.array_equal(after["head.weight"].data, before["head.weight"])
 
 

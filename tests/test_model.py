@@ -305,7 +305,7 @@ def _logits_grads_and_maps(model, forward, rows):
     logits = forward(model, rows)
     ag.backward(ag.cross_entropy(logits, list(range(len(rows)))))
     grads = {name: p.grad.copy() for name, p in model.named_parameters() if p.grad is not None}
-    maps = [mha.last_weights.copy() for mha in getattr(model, "fine", model).attention_modules()]
+    maps = [mha.last_weights.copy() for mha in model.attention_modules()]
     return logits.data.copy(), grads, maps
 
 
@@ -495,13 +495,10 @@ def test_leaf_grads_match_the_zero_filling_backward(granularity, rate):
     grads = _train_mode_leaf_grads(granularity, rate, ag.backward)
     ref = _train_mode_leaf_grads(granularity, rate, zero_fill_backward)
     assert grads.keys() == ref.keys()
-    # only the multi model's unused fine head is outside the graph
-    assert [n for n, g in ref.items() if g is None] == (
-        [] if granularity == "fine" else ["fine.head.weight", "fine.head.bias"])
+    # every parameter is in the graph
+    assert [n for n, g in ref.items() if g is None] == []
+    assert [n for n, g in grads.items() if g is None] == []
     for name, g in grads.items():
-        if ref[name] is None:
-            assert g is None, name
-            continue
         assert g.shape == ref[name].shape, name
         # the oracle's 0.0 + g turns a -0.0 into +0.0; nothing else may differ
         assert (g + 0.0).tobytes() == ref[name].tobytes(), name
