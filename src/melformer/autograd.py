@@ -490,106 +490,90 @@ def _merge_heads(x):
     return x.transpose(1, 0, 2).reshape(t, heads * d_head)
 
 
-def _attention_spans(heads, q_segs, k_segs):
-    """Per segment ``(q0, q1, k0, k1, valid, a0, a1)``: its query rows, its
-    key rows and valid keys, and where its [heads, Tq, Tk] map sits in the
-    flat attention array."""
-    if len(q_segs) != len(k_segs):
-        raise ShapeError(f"{len(q_segs)} query segments vs {len(k_segs)} key segments")
-    at = np.concatenate([[0], np.cumsum(heads * q_segs.lengths * k_segs.lengths)]).tolist()
-    return [(q0, q1, k0, k1, valid, a0, a1) for (q0, q1, _), (k0, k1, valid), a0, a1
-            in zip(q_segs.spans(), k_segs.spans(), at[:-1], at[1:])]
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, q_segs: Segments, k_segs: Segments,
+              rate: float = 0.0, rng: np.random.Generator = None, on_weights=None) -> Tensor:
+    """Multi-head scaled dot-product attention of every segment in one node.
 
-
-def attention_weights(q: Tensor, k: Tensor, heads: int, q_segs: Segments,
-                      k_segs: Segments) -> Tensor:
-    """Scaled dot-product attention distributions of all heads and segments in one node.
-
-    ``q`` is [Tq, D] and ``k`` is [Tk, D], packed streams laid out by
-    ``q_segs`` and ``k_segs`` (:class:`Segments`).  Segment s of the
+    ``q`` is [Tq, D] and ``k``, ``v`` are [Tk, D], packed streams laid out
+    by ``q_segs`` and ``k_segs`` (:class:`Segments`).  Segment s of the
     queries attends only to segment s of the keys, and head h owns the h-th
-    block of D / heads columns of both.
-    Returns one flat array holding, segment after segment, each segment's
-    [heads, Tq_s, Tk_s] softmax over keys of q_h k_h^T / sqrt(D / heads).
-    Key rows past a segment's valid count get NEG_MASK added to their
-    scores, so their weight underflows to exactly zero.
+    block of D / heads columns of all three.  Each segment's [heads, Tq_s,
+    Tk_s] map is the softmax over keys of q_h k_h^T / sqrt(D / heads); key
+    rows past the segment's valid count get NEG_MASK added to their scores,
+    so their weight underflows to exactly zero.  The maps lie segment after
+    segment in one flat array, and with ``rate`` > 0 inverted dropout zeroes
+    its entries by one ``rng.random`` draw over that array, as
+    :func:`dropout` would.  Returns [Tq, D]: head h's weighted sum of the
+    value rows, in its own column block.
+
+    The node keeps the pre-dropout maps and the boolean keep mask; backward
+    rebuilds the dropped maps from them.  ``on_weights``, if given, receives
+    the last segment's pre-dropout map as a [heads, Tq, Tk] view.
     """
-    if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
-        raise ShapeError(f"attention needs q[Tq,D] and k[Tk,D], got {q.shape} and {k.shape}")
+    if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1] or v.shape != k.shape:
+        raise ShapeError(f"attention needs q[Tq,D] and k, v [Tk,D], "
+                         f"got {q.shape}, {k.shape} and {v.shape}")
     if heads < 1 or q.shape[1] % heads != 0:
         raise ShapeError(f"width {q.shape[1]} does not split into {heads} heads")
-    spans = _attention_spans(heads, _layout(q_segs, q.shape[0], "q"),
-                             _layout(k_segs, k.shape[0], "k"))
+    q_segs, k_segs = _layout(q_segs, q.shape[0], "q"), _layout(k_segs, k.shape[0], "k")
+    if len(q_segs) != len(k_segs):
+        raise ShapeError(f"{len(q_segs)} query segments vs {len(k_segs)} key segments")
+    # per segment: its query rows, its key rows and valid keys, and its map's
+    # place in the flat array
+    at = np.concatenate([[0], np.cumsum(heads * q_segs.lengths * k_segs.lengths)]).tolist()
+    spans = [(q0, q1, k0, k1, valid, a0, a1, (heads, q1 - q0, k1 - k0))
+             for (q0, q1, _), (k0, k1, valid), a0, a1
+             in zip(q_segs.spans(), k_segs.spans(), at[:-1], at[1:])]
     scale = 1.0 / math.sqrt(q.shape[1] // heads)  # a Python float keeps float32 scores float32
-    y = np.empty(spans[-1][-1], dtype=np.result_type(q.data, k.data))
-    for q0, q1, k0, k1, valid, a0, a1 in spans:
+    y = np.empty(at[-1], dtype=np.result_type(q.data, k.data))
+    for q0, q1, k0, k1, valid, a0, a1, shape in spans:
         qh, kh = _split_heads(q.data[q0:q1], heads), _split_heads(k.data[k0:k1], heads)
         scores = np.matmul(qh, kh.transpose(0, 2, 1)) * scale
         if valid < k1 - k0:
             scores[..., valid:] += NEG_MASK
-        _softmax_last(scores, out=y[a0:a1].reshape(scores.shape))
-    out = Tensor(y)
+        _softmax_last(scores, out=y[a0:a1].reshape(shape))
+    if on_weights is not None:
+        *_, a0, a1, shape = spans[-1]
+        on_weights(y[a0:a1].reshape(shape))
+    keep = rng.random(y.shape) >= rate if rate > 0.0 else None
+    keep_scale = y.dtype.type(1.0 / (1.0 - rate))  # bool * Python float would be float64
 
-    def _bw():
-        g = out.grad
-        dq = np.empty_like(q.data) if q.requires_grad else None
-        dk = np.empty_like(k.data) if k.requires_grad else None
-        for q0, q1, k0, k1, _, a0, a1 in spans:
-            qh, kh = _split_heads(q.data[q0:q1], heads), _split_heads(k.data[k0:k1], heads)
-            shape = (heads, q1 - q0, k1 - k0)
-            ds = _softmax_grad(y[a0:a1].reshape(shape), g[a0:a1].reshape(shape)) * scale
-            if dq is not None:
-                dq[q0:q1] = _merge_heads(np.matmul(ds, kh))
-            if dk is not None:
-                dk[k0:k1] = _merge_heads(np.matmul(ds.transpose(0, 2, 1), qh))
-        if dq is not None:
-            _accumulate(q, dq)
-        if dk is not None:
-            _accumulate(k, dk)
+    def keep_factor(a0, a1, shape):
+        """One segment's dropout factors (0 or 1 / (1 - rate)), or None without dropout."""
+        return None if keep is None else keep[a0:a1].reshape(shape) * keep_scale
 
-    return _track(out, (q, k), _bw)
-
-
-def attention_mix(att: Tensor, v: Tensor, heads: int, q_segs: Segments,
-                  k_segs: Segments) -> Tensor:
-    """Each head's weighted sum of its value columns, heads merged back.
-
-    ``att`` is the flat array of :func:`attention_weights` for the same
-    ``q_segs`` and ``k_segs``; ``v`` is [Tk, D] with head h owning its
-    h-th block of D / heads columns.  Returns [Tq, D] with each query
-    segment's output in its rows and head h's output in that column block.
-    """
-    if att.ndim != 1 or v.ndim != 2:
-        raise ShapeError(f"attention_mix needs a flat att and v[Tk,D], "
-                         f"got {att.shape} and {v.shape}")
-    if heads < 1 or v.shape[1] % heads != 0:
-        raise ShapeError(f"width {v.shape[1]} does not split into {heads} heads")
-    spans = _attention_spans(heads, q_segs, _layout(k_segs, v.shape[0], "v"))
-    if spans[-1][-1] != att.size:
-        raise ShapeError(f"att has {att.size} weights, {heads} heads over the segments "
-                         f"need {spans[-1][-1]}")
-    out = Tensor(np.empty((q_segs.total, v.shape[1]), dtype=np.result_type(att.data, v.data)))
-    for q0, q1, k0, k1, _, a0, a1 in spans:
-        weights = att.data[a0:a1].reshape(heads, q1 - q0, k1 - k0)
+    out = Tensor(np.empty(q.shape, dtype=np.result_type(y, v.data)))
+    for q0, q1, k0, k1, _, a0, a1, shape in spans:
+        weights, factor = y[a0:a1].reshape(shape), keep_factor(a0, a1, shape)
+        if factor is not None:  # the factors' buffer takes the dropped map: no second temporary
+            weights = np.multiply(factor, weights, out=factor)
         out.data[q0:q1] = _merge_heads(np.matmul(weights, _split_heads(v.data[k0:k1], heads)))
 
     def _bw():
-        datt = np.empty_like(att.data) if att.requires_grad else None
+        dq = np.empty_like(q.data) if q.requires_grad else None
+        dk = np.empty_like(k.data) if k.requires_grad else None
         dv = np.empty_like(v.data) if v.requires_grad else None
-        for q0, q1, k0, k1, _, a0, a1 in spans:
-            gh, vh = _split_heads(out.grad[q0:q1], heads), _split_heads(v.data[k0:k1], heads)
-            shape = (heads, q1 - q0, k1 - k0)
-            if datt is not None:
-                np.matmul(gh, vh.transpose(0, 2, 1), out=datt[a0:a1].reshape(shape))
+        for q0, q1, k0, k1, _, a0, a1, shape in spans:
+            weights, factor = y[a0:a1].reshape(shape), keep_factor(a0, a1, shape)
+            gh = _split_heads(out.grad[q0:q1], heads)
+            if dq is not None or dk is not None:
+                dweights = np.matmul(gh, _split_heads(v.data[k0:k1], heads).transpose(0, 2, 1))
+                if factor is not None:
+                    dweights *= factor
+                ds = _softmax_grad(weights, dweights) * scale
+                if dq is not None:
+                    dq[q0:q1] = _merge_heads(np.matmul(ds, _split_heads(k.data[k0:k1], heads)))
+                if dk is not None:
+                    dk[k0:k1] = _merge_heads(np.matmul(ds.transpose(0, 2, 1),
+                                                       _split_heads(q.data[q0:q1], heads)))
             if dv is not None:
-                weights = att.data[a0:a1].reshape(shape)
-                dv[k0:k1] = _merge_heads(np.matmul(weights.transpose(0, 2, 1), gh))
-        if datt is not None:
-            _accumulate(att, datt)
-        if dv is not None:
-            _accumulate(v, dv)
+                dropped = weights if factor is None else np.multiply(factor, weights, out=factor)
+                dv[k0:k1] = _merge_heads(np.matmul(dropped.transpose(0, 2, 1), gh))
+        for t, grad in ((v, dv), (q, dq), (k, dk)):
+            if grad is not None:
+                _accumulate(t, grad)
 
-    return _track(out, (att, v), _bw)
+    return _track(out, (q, k, v), _bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -126,12 +126,16 @@ class EncodedUtterance:
         return self.mel.shape[0]
 
 
+def record_mel(record: Record, manifest: Manifest):
+    """A record's mel features: its cache file if it names one, else its WAV featurized."""
+    if record.features_path:
+        return read_mel_cache(manifest.resolve(record.features_path))
+    return featurize_wav(manifest.resolve(record.audio_path))
+
+
 def encode_record(record: Record, manifest: Manifest, lexicon: Lexicon,
                   word_vectors: WordVectors, utt_table=None) -> EncodedUtterance:
-    if record.features_path:
-        mel = read_mel_cache(manifest.resolve(record.features_path))
-    else:
-        mel = featurize_wav(manifest.resolve(record.audio_path))
+    mel = record_mel(record, manifest)
     seq = tokenize_and_g2p(record.transcript, lexicon, word_vectors=word_vectors)
     emb = None
     if utt_table is not None:
@@ -288,10 +292,7 @@ def featurize_manifest(manifest: Manifest, out_dir):
     written = skipped = 0
     new_lines = []
     for r in manifest.records:
-        if r.features_path:
-            mel = read_mel_cache(manifest.resolve(r.features_path))
-        else:
-            mel = featurize_wav(manifest.resolve(r.audio_path))
+        mel = record_mel(r, manifest)
         cache_path = out / f"{r.id}.mel"
         payload = mel_cache_bytes(mel)
         if cache_path.exists() and cache_path.read_bytes() == payload:

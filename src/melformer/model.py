@@ -24,7 +24,9 @@ word, for the phoneme CNN.  Every row-wise stage (``Linear``, FFN,
 sees the layout; only attention, the conv windows, max pooling, row zeroing
 and positions do, and they stay inside each segment.  So no utterance sees
 another, and a batch gives each utterance's logits as a forward of that
-utterance alone would, up to rounding.  After a pack, each attention module's
+utterance alone would, up to rounding.  Each attention call is one
+``autograd.attention`` node over every head and segment, with its
+attention dropout inside.  After a pack, each attention module's
 ``last_weights`` holds the [heads, Tq, Tk] map of the pack's last
 utterance (the last fusion block's is its cls row's [heads, 1, Tk]);
 after a pack of one (one utterance through ``forward_utterance``, or
@@ -114,15 +116,16 @@ class MultiHeadAttention(nn.Module):
     """Scaled dot-product attention, all heads and segments in one node.
 
     Head h owns the h-th block of d_model / heads columns of the query, key
-    and value projections; ``autograd.attention_weights`` scores, masks and
-    normalizes every head of every segment at once, holding each segment's
-    [heads, Tq, Tk] map once in one flat array (so dropout masks it in one
-    draw), and ``autograd.attention_mix`` writes each head's output back
-    into its column block before the output projection.  After each call,
-    ``last_weights`` holds the last segment's [heads, Tq, Tk] attention
-    distributions (post-softmax, pre-dropout) for inspection: after a pack
-    of one, the utterance's map.  In the last fusion block, which queries
-    with the cls rows only, that is the cls row's [heads, 1, Tk] map.
+    and value projections.  Between the projections and the output
+    projection sits one ``autograd.attention`` node: it scores, masks and
+    normalizes every head of every segment at once, applies the attention
+    dropout ``drop`` (while its module trains) in one draw over all the
+    maps, and writes each head's output back into its column block.  After
+    each call, ``last_weights`` holds the last segment's [heads, Tq, Tk]
+    attention distributions (post-softmax, pre-dropout) for inspection:
+    after a pack of one, the utterance's map.  In the last fusion block,
+    which queries with the cls rows only, that is the cls row's [heads, 1,
+    Tk] map.
     """
 
     def __init__(self, d_model, heads, rng):
@@ -140,13 +143,14 @@ class MultiHeadAttention(nn.Module):
 
     def __call__(self, queries: Tensor, keys_values: Tensor, q_segs: Segments,
                  k_segs: Segments, drop: nn.Dropout = None) -> Tensor:
-        att = ag.attention_weights(self.wq(queries), self.wk(keys_values), self.heads,
-                                   q_segs, k_segs)
-        tq, tk = int(q_segs.lengths[-1]), int(k_segs.lengths[-1])
-        self.last_weights = att.data[att.size - self.heads * tq * tk:].reshape(self.heads, tq, tk)
-        if drop is not None:
-            att = drop(att)
-        return self.wo(ag.attention_mix(att, self.wv(keys_values), self.heads, q_segs, k_segs))
+        rate, rng = (drop.rate, drop.rng) if drop is not None and drop.training else (0.0, None)
+        mixed = ag.attention(self.wq(queries), self.wk(keys_values), self.wv(keys_values),
+                             self.heads, q_segs, k_segs, rate, rng,
+                             on_weights=self._keep_weights)
+        return self.wo(mixed)
+
+    def _keep_weights(self, weights):
+        self.last_weights = weights
 
 
 class FeedForward(nn.Module):

@@ -146,14 +146,26 @@ def tokenize_and_g2p(transcript: str, lexicon: Lexicon,
     return TokenSeq(words=words, phonemes=phonemes, word_ids=word_ids)
 
 
+def _word_table(words, rows, dim) -> WordVectors:
+    """[zero pad row; unk row; one row per word], word i at row i + 2.
+
+    The unk row is the columnwise mean of ``rows``, or zeros when there are
+    none."""
+    loaded = np.asarray(rows, dtype=np.float64).reshape(len(rows), dim)
+    unk = loaded.mean(axis=0, keepdims=True) if len(rows) else np.zeros((1, dim))
+    return WordVectors(vocab={w: i + 2 for i, w in enumerate(words)},
+                       matrix=np.vstack([np.zeros((1, dim)), unk, loaded]))
+
+
 def load_word_vectors(path) -> WordVectors:
     """Parse `word v1 ... vD` lines into a WordVectors table.
 
     The first line sets the width D; every other line must match it, and
-    every value must be finite.  Row 0 is a zero pad row and row 1 the
-    unknown-word row (columnwise mean of all loaded vectors).
+    every value must be finite.  Words are lower-cased, and a word may
+    appear once.  Row 0 is a zero pad row and row 1 the unknown-word row
+    (columnwise mean of all loaded vectors).
     """
-    words = []
+    words = {}
     rows = []
     dim = None
     for lineno, line in utf8_lines(path):
@@ -164,7 +176,11 @@ def load_word_vectors(path) -> WordVectors:
         if len(parts) != dim + 1:
             raise FormatError(
                 f"{path}: line {lineno}: expected a word and {dim} values, got {len(parts) - 1}")
-        words.append(parts[0].lower())
+        word = parts[0].lower()
+        if word in words:
+            raise ValidationError(f"{path}: line {lineno}: duplicate word {parts[0]!r} "
+                                  f"(line {words[word]} has {word!r} already)")
+        words[word] = lineno
         try:
             rows.append([float(v) for v in parts[1:]])
         except ValueError as exc:
@@ -173,10 +189,7 @@ def load_word_vectors(path) -> WordVectors:
             raise ValidationError(f"{path}: line {lineno}: non-finite value for {parts[0]!r}")
     if not rows:
         raise FormatError(f"{path}: no word vectors found")
-    loaded = np.asarray(rows, dtype=np.float64)
-    matrix = np.vstack([np.zeros((1, dim)), loaded.mean(axis=0, keepdims=True), loaded])
-    vocab = {w: i + 2 for i, w in enumerate(words)}
-    return WordVectors(vocab=vocab, matrix=matrix)
+    return _word_table(words, rows, dim)
 
 
 def hash_word_vectors(words, dim=WORD_DIM, scale=0.1) -> WordVectors:
@@ -190,11 +203,7 @@ def hash_word_vectors(words, dim=WORD_DIM, scale=0.1) -> WordVectors:
     for w in uniq:
         seed = int.from_bytes(hashlib.sha1(w.encode("utf-8")).digest()[:8], "little")
         rows.append(np.random.default_rng(seed).standard_normal(dim) * scale)
-    loaded = np.asarray(rows) if rows else np.zeros((0, dim))
-    unk = loaded.mean(axis=0, keepdims=True) if len(rows) else np.zeros((1, dim))
-    matrix = np.vstack([np.zeros((1, dim)), unk, loaded])
-    vocab = {w: i + 2 for i, w in enumerate(uniq)}
-    return WordVectors(vocab=vocab, matrix=matrix)
+    return _word_table(uniq, rows, dim)
 
 
 class PhonemeCNN(nn.Module):

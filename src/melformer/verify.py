@@ -114,35 +114,26 @@ def op_checks(rng):
     # a freshly seeded generator per call draws the same mask at every
     # finite-difference point
     check("dropout", lambda x: r(ag.dropout(x, 0.5, np.random.default_rng(7))), [_t(rng, 3, 4)])
-    ra = _weighted(rng, (2 * 3 * 5,))
-    check("attention_weights masked",
-          lambda q, k: ra(ag.attention_weights(q, k, 2, Segments([3]),
-                                               Segments([5], valid=[3]))),
-          [_t(rng, 3, 4), _t(rng, 5, 4)])
-    check("attention_mix",
-          lambda att, v: r(ag.attention_mix(att, v, 2, Segments([3]), Segments([5]))),
-          [_t(rng, 2 * 3 * 5), _t(rng, 5, 4)])
+    check("attention masked",
+          lambda q, k, v: r(ag.attention(q, k, v, 2, Segments([3]), Segments([5], valid=[3]))),
+          [_t(rng, 3, 4), _t(rng, 5, 4), _t(rng, 5, 4)])
     # two segments of unequal length; the first one's keys partly padding
     q_segs, k_segs = Segments([2, 3]), Segments([3, 4], valid=[2, 4])
-    ras = _weighted(rng, (2 * (2 * 3 + 3 * 4),))
-    check("attention_weights segments",
-          lambda q, k: ras(ag.attention_weights(q, k, 2, q_segs, k_segs)),
-          [_t(rng, 5, 4), _t(rng, 7, 4)])
-    rms = _weighted(rng, (5, 4))
-    check("attention_mix segments",
-          lambda att, v: rms(ag.attention_mix(att, v, 2, q_segs, k_segs)),
-          [_t(rng, 2 * (2 * 3 + 3 * 4)), _t(rng, 7, 4)])
+    rs = _weighted(rng, (5, 4))
+    check("attention segments",
+          lambda q, k, v: rs(ag.attention(q, k, v, 2, q_segs, k_segs)),
+          [_t(rng, 5, 4), _t(rng, 7, 4), _t(rng, 7, 4)])
     # the last fusion block's pattern: one cls query per segment against
     # all of its keys, and the integer-array gather of those rows
     cls_segs = Segments([1, 1])
-    rac = _weighted(rng, (2 * (3 + 4),))
-    check("attention_weights cls queries",
-          lambda q, k: rac(ag.attention_weights(q, k, 2, cls_segs, k_segs)),
-          [_t(rng, 2, 4), _t(rng, 7, 4)])
-    rmc = _weighted(rng, (2, 4))
-    check("attention_mix cls queries",
-          lambda att, v: rmc(ag.attention_mix(att, v, 2, cls_segs, k_segs)),
-          [_t(rng, 2 * (3 + 4)), _t(rng, 7, 4)])
+    rcls = _weighted(rng, (2, 4))
+    check("attention cls queries",
+          lambda q, k, v: rcls(ag.attention(q, k, v, 2, cls_segs, k_segs)),
+          [_t(rng, 2, 4), _t(rng, 7, 4), _t(rng, 7, 4)])
+    check("attention dropout 0.5",
+          lambda q, k, v: rs(ag.attention(q, k, v, 2, q_segs, k_segs, 0.5,
+                                          np.random.default_rng(7))),
+          [_t(rng, 5, 4), _t(rng, 7, 4), _t(rng, 7, 4)])
     rg = _weighted(rng, (3, 5))
     check("getitem rows", lambda a: rg(ag.getitem(a, np.array([0, 3, 5]))), [_t(rng, 7, 5)])
     return checks

@@ -116,7 +116,7 @@ def test_a_nan_score_raises_from_softmax_and_attention_weights(row, col):
     k = np.random.default_rng(2).standard_normal((4, 4))
     k[col, row] = np.nan  # NaN scores for key col in one head (key 3 is masked)
     with pytest.raises(NumericError):
-        ag.attention_weights(Tensor(q), Tensor(k), 2, Segments([3]), Segments([4], valid=[3]))
+        ag.attention(Tensor(q), Tensor(k), Tensor(k), 2, Segments([3]), Segments([4], valid=[3]))
 
 
 # --- layer_norm ----------------------------------------------------------------
@@ -284,22 +284,17 @@ def test_max_pool_refuses_padding_rows_and_a_mismatched_layout():
 def test_attention_ops_reject_mismatched_shapes():
     q, k = Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 4)))
     segs = (Segments([3]), Segments([5]))
-    for args in [(q, Tensor(np.zeros((5, 6))), 2), (q, k, 3), (q, k, 0),
-                 (Tensor(np.zeros(4)), k, 2)]:
+    for args in [(q, Tensor(np.zeros((5, 6))), k, 2), (q, k, k, 3), (q, k, k, 0),
+                 (Tensor(np.zeros(4)), k, k, 2), (q, k, Tensor(np.zeros((4, 4))), 2),
+                 (q, k, Tensor(np.zeros((5, 6))), 2), (q, k, Tensor(np.zeros(20)), 2)]:
         with pytest.raises(ShapeError):
-            ag.attention_weights(*args, *segs)
+            ag.attention(*args, *segs)
     with pytest.raises(ShapeError):
-        ag.attention_weights(q, k, 2, Segments([3]), Segments([5], valid=[6]))
+        ag.attention(q, k, k, 2, Segments([3]), Segments([5], valid=[6]))
     with pytest.raises(ShapeError):  # segments that do not cover the rows
-        ag.attention_weights(q, k, 2, Segments([1, 1]), Segments([2, 3]))
+        ag.attention(q, k, k, 2, Segments([1, 1]), Segments([2, 3]))
     with pytest.raises(ShapeError):  # as many query as key segments
-        ag.attention_weights(q, k, 2, Segments([1, 2]), Segments([5]))
-    with pytest.raises(ShapeError):
-        ag.attention_mix(Tensor(np.zeros(2 * 3 * 4)), k, 2, *segs)
-    with pytest.raises(ShapeError):
-        ag.attention_mix(Tensor(np.zeros((2, 3, 5))), k, 2, *segs)
-    with pytest.raises(ShapeError):
-        ag.attention_mix(Tensor(np.zeros(2 * 3 * 5)), k, 3, *segs)
+        ag.attention(q, k, k, 2, Segments([1, 2]), Segments([5]))
 
 
 # --- pointwise -------------------------------------------------------------------
@@ -499,22 +494,19 @@ def test_all_ops_gradcheck(seed):
     # two heads over t queries and t + 1 keys, the last key masked
     q = Tensor(rng.normal(size=(t, 2 * d)), requires_grad=True)
     kv = Tensor(rng.normal(size=(t + 1, 2 * d)), requires_grad=True)
-    att = Tensor(rng.normal(size=2 * t * (t + 1)), requires_grad=True)
-    att_probe = Tensor(rng.normal(size=2 * t * (t + 1)))
+    v = Tensor(rng.normal(size=(t + 1, 2 * d)), requires_grad=True)
+    out_probe = Tensor(rng.normal(size=(t, 2 * d)))
     masked = Segments([t + 1], valid=[t])
     whole = Segments([t])
-    checks.append((lambda q, k: ag.tsum(ag.mul(ag.attention_weights(q, k, 2, whole, masked),
-                                               att_probe)), [q, kv]))
-    checks.append((lambda w, v: ag.tsum(ag.attention_mix(w, v, 2, whole, Segments([t + 1]))),
-                   [att, kv]))
+    checks.append((lambda q, k, v: ag.tsum(ag.mul(ag.attention(q, k, v, 2, whole, masked),
+                                                  out_probe)), [q, kv, v]))
     # the same over two segments: queries 1 and t - 1 rows, keys 2 and t - 1
     q_segs, k_segs = Segments([1, t - 1]), Segments([2, t - 1], valid=[1, t - 1])
-    seg_probe = Tensor(rng.normal(size=2 * (2 + (t - 1) ** 2)))
-    checks.append((lambda q, k: ag.tsum(ag.mul(ag.attention_weights(q, k, 2, q_segs, k_segs),
-                                               seg_probe)), [q, kv]))
-    seg_att = Tensor(rng.normal(size=2 * (2 + (t - 1) ** 2)), requires_grad=True)
-    checks.append((lambda w, v: ag.tsum(ag.attention_mix(w, v, 2, q_segs, k_segs)),
-                   [seg_att, kv]))
+    checks.append((lambda q, k, v: ag.tsum(ag.mul(ag.attention(q, k, v, 2, q_segs, k_segs),
+                                                  out_probe)), [q, kv, v]))
+    # with dropout: a freshly seeded generator draws the same mask every call
+    checks.append((lambda q, k, v: ag.tsum(ag.mul(ag.attention(
+        q, k, v, 2, q_segs, k_segs, 0.5, np.random.default_rng(3)), out_probe)), [q, kv, v]))
     checks.append((lambda x, k: ag.tsum(ag.conv1d(x, k, Segments([1, t - 1]))), [a, k]))
 
     for f, xs in checks:
@@ -605,8 +597,8 @@ def _every_op_graph(rng):
     h = ag.relu(x @ w + b) * s + x                        # bias add, scalar mul, residual
     h = ag.layer_norm(h - const, gain, b)
     segs = Segments([1, 3], valid=[1, 2])
-    att = ag.attention_weights(h, h, 2, segs, segs)
-    h = ag.attention_mix(att, h, 2, segs, segs) + ag.softmax(h) + ag.transpose(ag.transpose(h))
+    h = (ag.attention(h, h, h, 2, segs, segs, 0.4, np.random.default_rng(2))
+         + ag.softmax(h) + ag.transpose(ag.transpose(h)))
     h = ag.conv1d(h, Tensor(rng.standard_normal((3, 6, 6))), segs)
     h = ag.dropout(ag.zero_rows(ag.sigmoid(h), segs), 0.3, np.random.default_rng(1))
     words = Segments([2, 1, 3])  # the middle word is the frozen pad id alone
@@ -693,6 +685,23 @@ def test_dropout_is_one_node_with_a_boolean_mask():
     cells = [c.cell_contents for c in out._backward.__closure__]
     masks = [c for c in cells if isinstance(c, np.ndarray)]
     assert [m.dtype for m in masks] == [np.bool_]
+
+
+def test_attention_keeps_the_pre_dropout_maps_and_a_boolean_mask():
+    rng = np.random.default_rng(5)
+    q, k, v = (Tensor(rng.standard_normal((5, 4)), requires_grad=True) for _ in range(3))
+    segs = Segments([2, 3])
+    out = ag.attention(q, k, v, 2, segs, segs, 0.4, np.random.default_rng(6))
+    assert out._prev == (q, k, v)
+    arrays, fns = {}, [out._backward]
+    while fns:  # the rule's closure and those of the helpers it calls
+        for cell in fns.pop().__closure__ or ():
+            if isinstance(cell.cell_contents, np.ndarray):
+                arrays[id(cell.cell_contents)] = cell.cell_contents
+            elif inspect.isfunction(cell.cell_contents):
+                fns.append(cell.cell_contents)
+    assert sorted((a.dtype.name, a.shape) for a in arrays.values()) == [
+        ("bool", (2 * (4 + 9),)), ("float64", (2 * (4 + 9),))]
 
 
 @pytest.mark.parametrize("rate", [0.1, 0.5, 0.9])

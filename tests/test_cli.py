@@ -280,11 +280,12 @@ def test_malformed_manifest_record_exits_one(tmp_path, capsys, line):
     ("--lexicon", b"HELLO HH AH0\nCAF\xc9 K AE F\n", "line 2: not UTF-8"),
     ("--word-vectors", b"w\xff " + b" ".join([b"0.5"] * 300) + b"\n", "line 1: not UTF-8"),
     ("--word-vectors", b"stop 0.5 0.5\nnow 0.5 nan\n", "line 2: non-finite value for 'now'"),
+    ("--word-vectors", b"cat 1 2\nCat 3 4\ndog 5 6\n", "line 2: duplicate word 'Cat'"),
     ("--utt-embeddings", b"UEMB 2\nangry-000 1.0 \xe9\n", "line 2: not UTF-8"),
     ("--utt-embeddings", b"UEMB 2\nangry-000 1.0 2.0\nangry-001 1.0 zz\n",
      "line 3: bad value for 'angry-001'"),
-], ids=["lexicon_non_utf8", "word_vectors_non_utf8", "word_vectors_nan", "uemb_non_utf8",
-        "uemb_non_numeric"])
+], ids=["lexicon_non_utf8", "word_vectors_non_utf8", "word_vectors_nan",
+        "word_vectors_duplicate", "uemb_non_utf8", "uemb_non_numeric"])
 def test_malformed_text_input_exits_one(corpus, tmp_path, capsys, flag, payload, message):
     _, _, manifest = corpus
     bad = tmp_path / "input.txt"

@@ -266,3 +266,21 @@ def test_encode_all_trailing_pads_are_pad_phoneme(small_corpus):
     for enc in encs:
         for ph in enc.phonemes:
             assert PAD_PHONEME not in ph
+
+
+def test_both_mel_readers_resolve_through_the_data_module(tmp_path, monkeypatch):
+    # the benchmark's tracer wraps data.featurize_wav and data.read_mel_cache;
+    # encoding and caching must both look them up there at call time
+    from melformer import data
+    _, man_path = synth(tmp_path / "raw", classes=2, per_class=1, seed=4)
+    man = parse_manifest(man_path)
+    calls = []
+    for name in ("featurize_wav", "read_mel_cache"):
+        fn = getattr(data, name)
+        monkeypatch.setattr(data, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    new_path, _, _ = featurize_manifest(man, tmp_path / "feats")
+    cached = parse_manifest(new_path)
+    lex, wv = Lexicon({}), hash_word_vectors(["a"], dim=8)
+    encode_record(man.records[0], man, lex, wv)
+    encode_record(cached.records[0], cached, lex, wv)
+    assert calls == ["featurize_wav"] * 2 + ["featurize_wav", "read_mel_cache"]

@@ -84,42 +84,54 @@ def test_key_valid_longer_than_sequence_rejected():
         mha(x, x, Segments([3]), Segments([3], valid=[4]))
 
 
-def _per_head_attention(mha, queries, keys_values, key_valid=None, drop=None):
-    """Reference attention: one head at a time over column slices of q/k/v,
-    with the key mask as an additive [Tq, Tk] tensor -> (output, weights)."""
+def _per_head_attention(mha, queries, keys_values, q_segs, k_segs, drop=None):
+    """Reference attention: one segment, then one head at a time over
+    column slices of q/k/v, with the key mask as an additive [Tq, Tk]
+    tensor -> (output, last segment's weights).  One ``drop`` serves every
+    segment and head, so its draws follow the fused op's flat map: segment,
+    then head, then query and key."""
     q, k, v = mha.wq(queries), mha.wk(keys_values), mha.wv(keys_values)
     d_head = q.shape[1] // mha.heads
-    mask = np.zeros((q.shape[0], k.shape[0]))
-    if key_valid is not None:
-        mask[:, key_valid:] = ag.NEG_MASK
-    outs, weights = [], []
-    for h in range(mha.heads):
-        cols = (slice(None), slice(h * d_head, (h + 1) * d_head))
-        qh, kh, vh = ag.getitem(q, cols), ag.getitem(k, cols), ag.getitem(v, cols)
-        scores = ag.add(ag.matmul(qh, ag.transpose(kh)) * (1.0 / np.sqrt(d_head)), Tensor(mask))
-        att = ag.softmax(scores)
-        weights.append(att.data.copy())
-        if drop is not None:
-            att = drop(att)
-        outs.append(ag.matmul(att, vh))
-    return mha.wo(ag.concat(outs, axis=1)), np.stack(weights)
+    rows = []
+    for (q0, q1, _), (k0, k1, valid) in zip(q_segs.spans(), k_segs.spans()):
+        mask = np.zeros((q1 - q0, k1 - k0))
+        mask[:, valid:] = ag.NEG_MASK
+        outs, weights = [], []
+        for h in range(mha.heads):
+            cols = slice(h * d_head, (h + 1) * d_head)
+            qh, kh = ag.getitem(q, (slice(q0, q1), cols)), ag.getitem(k, (slice(k0, k1), cols))
+            vh = ag.getitem(v, (slice(k0, k1), cols))
+            scores = ag.add(ag.matmul(qh, ag.transpose(kh)) * (1.0 / np.sqrt(d_head)),
+                            Tensor(mask))
+            att = ag.softmax(scores)
+            weights.append(att.data.copy())
+            if drop is not None:
+                att = drop(att)
+            outs.append(ag.matmul(att, vh))
+        rows.append(ag.concat(outs, axis=1))
+    return mha.wo(ag.concat(rows, axis=0)), np.stack(weights)
 
 
-def _batched_attention(mha, queries, keys_values, key_valid=None, drop=None):
-    n_k = keys_values.shape[0]
-    k_segs = Segments([n_k], valid=[n_k if key_valid is None else key_valid])
-    out = mha(queries, keys_values, Segments([queries.shape[0]]), k_segs, drop=drop)
+def _batched_attention(mha, queries, keys_values, q_segs, k_segs, drop=None):
+    out = mha(queries, keys_values, q_segs, k_segs, drop=drop)
     return out, mha.last_weights
 
 
-def _attention_run(attend, mha, n_q, n_k, self_attention, key_valid, rate):
-    """Output, weights, and grads of the parameters and inputs of one call."""
+def _attention_run(attend, mha, q_lengths, k_lengths, self_attention, key_valid, rate):
+    """Output, weights, and grads of the parameters and inputs of one call.
+
+    Lengths and valid counts are per segment, or one int for a single
+    segment; ``key_valid`` None means no padding."""
+    q_segs = Segments(np.atleast_1d(q_lengths))
+    k_segs = Segments(np.atleast_1d(k_lengths),
+                      valid=None if key_valid is None else np.atleast_1d(key_valid))
     rng = np.random.default_rng(41)
-    kv = Tensor(rng.standard_normal((n_k, 16)), requires_grad=True)
-    q = kv if self_attention else Tensor(rng.standard_normal((n_q, 16)), requires_grad=True)
-    probe = Tensor(rng.standard_normal((n_q, 16)))
+    kv = Tensor(rng.standard_normal((k_segs.total, 16)), requires_grad=True)
+    q = kv if self_attention else Tensor(rng.standard_normal((q_segs.total, 16)),
+                                         requires_grad=True)
+    probe = Tensor(rng.standard_normal((q_segs.total, 16)))
     drop = nn.Dropout(rate, np.random.default_rng(42)) if rate else None
-    out, weights = attend(mha, q, kv, key_valid, drop)
+    out, weights = attend(mha, q, kv, q_segs, k_segs, drop)
     ag.backward(ag.tsum(ag.mul(out, probe)))
     grads = {name: p.grad.copy() for name, p in mha.named_parameters()}
     grads.update(q=q.grad.copy(), kv=kv.grad.copy())
@@ -128,7 +140,10 @@ def _attention_run(attend, mha, n_q, n_k, self_attention, key_valid, rate):
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
 @pytest.mark.parametrize("n_q, n_k, self_attention, key_valid", [
-    (5, 7, False, None), (5, 7, False, 7), (5, 7, False, 4), (6, 6, True, 3)])
+    (5, 7, False, None), (5, 7, False, 7), (5, 7, False, 4), (6, 6, True, 3),
+    # a pack of three: cls-only queries against padded key segments
+    pytest.param([1, 1, 1], [5, 7, 4], False, [3, 7, 2], id="packed-cls-padded"),
+    pytest.param([4, 6, 3], [4, 6, 3], True, [4, 5, 3], id="packed-self-padded")])
 @pytest.mark.parametrize("rate", [0.0, 0.5])
 def test_batched_heads_match_per_head_loop(heads, n_q, n_k, self_attention, key_valid, rate):
     mha = MultiHeadAttention(16, heads, np.random.default_rng(40))
@@ -139,12 +154,23 @@ def test_batched_heads_match_per_head_loop(heads, n_q, n_k, self_attention, key_
     def rel_err(a, b):
         return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
 
-    assert weights.shape == (heads, n_q, n_k)
+    assert weights.shape == (heads, np.atleast_1d(n_q)[-1], np.atleast_1d(n_k)[-1])
     assert rel_err(out, ref_out) <= 1e-12
     assert rel_err(weights, ref_weights) <= 1e-12
     assert grads.keys() == ref_grads.keys()
     for name, ref in ref_grads.items():
         assert rel_err(grads[name], ref) <= 1e-12, name
+
+
+def test_attention_is_one_node_between_the_projections():
+    mha = MultiHeadAttention(16, 2, np.random.default_rng(46))
+    x = Tensor(np.random.default_rng(47).standard_normal((6, 16)), requires_grad=True)
+    drop = nn.Dropout(0.5, np.random.default_rng(48))
+    out = mha(x, x, Segments([2, 4]), Segments([2, 4], valid=[2, 3]), drop=drop)
+    mixed = out._prev[0]._prev[0]  # wo is a matmul, then its bias add
+    projections = [mha.wq(x), mha.wk(x), mha.wv(x)]
+    assert [p.data.tobytes() for p in mixed._prev] == [p.data.tobytes() for p in projections]
+    assert mha.last_weights.base is not None  # a view of the node's map, not a copy
 
 
 def test_attention_graph_does_not_grow_with_heads():

@@ -124,6 +124,12 @@ def test_wrong_dimensionality_names_line(tmp_path):
         text.load_word_vectors(path)
 
 
+def test_an_empty_hashed_vocabulary_has_a_zero_unk_row():
+    wv = text.hash_word_vectors([], dim=4)
+    assert wv.vocab == {}
+    assert np.array_equal(wv.matrix, np.zeros((2, 4)))
+
+
 def test_hash_vectors_are_deterministic():
     a = text.hash_word_vectors(["cat", "dog"])
     b = text.hash_word_vectors(["dog", "cat", "cat"])
