@@ -315,13 +315,18 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _track(out, (a, b), _bw)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor = None) -> Tensor:
+    """Matrix product of two rank-2 tensors, plus a 1-D ``bias`` over the last
+    axis if one is given: ``nn.Linear``'s x W + b as one node."""
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
+    if bias is not None and bias.shape != (b.shape[1],):
+        raise ShapeError(f"matmul bias {bias.shape} does not match {b.shape[1]} output columns")
     out = Tensor(a.data @ b.data)
+    if bias is not None:
+        out.data += bias.data
 
     def _bw():
         g = out.grad
@@ -329,8 +334,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(a, g @ b.data.T)
         if b.requires_grad:
             _accumulate(b, a.data.T @ g)
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, g.sum(axis=0))
 
-    return _track(out, (a, b), _bw)
+    return _track(out, (a, b) if bias is None else (a, b, bias), _bw)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -449,31 +456,37 @@ def sigmoid(a: Tensor) -> Tensor:
 # fused neural-network operations
 
 
-def _softmax_last(x, out=None):
-    """Softmax of an array over its last axis, computed with max-subtraction.
+def _softmax_last(x, out):
+    """Softmax of an array over its last axis into ``out``, computed with
+    max-subtraction in place: ``x`` is overwritten (``out`` may be ``x``).
 
     A row's max is NaN exactly when the row holds a NaN, so the check reads
     the maxima, not the whole input."""
     peak = x.max(axis=-1, keepdims=True)
     if np.isnan(peak).any():
         raise NumericError("softmax input contains NaN")
-    e = np.exp(x - peak)
-    return np.divide(e, e.sum(axis=-1, keepdims=True), out=out)
+    x -= peak
+    np.exp(x, out=x)
+    return np.divide(x, x.sum(axis=-1, keepdims=True), out=out)
 
 
 def _softmax_grad(y, g):
-    """Gradient through ``y = softmax(x)`` over the last axis, given dL/dy."""
-    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+    """Gradient through ``y = softmax(x)`` over the last axis, given dL/dy
+    in ``g``, which it overwrites and returns."""
+    g -= (g * y).sum(axis=-1, keepdims=True)
+    g *= y
+    return g
 
 
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis, computed with max-subtraction."""
-    y = _softmax_last(a.data)
+    y = a.data.copy()
+    _softmax_last(y, out=y)
     out = Tensor(y)
 
     def _bw():
         if a.requires_grad:
-            _accumulate(a, _softmax_grad(y, out.grad))
+            _accumulate(a, _softmax_grad(y, out.grad.copy()))
 
     return _track(out, (a,), _bw)
 
@@ -528,7 +541,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, q_segs: Segments, k_s
     y = np.empty(at[-1], dtype=np.result_type(q.data, k.data))
     for q0, q1, k0, k1, valid, a0, a1, shape in spans:
         qh, kh = _split_heads(q.data[q0:q1], heads), _split_heads(k.data[k0:k1], heads)
-        scores = np.matmul(qh, kh.transpose(0, 2, 1)) * scale
+        scores = np.matmul(qh, kh.transpose(0, 2, 1))
+        scores *= scale
         if valid < k1 - k0:
             scores[..., valid:] += NEG_MASK
         _softmax_last(scores, out=y[a0:a1].reshape(shape))
@@ -536,39 +550,37 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, q_segs: Segments, k_s
         *_, a0, a1, shape = spans[-1]
         on_weights(y[a0:a1].reshape(shape))
     keep = rng.random(y.shape) >= rate if rate > 0.0 else None
-    keep_scale = y.dtype.type(1.0 / (1.0 - rate))  # bool * Python float would be float64
+    keep_scale = y.dtype.type(1.0 / (1.0 - rate))
 
-    def keep_factor(a0, a1, shape):
-        """One segment's dropout factors (0 or 1 / (1 - rate)), or None without dropout."""
-        return None if keep is None else keep[a0:a1].reshape(shape) * keep_scale
+    def dropped(a0, a1, shape):
+        """One segment's map after dropout, as a fresh array (the map itself without dropout)."""
+        weights = y[a0:a1].reshape(shape)
+        return weights if keep is None else _dropped(weights, keep[a0:a1].reshape(shape), keep_scale)
 
     out = Tensor(np.empty(q.shape, dtype=np.result_type(y, v.data)))
     for q0, q1, k0, k1, _, a0, a1, shape in spans:
-        weights, factor = y[a0:a1].reshape(shape), keep_factor(a0, a1, shape)
-        if factor is not None:  # the factors' buffer takes the dropped map: no second temporary
-            weights = np.multiply(factor, weights, out=factor)
-        out.data[q0:q1] = _merge_heads(np.matmul(weights, _split_heads(v.data[k0:k1], heads)))
+        mixed = np.matmul(dropped(a0, a1, shape), _split_heads(v.data[k0:k1], heads))
+        out.data[q0:q1] = _merge_heads(mixed)
 
     def _bw():
         dq = np.empty_like(q.data) if q.requires_grad else None
         dk = np.empty_like(k.data) if k.requires_grad else None
         dv = np.empty_like(v.data) if v.requires_grad else None
         for q0, q1, k0, k1, _, a0, a1, shape in spans:
-            weights, factor = y[a0:a1].reshape(shape), keep_factor(a0, a1, shape)
             gh = _split_heads(out.grad[q0:q1], heads)
             if dq is not None or dk is not None:
                 dweights = np.matmul(gh, _split_heads(v.data[k0:k1], heads).transpose(0, 2, 1))
-                if factor is not None:
-                    dweights *= factor
-                ds = _softmax_grad(weights, dweights) * scale
+                if keep is not None:
+                    _dropped(dweights, keep[a0:a1].reshape(shape), keep_scale, out=dweights)
+                ds = _softmax_grad(y[a0:a1].reshape(shape), dweights)
+                ds *= scale
                 if dq is not None:
                     dq[q0:q1] = _merge_heads(np.matmul(ds, _split_heads(k.data[k0:k1], heads)))
                 if dk is not None:
                     dk[k0:k1] = _merge_heads(np.matmul(ds.transpose(0, 2, 1),
                                                        _split_heads(q.data[q0:q1], heads)))
             if dv is not None:
-                dropped = weights if factor is None else np.multiply(factor, weights, out=factor)
-                dv[k0:k1] = _merge_heads(np.matmul(dropped.transpose(0, 2, 1), gh))
+                dv[k0:k1] = _merge_heads(np.matmul(dropped(a0, a1, shape).transpose(0, 2, 1), gh))
         for t, grad in ((v, dv), (q, dq), (k, dk)):
             if grad is not None:
                 _accumulate(t, grad)
@@ -576,19 +588,31 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, q_segs: Segments, k_s
     return _track(out, (q, k, v), _bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each row over the last axis to zero mean / unit variance, then affine."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5,
+               residual: Tensor = None) -> Tensor:
+    """Normalize each row over the last axis to zero mean / unit variance, then affine.
+
+    With a ``residual`` of ``x``'s shape, the rows normalized are those of
+    ``x + residual``, in the same node (a sublayer's ``norm(x + f(x))``), and
+    both get that sum's gradient.  The node keeps only the normalized rows
+    and the per-row inverse deviations.
+    """
     if gain.ndim != 1 or bias.ndim != 1:
         raise ShapeError("layer_norm gain and bias must be 1-D")
     d = x.shape[-1]
     if gain.shape[0] != d or bias.shape[0] != d:
         raise ShapeError(f"layer_norm affine size {gain.shape}/{bias.shape} does not match last axis {d}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = Tensor(xhat * gain.data + bias.data)
+    if residual is not None and residual.shape != x.shape:
+        raise ShapeError(f"layer_norm residual {residual.shape} does not match input {x.shape}")
+    summed = x.data if residual is None else x.data + residual.data
+    mu = summed.mean(axis=-1, keepdims=True)
+    xhat = np.subtract(summed, mu, out=None if residual is None else summed)
+    y = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=y)
+    y += bias.data
+    out = Tensor(y)
 
     def _bw():
         g = out.grad
@@ -596,13 +620,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             _accumulate(gain, (g * xhat).reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
             _accumulate(bias, g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
-            dxhat = g * gain.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            _accumulate(x, inv * (dxhat - m1 - xhat * m2))
+        if x.requires_grad or (residual is not None and residual.requires_grad):
+            dx = g * gain.data
+            m1 = dx.mean(axis=-1, keepdims=True)
+            scratch = np.multiply(dx, xhat)
+            m2 = scratch.mean(axis=-1, keepdims=True)
+            dx -= m1
+            dx -= np.multiply(xhat, m2, out=scratch)
+            dx *= inv
+            if x.requires_grad:
+                _accumulate(x, dx)
+            if residual is not None and residual.requires_grad:
+                _accumulate(residual, dx, owned=not x.requires_grad)
 
-    return _track(out, (x, gain, bias), _bw)
+    return _track(out, (x, gain, bias) if residual is None else (x, gain, bias, residual), _bw)
 
 
 def conv1d(x: Tensor, kernels: Tensor, segs: Segments) -> Tensor:
@@ -757,6 +788,14 @@ def zero_rows(x: Tensor, segs: Segments) -> Tensor:
     return _track(out, (x,), _bw)
 
 
+def _dropped(a, keep, scale, out=None):
+    """``a`` after inverted dropout: its entries times ``scale`` where the
+    boolean ``keep`` is set, zero elsewhere; no float mask is built."""
+    out = np.multiply(a, scale, out=out)
+    out *= keep
+    return out
+
+
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: zero entries with probability ``rate``, rescale the rest.
 
@@ -766,12 +805,12 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     if rate <= 0.0:
         return x
     keep = rng.random(x.shape) >= rate
-    scale = x.data.dtype.type(1.0 / (1.0 - rate))  # bool * Python float would be float64
-    out = Tensor(x.data * (keep * scale))
+    scale = x.data.dtype.type(1.0 / (1.0 - rate))
+    out = Tensor(_dropped(x.data, keep, scale))
 
     def _bw():
         if x.requires_grad:
-            _accumulate(x, out.grad * (keep * scale))
+            _accumulate(x, _dropped(out.grad, keep, scale))
 
     return _track(out, (x,), _bw)
 

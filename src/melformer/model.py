@@ -19,9 +19,10 @@ one [ΣW, ·] stream and their mel frames into one [ΣT, d] stream, with no
 padding between them.  Utterance i is segment i of each stream, laid out
 by an ``autograd.Segments`` (offsets plus per-segment valid counts).  A
 third stream holds every word's phonemes, [Σphonemes] with one segment per
-word, for the phoneme CNN.  Every row-wise stage (``Linear``, FFN,
-``layer_norm``, ``dropout``, residual adds) runs once per batch and never
-sees the layout; only attention, the conv windows, max pooling, row zeroing
+word, for the phoneme CNN.  Every row-wise stage (``Linear``, whose bias
+rides in its ``matmul`` node, FFN, ``dropout``, and ``layer_norm``, which
+takes each sublayer's residual into the same node) runs once per batch and
+never sees the layout; only attention, the conv windows, max pooling, row zeroing
 and positions do, and they stay inside each segment.  So no utterance sees
 another, and a batch gives each utterance's logits as a forward of that
 utterance alone would, up to rounding.  Each attention call is one
@@ -184,8 +185,8 @@ class EncoderBlock(nn.Module):
         self.drop = nn.Dropout(dropout, drop_rng)
 
     def __call__(self, q: Tensor, kv: Tensor, q_segs: Segments, kv_segs: Segments) -> Tensor:
-        x = self.norm1(ag.add(q, self.drop(self.attn(q, kv, q_segs, kv_segs, drop=self.drop))))
-        return self.norm2(ag.add(x, self.drop(self.ffn(x))))
+        x = self.norm1(q, self.drop(self.attn(q, kv, q_segs, kv_segs, drop=self.drop)))
+        return self.norm2(x, self.drop(self.ffn(x)))
 
 
 class CrossModalBlock(nn.Module):
@@ -204,10 +205,10 @@ class CrossModalBlock(nn.Module):
     def __call__(self, mel: Tensor, text: Tensor, mel_segs: Segments,
                  text_segs: Segments) -> Tensor:
         attend = self.self_attn(mel, mel, mel_segs, mel_segs, drop=self.drop)
-        mel = self.norm1(ag.add(mel, self.drop(attend)))
+        mel = self.norm1(mel, self.drop(attend))
         attend = self.cross_attn(mel, text, mel_segs, text_segs, drop=self.drop)
-        mel = self.norm2(ag.add(mel, self.drop(attend)))
-        return self.norm3(ag.add(mel, self.drop(self.ffn(mel))))
+        mel = self.norm2(mel, self.drop(attend))
+        return self.norm3(mel, self.drop(self.ffn(mel)))
 
 
 class MultilevelTransformer(nn.Module):

@@ -124,21 +124,22 @@ class Linear(Module):
         squeeze = x.ndim == 1
         if squeeze:
             x = ag.reshape(x, (1, x.shape[0]))
-        out = ag.matmul(x, self.weight)
-        if self.bias is not None:
-            out = ag.add(out, self.bias)
+        out = ag.matmul(x, self.weight, bias=self.bias)
         return ag.reshape(out, (self.n_out,)) if squeeze else out
 
 
 class LayerNorm(Module):
+    """Row-wise layer norm; ``norm(x, residual)`` normalizes ``x + residual``
+    in the same node."""
+
     def __init__(self, dim, eps=1e-5):
         super().__init__()
         self.eps = eps
         self.gain = Tensor(np.ones(dim), requires_grad=True)
         self.bias = Tensor(np.zeros(dim), requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return ag.layer_norm(x, self.gain, self.bias, eps=self.eps)
+    def __call__(self, x: Tensor, residual: Tensor = None) -> Tensor:
+        return ag.layer_norm(x, self.gain, self.bias, eps=self.eps, residual=residual)
 
 
 class Embedding(Module):

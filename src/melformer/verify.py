@@ -78,6 +78,8 @@ def op_checks(rng):
     check("mul", lambda a, b: r(ag.mul(a, b)), [_t(rng, 3, 4), _t(rng, 3, 4)])
     rv = _weighted(rng, (3, 2))
     check("matmul", lambda a, b: rv(ag.matmul(a, b)), [_t(rng, 3, 4), _t(rng, 4, 2)])
+    check("matmul bias", lambda a, b, c: rv(ag.matmul(a, b, bias=c)),
+          [_t(rng, 3, 4), _t(rng, 4, 2), _t(rng, 2)])
     rt = _weighted(rng, (4, 3))
     check("transpose", lambda a: rt(ag.transpose(a)), [_t(rng, 3, 4)])
     check("reshape", lambda a: r(ag.reshape(a, (3, 4))), [_t(rng, 2, 6)])
@@ -95,6 +97,12 @@ def op_checks(rng):
     gain, bias = _t(rng, 4), _t(rng, 4)
     check("layer_norm", lambda x, g, b: r(ag.layer_norm(x, g, b)),
           [_t(rng, 3, 4), gain, bias])
+    check("layer_norm residual", lambda x, g, b, res: r(ag.layer_norm(x, g, b, residual=res)),
+          [_t(rng, 3, 4), gain, bias, _t(rng, 3, 4)])
+    x_const, gain_const, bias_const = (Tensor(t.data) for t in (_t(rng, 3, 4), gain, bias))
+    check("layer_norm residual only",
+          lambda res: r(ag.layer_norm(x_const, gain_const, bias_const, residual=res)),
+          [_t(rng, 3, 4)])
     rc = _weighted(rng, (5, 4))
     check("conv1d", lambda x, k: rc(ag.conv1d(x, k, Segments([5]))),
           [_t(rng, 5, 3), _t(rng, 3, 3, 4)])

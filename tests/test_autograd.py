@@ -151,6 +151,58 @@ def test_layer_norm_rows_standardized():
     assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-3
 
 
+def test_layer_norm_residual_shape_mismatch_rejected():
+    x, one = Tensor(np.zeros((2, 3))), Tensor(np.ones(3))
+    with pytest.raises(ShapeError):
+        ag.layer_norm(x, one, one, residual=Tensor(np.zeros((3, 3))))
+
+
+def test_matmul_bias_shape_mismatch_rejected():
+    with pytest.raises(ShapeError):
+        ag.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), bias=Tensor(np.zeros(3)))
+
+
+# --- a fused bias or residual equals the separate add, bit for bit ---------------
+
+def _outputs_and_grads(loss_of, arrays):
+    """``loss_of``'s output and the gradient of a probed sum of it with
+    respect to each array, all as numpy arrays."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = loss_of(*leaves)
+    probe = Tensor(np.random.default_rng(9).standard_normal(out.shape).astype(out.data.dtype))
+    ag.backward(ag.tsum(ag.mul(out, probe)))
+    return [out.data] + [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_matmul_bias_matches_matmul_then_add_bit_for_bit(dtype):
+    rng = np.random.default_rng(10)
+    arrays = [rng.standard_normal(shape).astype(dtype) for shape in ((5, 4), (4, 3), (3,))]
+    fused = _outputs_and_grads(lambda x, w, b: ag.matmul(x, w, bias=b), arrays)
+    separate = _outputs_and_grads(lambda x, w, b: ag.add(ag.matmul(x, w), b), arrays)
+    for a, b in zip(fused, separate):
+        assert a.dtype == dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_residual_matches_add_then_layer_norm_bit_for_bit(dtype):
+    rng = np.random.default_rng(11)
+    arrays = [rng.standard_normal(shape).astype(dtype) for shape in ((5, 6), (6,), (6,), (5, 6))]
+    fused = _outputs_and_grads(lambda x, g, b, r: ag.layer_norm(x, g, b, residual=r), arrays)
+    separate = _outputs_and_grads(lambda x, g, b, r: ag.layer_norm(ag.add(x, r), g, b), arrays)
+    for a, b in zip(fused, separate):
+        assert a.dtype == dtype and np.array_equal(a, b)
+
+
+def test_layer_norm_leaves_its_operands_alone():
+    rng = np.random.default_rng(12)
+    x, r = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    xs, rs = Tensor(x.copy()), Tensor(r.copy())
+    ag.layer_norm(xs, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+    ag.layer_norm(xs, Tensor(np.ones(4)), Tensor(np.zeros(4)), residual=rs)
+    assert np.array_equal(xs.data, x) and np.array_equal(rs.data, r)
+
+
 # --- conv1d --------------------------------------------------------------------
 
 def test_conv1d_ones_kernel_is_moving_sum():

@@ -23,6 +23,8 @@ from melformer.config import ModelConfig
 from melformer.errors import FormatError, ShapeError
 from melformer.fusion import build_fusion_model
 from melformer.model import (
+    CrossModalBlock,
+    EncoderBlock,
     FeedForward,
     MultiHeadAttention,
     MultilevelTransformer,
@@ -167,10 +169,40 @@ def test_attention_is_one_node_between_the_projections():
     x = Tensor(np.random.default_rng(47).standard_normal((6, 16)), requires_grad=True)
     drop = nn.Dropout(0.5, np.random.default_rng(48))
     out = mha(x, x, Segments([2, 4]), Segments([2, 4], valid=[2, 3]), drop=drop)
-    mixed = out._prev[0]._prev[0]  # wo is a matmul, then its bias add
+    mixed = out._prev[0]  # wo is one matmul node, its bias included
     projections = [mha.wq(x), mha.wk(x), mha.wv(x)]
     assert [p.data.tobytes() for p in mixed._prev] == [p.data.tobytes() for p in projections]
     assert mha.last_weights.base is not None  # a view of the node's map, not a copy
+
+
+def test_blocks_put_no_add_node_in_the_loss_graph(monkeypatch):
+    """Biases ride in ``matmul`` and residuals in ``layer_norm``, so no text,
+    cross or fusion block adds an ``add`` node to a training loss's graph;
+    the position signal, outside the blocks, still does."""
+    model, _, wv = make_model(seed=60)
+    depth, inside, outside = [0], [], []
+    add = ag.add
+
+    def recording_add(a, b):
+        out = add(a, b)
+        (inside if depth[0] else outside).append(out)
+        return out
+
+    monkeypatch.setattr(ag, "add", recording_add)
+    for block in (EncoderBlock, CrossModalBlock):
+        def entering(self, *args, call=block.__call__):
+            depth[0] += 1
+            try:
+                return call(self, *args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(block, "__call__", entering)
+    batch = [(make_enc(wv, seed=s, n_words=2 + s, n_frames=5 + s), 0, 0) for s in range(3)]
+    loss = ag.cross_entropy(model.forward_batch(batch), [0, 1, 2])
+    nodes = {id(t) for t in _graph_tensors(loss)}
+    assert any(id(t) in nodes for t in outside)
+    assert not any(id(t) in nodes for t in inside)
 
 
 def test_attention_graph_does_not_grow_with_heads():
