@@ -515,9 +515,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, q_segs: Segments, k_s
     rows past the segment's valid count get NEG_MASK added to their scores,
     so their weight underflows to exactly zero.  The maps lie segment after
     segment in one flat array, and with ``rate`` > 0 inverted dropout zeroes
-    its entries by one ``rng.random`` draw over that array, as
-    :func:`dropout` would.  Returns [Tq, D]: head h's weighted sum of the
-    value rows, in its own column block.
+    its entries by one :func:`_keep_mask` draw over that array, as
+    :func:`dropout` would: entry i of the flat map is kept iff the i-th
+    32-bit half of the raw words drawn is >= ceil(rate * 2**32), and kept
+    entries are scaled by 1 / (1 - rate).  Returns [Tq, D]: head h's
+    weighted sum of the value rows, in its own column block.
 
     The node keeps the pre-dropout maps and the boolean keep mask; backward
     rebuilds the dropped maps from them.  ``on_weights``, if given, receives
@@ -549,13 +551,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, q_segs: Segments, k_s
     if on_weights is not None:
         *_, a0, a1, shape = spans[-1]
         on_weights(y[a0:a1].reshape(shape))
-    keep = rng.random(y.shape) >= rate if rate > 0.0 else None
+    keep = _keep_mask(rng, y.shape, rate) if rate > 0.0 else None
     keep_scale = y.dtype.type(1.0 / (1.0 - rate))
 
     def dropped(a0, a1, shape):
         """One segment's map after dropout, as a fresh array (the map itself without dropout)."""
         weights = y[a0:a1].reshape(shape)
-        return weights if keep is None else _dropped(weights, keep[a0:a1].reshape(shape), keep_scale)
+        if keep is None:
+            return weights
+        return _dropped(weights, keep[a0:a1].reshape(shape), keep_scale)
 
     out = Tensor(np.empty(q.shape, dtype=np.result_type(y, v.data)))
     for q0, q1, k0, k1, _, a0, a1, shape in spans:
@@ -788,6 +792,22 @@ def zero_rows(x: Tensor, segs: Segments) -> Tensor:
     return _track(out, (x,), _bw)
 
 
+def _keep_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
+    """Boolean keep mask of ``shape`` for dropout at ``rate`` in (0, 1).
+
+    ceil(n / 2) raw 64-bit words from ``rng.bit_generator``, viewed as n
+    32-bit integers u: entry i is kept iff u[i] >= ceil(rate * 2**32), so
+    a threshold of 2**32 or more keeps nothing.  The mask depends only on
+    the generator and the shape, and the draw is the same at every rate.
+    """
+    n = math.prod(shape)
+    threshold = math.ceil(rate * 2**32)
+    words = rng.bit_generator.random_raw((n + 1) // 2)
+    if threshold >= 2**32:
+        return np.zeros(shape, dtype=bool)
+    return (words.view(np.uint32)[:n] >= np.uint32(threshold)).reshape(shape)
+
+
 def _dropped(a, keep, scale, out=None):
     """``a`` after inverted dropout: its entries times ``scale`` where the
     boolean ``keep`` is set, zero elsewhere; no float mask is built."""
@@ -799,12 +819,16 @@ def _dropped(a, keep, scale, out=None):
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: zero entries with probability ``rate``, rescale the rest.
 
-    One graph node; it keeps a boolean keep mask and applies the
-    1 / (1 - rate) scale on the fly in both directions.
+    The mask is one :func:`_keep_mask` draw over ``x``'s entries in C
+    order: entry i is kept iff the i-th 32-bit half of the ceil(n / 2) raw
+    64-bit words drawn from ``rng`` is >= ceil(rate * 2**32).  With ``rate``
+    0 nothing is drawn and ``x`` itself comes back.  One graph node; it
+    keeps the boolean mask and applies the 1 / (1 - rate) scale on the fly
+    in both directions.
     """
     if rate <= 0.0:
         return x
-    keep = rng.random(x.shape) >= rate
+    keep = _keep_mask(rng, x.shape, rate)
     scale = x.data.dtype.type(1.0 / (1.0 - rate))
     out = Tensor(_dropped(x.data, keep, scale))
 

@@ -22,8 +22,8 @@ third stream holds every word's phonemes, [Σphonemes] with one segment per
 word, for the phoneme CNN.  Every row-wise stage (``Linear``, whose bias
 rides in its ``matmul`` node, FFN, ``dropout``, and ``layer_norm``, which
 takes each sublayer's residual into the same node) runs once per batch and
-never sees the layout; only attention, the conv windows, max pooling, row zeroing
-and positions do, and they stay inside each segment.  So no utterance sees
+never sees the layout; only attention, the conv windows, max pooling, row
+zeroing and positions do, and they stay inside each segment.  So no utterance sees
 another, and a batch gives each utterance's logits as a forward of that
 utterance alone would, up to rounding.  Each attention call is one
 ``autograd.attention`` node over every head and segment, with its

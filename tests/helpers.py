@@ -116,10 +116,11 @@ def zero_fill_backward(loss):
 
 
 def mask_tensor_dropout(x, rate, rng):
-    """The earlier dropout, kept as an oracle: a float keep tensor applied by ``mul``."""
+    """The earlier dropout, kept as an oracle: a float keep tensor applied by
+    ``mul``, from the same ``_keep_mask`` draw."""
     if rate <= 0.0:
         return x
-    return ag.mul(x, ag.Tensor((rng.random(x.shape) >= rate) / (1.0 - rate)))
+    return ag.mul(x, ag.Tensor(ag._keep_mask(rng, x.shape, rate) / (1.0 - rate)))
 
 
 class PerParameterAdam:

@@ -7,7 +7,9 @@ import pytest
 
 import melformer.autograd as ag
 from melformer.autograd import Segments, Tensor
+from melformer import nn
 from melformer.errors import ContractError, NumericError, ShapeError, ValidationError
+from melformer.model import MultiHeadAttention
 from melformer.verify import op_checks
 
 from helpers import mask_tensor_dropout, zero_fill_backward
@@ -739,20 +741,26 @@ def test_dropout_is_one_node_with_a_boolean_mask():
     assert [m.dtype for m in masks] == [np.bool_]
 
 
+def _closure_arrays(rule):
+    """The arrays a backward rule holds: in its closure and those of the
+    helpers it calls."""
+    arrays, fns = {}, [rule]
+    while fns:
+        for cell in fns.pop().__closure__ or ():
+            if isinstance(cell.cell_contents, np.ndarray):
+                arrays[id(cell.cell_contents)] = cell.cell_contents
+            elif inspect.isfunction(cell.cell_contents):
+                fns.append(cell.cell_contents)
+    return list(arrays.values())
+
+
 def test_attention_keeps_the_pre_dropout_maps_and_a_boolean_mask():
     rng = np.random.default_rng(5)
     q, k, v = (Tensor(rng.standard_normal((5, 4)), requires_grad=True) for _ in range(3))
     segs = Segments([2, 3])
     out = ag.attention(q, k, v, 2, segs, segs, 0.4, np.random.default_rng(6))
     assert out._prev == (q, k, v)
-    arrays, fns = {}, [out._backward]
-    while fns:  # the rule's closure and those of the helpers it calls
-        for cell in fns.pop().__closure__ or ():
-            if isinstance(cell.cell_contents, np.ndarray):
-                arrays[id(cell.cell_contents)] = cell.cell_contents
-            elif inspect.isfunction(cell.cell_contents):
-                fns.append(cell.cell_contents)
-    assert sorted((a.dtype.name, a.shape) for a in arrays.values()) == [
+    assert sorted((a.dtype.name, a.shape) for a in _closure_arrays(out._backward)) == [
         ("bool", (2 * (4 + 9),)), ("float64", (2 * (4 + 9),))]
 
 
@@ -770,6 +778,73 @@ def test_dropout_matches_the_mask_tensor_mul_bit_for_bit(rate):
     (out_a, grad_a), (out_b, grad_b) = runs
     assert out_a.tobytes() == out_b.tobytes()
     assert grad_a.tobytes() == grad_b.tobytes()
+
+
+# --- the dropout keep mask --------------------------------------------------------
+
+def test_keep_mask_compares_32_bit_halves_of_raw_words_with_the_threshold():
+    rate, n = 0.3, 9
+    words = np.random.default_rng(20).bit_generator.random_raw(5)
+    halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).reshape(-1)[:n]
+    expected = halves >= int(np.ceil(rate * 2**32))
+    np.testing.assert_array_equal(ag._keep_mask(np.random.default_rng(20), (3, 3), rate),
+                                  expected.reshape(3, 3))
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.5, 1 - 1e-12])
+@pytest.mark.parametrize("n", [1, 6, 7])
+def test_keep_mask_advances_the_generator_by_half_a_word_per_entry(rate, n):
+    rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+    ag._keep_mask(rng, (n,), rate)
+    twin.bit_generator.random_raw((n + 1) // 2)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_a_threshold_of_two_to_the_32_keeps_nothing():
+    rate = 1 - 1e-12  # the config accepts it; ceil(rate * 2**32) == 2**32 wraps in uint32
+    assert np.ceil(rate * 2**32) == 2**32
+    assert not ag._keep_mask(np.random.default_rng(22), (4096,), rate).any()
+    x = Tensor(np.ones((64, 64)), requires_grad=True)
+    out = ag.dropout(x, rate, np.random.default_rng(22))
+    assert not out.data.any()
+    ag.backward(ag.tsum(out))
+    assert not x.grad.any()
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.5])
+def test_kept_share_is_within_five_sigma_of_one_minus_rate(rate):
+    n = 2**20
+    kept = ag._keep_mask(np.random.default_rng(23), (n,), rate).mean()
+    assert abs(kept - (1 - rate)) <= 5 * np.sqrt(rate * (1 - rate) / n)
+
+
+def test_rate_zero_and_eval_mode_draw_nothing():
+    rng = np.random.default_rng(24)
+    before = rng.bit_generator.state
+    x = Tensor(np.random.default_rng(25).standard_normal((4, 4)), requires_grad=True)
+    assert ag.dropout(x, 0.0, rng) is x
+    segs = Segments([4])
+    ag.attention(x, x, x, 2, segs, segs, 0.0, rng)
+    drop = nn.Dropout(0.5, rng).eval()
+    assert drop(x) is x
+    MultiHeadAttention(4, 2, np.random.default_rng(26))(x, x, segs, segs, drop=drop)
+    assert rng.bit_generator.state == before
+
+
+def test_float32_and_float64_inputs_get_the_same_mask():
+    data = np.random.default_rng(27).uniform(0.5, 1.0, (7, 9))
+    zeros = [ag.dropout(Tensor(data.astype(dtype)), 0.4, np.random.default_rng(28)).data == 0
+             for dtype in (np.float32, np.float64)]
+    assert zeros[0].any() and not zeros[0].all()
+    np.testing.assert_array_equal(zeros[0], zeros[1])
+    segs = Segments([3, 4])
+    masks = []
+    for dtype in (np.float32, np.float64):
+        x = Tensor(data[:, :8].astype(dtype), requires_grad=True)
+        out = ag.attention(x, x, x, 2, segs, segs, 0.4, np.random.default_rng(29))
+        masks += [a for a in _closure_arrays(out._backward) if a.dtype == np.bool_]
+    assert len(masks) == 2 and masks[0].shape == (2 * (9 + 16),)
+    np.testing.assert_array_equal(masks[0], masks[1])
 
 
 # --- the gradcheck suite covers the whole op library ------------------------------

@@ -89,11 +89,16 @@ def test_key_valid_longer_than_sequence_rejected():
 def _per_head_attention(mha, queries, keys_values, q_segs, k_segs, drop=None):
     """Reference attention: one segment, then one head at a time over
     column slices of q/k/v, with the key mask as an additive [Tq, Tk]
-    tensor -> (output, last segment's weights).  One ``drop`` serves every
-    segment and head, so its draws follow the fused op's flat map: segment,
-    then head, then query and key."""
+    tensor -> (output, last segment's weights).  ``drop``'s keep mask is
+    drawn once over the fused op's flat map (segment, then head, then query
+    and key) and sliced per segment and head: 32-bit draws of odd sizes do
+    not compose into one."""
     q, k, v = mha.wq(queries), mha.wk(keys_values), mha.wv(keys_values)
     d_head = q.shape[1] // mha.heads
+    if drop is not None:
+        flat = mha.heads * int(np.dot(q_segs.lengths, k_segs.lengths))
+        keep = ag._keep_mask(drop.rng, (flat,), drop.rate) / (1.0 - drop.rate)
+        at = 0
     rows = []
     for (q0, q1, _), (k0, k1, valid) in zip(q_segs.spans(), k_segs.spans()):
         mask = np.zeros((q1 - q0, k1 - k0))
@@ -108,7 +113,9 @@ def _per_head_attention(mha, queries, keys_values, q_segs, k_segs, drop=None):
             att = ag.softmax(scores)
             weights.append(att.data.copy())
             if drop is not None:
-                att = drop(att)
+                size = (q1 - q0) * (k1 - k0)
+                att = ag.mul(att, Tensor(keep[at:at + size].reshape(q1 - q0, k1 - k0)))
+                at += size
             outs.append(ag.matmul(att, vh))
         rows.append(ag.concat(outs, axis=1))
     return mha.wo(ag.concat(rows, axis=0)), np.stack(weights)
