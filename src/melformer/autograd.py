@@ -2,9 +2,10 @@
 
 The engine is deliberately small: it provides exactly the operations the
 emotion model needs, each with a hand-written backward rule, plus a
-finite-difference checker used to verify every rule.  Broadcasting is
-restricted to scalars and bias vectors added over the last axis, so each
-backward rule stays auditable.
+finite-difference checker used to verify every rule.  Elementwise ops take
+same-shape operands; the only broadcast is a 1-D bias over the last axis,
+added inside ``matmul``, ``conv1d`` and ``layer_norm``, so each backward
+rule stays auditable.
 
 A forward pass records lineage links between tensors; ``backward`` walks
 that graph once in reverse topological order and accumulates gradients,
@@ -93,44 +94,8 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other, self), self)
-
-    def __sub__(self, other):
-        return add(self, neg(_as_tensor(other, self)))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other, self), neg(self))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other, self))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other, self), self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, idx):
-        return getitem(self, idx)
-
-
-def _as_tensor(x, like: Tensor):
-    """``x`` as a tensor; a number or array takes the dtype of ``like``, the
-    tensor it meets, so ``t + 1.0`` stays in ``t``'s dtype."""
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 class Segments:
@@ -199,9 +164,9 @@ def _accumulate(t: Tensor, g, owned=True):
     share a gradient buffer.  The grad always has ``t``'s dtype.
     """
     if t.grad is None:
-        if type(g) is not np.ndarray or g.shape != t.data.shape or g.dtype != t.data.dtype:
-            # scalar sums, size-1 operands, a contribution from a wider operand
-            g = np.asarray(g, dtype=t.data.dtype).reshape(t.data.shape)
+        if type(g) is not np.ndarray or g.dtype != t.data.dtype:
+            # numpy arithmetic on 0-d arrays gives scalars; a wider operand a wider dtype
+            g = np.asarray(g, dtype=t.data.dtype)
         t.grad = g if owned else g.copy()
     else:
         t.grad += g
@@ -259,30 +224,17 @@ def backward(loss: Tensor):
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a 1-D bias over the last axis or a scalar."""
-    if a.shape == b.shape:
-        mode = "same"
-    elif a.ndim >= 2 and b.ndim == 1 and a.shape[-1] == b.shape[0]:
-        mode = "bias"
-    elif b.size == 1 or a.size == 1:
-        mode = "scalar"
-    else:
+    """Elementwise sum of same-shape tensors."""
+    if a.shape != b.shape:
         raise ShapeError(f"cannot add shapes {a.shape} and {b.shape}")
     out = Tensor(a.data + b.data)
 
     def _bw():
         g = out.grad
-        handed = False  # g itself went to a; b must copy it
         if a.requires_grad:
-            handed = mode != "scalar" or a.size > 1
-            _accumulate(a, g if handed else np.sum(g))
+            _accumulate(a, g)
         if b.requires_grad:
-            if mode == "bias":
-                _accumulate(b, g.reshape(-1, b.shape[0]).sum(axis=0))
-            elif mode == "scalar" and b.size == 1:
-                _accumulate(b, np.sum(g))
-            else:
-                _accumulate(b, g, owned=not handed)
+            _accumulate(b, g, owned=not a.requires_grad)  # a may hold g itself
 
     return _track(out, (a, b), _bw)
 
@@ -298,19 +250,17 @@ def neg(a: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of same-shape tensors, or scaling by a scalar."""
-    if not (a.shape == b.shape or a.size == 1 or b.size == 1):
+    """Elementwise product of same-shape tensors."""
+    if a.shape != b.shape:
         raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}")
     out = Tensor(a.data * b.data)
 
     def _bw():
         g = out.grad
         if a.requires_grad:
-            contrib = g * b.data
-            _accumulate(a, contrib if a.size > 1 else np.sum(contrib))
+            _accumulate(a, g * b.data)
         if b.requires_grad:
-            contrib = g * a.data
-            _accumulate(b, contrib if b.size > 1 else np.sum(contrib))
+            _accumulate(b, g * a.data)
 
     return _track(out, (a, b), _bw)
 
@@ -439,10 +389,14 @@ def relu(a: Tensor) -> Tensor:
     return _track(out, (a,), _bw)
 
 
+def _sigmoid(x):
+    """Logistic function of an array; exp(-|x|) keeps both tails away from overflow."""
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    # exp(-|x|) keeps both tails away from overflow
-    z = np.exp(-np.abs(a.data))
-    y = np.where(a.data >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+    y = _sigmoid(a.data)
     out = Tensor(y)
 
     def _bw():
@@ -450,6 +404,34 @@ def sigmoid(a: Tensor) -> Tensor:
             _accumulate(a, out.grad * y * (1.0 - y))
 
     return _track(out, (a,), _bw)
+
+
+def highway(h: Tensor, z: Tensor, u: Tensor) -> Tensor:
+    """One highway layer's output ``h * t + u * (1 - t)`` with the gate
+    ``t = sigmoid(z)``, for same-shape transform ``h``, gate logits ``z``
+    and carried input ``u``, as one node.  The node keeps only ``t``."""
+    if not h.shape == z.shape == u.shape:
+        raise ShapeError(f"highway needs same-shape operands, got {h.shape}, {z.shape} and {u.shape}")
+    t = _sigmoid(z.data)
+    y = h.data * t
+    y += u.data * (1.0 - t)
+    out = Tensor(y)
+
+    def _bw():
+        g = out.grad
+        if h.requires_grad:
+            _accumulate(h, g * t)
+        keep = 1.0 - t
+        if u.requires_grad:
+            _accumulate(u, g * keep)
+        if z.requires_grad:
+            dz = g * h.data
+            dz -= g * u.data
+            dz *= t
+            dz *= keep
+            _accumulate(z, dz)
+
+    return _track(out, (h, z, u), _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -640,14 +622,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5,
     return _track(out, (x, gain, bias) if residual is None else (x, gain, bias, residual), _bw)
 
 
-def conv1d(x: Tensor, kernels: Tensor, segs: Segments) -> Tensor:
+def conv1d(x: Tensor, kernels: Tensor, segs: Segments, bias: Tensor = None) -> Tensor:
     """Cross-correlation along the time axis, same padding, inside each segment.
 
     ``x`` is [T, Cin], packed by ``segs`` (:class:`Segments`), and
     ``kernels`` is [W, Cin, Cout].  Each segment gets (W-1)//2 leading and
     W//2 trailing zero steps of its own, so the output keeps its T steps and
     no window reaches into a neighbouring segment:
-    out[t, o] = sum_w sum_i xpad[t+w, i] * k[w, i, o].
+    out[t, o] = sum_w sum_i xpad[t+w, i] * k[w, i, o] (+ bias[o], if a
+    [Cout] ``bias`` is given, added in the same node).
     """
     if x.ndim != 2 or kernels.ndim != 3:
         raise ShapeError(f"conv1d needs x[T,Cin] and kernels[W,Cin,Cout], "
@@ -656,6 +639,8 @@ def conv1d(x: Tensor, kernels: Tensor, segs: Segments) -> Tensor:
     w, kc_in, c_out = kernels.shape
     if kc_in != c_in:
         raise ShapeError(f"conv1d channel mismatch: input has {c_in}, kernels expect {kc_in}")
+    if bias is not None and bias.shape != (c_out,):
+        raise ShapeError(f"conv1d bias {bias.shape} does not match {c_out} output channels")
     segs = _layout(segs, t_in, "conv1d input")
     pad_left = (w - 1) // 2
     # the segments sit in one zero buffer with W - 1 zero steps between
@@ -666,9 +651,13 @@ def conv1d(x: Tensor, kernels: Tensor, segs: Segments) -> Tensor:
     cols = xp[start[:, None] + np.arange(w)].reshape(t_in, w * c_in)
     kmat = kernels.data.reshape(w * c_in, c_out)
     out = Tensor(cols @ kmat)
+    if bias is not None:
+        out.data += bias.data
 
     def _bw():
         g = out.grad
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, g.sum(axis=0))
         if kernels.requires_grad:
             _accumulate(kernels, (cols.T @ g).reshape(w, c_in, c_out))
         if x.requires_grad:
@@ -678,7 +667,7 @@ def conv1d(x: Tensor, kernels: Tensor, segs: Segments) -> Tensor:
                 dxp[start + i] += dcols[:, i]  # no step repeats within one i
             _accumulate(x, dxp[start + pad_left])
 
-    return _track(out, (x, kernels), _bw)
+    return _track(out, (x, kernels) if bias is None else (x, kernels, bias), _bw)
 
 
 def max_pool_time(x: Tensor, segs: Segments) -> Tensor:

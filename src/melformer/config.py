@@ -101,6 +101,8 @@ class HarnessConfig:
         if self.clip_norm <= 0:
             # a norm of 0 zeroes every gradient and a negative one flips them
             raise ValidationError(f"clip_norm must be positive, got {self.clip_norm}")
+        if self.workers < 1:
+            raise ValidationError(f"workers must be >= 1, got {self.workers}")
         if not self.seeds:
             raise ValidationError("at least one seed is required")
         if min(self.seeds) < 0:

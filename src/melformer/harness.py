@@ -299,13 +299,15 @@ def evaluate(model, encs, batch_size=HarnessConfig.batch_size) -> FoldMetrics:
     was_training = model.training
     model.eval()
     conf = np.zeros((k, k), dtype=np.int64)
-    with ag.no_grad():
-        for i in range(0, len(encs), batch_size):
-            batch = [(enc, 0, 0) for enc in encs[i:i + batch_size]]
-            predicted = np.argmax(model.forward_batch(batch).data, axis=1)
-            np.add.at(conf, ([enc.label for enc, _, _ in batch], predicted), 1)
-    if was_training:
-        model.train()
+    try:
+        with ag.no_grad():
+            for i in range(0, len(encs), batch_size):
+                batch = [(enc, 0, 0) for enc in encs[i:i + batch_size]]
+                predicted = np.argmax(model.forward_batch(batch).data, axis=1)
+                np.add.at(conf, ([enc.label for enc, _, _ in batch], predicted), 1)
+    finally:
+        if was_training:
+            model.train()
     return metrics_from_confusion(conf)
 
 
@@ -419,7 +421,7 @@ def _worker_count(requested):
             raise ValidationError(
                 f"MELFORMER_NUM_WORKERS must be an integer, got {cap!r}") from None
         requested = min(requested, max(1, cap))
-    return max(1, requested)
+    return requested
 
 
 def _run_job(args):

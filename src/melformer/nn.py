@@ -158,7 +158,8 @@ class Embedding(Module):
 
 
 class Conv1d(Module):
-    """Time-axis same-padding cross-correlation layer; see autograd.conv1d."""
+    """Time-axis same-padding cross-correlation layer, its bias (if any)
+    added in the same node; see autograd.conv1d."""
 
     def __init__(self, width, c_in, c_out, rng, bias=True):
         super().__init__()
@@ -166,10 +167,7 @@ class Conv1d(Module):
         self.bias = Tensor(np.zeros(c_out), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor, segs: ag.Segments) -> Tensor:
-        out = ag.conv1d(x, self.kernels, segs)
-        if self.bias is not None:
-            out = ag.add(out, self.bias)
-        return out
+        return ag.conv1d(x, self.kernels, segs, bias=self.bias)
 
 
 class Dropout(Module):

@@ -238,7 +238,9 @@ class PhonemeCNN(nn.Module):
 
 
 class HighwayLayer(nn.Module):
-    """One highway layer: ReLU transform gated against the identity path.
+    """One highway layer: ReLU transform gated against the identity path,
+    ``h * t + u * (1 - t)`` with ``h = relu(W_h u + b_h)`` and
+    ``t = sigmoid(W_g u + b_g)``; the gating is one ``autograd.highway`` node.
 
     Works on a [dim] vector or row-wise on a [T, dim] matrix.  The gate
     bias starts at -1 so a fresh layer mostly copies its input.
@@ -251,10 +253,7 @@ class HighwayLayer(nn.Module):
         self.gate.bias.data[:] = -1.0
 
     def __call__(self, u: Tensor) -> Tensor:
-        h = ag.relu(self.transform(u))
-        t = ag.sigmoid(self.gate(u))
-        keep = ag.neg(t) + 1.0
-        return ag.add(ag.mul(h, t), ag.mul(u, keep))
+        return ag.highway(ag.relu(self.transform(u)), self.gate(u), u)
 
 
 class WordCombiner(nn.Module):

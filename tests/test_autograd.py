@@ -35,6 +35,11 @@ def softmax_oracle(row):
     return e / e.sum()
 
 
+def times(t, c):
+    """``t`` times the number ``c``, as a ``mul`` by a same-shape constant."""
+    return ag.mul(t, Tensor(np.full(t.shape, c, dtype=t.data.dtype)))
+
+
 def conv_same_oracle(x, k):
     """Direct sliding window over (w-1)//2 leading and w//2 trailing zeros,
     single channel in/out, cross-correlation."""
@@ -164,14 +169,20 @@ def test_matmul_bias_shape_mismatch_rejected():
         ag.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), bias=Tensor(np.zeros(3)))
 
 
-# --- a fused bias or residual equals the separate add, bit for bit ---------------
+# --- a fused node equals its separate arithmetic, bit for bit ----------------------
+
+def _probe(shape, dtype):
+    """The weights ``_outputs_and_grads`` sums an output of ``shape`` with:
+    the gradient that reaches the op."""
+    return np.random.default_rng(9).standard_normal(shape).astype(dtype)
+
 
 def _outputs_and_grads(loss_of, arrays):
     """``loss_of``'s output and the gradient of a probed sum of it with
     respect to each array, all as numpy arrays."""
     leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     out = loss_of(*leaves)
-    probe = Tensor(np.random.default_rng(9).standard_normal(out.shape).astype(out.data.dtype))
+    probe = Tensor(_probe(out.shape, out.data.dtype))
     ag.backward(ag.tsum(ag.mul(out, probe)))
     return [out.data] + [t.grad for t in leaves]
 
@@ -179,9 +190,10 @@ def _outputs_and_grads(loss_of, arrays):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_matmul_bias_matches_matmul_then_add_bit_for_bit(dtype):
     rng = np.random.default_rng(10)
-    arrays = [rng.standard_normal(shape).astype(dtype) for shape in ((5, 4), (4, 3), (3,))]
+    x, w, b = arrays = [rng.standard_normal(shape).astype(dtype) for shape in ((5, 4), (4, 3), (3,))]
     fused = _outputs_and_grads(lambda x, w, b: ag.matmul(x, w, bias=b), arrays)
-    separate = _outputs_and_grads(lambda x, w, b: ag.add(ag.matmul(x, w), b), arrays)
+    g = _probe((5, 3), dtype)
+    separate = [x @ w + b, g @ w.T, x.T @ g, g.sum(axis=0)]
     for a, b in zip(fused, separate):
         assert a.dtype == dtype and np.array_equal(a, b)
 
@@ -194,6 +206,58 @@ def test_layer_norm_residual_matches_add_then_layer_norm_bit_for_bit(dtype):
     separate = _outputs_and_grads(lambda x, g, b, r: ag.layer_norm(ag.add(x, r), g, b), arrays)
     for a, b in zip(fused, separate):
         assert a.dtype == dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_highway_matches_its_elementwise_graph_bit_for_bit(dtype):
+    """One node against sigmoid, neg, add of ones, two muls and an add;
+    -t + 1 equals 1 - t exactly."""
+    rng = np.random.default_rng(13)
+    arrays = [rng.standard_normal((5, 6)).astype(dtype) for _ in range(3)]
+    arrays[1] *= 4.0  # gates well shut and well open among them
+
+    def elementwise(h, z, u):
+        t = ag.sigmoid(z)
+        keep = ag.add(ag.neg(t), Tensor(np.ones(t.shape, dtype=dtype)))
+        return ag.add(ag.mul(h, t), ag.mul(u, keep))
+
+    fused = _outputs_and_grads(ag.highway, arrays)
+    separate = _outputs_and_grads(elementwise, arrays)
+    for a, b in zip(fused, separate):
+        assert a.dtype == dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv1d_bias_matches_its_numpy_arithmetic_bit_for_bit(dtype):
+    rng = np.random.default_rng(14)
+    arrays = [rng.standard_normal(shape).astype(dtype) for shape in ((7, 3), (3, 3, 4), (4,))]
+    segs = Segments([3, 4])
+    fused = _outputs_and_grads(lambda x, k, b: ag.conv1d(x, k, segs, bias=b), arrays)
+    no_bias = _outputs_and_grads(lambda x, k: ag.conv1d(x, k, segs), arrays[:2])
+    g = _probe((7, 4), dtype)
+    separate = [no_bias[0] + arrays[2], *no_bias[1:], g.sum(axis=0)]
+    assert len(fused) == len(separate)
+    for a, b in zip(fused, separate):
+        assert a.dtype == dtype and np.array_equal(a, b)
+
+
+def test_highway_and_conv1d_bias_shape_mismatches_rejected():
+    x = Tensor(np.zeros((2, 3)))
+    with pytest.raises(ShapeError):
+        ag.highway(x, x, Tensor(np.zeros((2, 4))))
+    with pytest.raises(ShapeError):
+        ag.highway(x, Tensor(np.zeros(3)), x)
+    with pytest.raises(ShapeError):
+        ag.conv1d(x, Tensor(np.zeros((2, 3, 4))), Segments([2]), bias=Tensor(np.zeros(3)))
+
+
+def test_elementwise_ops_refuse_operands_of_different_shapes():
+    x = Tensor(np.zeros((2, 3)))
+    for other in (Tensor(np.zeros(3)), Tensor(np.zeros(())), Tensor(np.zeros((1, 3)))):
+        with pytest.raises(ShapeError):
+            ag.add(x, other)
+        with pytest.raises(ShapeError):
+            ag.mul(other, x)
 
 
 def test_layer_norm_leaves_its_operands_alone():
@@ -420,19 +484,19 @@ def test_backward_sum_gives_ones():
 
 def test_backward_square_gives_two_x():
     x = Tensor([3.0], requires_grad=True)
-    ag.backward(ag.tsum(x * x))
+    ag.backward(ag.tsum(ag.mul(x, x)))
     np.testing.assert_allclose(x.grad, [6.0])
 
 
 def test_backward_rejects_non_scalar():
     x = Tensor(np.zeros((2, 2)), requires_grad=True)
     with pytest.raises(ContractError):
-        ag.backward(x * x)
+        ag.backward(ag.mul(x, x))
 
 
 def test_backward_fan_out_accumulates_both_paths():
     x = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
-    y = ag.tsum(ag.sigmoid(x)) + ag.tsum(x * x)
+    y = ag.add(ag.tsum(ag.sigmoid(x)), ag.tsum(ag.mul(x, x)))
     ag.backward(y)
     s = 1.0 / (1.0 + np.exp(-x.data))
     np.testing.assert_allclose(x.grad, s * (1 - s) + 2 * x.data, atol=1e-12)
@@ -445,7 +509,7 @@ def test_fan_out_gradcheck():
 
     def f(x, w):
         h = ag.matmul(x, w)
-        return ag.tsum(h * h) + ag.tsum(ag.sigmoid(h))
+        return ag.add(ag.tsum(ag.mul(h, h)), ag.tsum(ag.sigmoid(h)))
 
     assert ag.gradcheck(f, [x, w]) < 1e-6
 
@@ -454,7 +518,7 @@ def test_gradcheck_linear_map_is_nearly_exact():
     rng = np.random.default_rng(7)
     x = Tensor(rng.normal(size=(4,)), requires_grad=True)
     c = Tensor(rng.normal(size=(4,)))
-    assert ag.gradcheck(lambda t: ag.tsum(t * c), x) < 1e-9
+    assert ag.gradcheck(lambda t: ag.tsum(ag.mul(t, c)), x) < 1e-9
 
 
 def test_gradcheck_softmax_cross_entropy_composite():
@@ -472,7 +536,7 @@ def test_gradcheck_perturbs_every_coordinate_of_every_tensor():
 
     def f(x, y):
         seen.append((x.data.copy(), y.data.copy()))
-        return ag.tsum(x * x) + ag.tsum(y)
+        return ag.add(ag.tsum(ag.mul(x, x)), ag.tsum(y))
 
     assert ag.gradcheck(f, [x, y]) < 1e-8
     assert len(seen) == 1 + 2 * (x.data.size + y.data.size)
@@ -499,11 +563,6 @@ def test_all_ops_gradcheck(seed):
     b = Tensor(rng.normal(size=(t, d)), requires_grad=True)
     checks.append((lambda a, b: ag.tsum(ag.add(a, b)), [a, b]))
 
-    bias = Tensor(rng.normal(size=(d,)), requires_grad=True)
-    checks.append((lambda a, bias: ag.tsum(ag.add(a, bias)), [a, bias]))
-
-    s = Tensor(rng.normal(), requires_grad=True)
-    checks.append((lambda a, s: ag.tsum(ag.mul(a, s)), [a, s]))
     checks.append((lambda a, b: ag.tsum(ag.mul(a, b)), [a, b]))
     checks.append((lambda a: ag.tsum(ag.neg(a)), [a]))
 
@@ -512,7 +571,7 @@ def test_all_ops_gradcheck(seed):
     checks.append((lambda m, n: ag.tsum(ag.matmul(m, n)), [m, n]))
     checks.append((lambda m: ag.tsum(ag.transpose(m)), [m]))
     checks.append((lambda a: ag.tsum(ag.reshape(a, (d, t))), [a]))
-    checks.append((lambda a: ag.tsum(a[1:, : d - 1]), [a]))
+    checks.append((lambda a: ag.tsum(ag.getitem(a, (slice(1, None), slice(None, d - 1)))), [a]))
     checks.append((lambda a, b: ag.tsum(ag.concat([a, b], axis=0)), [a, b]))
 
     vs = [Tensor(rng.normal(size=(d,)), requires_grad=True) for _ in range(3)]
@@ -562,6 +621,10 @@ def test_all_ops_gradcheck(seed):
     checks.append((lambda q, k, v: ag.tsum(ag.mul(ag.attention(
         q, k, v, 2, q_segs, k_segs, 0.5, np.random.default_rng(3)), out_probe)), [q, kv, v]))
     checks.append((lambda x, k: ag.tsum(ag.conv1d(x, k, Segments([1, t - 1]))), [a, k]))
+    cbias, conv_probe = Tensor(rng.normal(size=(3,)), requires_grad=True), Tensor(rng.normal(size=(t, 3)))
+    checks.append((lambda x, k, cb: ag.tsum(ag.mul(ag.conv1d(x, k, Segments([1, t - 1]), bias=cb),
+                                                   conv_probe)), [a, k, cbias]))
+    checks.append((lambda h, z, u: ag.tsum(ag.mul(ag.highway(h, z, u), probe)), [a, b, kinkless]))
 
     for f, xs in checks:
         assert ag.gradcheck(f, xs, eps=1e-5) < 1e-4
@@ -584,15 +647,15 @@ def test_embedding_frozen_row_reads_as_zero():
 def test_no_grad_suppresses_lineage():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with ag.no_grad():
-        y = ag.tsum(x * x)
+        y = ag.tsum(ag.mul(x, x))
     assert y._prev == () and not y.requires_grad
 
 
 def test_backward_visits_shared_subgraph_once():
     # a diamond: if the shared node were visited twice its gradient would double
     x = Tensor([2.0], requires_grad=True)
-    shared = x * x
-    y = ag.tsum(shared + shared)
+    shared = ag.mul(x, x)
+    y = ag.tsum(ag.add(shared, shared))
     ag.backward(y)
     np.testing.assert_allclose(x.grad, [8.0])
 
@@ -603,7 +666,7 @@ def test_backward_frees_the_graph_without_the_cyclic_collector():
     w = Tensor(np.array([0.5, -1.0]), requires_grad=True)
     gc.disable()
     try:
-        hidden = ag.sigmoid(w * w)
+        hidden = ag.sigmoid(ag.mul(w, w))
         probe = weakref.ref(hidden)
         loss = ag.tsum(hidden)
         del hidden
@@ -616,51 +679,53 @@ def test_backward_frees_the_graph_without_the_cyclic_collector():
 
 def test_backward_on_a_consumed_graph_raises():
     w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    hidden = w * w
+    hidden = ag.mul(w, w)
     loss = ag.tsum(hidden)
     ag.backward(loss)
     np.testing.assert_array_equal(w.grad, [2.0, 4.0])
     with pytest.raises(ContractError):
         ag.backward(loss)
     with pytest.raises(ContractError):  # a new graph over a consumed node
-        ag.backward(ag.tsum(hidden * 3.0))
+        ag.backward(ag.tsum(times(hidden, 3.0)))
     np.testing.assert_array_equal(w.grad, [2.0, 4.0])
 
 
 def test_parameters_stay_leaves_across_steps():
     w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    ag.backward(ag.tsum(w * w))
+    ag.backward(ag.tsum(ag.mul(w, w)))
     np.testing.assert_array_equal(w.grad, [2.0, -4.0])
     assert w._backward is None and w._prev == ()
-    ag.backward(ag.tsum(w * 3.0))
+    ag.backward(ag.tsum(times(w, 3.0)))
     np.testing.assert_array_equal(w.grad, [3.0, 3.0])
 
 
 # --- lazy gradients and the streaming walk ----------------------------------------
 
 def _every_op_graph(rng):
-    """A loss touching every op, with fan-out, constants and size-1 operands."""
+    """A loss touching every op, with fan-out and constants."""
     x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
     w = Tensor(rng.standard_normal((6, 6)), requires_grad=True)
     b = Tensor(rng.standard_normal(6), requires_grad=True)
-    s = Tensor(rng.standard_normal(()), requires_grad=True)
+    s = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
     gain = Tensor(1.0 + 0.1 * rng.standard_normal(6), requires_grad=True)
     table = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
     kern = Tensor(rng.standard_normal((2, 3, 6)), requires_grad=True)
     const = Tensor(rng.standard_normal((4, 6)))
-    h = ag.relu(x @ w + b) * s + x                        # bias add, scalar mul, residual
-    h = ag.layer_norm(h - const, gain, b)
+    h = ag.add(ag.mul(ag.relu(ag.matmul(x, w, bias=b)), s), x)   # bias, product, residual
+    h = ag.layer_norm(ag.add(h, ag.neg(const)), gain, b, residual=x)
     segs = Segments([1, 3], valid=[1, 2])
-    h = (ag.attention(h, h, h, 2, segs, segs, 0.4, np.random.default_rng(2))
-         + ag.softmax(h) + ag.transpose(ag.transpose(h)))
-    h = ag.conv1d(h, Tensor(rng.standard_normal((3, 6, 6))), segs)
-    h = ag.dropout(ag.zero_rows(ag.sigmoid(h), segs), 0.3, np.random.default_rng(1))
+    h = ag.add(ag.add(ag.attention(h, h, h, 2, segs, segs, 0.4, np.random.default_rng(2)),
+                      ag.softmax(h)), ag.transpose(ag.transpose(h)))
+    h = ag.conv1d(h, Tensor(rng.standard_normal((3, 6, 6))), segs, bias=b)
+    h = ag.highway(ag.sigmoid(h), h, x)
+    h = ag.dropout(ag.zero_rows(h, segs), 0.3, np.random.default_rng(1))
     words = Segments([2, 1, 3])  # the middle word is the frozen pad id alone
     emb = ag.embedding_rows(table, [1, 2, 0, 3, 4, 4], frozen_row=0)
     pooled = ag.max_pool_time(ag.conv1d(emb, kern, words), words)
-    rows = ag.stack_rows([h[0], h[1] + pooled[0], ag.reshape(h[2:], (12,))[:6]])
-    mixed = ag.concat([rows, rows * 2.0], axis=1)
-    loss = ag.cross_entropy(mixed, [0, 3, 11]) + ag.tsum(ag.neg(h * h)) * 1e-2 + s
+    rows = ag.stack_rows([ag.getitem(h, 0), ag.add(ag.getitem(h, 1), ag.getitem(pooled, 0)),
+                          ag.getitem(ag.reshape(ag.getitem(h, slice(2, None)), (12,)), slice(6))])
+    mixed = ag.concat([rows, times(rows, 2.0)], axis=1)
+    loss = ag.add(ag.cross_entropy(mixed, [0, 3, 11]), times(ag.tsum(ag.neg(ag.mul(h, h))), 1e-2))
     return loss, dict(x=x, w=w, b=b, s=s, gain=gain, table=table, kern=kern), const
 
 
@@ -685,24 +750,13 @@ def test_constants_and_interior_nodes_end_backward_without_grad():
     assert all(t.grad is not None for t in leaves.values())
 
 
-def test_size_one_operands_get_a_grad_of_their_own_shape():
-    x = Tensor(np.arange(3.0), requires_grad=True)
-    s0 = Tensor(2.0, requires_grad=True)
-    s1 = Tensor([3.0], requires_grad=True)
-    ag.backward(ag.tsum(x * s0 + s1) + s0 * s1)
-    assert type(s0.grad) is np.ndarray and s0.grad.shape == ()
-    assert type(s1.grad) is np.ndarray and s1.grad.shape == (1,)
-    np.testing.assert_array_equal(s0.grad, 3.0 + 3.0)
-    np.testing.assert_array_equal(s1.grad, [3.0 + 2.0])
-
-
 def test_fan_out_of_a_passed_through_grad_keeps_separate_buffers():
     # add hands out.grad to both operands; sharing it would let one operand's
     # later contributions leak into the other's grad
     a = Tensor([1.0, 2.0], requires_grad=True)
     b = Tensor([3.0, 4.0], requires_grad=True)
-    total = a + b
-    ag.backward(ag.tsum(total * 2.0) + ag.tsum(a * 5.0))
+    total = ag.add(a, b)
+    ag.backward(ag.add(ag.tsum(times(total, 2.0)), ag.tsum(times(a, 5.0))))
     np.testing.assert_array_equal(a.grad, [7.0, 7.0])
     np.testing.assert_array_equal(b.grad, [2.0, 2.0])
     assert not np.shares_memory(a.grad, b.grad)
@@ -712,10 +766,10 @@ def test_an_interior_node_dies_as_soon_as_its_rule_has_run():
     w = Tensor(np.array([0.5, -1.0]), requires_grad=True)
     gc.disable()
     try:
-        first = ag.sigmoid(w * w)
+        first = ag.sigmoid(ag.mul(w, w))
         second = ag.relu(first)
         probe = weakref.ref(second)
-        loss = ag.tsum(second * 3.0)
+        loss = ag.tsum(times(second, 3.0))
         seen = []
         rule = first._backward
 
@@ -773,7 +827,7 @@ def test_dropout_matches_the_mask_tensor_mul_bit_for_bit(rate):
         x = Tensor(data.copy(), requires_grad=True)
         out = op(x, rate, np.random.default_rng(9))
         result = out.data.copy()
-        ag.backward(ag.tsum(out * Tensor(probe)))
+        ag.backward(ag.tsum(ag.mul(out, Tensor(probe))))
         runs.append((result, x.grad))
     (out_a, grad_a), (out_b, grad_b) = runs
     assert out_a.tobytes() == out_b.tobytes()

@@ -248,6 +248,12 @@ def test_mistyped_or_out_of_range_config_values_exit_one(tmp_path, capsys, doc, 
     assert err.startswith("error: ") and named in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_exit_one(capsys, workers):
+    assert main(["train", "--workers", workers]) == 1
+    assert capsys.readouterr().err.startswith(f"error: workers must be >= 1, got {workers}")
+
+
 def test_integer_config_values_are_accepted_for_float_fields():
     cfg = resolve_config({"model": {"dropout": 0}, "harness": {"lr": 1}})
     assert type(cfg.model.dropout) is float and cfg.model.dropout == 0.0

@@ -488,6 +488,18 @@ def test_evaluate_rejects_empty_set():
         evaluate(model, [])
 
 
+def test_evaluate_restores_training_mode_when_a_batch_fails():
+    cfg = small_config(num_classes=2)
+    wv = hash_word_vectors(WORDS, dim=cfg.word_dim)
+    model = build_fusion_model(cfg, wv, utt_dim=6, seed=0)
+    encs = [make_enc(wv, seed=i, utt_embedding=np.ones(6) if i == 0 else None) for i in range(2)]
+    for i, enc in enumerate(encs):
+        enc.id, enc.label = f"u{i}", i
+    with pytest.raises(ValidationError, match="mixes utterances with and without"):
+        evaluate(model, encs)
+    assert all(m.training for m in model.modules())
+
+
 # ---------------------------------------------------------------------------
 # training folds (small real models on tiny synthetic data)
 

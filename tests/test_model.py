@@ -108,8 +108,9 @@ def _per_head_attention(mha, queries, keys_values, q_segs, k_segs, drop=None):
             cols = slice(h * d_head, (h + 1) * d_head)
             qh, kh = ag.getitem(q, (slice(q0, q1), cols)), ag.getitem(k, (slice(k0, k1), cols))
             vh = ag.getitem(v, (slice(k0, k1), cols))
-            scores = ag.add(ag.matmul(qh, ag.transpose(kh)) * (1.0 / np.sqrt(d_head)),
-                            Tensor(mask))
+            raw = ag.matmul(qh, ag.transpose(kh))
+            scale = Tensor(np.full(raw.shape, 1.0 / np.sqrt(d_head), dtype=raw.data.dtype))
+            scores = ag.add(ag.mul(raw, scale), Tensor(mask))
             att = ag.softmax(scores)
             weights.append(att.data.copy())
             if drop is not None:
@@ -210,6 +211,31 @@ def test_blocks_put_no_add_node_in_the_loss_graph(monkeypatch):
     nodes = {id(t) for t in _graph_tensors(loss)}
     assert any(id(t) in nodes for t in outside)
     assert not any(id(t) in nodes for t in inside)
+
+
+def test_each_highway_layer_is_one_node_and_only_the_position_signals_add(monkeypatch):
+    """The highway gating is one ``highway`` node per layer, so a training
+    loss's graph has no ``sigmoid``, ``neg`` or ``mul`` node, and its only
+    ``add`` nodes are the two ``nn.add_positions`` outputs."""
+    model, cfg, wv = make_model(seed=61)
+    assert cfg.combine_mode == "highway"
+    positions = []
+    add_positions = nn.add_positions
+
+    def recording(x, segs):
+        positions.append(add_positions(x, segs))
+        return positions[-1]
+
+    monkeypatch.setattr(nn, "add_positions", recording)
+    batch = [(make_enc(wv, seed=s, n_words=2 + s, n_frames=5 + s), 0, 0) for s in range(3)]
+    loss = ag.cross_entropy(model.forward_batch(batch), [0, 1, 2])
+    by_op = {}
+    for t in _graph_tensors(loss):
+        if t._backward is not None:
+            by_op.setdefault(t._backward.__qualname__.split(".")[0], []).append(t)
+    assert len(by_op["highway"]) == len(model.combiner.layers) == 2
+    assert not {"sigmoid", "neg", "mul"} & set(by_op)
+    assert sorted(map(id, by_op["add"])) == sorted(map(id, positions)) and len(positions) == 2
 
 
 def test_attention_graph_does_not_grow_with_heads():
