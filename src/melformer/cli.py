@@ -16,12 +16,12 @@ from types import SimpleNamespace
 import numpy as np
 
 from .config import CHOICES, LABELS, resolve_config, run_keys
-from .data import (SyntheticSpec, encode_manifest, featurize_manifest,
+from .data import (SyntheticSpec, check_coverage, encode_manifest, featurize_manifest,
                    gen_synthetic, parse_manifest)
 from .errors import MelformerError, ValidationError
-from .fusion import MultiGranularityModel, check_coverage, load_utterance_embeddings
+from .fusion import MultiGranularityModel, load_utterance_embeddings
 from .harness import evaluate, kfold_split, run_protocol, write_results, write_table
-from .model import read_checkpoint_header, restore_model
+from .model import load_checkpoint, rebuild_model
 from .text import Lexicon, hash_word_vectors, load_word_vectors, tokenize_and_g2p
 
 
@@ -122,16 +122,14 @@ def _word_vectors_for(path, transcripts, lexicon, word_dim):
     return hash_word_vectors(vocab, dim=word_dim)
 
 
-def _utt_table(path, ids):
-    """The utterance-embedding file at ``path``, checked to cover ``ids`` -> (dim, table)."""
+def _utt_table(path):
+    """The utterance-embedding file at ``path`` -> (dim, table)."""
     if not Path(path).exists():
         raise ValidationError(f"utterance embeddings not found: {path}")
-    dim, table = load_utterance_embeddings(path)
-    check_coverage(table, ids)
-    return dim, table
+    return load_utterance_embeddings(path)
 
 
-def _checkpoint_utt_table(model, path, ids):
+def _checkpoint_utt_table(model, path):
     """The utterance table a restored model reads, or None.
 
     Only a multi-granularity model without a built-in encoder reads one, and
@@ -148,7 +146,7 @@ def _checkpoint_utt_table(model, path, ids):
     if not path:
         raise ValidationError("this checkpoint was trained on an utterance-embedding file; "
                               "pass --utt-embeddings")
-    return _utt_table(path, ids)[1]
+    return _utt_table(path)[1]
 
 
 def _load_resources(run_cfg):
@@ -158,8 +156,7 @@ def _load_resources(run_cfg):
                            lexicon, run_cfg.model.word_dim)
     utt_table = utt_dim = None
     if run_cfg.harness.granularity == "multi" and run_cfg.utt_embeddings:
-        utt_dim, utt_table = _utt_table(run_cfg.utt_embeddings,
-                                        [r.utt_embedding_id or r.id for r in manifest.records])
+        utt_dim, utt_table = _utt_table(run_cfg.utt_embeddings)
     return manifest, lexicon, wv, utt_table, utt_dim
 
 
@@ -239,17 +236,16 @@ def _restore(args, transcripts, lexicon):
     """The checkpoint's model, with word vectors for ``transcripts``."""
     if not Path(args.checkpoint).exists():
         raise ValidationError(f"checkpoint not found: {args.checkpoint}")
-    word_dim = read_checkpoint_header(args.checkpoint)[0].word_dim
-    wv = _word_vectors_for(args.word_vectors, transcripts, lexicon, word_dim)
-    return restore_model(args.checkpoint, wv)[0], wv
+    cfg, extra, params = load_checkpoint(args.checkpoint)
+    wv = _word_vectors_for(args.word_vectors, transcripts, lexicon, cfg.word_dim)
+    return rebuild_model(cfg, extra, params, wv), wv
 
 
 def cmd_eval(args):
     manifest = _load_manifest(args.manifest)
     lexicon = _load_lexicon(args.lexicon)
     model, wv = _restore(args, [r.transcript for r in manifest.records], lexicon)
-    utt_table = _checkpoint_utt_table(model, args.utt_embeddings,
-                                      [r.utt_embedding_id or r.id for r in manifest.records])
+    utt_table = _checkpoint_utt_table(model, args.utt_embeddings)
     encs = encode_manifest(manifest, lexicon, wv, utt_table=utt_table)
     m = evaluate(model, encs)
     print(f"WA {m.wa:.4f}")
@@ -268,17 +264,18 @@ def cmd_predict(args):
     if not Path(args.wav).exists():
         raise ValidationError(f"wav not found: {args.wav}")
     lexicon = _load_lexicon(args.lexicon)
-    seq = tokenize_and_g2p(args.transcript, lexicon)
     model, wv = _restore(args, [args.transcript], lexicon)
-    table = _checkpoint_utt_table(model, args.utt_embeddings, [args.utt_id] if args.utt_id else [])
+    seq = tokenize_and_g2p(args.transcript, lexicon, word_vectors=wv)
+    table = _checkpoint_utt_table(model, args.utt_embeddings)
     emb = None
     if table is not None:
         if not args.utt_id:
             raise ValidationError("--utt-id is required with --utt-embeddings")
+        check_coverage(table, [args.utt_id])
         emb = table[args.utt_id]
     mel = featurize_wav(args.wav)
-    enc = SimpleNamespace(word_ids=[wv.lookup(w) for w in seq.words],
-                          phonemes=seq.phonemes, mel=mel.frames, utt_embedding=emb)
+    enc = SimpleNamespace(word_ids=seq.word_ids, phonemes=seq.phonemes, mel=mel.frames,
+                          utt_embedding=emb)
     probs = model.predict_probs(enc)
     for label, p in zip(LABELS, probs):
         print(f"{label} {p:.4f}")

@@ -160,7 +160,10 @@ def _typed(key, value, kind, origin):
 
     Ints are accepted for float fields; every tuple field holds integers.
     NaN and the infinities fail the magnitude test, as do ints no float holds.
+    No string may hold a NUL character, which no file path can.
     """
+    if kind is str and isinstance(value, str) and "\0" in value:
+        raise ValidationError(f"{origin}: {key} holds a NUL character")
     if kind is tuple and isinstance(value, (list, tuple)) and all(_is(v, int) for v in value):
         return tuple(value)
     if kind is float and _is(value, (int, float)) and abs(value) <= sys.float_info.max:

@@ -34,6 +34,11 @@ class Record:
     session: str = None
     utt_embedding_id: str = None
 
+    @property
+    def embedding_key(self):
+        """The record's key into an utterance-embedding table."""
+        return self.utt_embedding_id or self.id
+
 
 @dataclass
 class Manifest:
@@ -60,7 +65,8 @@ def parse_manifest(path) -> Manifest:
     """Read and validate a JSON-lines manifest; label aliases applied.
 
     Every line is a JSON object whose required fields are strings; an
-    optional field is a string or absent (null counts as absent).
+    optional field is a string or absent (null counts as absent).  No
+    string may hold a NUL character, which no file path can.
     """
     records = []
     seen = set()
@@ -83,6 +89,8 @@ def parse_manifest(path) -> Manifest:
             if type(value) is not str and not (value is None and name in _OPTIONAL_FIELDS):
                 raise ValidationError(
                     f"{where}: field {name!r} must be a string, got {_JSON_TYPES[type(value)]}")
+            if value is not None and "\0" in value:
+                raise ValidationError(f"{where}: field {name!r} holds a NUL character")
         label = LABEL_ALIASES.get(raw["label"], raw["label"])
         if label not in LABELS:
             raise ValidationError(
@@ -137,18 +145,26 @@ def encode_record(record: Record, manifest: Manifest, lexicon: Lexicon,
                   word_vectors: WordVectors, utt_table=None) -> EncodedUtterance:
     mel = record_mel(record, manifest)
     seq = tokenize_and_g2p(record.transcript, lexicon, word_vectors=word_vectors)
-    emb = None
-    if utt_table is not None:
-        key = record.utt_embedding_id or record.id
-        emb = utt_table.get(key)
     return EncodedUtterance(
         id=record.id, word_ids=seq.word_ids, phonemes=seq.phonemes,
-        mel=mel.frames, label=LABELS.index(record.label),
-        session=record.session, utt_embedding=emb)
+        mel=mel.frames, label=LABELS.index(record.label), session=record.session,
+        utt_embedding=None if utt_table is None else utt_table[record.embedding_key])
+
+
+def check_coverage(table, required_ids):
+    """Every id must resolve; report the complete missing list at once."""
+    missing = sorted(set(required_ids) - set(table))
+    if missing:
+        raise ValidationError(
+            f"{len(missing)} utterance ids have no embedding: {missing}")
 
 
 def encode_manifest(manifest: Manifest, lexicon: Lexicon, word_vectors: WordVectors,
                     utt_table=None) -> list:
+    """Every record encoded, each with its embedding when ``utt_table`` is
+    given; a table that misses a key fails before any audio is read."""
+    if utt_table is not None:
+        check_coverage(utt_table, [r.embedding_key for r in manifest.records])
     return [encode_record(r, manifest, lexicon, word_vectors, utt_table)
             for r in manifest.records]
 
@@ -285,8 +301,13 @@ def featurize_manifest(manifest: Manifest, out_dir):
     """Cache features for every audio record; skip writes when bytes match.
 
     Produces <out_dir>/<id>.mel files plus a rewritten manifest pointing at
-    them.  Returns (new_manifest_path, n_written, n_skipped).
+    them, so every id must be a plain file name; all are checked before
+    anything is written.  Returns (new_manifest_path, n_written, n_skipped).
     """
+    for r in manifest.records:
+        if r.id in ("", ".", "..") or "/" in r.id or "\\" in r.id:
+            raise ValidationError(f"id {r.id!r} is not a file name, so it cannot name a "
+                                  f"feature cache in {out_dir}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = skipped = 0

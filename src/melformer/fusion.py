@@ -19,7 +19,7 @@ from .autograd import Tensor
 from .config import ModelConfig
 from .errors import FormatError, ValidationError
 from .model import MultilevelTransformer, restore_model
-from .text import WordVectors, utf8_lines
+from .text import WordVectors, float_row, table_rows, utf8_lines
 
 UEMB_MAGIC = "UEMB"
 
@@ -37,33 +37,8 @@ def load_utterance_embeddings(path):
         raise FormatError(f"{path}: bad dimension {header[1]!r} in header") from None
     if dim < 1:
         raise FormatError(f"{path}: dimension must be positive, got {dim}")
-    table = {}
-    for lineno, line in lines:
-        parts = line.split()
-        if not parts:
-            continue
-        utt_id = parts[0]
-        if len(parts) - 1 != dim:
-            raise FormatError(
-                f"{path}: line {lineno}: expected {dim} values for {utt_id!r}, got {len(parts) - 1}")
-        if utt_id in table:
-            raise ValidationError(f"{path}: line {lineno}: duplicate utterance id {utt_id!r}")
-        try:
-            vec = np.asarray([float(v) for v in parts[1:]], dtype=np.float64)
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {lineno}: bad value for {utt_id!r} ({exc})") from None
-        if not np.all(np.isfinite(vec)):
-            raise ValidationError(f"{path}: line {lineno}: non-finite value for {utt_id!r}")
-        table[utt_id] = vec
-    return dim, table
-
-
-def check_coverage(table, required_ids):
-    """Every id must resolve; report the complete missing list at once."""
-    missing = sorted(set(required_ids) - set(table))
-    if missing:
-        raise ValidationError(
-            f"{len(missing)} utterance ids have no embedding: {missing}")
+    return dim, {utt_id: float_row(path, lineno, utt_id, fields, dim)
+                 for lineno, utt_id, fields in table_rows(path, "utterance id", lines=lines)}
 
 
 class MeanPoolUtteranceEncoder(nn.Module):

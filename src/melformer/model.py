@@ -46,7 +46,8 @@ whole ``Pack`` or one utterance as a pack of one; ``forward_batch``
 ``checkpoint_extra`` fills the checkpoint header.  The multi-granularity
 model (``fusion.MultiGranularityModel``) is a subclass that overrides only
 ``classify``, the step from cls rows to logits, and its header fields.
-``restore_model`` is the one way back from a checkpoint to either variant.
+``rebuild_model`` is the one way back from a loaded checkpoint to either
+variant, and ``restore_model`` loads and rebuilds in one call.
 
 A model computes in one dtype, ``cfg.precision`` (float32 by default, as
 the paper trained; float64 for the gradient checks): its parameters, the
@@ -416,47 +417,30 @@ def save_checkpoint(path, model: nn.Module, cfg: ModelConfig, extra=None):
             fh.write(p.data.astype("<f4").tobytes())
 
 
-class _CheckpointReader(BinaryReader):
-    """Bounds-checked reads from an open checkpoint file.
-
-    Every read that the file cannot satisfy, and a header that is not a
-    UTF-8 JSON object with a ``model`` object, raises FormatError.
-    """
-
-    def header(self):
-        """Magic and JSON header -> (ModelConfig, extra dict)."""
-        magic = self.fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise FormatError(f"{self.path}: bad magic {magic!r}")
-        (hlen,) = self.u32s(1)
-        try:
-            header = json.loads(self.take(hlen).decode("utf-8"))
-        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
-            raise FormatError(f"{self.path}: unreadable header ({exc})") from None
-        if not (isinstance(header, dict) and isinstance(header.get("model"), dict)
-                and isinstance(header.get("extra", {}), dict)):
-            raise FormatError(
-                f"{self.path}: header needs a 'model' object and an optional 'extra' object")
-        return model_config_from_dict(header["model"]), header.get("extra", {})
-
-
-def read_checkpoint_header(path):
-    """A checkpoint's (ModelConfig, extra dict), without reading its parameters."""
-    with open(path, "rb") as fh:
-        return _CheckpointReader(fh, path).header()
-
-
 def load_checkpoint(path):
     """Read a checkpoint -> (ModelConfig, extra dict, {name: float32 array}).
 
     The arrays are the stored records as they are, read-only, with no
     upcast; ``load_state_dict`` casts them to the model's dtype.  Every read
-    is bounds-checked: a short file, a header that is not UTF-8 JSON, or
-    bytes after the last record raise FormatError.
+    is bounds-checked: a short file, a header that is not a UTF-8 JSON
+    object with a ``model`` object, or bytes after the last record raise
+    FormatError.
     """
     with open(path, "rb") as fh:
-        reader = _CheckpointReader(fh, path)
-        cfg, extra = reader.header()
+        reader = BinaryReader(fh, path)
+        magic = fh.read(4)
+        if magic != CHECKPOINT_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        (hlen,) = reader.u32s(1)
+        try:
+            header = json.loads(reader.take(hlen).decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
+            raise FormatError(f"{path}: unreadable header ({exc})") from None
+        if not (isinstance(header, dict) and isinstance(header.get("model"), dict)
+                and isinstance(header.get("extra", {}), dict)):
+            raise FormatError(
+                f"{path}: header needs a 'model' object and an optional 'extra' object")
+        cfg, extra = model_config_from_dict(header["model"]), header.get("extra", {})
         (n_records,) = reader.u32s(1)
         params = {}
         for _ in range(n_records):
@@ -478,16 +462,15 @@ def load_checkpoint(path):
     return cfg, extra, params
 
 
-def restore_model(path, word_vectors: WordVectors):
-    """Rebuild the model a checkpoint came from -> (model, cfg, extra).
+def rebuild_model(cfg: ModelConfig, extra: dict, params: dict, word_vectors: WordVectors):
+    """The model a loaded checkpoint came from, its parameters restored.
 
     The header's ``granularity`` picks the variant (fine when absent).  A
     multi-granularity header carries ``builtin_encoder`` and, without a
     built-in encoder, ``utt_dim``; ``freeze_fine`` defaults to False.  Each
     field is type-checked like a config value before it is used.
     """
-    cfg, extra, params = load_checkpoint(path)
-    origin = f"{path}: checkpoint header"
+    origin = "checkpoint header"
 
     def field(key, default, at_least=None):
         value = _typed(key, extra.get(key, default), type(default), origin)
@@ -503,7 +486,7 @@ def restore_model(path, word_vectors: WordVectors):
         from .fusion import build_fusion_model  # fusion builds on this module
         builtin = field("builtin_encoder", False)
         if not builtin and "utt_dim" not in extra:
-            raise FormatError(f"{path}: multi-granularity header lacks utt_dim")
+            raise FormatError(f"{origin}: a multi-granularity model needs utt_dim")
         model = build_fusion_model(cfg, word_vectors,
                                    utt_dim=None if builtin else field("utt_dim", 0, at_least=1),
                                    seed=seed, freeze_fine=field("freeze_fine", False))
@@ -512,8 +495,14 @@ def restore_model(path, word_vectors: WordVectors):
         kept = {name: arr for name, arr in params.items() if not name.startswith("fine.head.")}
         params = {name.removeprefix("fine."): arr for name, arr in kept.items()}
         if len(params) < len(kept):
-            raise ValidationError(f"{path}: parameters stored both with and without 'fine.'")
+            raise ValidationError("checkpoint: parameters stored both with and without 'fine.'")
     else:
         model = MultilevelTransformer(cfg, word_vectors, seed=seed)
     model.load_state_dict(params)
-    return model, cfg, extra
+    return model
+
+
+def restore_model(path, word_vectors: WordVectors):
+    """Rebuild the model a checkpoint came from -> (model, cfg, extra)."""
+    cfg, extra, params = load_checkpoint(path)
+    return rebuild_model(cfg, extra, params, word_vectors), cfg, extra

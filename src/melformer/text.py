@@ -64,6 +64,44 @@ def utf8_lines(path):
                                   f"at byte {exc.start})") from None
 
 
+def table_rows(path, what, fold_case=False, lines=None):
+    """Yield ``(lineno, key, fields)`` per ``key field ...`` line of a text table.
+
+    Blank lines and ``;;;`` comments are skipped; ``fold_case`` lower-cases
+    keys.  A key (a ``what``) with no field, or seen before, raises an error
+    that starts ``<path>: line N:``.  ``lines`` resumes ``utf8_lines(path)``
+    after a header the caller has read.
+    """
+    seen = {}
+    for lineno, line in utf8_lines(path) if lines is None else lines:
+        parts = line.split()
+        if not parts or parts[0].startswith(";;;"):
+            continue
+        if len(parts) < 2:
+            raise FormatError(f"{path}: line {lineno}: {what} {parts[0]!r} has no fields")
+        key = parts[0].lower() if fold_case else parts[0]
+        if key in seen:
+            raise ValidationError(f"{path}: line {lineno}: duplicate {what} {parts[0]!r} "
+                                  f"(line {seen[key]} has {key!r} already)")
+        seen[key] = lineno
+        yield lineno, key, parts[1:]
+
+
+def float_row(path, lineno, key, fields, width):
+    """``fields`` as ``width`` finite float64 values, or an error that starts
+    ``<path>: line N:``."""
+    where = f"{path}: line {lineno}"
+    if len(fields) != width:
+        raise FormatError(f"{where}: expected {width} values for {key!r}, got {len(fields)}")
+    try:
+        vec = np.array([float(v) for v in fields])
+    except ValueError as exc:
+        raise FormatError(f"{where}: bad value for {key!r} ({exc})") from None
+    if not np.all(np.isfinite(vec)):
+        raise ValidationError(f"{where}: non-finite value for {key!r}")
+    return vec
+
+
 @dataclass
 class Lexicon:
     entries: dict = field(default_factory=dict)  # word -> tuple of phoneme ids
@@ -72,21 +110,12 @@ class Lexicon:
     def load(cls, path):
         """Read `WORD  PH1 PH2 ...` lines; stress digits are stripped."""
         entries = {}
-        for lineno, line in utf8_lines(path):
-            line = line.strip()
-            if not line or line.startswith(";;;"):
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise FormatError(f"{path}:{lineno}: entry has no phonemes")
-            word = parts[0].lower()
-            ids = []
-            for sym in parts[1:]:
-                sym = sym.rstrip("0123456789").upper()
+        for lineno, word, symbols in table_rows(path, "word", fold_case=True):
+            syms = [sym.rstrip("0123456789").upper() for sym in symbols]
+            for sym in syms:
                 if sym not in PHONEME_TO_ID:
-                    raise FormatError(f"{path}:{lineno}: unknown phoneme {sym!r}")
-                ids.append(PHONEME_TO_ID[sym])
-            entries[word] = tuple(ids)
+                    raise FormatError(f"{path}: line {lineno}: unknown phoneme {sym!r}")
+            entries[word] = tuple(PHONEME_TO_ID[sym] for sym in syms)
         return cls(entries=entries)
 
     def get(self, word):
@@ -165,31 +194,13 @@ def load_word_vectors(path) -> WordVectors:
     appear once.  Row 0 is a zero pad row and row 1 the unknown-word row
     (columnwise mean of all loaded vectors).
     """
-    words = {}
-    rows = []
-    dim = None
-    for lineno, line in utf8_lines(path):
-        parts = line.split()
-        if not parts:
-            continue
-        dim = len(parts) - 1 if dim is None else dim
-        if len(parts) != dim + 1:
-            raise FormatError(
-                f"{path}: line {lineno}: expected a word and {dim} values, got {len(parts) - 1}")
-        word = parts[0].lower()
-        if word in words:
-            raise ValidationError(f"{path}: line {lineno}: duplicate word {parts[0]!r} "
-                                  f"(line {words[word]} has {word!r} already)")
-        words[word] = lineno
-        try:
-            rows.append([float(v) for v in parts[1:]])
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {lineno}: {exc}") from None
-        if not np.all(np.isfinite(rows[-1])):
-            raise ValidationError(f"{path}: line {lineno}: non-finite value for {parts[0]!r}")
+    words, rows = [], []
+    for lineno, word, fields in table_rows(path, "word", fold_case=True):
+        rows.append(float_row(path, lineno, word, fields, len(rows[0]) if rows else len(fields)))
+        words.append(word)
     if not rows:
         raise FormatError(f"{path}: no word vectors found")
-    return _word_table(words, rows, dim)
+    return _word_table(words, rows, len(rows[0]))
 
 
 def hash_word_vectors(words, dim=WORD_DIM, scale=0.1) -> WordVectors:

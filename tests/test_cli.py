@@ -204,6 +204,11 @@ def test_multi_granularity_with_embedding_file(corpus, tmp_path, capsys):
     probs = [float(line.split()[1]) for line in pred_out.splitlines()[:2]]
     assert "predicted: " in pred_out and all(0.0 <= p <= 1.0 for p in probs)
 
+    assert main(["predict", "--checkpoint", ckpt, "--wav", str(raw / "angry-000.wav"),
+                 "--transcript", "stop shouting right now",
+                 "--utt-embeddings", str(raw / "uemb.txt"), "--utt-id", "nobody"]) == 1
+    assert capsys.readouterr().err == "error: 1 utterance ids have no embedding: ['nobody']\n"
+
 
 def test_eval_on_truncated_checkpoint_exits_one(corpus, tmp_path, capsys):
     _, _, manifest = corpus
@@ -273,7 +278,9 @@ def test_non_integer_worker_cap_exits_one(corpus, tmp_path, capsys, monkeypatch)
     b"5",
     json.dumps({"id": "u0", "transcript": "hi", "label": ["happy"], "audio_path": "u0.wav"}).encode(),
     b'{"id": "caf\xe9", "transcript": "hi", "label": "sad", "audio_path": "u0.wav"}',
-], ids=["not_an_object", "list_label", "non_utf8"])
+    b'{"id": "u0", "transcript": "hi", "label": "sad", "audio_path": "u\\u0000.wav"}',
+    b'{"id": "u\\u00000", "transcript": "hi", "label": "sad", "audio_path": "u0.wav"}',
+], ids=["not_an_object", "list_label", "non_utf8", "nul_in_audio_path", "nul_in_id"])
 def test_malformed_manifest_record_exits_one(tmp_path, capsys, line):
     manifest = tmp_path / "m.jsonl"
     manifest.write_bytes(line + b"\n")
@@ -284,13 +291,15 @@ def test_malformed_manifest_record_exits_one(tmp_path, capsys, line):
 
 @pytest.mark.parametrize("flag, payload, message", [
     ("--lexicon", b"HELLO HH AH0\nCAF\xc9 K AE F\n", "line 2: not UTF-8"),
+    ("--lexicon", b"HELLO HH AH0\n;;; comment\nStop S T AA1 P\nHello HH EH0 L OW1\n",
+     "line 4: duplicate word 'Hello' (line 1 has 'hello' already)"),
     ("--word-vectors", b"w\xff " + b" ".join([b"0.5"] * 300) + b"\n", "line 1: not UTF-8"),
     ("--word-vectors", b"stop 0.5 0.5\nnow 0.5 nan\n", "line 2: non-finite value for 'now'"),
     ("--word-vectors", b"cat 1 2\nCat 3 4\ndog 5 6\n", "line 2: duplicate word 'Cat'"),
     ("--utt-embeddings", b"UEMB 2\nangry-000 1.0 \xe9\n", "line 2: not UTF-8"),
     ("--utt-embeddings", b"UEMB 2\nangry-000 1.0 2.0\nangry-001 1.0 zz\n",
      "line 3: bad value for 'angry-001'"),
-], ids=["lexicon_non_utf8", "word_vectors_non_utf8", "word_vectors_nan",
+], ids=["lexicon_non_utf8", "lexicon_duplicate", "word_vectors_non_utf8", "word_vectors_nan",
         "word_vectors_duplicate", "uemb_non_utf8", "uemb_non_numeric"])
 def test_malformed_text_input_exits_one(corpus, tmp_path, capsys, flag, payload, message):
     _, _, manifest = corpus
@@ -302,6 +311,43 @@ def test_malformed_text_input_exits_one(corpus, tmp_path, capsys, flag, payload,
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: {message}")
+
+
+@pytest.mark.parametrize("utt_id", ["../escaped", "", ".", "..", "a/b", "a\\b"])
+def test_featurize_refuses_an_id_that_is_not_a_file_name(corpus, tmp_path, capsys, utt_id):
+    _, raw, _ = corpus
+    wav = str(raw / "angry-000.wav")
+    manifest = tmp_path / "in" / "m.jsonl"
+    manifest.parent.mkdir()
+    manifest.write_text("".join(json.dumps({"id": i, "transcript": "stop", "label": "angry",
+                                            "audio_path": wav}) + "\n"
+                                for i in ("first", utt_id)))
+    assert main(["featurize", "--manifest", str(manifest),
+                 "--out-dir", str(tmp_path / "in" / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: id {utt_id!r} is not a file name")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["in", "m.jsonl"]
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_eval_and_predict_parse_the_checkpoint_once(corpus, checkpoints, tmp_path, monkeypatch,
+                                                     command):
+    import melformer.cli
+    import melformer.model
+    _, raw, feats = corpus
+    ckpt = tmp_path / "fine.ckpt"
+    ckpt.write_bytes(checkpoints[0])
+    load, calls = melformer.model.load_checkpoint, []
+
+    def counted(path):
+        calls.append(path)
+        return load(path)
+
+    monkeypatch.setattr(melformer.model, "load_checkpoint", counted)
+    monkeypatch.setattr(melformer.cli, "load_checkpoint", counted)
+    inputs = (["--manifest", str(feats)] if command == "eval" else
+              ["--wav", str(raw / "angry-000.wav"), "--transcript", "stop shouting"])
+    assert main([command, "--checkpoint", str(ckpt)] + inputs) == 0
+    assert calls == [str(ckpt)]
 
 
 def test_multi_granularity_missing_coverage(corpus, tmp_path, capsys):
@@ -609,6 +655,8 @@ REPRODUCTIONS = {
         "eval --checkpoint {multi} --manifest {feats} --utt-embeddings {uemb}", {},
         "built-in encoder"),
     "config_not_utf8": ("train --config {cfg}", {"cfg": b'{"lr": "caf\xe9"}'}, "UTF-8"),
+    "config_nul_in_out_dir": ("train --config {cfg}", {"cfg": b'{"out_dir": "a\\u0000b"}'},
+                              "config file: out_dir holds a NUL character"),
     "seeds_negative_flag": ("train --manifest {feats} --seeds -1", {}, "seeds"),
     "seeds_negative_config": ("train --manifest {feats} --config {cfg}",
                               {"cfg": b'{"harness": {"seeds": [-1]}}'}, "seeds"),

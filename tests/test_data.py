@@ -1,10 +1,12 @@
 """Manifest parsing, record encoding, synthetic data, and the feature cache."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+from melformer import data
 from melformer.audio import featurize_wav
 from melformer.config import LABELS
 from melformer.data import (Record, SyntheticSpec, TEMPLATES, batches,
@@ -210,6 +212,20 @@ def test_encode_manifest_attaches_embeddings(small_corpus):
     assert all(e.utt_embedding is not None for e in encs)
     no_table = encode_manifest(man, lex, wv)
     assert all(e.utt_embedding is None for e in no_table)
+
+
+def test_encode_manifest_refuses_a_table_missing_keys_before_reading_audio(small_corpus,
+                                                                          monkeypatch):
+    man, lex, wv = small_corpus
+    man.records[0].utt_embedding_id = "shared"
+    table = {r.id: np.arange(4.0) for r in man.records[2:]}
+    read = []
+    monkeypatch.setattr(data, "record_mel", lambda record, manifest: read.append(record))
+    expected = sorted(["shared", man.records[1].id])
+    with pytest.raises(ValidationError, match=re.escape(f"2 utterance ids have no embedding: "
+                                                        f"{expected}")):
+        encode_manifest(man, lex, wv, utt_table=table)
+    assert read == []
 
 
 def test_batch_rows_carry_no_padding(small_corpus):

@@ -12,12 +12,12 @@ import pytest
 
 from melformer import autograd as ag
 from melformer.autograd import Tensor, gradcheck_sampled
+from melformer.data import check_coverage
 from melformer.errors import FormatError, ValidationError
 from melformer.fusion import (
     MeanPoolUtteranceEncoder,
     MultiGranularityModel,
     build_fusion_model,
-    check_coverage,
     load_utterance_embeddings,
     restore_fusion_model,
 )

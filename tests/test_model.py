@@ -31,7 +31,6 @@ from melformer.model import (
     Pack,
     expected_parameter_count,
     load_checkpoint,
-    read_checkpoint_header,
     restore_model,
     save_checkpoint,
 )
@@ -790,21 +789,3 @@ def test_load_checkpoint_rejects_truncation_bad_utf8_and_trailing_bytes(tmp_path
     bad.write_bytes(raw + b"\0")
     with pytest.raises(FormatError, match="trailing"):
         load_checkpoint(bad)
-
-
-def test_checkpoint_header_is_read_without_the_records(tmp_path):
-    path = tmp_path / "small.ckpt"
-    save_checkpoint(path, nn.Linear(2, 3, np.random.default_rng(0)), ModelConfig(heads=2),
-                    extra={"seed": 1})
-    raw = path.read_bytes()
-    cfg, extra, _ = load_checkpoint(path)
-    assert read_checkpoint_header(path) == (cfg, extra)
-    assert cfg.heads == 2 and extra == {"seed": 1}
-    header_end = 8 + int.from_bytes(raw[4:8], "little")
-    cut = tmp_path / "cut.ckpt"
-    for n in range(header_end):
-        cut.write_bytes(raw[:n])
-        with pytest.raises(FormatError):
-            read_checkpoint_header(cut)
-    cut.write_bytes(raw[:header_end])   # records cut off: the header still reads
-    assert read_checkpoint_header(cut) == (cfg, extra)

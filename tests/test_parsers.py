@@ -9,6 +9,7 @@ places), and demand that it either parses or raises a MelformerError.
 """
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -106,6 +107,55 @@ def test_crlf_files_still_parse(tmp_path):
     p = tmp_path / "m.jsonl"
     p.write_bytes(json.dumps(GOOD).encode() + b"\r\n")
     assert parse_manifest(p).records[0].id == "u0"
+
+
+# ---------------------------------------------------------------------------
+# the three `key field ...` tables share one reader and one set of rules
+
+# name -> (loader, header lines, a good row's fields, the keys a loaded table holds)
+TABLES = {
+    "lexicon": (Lexicon.load, [], b"HH AH0", lambda lex: set(lex.entries)),
+    "word_vectors": (load_word_vectors, [], b"0.5 1.5", lambda wv: set(wv.vocab)),
+    "utt_embeddings": (load_utterance_embeddings, [b"UEMB 2"], b"0.5 1.5",
+                       lambda loaded: set(loaded[1])),
+}
+VECTOR_TABLES = ("word_vectors", "utt_embeddings")
+# (case, tables, body lines with {f} for a good row's fields, outcome): the
+# outcome is the keys loaded, or (error, body line number, message), with
+# {first} in the message for the file line of the first body line
+TABLE_CASES = [
+    ("comments", TABLES, [b"", b";;; a comment", b"  ;;;x 1", b"a {f}", b"\t", b"b {f}"],
+     {"a", "b"}),
+    ("repeat", TABLES, [b"a {f}", b"b {f}", b"a {f}"],
+     (ValidationError, 3, r"duplicate [a-z ]+ 'a' \(line {first} has 'a' already\)")),
+    ("repeat_in_other_case", ("lexicon", "word_vectors"), [b"cat {f}", b"Cat {f}"],
+     (ValidationError, 2, r"duplicate word 'Cat' \(line {first} has 'cat' already\)")),
+    ("other_case_is_another_id", ("utt_embeddings",), [b"cat {f}", b"Cat {f}"], {"cat", "Cat"}),
+    ("no_field", TABLES, [b"a {f}", b"b  "], (FormatError, 2, "[a-z ]+ 'b' has no fields")),
+    ("not_utf8", TABLES, [b"a {f}", b"caf\xe9 {f}"], (FormatError, 2, "not UTF-8")),
+    ("wrong_width", VECTOR_TABLES, [b"a {f}", b"b 0.5"],
+     (FormatError, 2, "expected 2 values for 'b', got 1")),
+    ("bad_float", VECTOR_TABLES, [b"a {f}", b"b 0.5 zz"], (FormatError, 2, "bad value for 'b'")),
+    ("non_finite", VECTOR_TABLES, [b"a {f}", b"b 0.5 -inf"],
+     (ValidationError, 2, "non-finite value for 'b'")),
+]
+
+
+@pytest.mark.parametrize("table, body, outcome", [
+    pytest.param(table, body, outcome, id=f"{table}-{case}")
+    for case, tables, body, outcome in TABLE_CASES for table in tables])
+def test_text_tables_share_one_set_of_rules(tmp_path, table, body, outcome):
+    load, header, fields, keys = TABLES[table]
+    path = write_lines(tmp_path / "table.txt",
+                       header + [line.replace(b"{f}", fields) for line in body])
+    if isinstance(outcome, set):
+        assert keys(load(path)) == outcome
+        return
+    error, lineno, message = outcome
+    with pytest.raises(error) as caught:
+        load(path)
+    expected = f"{re.escape(str(path))}: line {len(header) + lineno}: {message}"
+    assert re.match(expected.format(first=len(header) + 1), str(caught.value)), caught.value
 
 
 # ---------------------------------------------------------------------------
