@@ -189,7 +189,7 @@ def mel_cache_bytes(mel: MelMatrix) -> bytes:
 
 
 def read_mel_cache(path) -> MelMatrix:
-    """A MEL1 file: 128 columns, the dummy row and at least one frame, nothing after."""
+    """A MEL1 file: 128 columns, the dummy row and 1+ frames, all finite, nothing after."""
     with open(path, "rb") as fh:
         reader = BinaryReader(fh, path)
         magic = fh.read(4)
@@ -204,4 +204,6 @@ def read_mel_cache(path) -> MelMatrix:
     if trailing:
         raise FormatError(f"{path}: {trailing} trailing bytes after the {rows}x{cols} payload")
     frames = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float64)
+    if not np.isfinite(frames).all():
+        raise ValidationError(f"{path}: non-finite feature value in the {rows}x{cols} payload")
     return MelMatrix(frames=frames, has_dummy=True)

@@ -68,13 +68,16 @@ class MultiGranularityModel(MultilevelTransformer):
     computes embeddings on the fly; otherwise callers pass vectors fetched
     from a file.  The fused ``head`` takes the place of the fine model's,
     which the base constructor draws last, so every encoder parameter
-    starts as in a fine model of the same seed.  With ``freeze_fine`` only
-    the utterance encoder, the projections and the head train.
+    starts as in a fine model of the same seed; ``freeze_fine`` makes them
+    constants, so only the utterance encoder, projections and head train.
     """
 
     def __init__(self, cfg: ModelConfig, word_vectors: WordVectors, utt_dim, seed=0,
                  utt_encoder: MeanPoolUtteranceEncoder = None, freeze_fine=False):
         super().__init__(cfg, word_vectors, seed=seed)
+        if freeze_fine:
+            for p in self.parameters():
+                p.requires_grad = False
         rng = np.random.default_rng(seed + 17)
         self.utt_dim = utt_dim
         self.freeze_fine = freeze_fine
@@ -83,13 +86,6 @@ class MultiGranularityModel(MultilevelTransformer):
         self.proj_utt = nn.Linear(utt_dim, cfg.d_fuse, rng)
         self.head = nn.Linear(2 * cfg.d_fuse, cfg.num_classes, rng)
         self.cast_parameters(self.dtype)
-
-    def trainable_named_parameters(self):
-        """Checkpoints keep everything; with ``freeze_fine`` the optimizer
-        sees only the fusion parts."""
-        for name, p in self.named_parameters():
-            if not self.freeze_fine or name.startswith(("utt_encoder.", "proj_", "head.")):
-                yield name, p
 
     def utt_vector(self, encs) -> Tensor:
         """[N, utt_dim] utterance embeddings in the model's dtype: each enc's

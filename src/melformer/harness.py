@@ -339,7 +339,7 @@ def train_epochs(model, train_encs, dev_encs, hcfg: HarnessConfig, seed,
     dev_history, best_epoch, epochs_run, checkpoint_path)."""
     shuffle_rng = np.random.default_rng(seed)
     opt = Adam(model.trainable_named_parameters(), lr=hcfg.lr)
-    trainable = [p for _, p in model.trainable_named_parameters()]
+    trainable = [p for _, p in opt.items]
     best_wa = -1.0
     best_state = model.state_dict()
     best_epoch = 0

@@ -344,8 +344,8 @@ class MultilevelTransformer(nn.Module):
         self.eval()
         try:
             with ag.no_grad():
-                logits = self.forward_utterance(enc).logits.data
-                return ag.softmax(Tensor(logits.astype(np.float64))).data
+                logits = self.forward_utterance(enc).logits.data.astype(np.float64)
+            return ag._softmax_last(logits, out=logits)
         finally:
             self.train(was_training)
 
@@ -424,7 +424,7 @@ def load_checkpoint(path):
     upcast; ``load_state_dict`` casts them to the model's dtype.  Every read
     is bounds-checked: a short file, a header that is not a UTF-8 JSON
     object with a ``model`` object, or bytes after the last record raise
-    FormatError.
+    FormatError; a repeated or non-finite record raises ValidationError.
     """
     with open(path, "rb") as fh:
         reader = BinaryReader(fh, path)
@@ -455,6 +455,8 @@ def load_checkpoint(path):
             arr = np.frombuffer(reader.take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
             if name in params:
                 raise ValidationError(f"{path}: duplicate parameter record {name!r}")
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"{path}: parameter record {name!r} holds a non-finite value")
             params[name] = arr
         trailing = reader.left()
     if trailing:

@@ -45,7 +45,7 @@ class Module:
         return [p for _, p in self.named_parameters()]
 
     def trainable_named_parameters(self):
-        return self.named_parameters()
+        return ((name, p) for name, p in self.named_parameters() if p.requires_grad)
 
     def train(self, mode=True):
         object.__setattr__(self, "training", mode)

@@ -329,3 +329,15 @@ def test_cache_truncated_payload_is_format_error(tmp_path, tone_wav):
     path.write_bytes(audio.mel_cache_bytes(mel)[:-10])
     with pytest.raises(FormatError, match="truncated"):
         audio.read_mel_cache(path)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_cache_with_a_non_finite_value_is_refused(tmp_path, tone_wav, value):
+    raw = bytearray(audio.mel_cache_bytes(audio.featurize_wav(tone_wav)))
+    at = 12 + 4 * (audio.N_MELS + 5)  # frame 1, channel 5
+    raw[at:at + 4] = struct.pack("<f", value)
+    path = tmp_path / "bad.mel"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValidationError, match="non-finite") as exc_info:
+        audio.read_mel_cache(path)
+    assert str(exc_info.value).startswith(f"{path}: ")

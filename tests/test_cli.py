@@ -575,6 +575,12 @@ def _with_first_record_u32(raw, index, value):
     return raw[:at] + struct.pack("<I", value) + raw[at + 4:]
 
 
+def _with_head_bias_nan(raw):
+    """Checkpoint bytes ``raw`` with the first value of its ``head.bias`` record NaN."""
+    at = raw.index(struct.pack("<I", 9) + b"head.bias") + 4 + 9 + 8  # past name, rank, dim
+    return raw[:at] + struct.pack("<f", np.nan) + raw[at + 4:]
+
+
 def _wav_at_rate(rate):
     fmt = struct.pack("<HHIIHH", 1, 1, rate, 2 * rate, 2, 16)
     body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
@@ -620,6 +626,21 @@ REPRODUCTIONS = {
                          {"bad": _mel1(3, 127)}, "128 columns"),
     "mel1_trailing_bytes": ("eval --checkpoint {fine} --manifest {manifest}",
                             {"bad": _mel1(3, 128, b"\0")}, "trailing"),
+    "mel1_nan_eval": ("eval --checkpoint {fine} --manifest {manifest}",
+                      {"bad": _mel1(3, 128)[:-4] + struct.pack("<f", np.nan)},
+                      "bad: non-finite feature value"),
+    "mel1_inf_train": ("train --manifest {manifest} --out-dir {dir}/run",
+                       {"bad": _mel1(3, 128)[:-4] + struct.pack("<f", np.inf)},
+                       "bad: non-finite feature value"),
+    "mel1_nan_featurize": ("featurize --manifest {manifest} --out-dir {dir}/feats",
+                           {"bad": _mel1(3, 128)[:-4] + struct.pack("<f", np.nan)},
+                           "bad: non-finite feature value"),
+    "ckpt_nan_eval": ("eval --checkpoint {ckpt} --manifest {feats}",
+                      {"ckpt": lambda b: _with_head_bias_nan(b.multi)},
+                      "ckpt: parameter record 'head.bias' holds a non-finite value"),
+    "ckpt_nan_predict": ("predict --checkpoint {ckpt}",
+                         {"ckpt": lambda b: _with_head_bias_nan(b.fine)},
+                         "ckpt: parameter record 'head.bias' holds a non-finite value"),
     "eval_label_beyond_classes": (
         "eval --checkpoint {fine} --manifest {manifest}",
         {"bad": _mel1(3, 128), "manifest": json.dumps({

@@ -201,6 +201,43 @@ def test_freeze_fine_hides_fine_params_from_training_only():
         assert "fusion_blocks.0.attn.wq.weight" in dict(model.named_parameters())
 
 
+FUSION_PARTS = ("utt_encoder.", "proj_", "head.")
+
+
+def _graph_tensors(loss):
+    """id -> tensor for every tensor the graph below ``loss`` reaches, leaves
+    included (the benchmark's graph size counts the same set)."""
+    seen, stack = {id(loss): loss}, [loss]
+    while stack:
+        for parent in stack.pop()._prev:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return seen
+
+
+@pytest.mark.parametrize("builtin", [True, False], ids=["builtin-encoder", "file-embeddings"])
+def test_a_frozen_step_builds_no_encoder_graph_and_no_encoder_grad(builtin):
+    cfg = small_config(finetune_word_vectors=True)
+    wv = hash_word_vectors(WORDS, dim=cfg.word_dim)
+    model = build_fusion_model(cfg, wv, utt_dim=None if builtin else 8, seed=45,
+                               freeze_fine=True)
+    rng = np.random.default_rng(46)
+    batch = [(make_enc(wv, seed=47 + i, n_words=2 + i, n_frames=5 + i,
+                       utt_embedding=None if builtin else rng.standard_normal(8)), 0, 0)
+             for i in range(3)]
+    loss = ag.cross_entropy(model.forward_batch(batch), [0, 1, 3])
+    graph = _graph_tensors(loss)
+    frozen = {name: p for name, p in model.named_parameters()
+              if not name.startswith(FUSION_PARTS)}
+    assert "fusion_blocks.0.attn.wq.weight" in frozen and "word_table" in frozen
+    assert not [name for name, p in frozen.items() if id(p) in graph]
+    assert len(graph) == (16 if builtin else 13)  # the fused head's nodes and leaves only
+    ag.backward(loss)
+    for name, p in model.named_parameters():
+        assert (p.grad is None) == (name in frozen), name
+
+
 def test_fused_head_replaces_the_fine_head_and_everything_trains():
     model, cfg, _ = make_fusion(seed=27, utt_dim=8)
     names = [name for name, _ in model.trainable_named_parameters()]
@@ -251,6 +288,8 @@ def test_restore_model_rebuilds_multi_from_its_header(tmp_path, builtin, freeze_
     assert isinstance(restored, MultiGranularityModel)
     assert restored.freeze_fine == freeze_fine
     assert (restored.utt_encoder is not None) == builtin
+    for name, p in restored.named_parameters():
+        assert p.requires_grad == (not freeze_fine or name.startswith(FUSION_PARTS)), name
     emb = None if builtin else np.random.default_rng(38).standard_normal(8)
     enc = make_enc(wv, seed=37, utt_embedding=emb)
     np.testing.assert_allclose(restored.predict_probs(enc), model.predict_probs(enc), atol=1e-5)

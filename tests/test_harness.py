@@ -744,6 +744,31 @@ def test_a_multi_training_step_leaves_no_reference_cycles(corpus):
         gc.enable()
 
 
+def _prefix_filter(model):
+    """The earlier ``freeze_fine`` rule, kept as an oracle: the optimizer
+    took the parameters named under the utterance encoder, the projections
+    and the head, and the encoder still built its graph."""
+    return ((name, p) for name, p in model.named_parameters()
+            if name.startswith(("utt_encoder.", "proj_", "head.")))
+
+
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+def test_frozen_fine_trains_like_the_prefix_filter_oracle(corpus, monkeypatch, precision):
+    _, encs, wv = corpus
+    cfg = small_config(num_classes=2, dropout=0.1, precision=precision)
+    frozen = build_fusion_model(cfg, wv, seed=6, freeze_fine=True)
+    oracle = build_fusion_model(cfg, wv, seed=6)
+    monkeypatch.setattr(oracle, "trainable_named_parameters", lambda: _prefix_filter(oracle))
+    initial = frozen.state_dict()
+    for model in (frozen, oracle):
+        train_epochs(model, encs, encs, hcfg(max_epochs=2, patience=5), seed=6)
+    state, ref = frozen.state_dict(), oracle.state_dict()
+    assert list(state) == list(ref)
+    for name, value in state.items():
+        assert value.dtype == precision and value.tobytes() == ref[name].tobytes(), name
+    assert not np.array_equal(state["head.weight"], initial["head.weight"])
+
+
 def test_freezing_fine_model_trains_only_fusion_side(corpus):
     _, encs, wv = corpus
     model = build_fusion_model(tiny_cfg(), wv, utt_dim=None, seed=2, freeze_fine=True)

@@ -20,7 +20,7 @@ from melformer import autograd as ag
 from melformer import nn
 from melformer.autograd import Segments, Tensor, gradcheck_sampled
 from melformer.config import ModelConfig
-from melformer.errors import FormatError, ShapeError
+from melformer.errors import FormatError, ShapeError, ValidationError
 from melformer.fusion import build_fusion_model
 from melformer.model import (
     CrossModalBlock,
@@ -297,6 +297,25 @@ def test_probabilities_sum_to_one():
     assert probs.shape == (4,)
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(probs >= 0.0)
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_predict_probs_needs_no_softmax_op(monkeypatch, precision):
+    model, _, wv = make_model(seed=1, precision=precision)
+    enc = make_enc(wv, seed=2)
+    model.eval()
+    with ag.no_grad():
+        logits = model.forward_utterance(enc).logits.data
+    expected = ag.softmax(Tensor(logits.astype(np.float64))).data
+    model.train()
+
+    def refuse(_):
+        raise AssertionError("predict_probs called the softmax op")
+
+    monkeypatch.setattr(ag, "softmax", refuse)
+    probs = model.predict_probs(enc)
+    assert probs.dtype == np.float64 and probs.tobytes() == expected.tobytes()
+    assert model.training
 
 
 def test_eval_forward_is_deterministic():
@@ -674,6 +693,18 @@ def test_load_checkpoint_returns_the_float32_records_as_stored(tmp_path):
     for name, p in model.named_parameters():
         assert params[name].dtype == np.float32, name
         assert np.array_equal(params[name], p.data.astype(np.float32)), name
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_checkpoint_refuses_a_non_finite_record(tmp_path, value):
+    model, cfg, _ = make_model(seed=25)
+    model.head.bias.data[1] = value
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(path, model, cfg)
+    with pytest.raises(ValidationError) as exc_info:
+        load_checkpoint(path)
+    assert str(exc_info.value) == (f"{path}: parameter record 'head.bias' "
+                                   "holds a non-finite value")
 
 
 def test_checkpoint_header_restores_config(tmp_path):
