@@ -8,6 +8,13 @@ Choices the pipeline commits to (they affect reproducibility):
 no pre-emphasis, Hann window, HTK mel scale 2595*log10(1 + f/700),
 log compression with a 1e-10 floor, per-utterance per-channel
 normalization, and an all-zero dummy row prepended at position 0.
+
+No stage copies what it was given: framing reads a strided view of the
+samples, the magnitudes are squared and the log taken in place, and
+normalization computes in float64 and rounds once, into a float32 matrix
+that already holds the dummy row.  Finished features are float32: exactly
+the values a ``MEL1`` cache stores, so a matrix read back from its cache
+equals the one ``featurize_wav`` returned, dtype included.
 """
 
 import functools
@@ -30,7 +37,9 @@ CACHE_MAGIC = b"MEL1"
 
 @dataclass
 class MelMatrix:
-    frames: np.ndarray      # [T, 128] float64 rows of log filterbank energies
+    # [T, 128] log filterbank energies: float64 from log_mel, float32 (the
+    # cached values) once normalized, with the dummy row
+    frames: np.ndarray
     has_dummy: bool = False
 
 
@@ -86,10 +95,11 @@ def load_wav(path):
     channels, sample_rate = fmt
     frame_bytes = 2 * channels
     usable = len(data) - (len(data) % frame_bytes)
-    pcm = np.frombuffer(data[:usable], dtype="<i2").astype(np.float64)
+    pcm = np.frombuffer(data[:usable], dtype="<i2")
     if channels > 1:
         pcm = pcm.reshape(-1, channels).mean(axis=1)
-    return pcm / 32768.0, sample_rate
+    # scaling by a power of two is exact, so one multiply gives x / 32768
+    return np.multiply(pcm, 2.0 ** -15, dtype=np.float64), sample_rate
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +117,16 @@ def frame_signal(samples, sample_rate):
     if len(samples) < win:
         raise ValidationError(
             f"signal of {len(samples)} samples is shorter than one {win}-sample window")
-    n_frames = 1 + (len(samples) - win) // hop
+    frames = np.lib.stride_tricks.sliding_window_view(samples, win)[::hop]
+    return frames * hann_window(win)
+
+
+@functools.lru_cache(maxsize=8)
+def hann_window(win):
+    """``np.hanning(win)``, built once per width and shared, so read-only."""
     window = np.hanning(win)
-    starts = np.arange(n_frames) * hop
-    frames = np.stack([samples[s:s + win] for s in starts])
-    return frames * window
+    window.flags.writeable = False
+    return window
 
 
 def hz_to_mel(f):
@@ -153,26 +168,33 @@ def log_mel(frames, sample_rate):
     n_fft = 1
     while n_fft < win:
         n_fft *= 2
-    power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
+    power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1))
+    np.square(power, out=power)
     weights, _ = mel_filterbank(sample_rate, n_fft)
     energies = power @ weights.T
-    return MelMatrix(frames=np.log(energies + LOG_FLOOR))
+    energies += LOG_FLOOR
+    return MelMatrix(frames=np.log(energies, out=energies))
 
 
 def normalize_and_prepend_dummy(mel: MelMatrix) -> MelMatrix:
-    """Per-channel mean/variance normalization, then a zero row at position 0."""
+    """Per-channel mean/variance normalization, then a zero row at position 0.
+
+    The statistics and the quotient are float64; each quotient is rounded
+    once, to the float32 output.
+    """
     if mel.has_dummy:
         raise ContractError("mel matrix already has a dummy row prepended")
-    x = mel.frames
+    x = np.asarray(mel.frames, dtype=np.float64)
     mean = x.mean(axis=0)
     std = np.maximum(x.std(axis=0), STD_FLOOR)
-    normed = (x - mean) / std
-    out = np.vstack([np.zeros((1, x.shape[1])), normed])
+    out = np.empty((len(x) + 1, x.shape[1]), dtype=np.float32)
+    out[0] = 0.0
+    np.divide(x - mean, std, out=out[1:], casting="same_kind")
     return MelMatrix(frames=out, has_dummy=True)
 
 
 def featurize_wav(path) -> MelMatrix:
-    """Full pipeline: WAV file to normalized feature matrix with dummy row."""
+    """Full pipeline: WAV file to normalized float32 feature matrix with dummy row."""
     samples, sr = load_wav(path)
     return normalize_and_prepend_dummy(log_mel(frame_signal(samples, sr), sr))
 
@@ -185,11 +207,15 @@ def mel_cache_bytes(mel: MelMatrix) -> bytes:
     if not mel.has_dummy:
         raise ContractError("refusing to cache a feature matrix without its dummy row")
     rows, cols = mel.frames.shape
-    return CACHE_MAGIC + struct.pack("<II", rows, cols) + mel.frames.astype("<f4").tobytes()
+    return CACHE_MAGIC + struct.pack("<II", rows, cols) + np.asarray(mel.frames, "<f4").tobytes()
 
 
 def read_mel_cache(path) -> MelMatrix:
-    """A MEL1 file: 128 columns, the dummy row and 1+ frames, all finite, nothing after."""
+    """A MEL1 file: 128 columns, the dummy row and 1+ frames, all finite, nothing after.
+
+    The frames are the stored float32 values, the ones ``featurize_wav``
+    computed, in a read-only view of the file's bytes.
+    """
     with open(path, "rb") as fh:
         reader = BinaryReader(fh, path)
         magic = fh.read(4)
@@ -203,7 +229,7 @@ def read_mel_cache(path) -> MelMatrix:
         trailing = reader.left()
     if trailing:
         raise FormatError(f"{path}: {trailing} trailing bytes after the {rows}x{cols} payload")
-    frames = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float64)
+    frames = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float32, copy=False)
     if not np.isfinite(frames).all():
         raise ValidationError(f"{path}: non-finite feature value in the {rows}x{cols} payload")
     return MelMatrix(frames=frames, has_dummy=True)

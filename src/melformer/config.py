@@ -107,6 +107,10 @@ class HarnessConfig:
             raise ValidationError("at least one seed is required")
         if min(self.seeds) < 0:
             raise ValidationError(f"seeds must be >= 0, got {min(self.seeds)}")
+        if self.freeze_fine and self.granularity != "multi":
+            # a fine-grained model has nothing but its encoder to train
+            raise ValidationError(
+                f"freeze_fine needs granularity multi, got granularity {self.granularity}")
         return self
 
 
@@ -123,6 +127,9 @@ class RunConfig:
     def validate(self):
         self.model.validate()
         self.harness.validate()
+        if self.harness.freeze_fine and self.model.finetune_word_vectors:
+            raise ValidationError("finetune_word_vectors does nothing with freeze_fine, "
+                                  "which freezes the word table with the rest of the encoder")
         return self
 
     def to_dict(self):

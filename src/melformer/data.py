@@ -120,7 +120,7 @@ class EncodedUtterance:
     id: str
     word_ids: list
     phonemes: list
-    mel: np.ndarray
+    mel: np.ndarray  # [T, 128] float32 features, dummy row first; read-only from a cache
     label: int
     session: str = None
     utt_embedding: np.ndarray = None
@@ -301,26 +301,18 @@ def featurize_manifest(manifest: Manifest, out_dir):
     """Cache features for every audio record; skip writes when bytes match.
 
     Produces <out_dir>/<id>.mel files plus a rewritten manifest pointing at
-    them, so every id must be a plain file name; all are checked before
-    anything is written.  Returns (new_manifest_path, n_written, n_skipped).
+    them, so every id must be a plain file name.  The rewritten manifest
+    depends only on the records, so it is known up front: when it would
+    replace the manifest being read with other text, that is refused too.
+    Both checks run before anything is written.  Returns
+    (new_manifest_path, n_written, n_skipped).
     """
     for r in manifest.records:
         if r.id in ("", ".", "..") or "/" in r.id or "\\" in r.id:
             raise ValidationError(f"id {r.id!r} is not a file name, so it cannot name a "
                                   f"feature cache in {out_dir}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = skipped = 0
     new_lines = []
     for r in manifest.records:
-        mel = record_mel(r, manifest)
-        cache_path = out / f"{r.id}.mel"
-        payload = mel_cache_bytes(mel)
-        if cache_path.exists() and cache_path.read_bytes() == payload:
-            skipped += 1
-        else:
-            cache_path.write_bytes(payload)
-            written += 1
         entry = {"id": r.id, "features_path": f"{r.id}.mel",
                  "transcript": r.transcript, "label": r.label}
         if r.session is not None:
@@ -328,8 +320,23 @@ def featurize_manifest(manifest: Manifest, out_dir):
         if r.utt_embedding_id is not None:
             entry["utt_embedding_id"] = r.utt_embedding_id
         new_lines.append(json.dumps(entry, sort_keys=True))
-    new_manifest = out / "manifest.jsonl"
     content = "\n".join(new_lines) + "\n"
-    if not (new_manifest.exists() and new_manifest.read_text() == content):
+    out = Path(out_dir)
+    new_manifest = out / "manifest.jsonl"
+    existing = new_manifest.read_text() if new_manifest.exists() else None
+    if existing not in (None, content) and new_manifest.samefile(manifest.path):
+        raise ValidationError(f"{new_manifest} is the manifest being read; its features "
+                              f"manifest would replace its records, so write it elsewhere")
+    out.mkdir(parents=True, exist_ok=True)
+    written = skipped = 0
+    for r in manifest.records:
+        cache_path = out / f"{r.id}.mel"
+        payload = mel_cache_bytes(record_mel(r, manifest))
+        if cache_path.exists() and cache_path.read_bytes() == payload:
+            skipped += 1
+        else:
+            cache_path.write_bytes(payload)
+            written += 1
+    if existing != content:
         new_manifest.write_text(content)
     return new_manifest, written, skipped

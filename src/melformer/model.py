@@ -87,7 +87,9 @@ class Pack:
     then ``pad_words`` pad rows) and of ``frames`` (its normalized mel
     matrix, dummy row first, then ``pad_frames`` zero frames); each
     segment's valid count is the utterance's own length.  The mel stream
-    ``mel`` is built in ``dtype``, the model's.
+    ``mel`` is built in ``dtype``, the model's; an unpadded pack of one
+    whose features already have it holds them as they are, so nothing
+    writes into ``mel``.
     """
 
     def __init__(self, rows, pad_id, dtype):
@@ -218,7 +220,9 @@ class MultilevelTransformer(nn.Module):
     Initial parameters are drawn in float64 and cast to ``dtype`` once, at
     the end of the constructor: a float32 model starts from the float64
     model's values, rounded.  The head is drawn last, so a subclass that
-    replaces it leaves every other initial value as it is.
+    replaces it leaves every other initial value as it is.  Under
+    ``nn.skip_init`` (a restore) nothing is drawn and the cast copies
+    nothing.
     """
 
     def __init__(self, cfg: ModelConfig, word_vectors: WordVectors, seed=0):
@@ -470,7 +474,10 @@ def rebuild_model(cfg: ModelConfig, extra: dict, params: dict, word_vectors: Wor
     The header's ``granularity`` picks the variant (fine when absent).  A
     multi-granularity header carries ``builtin_encoder`` and, without a
     built-in encoder, ``utt_dim``; ``freeze_fine`` defaults to False.  Each
-    field is type-checked like a config value before it is used.
+    field is type-checked like a config value before it is used.  The model
+    is built under ``nn.skip_init``: it draws no initial values, each
+    parameter is allocated once in the model's dtype, and
+    ``load_state_dict`` fills every one of them.
     """
     origin = "checkpoint header"
 
@@ -489,9 +496,11 @@ def rebuild_model(cfg: ModelConfig, extra: dict, params: dict, word_vectors: Wor
         builtin = field("builtin_encoder", False)
         if not builtin and "utt_dim" not in extra:
             raise FormatError(f"{origin}: a multi-granularity model needs utt_dim")
-        model = build_fusion_model(cfg, word_vectors,
-                                   utt_dim=None if builtin else field("utt_dim", 0, at_least=1),
-                                   seed=seed, freeze_fine=field("freeze_fine", False))
+        utt_dim = None if builtin else field("utt_dim", 0, at_least=1)
+        freeze_fine = field("freeze_fine", False)
+        with nn.skip_init(cfg.precision):
+            model = build_fusion_model(cfg, word_vectors, utt_dim=utt_dim, seed=seed,
+                                       freeze_fine=freeze_fine)
         # Older multi checkpoints wrapped a whole fine model: its encoder is
         # stored under ``fine.``, with that model's head, which never ran.
         kept = {name: arr for name, arr in params.items() if not name.startswith("fine.head.")}
@@ -499,7 +508,8 @@ def rebuild_model(cfg: ModelConfig, extra: dict, params: dict, word_vectors: Wor
         if len(params) < len(kept):
             raise ValidationError("checkpoint: parameters stored both with and without 'fine.'")
     else:
-        model = MultilevelTransformer(cfg, word_vectors, seed=seed)
+        with nn.skip_init(cfg.precision):
+            model = MultilevelTransformer(cfg, word_vectors, seed=seed)
     model.load_state_dict(params)
     return model
 

@@ -3,9 +3,12 @@
 Modules track their parameters and submodules through attribute assignment,
 so named parameters, train/eval switching, and checkpoint state all fall out
 of the object tree.  Affine weights use scaled uniform fan-in initialization;
-biases start at zero unless a layer documents otherwise.
+biases start at zero unless a layer documents otherwise.  Initial values are
+float64; a model casts them to its dtype once it is built.  Under
+``skip_init`` a module tree is built without them, for a restore.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -105,9 +108,38 @@ class ModuleList(Module):
         return self._items[i]
 
 
+_skip_init_dtype = None  # the dtype of unfilled parameters inside skip_init
+
+
+@contextlib.contextmanager
+def skip_init(dtype):
+    """Build modules without initial values inside the block.
+
+    Every parameter is allocated in ``dtype`` and left unfilled: no
+    generator is drawn from and no constant is written, so a restore pays
+    for one array per parameter, in its final dtype.  Only
+    ``load_state_dict``, which refuses a missing record, may follow.
+    """
+    global _skip_init_dtype
+    saved = _skip_init_dtype
+    _skip_init_dtype = np.dtype(dtype)
+    try:
+        yield
+    finally:
+        _skip_init_dtype = saved
+
+
+def _initial(shape, fill) -> np.ndarray:
+    """A new parameter's float64 values: the constant ``fill``, or what the
+    callable ``fill`` draws; inside ``skip_init``, an unfilled array."""
+    if _skip_init_dtype is not None:
+        return np.empty(shape, dtype=_skip_init_dtype)
+    return fill() if callable(fill) else np.full(shape, float(fill))
+
+
 def fan_in_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+    return _initial(shape, lambda: rng.uniform(-bound, bound, size=shape))
 
 
 class Linear(Module):
@@ -118,7 +150,7 @@ class Linear(Module):
         self.n_in = n_in
         self.n_out = n_out
         self.weight = Tensor(fan_in_uniform(rng, (n_in, n_out), n_in), requires_grad=True)
-        self.bias = Tensor(np.zeros(n_out), requires_grad=True) if bias else None
+        self.bias = Tensor(_initial(n_out, 0.0), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         squeeze = x.ndim == 1
@@ -135,8 +167,8 @@ class LayerNorm(Module):
     def __init__(self, dim, eps=1e-5):
         super().__init__()
         self.eps = eps
-        self.gain = Tensor(np.ones(dim), requires_grad=True)
-        self.bias = Tensor(np.zeros(dim), requires_grad=True)
+        self.gain = Tensor(_initial(dim, 1.0), requires_grad=True)
+        self.bias = Tensor(_initial(dim, 0.0), requires_grad=True)
 
     def __call__(self, x: Tensor, residual: Tensor = None) -> Tensor:
         return ag.layer_norm(x, self.gain, self.bias, eps=self.eps, residual=residual)
@@ -148,7 +180,7 @@ class Embedding(Module):
     def __init__(self, n_rows, dim, rng, pad_id=None):
         super().__init__()
         self.pad_id = pad_id
-        table = rng.standard_normal((n_rows, dim)) / math.sqrt(dim)
+        table = _initial((n_rows, dim), lambda: rng.standard_normal((n_rows, dim)) / math.sqrt(dim))
         if pad_id is not None:
             table[pad_id] = 0.0
         self.table = Tensor(table, requires_grad=True)
@@ -164,7 +196,7 @@ class Conv1d(Module):
     def __init__(self, width, c_in, c_out, rng, bias=True):
         super().__init__()
         self.kernels = Tensor(fan_in_uniform(rng, (width, c_in, c_out), width * c_in), requires_grad=True)
-        self.bias = Tensor(np.zeros(c_out), requires_grad=True) if bias else None
+        self.bias = Tensor(_initial(c_out, 0.0), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor, segs: ag.Segments) -> Tensor:
         return ag.conv1d(x, self.kernels, segs, bias=self.bias)

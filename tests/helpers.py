@@ -1,13 +1,15 @@
 """Shared builders for model-level tests: small configs, synthetic encoded
 utterances, the off-kink parameter nudge used before finite differences, and
-the per-utterance forward, zero-filling backward, mask-tensor dropout and
-per-parameter Adam kept as oracles for the model, the engine and the
-optimizer."""
+the per-utterance forward, zero-filling backward, mask-tensor dropout,
+per-parameter Adam and float64 audio frontend kept as oracles for the model,
+the engine, the optimizer and the features."""
 
+import wave
 from types import SimpleNamespace
 
 import numpy as np
 
+from melformer import audio
 from melformer import autograd as ag
 from melformer import nn
 from melformer.autograd import Segments, Tensor
@@ -152,3 +154,29 @@ class PerParameterAdam:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+
+
+def oracle_features(path):
+    """The earlier audio frontend, kept as an oracle: a WAV file (decoded by
+    the standard library's ``wave``) -> [T + 1, 128] float64 features, from
+    frames stacked from a list of slices, ``abs() ** 2`` power and a
+    ``vstack``ed dummy row.  ``featurize_wav`` returns these values rounded
+    to float32."""
+    with wave.open(str(path), "rb") as w:
+        channels, sample_rate = w.getnchannels(), w.getframerate()
+        pcm = np.frombuffer(w.readframes(w.getnframes()), dtype="<i2").astype(np.float64)
+    if channels > 1:
+        pcm = pcm.reshape(-1, channels).mean(axis=1)
+    samples = pcm / 32768.0
+    win = sample_rate * audio.FRAME_MS // 1000
+    hop = sample_rate * audio.HOP_MS // 1000
+    starts = np.arange(1 + (len(samples) - win) // hop) * hop
+    frames = np.stack([samples[s:s + win] for s in starts]) * np.hanning(win)
+    n_fft = 1
+    while n_fft < win:
+        n_fft *= 2
+    power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
+    weights, _ = audio.mel_filterbank(sample_rate, n_fft)
+    x = np.log(power @ weights.T + audio.LOG_FLOOR)
+    normed = (x - x.mean(axis=0)) / np.maximum(x.std(axis=0), audio.STD_FLOOR)
+    return np.vstack([np.zeros((1, x.shape[1])), normed])

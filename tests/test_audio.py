@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from melformer import audio
 from melformer.errors import ContractError, FormatError, ValidationError
 
+from helpers import oracle_features
+
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -196,6 +198,23 @@ def test_frame_sizes_follow_sample_rate():
     assert frames.shape[1] == 200  # 25 ms at 8 kHz
 
 
+@pytest.mark.parametrize("win", [200, 400, 551])
+def test_cached_hann_window_is_numpys_and_read_only(win):
+    window = audio.hann_window(win)
+    assert audio.hann_window(win) is window  # built once, then shared
+    assert window.tobytes() == np.hanning(win).tobytes()
+    with pytest.raises(ValueError):
+        window[0] = 1.0
+
+
+def test_frames_are_copies_not_views_of_the_samples():
+    samples = np.arange(1000, dtype=np.float64)
+    frames = audio.frame_signal(samples, 16000)
+    assert frames.flags.writeable and frames.flags.c_contiguous
+    assert not np.shares_memory(frames, samples)
+    assert np.array_equal(frames[1], samples[192:592] * np.hanning(400))
+
+
 # ---------------------------------------------------------------------------
 # log_mel
 
@@ -278,6 +297,37 @@ def test_constant_channel_survives_std_floor():
 # ---------------------------------------------------------------------------
 # determinism and cache round-trip
 
+# (name, sample rate, channels, samples per channel): a trailing partial
+# window, two channels, the lowest and a non-round rate, one exact window
+FRONTEND_CASES = [("mono", 16000, 1, 16000 + 77), ("stereo", 16000, 2, 9000),
+                  ("8k", 8000, 1, 8000), ("22k", 22050, 1, 22050),
+                  ("one-window", 16000, 1, 400), ("partial", 16000, 1, 400 + 3 * 192 + 191)]
+
+
+@pytest.mark.parametrize("name,rate,channels,n", FRONTEND_CASES)
+def test_features_are_the_earlier_frontend_rounded_to_float32(tmp_path, name, rate, channels, n):
+    rng = np.random.default_rng(len(name))
+    t = np.arange(n) / rate
+    tone = 0.3 * np.sin(2 * np.pi * 440.0 * t)[:, None] + 0.05 * rng.standard_normal((n, channels))
+    path = tmp_path / f"{name}.wav"
+    write_pcm_wav(path, (tone * 32767).astype(np.int16).reshape(-1), rate, channels)
+    mel = audio.featurize_wav(path)
+    expected = oracle_features(path)
+    assert mel.has_dummy and mel.frames.dtype == np.float32
+    assert mel.frames.shape == expected.shape
+    assert mel.frames.tobytes() == expected.astype(np.float32).tobytes()
+
+
+def test_normalization_rounds_once_from_float64():
+    rng = np.random.default_rng(5)
+    frames = rng.standard_normal((30, 128)) * 3.0 + 1.0
+    out = audio.normalize_and_prepend_dummy(audio.MelMatrix(frames=frames)).frames
+    expected = (frames - frames.mean(axis=0)) / frames.std(axis=0)
+    assert out.dtype == np.float32
+    assert np.all(out[0] == 0.0)
+    assert np.array_equal(out[1:], expected.astype(np.float32))
+
+
 def test_featurize_is_deterministic(tone_wav):
     a = audio.featurize_wav(tone_wav)
     b = audio.featurize_wav(tone_wav)
@@ -298,7 +348,8 @@ def test_cache_round_trip(tmp_path, tone_wav):
     path.write_bytes(audio.mel_cache_bytes(mel))
     back = audio.read_mel_cache(path)
     assert back.has_dummy
-    assert np.array_equal(back.frames, mel.frames.astype("<f4").astype(np.float64))
+    assert back.frames.dtype == mel.frames.dtype == np.float32
+    assert np.array_equal(back.frames, mel.frames)
     assert np.all(back.frames[0] == 0.0)  # dummy row survives the f32 round trip
 
 

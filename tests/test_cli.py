@@ -18,6 +18,7 @@ from melformer import nn
 from melformer.cli import _config_and_flags, build_parser, main
 from melformer.config import (CHOICES, HarnessConfig, ModelConfig, RunConfig, resolve_config,
                               run_keys)
+from melformer.errors import ValidationError
 from melformer.model import save_checkpoint
 
 TINY_MODEL = ["--d-model", "16", "--heads", "2", "--d-ff", "32", "--dropout", "0.0",
@@ -328,6 +329,63 @@ def test_featurize_refuses_an_id_that_is_not_a_file_name(corpus, tmp_path, capsy
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["in", "m.jsonl"]
 
 
+def test_featurize_refuses_to_overwrite_the_manifest_it_reads(tmp_path, capsys):
+    raw = tmp_path / "c"
+    assert main(["gen-synthetic", "--out", str(raw), "--classes", "2", "--per-class", "2"]) == 0
+    manifest = raw / "manifest.jsonl"
+    before = sorted(raw.iterdir()), manifest.read_bytes()
+    capsys.readouterr()
+    assert main(["featurize", "--manifest", str(manifest), "--out-dir", str(raw)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {manifest} is the manifest being read; its features manifest would "
+        f"replace its records, so write it elsewhere\n")
+    assert (sorted(raw.iterdir()), manifest.read_bytes()) == before
+    assert not list(raw.glob("*.mel"))
+
+
+def test_featurize_reruns_over_a_features_manifest_in_its_own_directory(corpus, capsys):
+    _, _, feats_manifest = corpus
+    before = {p.name: p.read_bytes() for p in feats_manifest.parent.iterdir()}
+    capsys.readouterr()
+    assert main(["featurize", "--manifest", str(feats_manifest),
+                 "--out-dir", str(feats_manifest.parent)]) == 0
+    assert "features written: 0, unchanged: 10" in capsys.readouterr().out
+    assert {p.name: p.read_bytes() for p in feats_manifest.parent.iterdir()} == before
+
+
+@pytest.mark.parametrize("flags, settings, message", [
+    (["--freeze-fine"], {"harness": {"freeze_fine": True}},
+     "freeze_fine needs granularity multi, got granularity fine"),
+    (["--freeze-fine", "--granularity", "multi", "--finetune-word-vectors"],
+     {"model": {"finetune_word_vectors": True},
+      "harness": {"freeze_fine": True, "granularity": "multi"}},
+     "finetune_word_vectors does nothing with freeze_fine, which freezes the word table "
+     "with the rest of the encoder"),
+], ids=["fine", "multi_finetune"])
+def test_flag_pairs_that_do_nothing_are_refused(corpus, tmp_path, capsys, flags, settings,
+                                                message):
+    _, _, manifest = corpus
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        resolve_config(settings)
+    for command, extra in (("train", []), ("sweep", ["--grid", "layers_fusion=1,2"])):
+        out = tmp_path / command
+        rc = main([command, "--manifest", str(manifest), "--out-dir", str(out)] + flags + extra
+                  + TINY_MODEL + TINY_RUN)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+def test_a_sweep_point_with_a_pair_that_does_nothing_stops_the_sweep(corpus, tmp_path, capsys):
+    _, _, manifest = corpus
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--manifest", str(manifest), "--out-dir", str(out), "--freeze-fine",
+               "--grid", "granularity=multi,fine"] + TINY_MODEL + TINY_RUN)
+    assert rc == 1
+    assert "error: freeze_fine needs granularity multi" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "predict"])
 def test_eval_and_predict_parse_the_checkpoint_once(corpus, checkpoints, tmp_path, monkeypatch,
                                                      command):
@@ -485,31 +543,36 @@ def _non_default(key, default):
 
 
 def test_every_config_field_has_a_flag_that_round_trips():
+    """Each run sets every field but ``held`` (the two may not both be on)
+    by its flag to a value other than its default."""
     defaults = RunConfig()
-    expected, argv = {}, ["train"]
-    for section, key, kind in run_keys():
-        flag = "--" + key.replace("_", "-")
-        if section is None:
-            expected[(section, key)] = value = f"{key}.txt"
-        else:
-            value = _non_default(key, getattr(getattr(defaults, section), key))
-            expected[(section, key)] = value
-        if kind is bool:
-            argv.append(flag if value else "--no-" + flag[2:])
-        else:
-            argv += [flag, ",".join(map(str, value)) if kind is tuple else str(value)]
-    fields = [f.name for cls in (ModelConfig, HarnessConfig) for f in dataclasses.fields(cls)]
-    assert sorted(k for s, k in expected if s) == sorted(fields)
-    cfg = resolve_config(*_config_and_flags(build_parser().parse_args(argv)))
-    for (section, key), value in expected.items():
-        got = getattr(getattr(cfg, section) if section else cfg, key)
-        assert got == value and type(got) is type(value), key
+    for held in ("finetune_word_vectors", "freeze_fine"):
+        expected, argv = {}, ["train"]
+        for section, key, kind in run_keys():
+            flag = "--" + key.replace("_", "-")
+            if section is None:
+                expected[(section, key)] = value = f"{key}.txt"
+            else:
+                value = getattr(getattr(defaults, section), key)
+                if key != held:
+                    value = _non_default(key, value)
+                expected[(section, key)] = value
+            if kind is bool:
+                argv.append(flag if value else "--no-" + flag[2:])
+            else:
+                argv += [flag, ",".join(map(str, value)) if kind is tuple else str(value)]
+        fields = [f.name for cls in (ModelConfig, HarnessConfig) for f in dataclasses.fields(cls)]
+        assert sorted(k for s, k in expected if s) == sorted(fields)
+        cfg = resolve_config(*_config_and_flags(build_parser().parse_args(argv)))
+        for (section, key), value in expected.items():
+            got = getattr(getattr(cfg, section) if section else cfg, key)
+            assert got == value and type(got) is type(value), key
 
 
 def test_no_flag_turns_a_config_file_boolean_off(tmp_path):
     cfg_file = tmp_path / "on.json"
     cfg_file.write_text(json.dumps({"model": {"finetune_word_vectors": True},
-                                    "harness": {"freeze_fine": True}}))
+                                    "harness": {"freeze_fine": True, "granularity": "multi"}}))
     args = build_parser().parse_args(["train", "--config", str(cfg_file),
                                       "--no-finetune-word-vectors"])
     cfg = resolve_config(*_config_and_flags(args))

@@ -31,6 +31,7 @@ from melformer.model import (
     Pack,
     expected_parameter_count,
     load_checkpoint,
+    rebuild_model,
     restore_model,
     save_checkpoint,
 )
@@ -715,6 +716,112 @@ def test_checkpoint_header_restores_config(tmp_path):
     assert loaded_cfg.layers_fusion == 3
     assert loaded_cfg.combine_mode == "concat"
     assert set(params) == {name for name, _ in model.named_parameters()}
+
+
+class NoDraws:
+    """A generator stand-in whose every method raises: a module built with
+    one may hold it, but may not draw from it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from a generator ({name})")
+
+
+RESTORE_VARIANTS = {
+    "fine": dict(granularity="fine"),
+    "multi-builtin": dict(granularity="multi", builtin=True, freeze_fine=False),
+    "multi-builtin-frozen": dict(granularity="multi", builtin=True, freeze_fine=True),
+    "multi-file": dict(granularity="multi", builtin=False, freeze_fine=False),
+    "multi-file-frozen": dict(granularity="multi", builtin=False, freeze_fine=True),
+}
+
+
+def _trained_like(variant, seed, **overrides):
+    """A model of ``variant`` with every parameter moved off its initial
+    value, a conventionally built twin of another seed, the config, word
+    vectors and header fields, and the utterance embedding it reads."""
+    v = RESTORE_VARIANTS[variant]
+    cfg = small_config(dropout=0.0, **overrides)
+    wv = hash_word_vectors(WORDS, dim=cfg.word_dim)
+
+    def build(s):
+        if v["granularity"] == "fine":
+            return MultilevelTransformer(cfg, wv, seed=s)
+        return build_fusion_model(cfg, wv, utt_dim=None if v["builtin"] else 8, seed=s,
+                                  freeze_fine=v["freeze_fine"])
+
+    model, twin = build(seed), build(seed + 1)
+    nudge_off_kinks(model, seed=seed + 2)
+    emb = None if v.get("builtin", True) else np.random.default_rng(seed + 3).standard_normal(8)
+    return model, twin, cfg, wv, {"seed": seed, **model.checkpoint_extra()}, emb
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("variant", sorted(RESTORE_VARIANTS))
+def test_rebuild_model_draws_nothing_and_matches_a_built_and_loaded_model(
+        tmp_path, monkeypatch, variant, precision):
+    model, twin, cfg, wv, extra, emb = _trained_like(variant, seed=60, precision=precision)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, cfg, extra=extra)
+    loaded_cfg, loaded_extra, params = load_checkpoint(path)
+    twin.load_state_dict(params)  # the float32 records, as a restore sees them
+    monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: NoDraws())
+    restored = rebuild_model(loaded_cfg, loaded_extra, params, wv)
+    monkeypatch.undo()
+    assert type(restored) is type(twin)
+    assert [(n, p.requires_grad) for n, p in restored.named_parameters()] == \
+        [(n, p.requires_grad) for n, p in twin.named_parameters()]
+    for name, p in restored.named_parameters():
+        assert p.data.dtype == np.dtype(precision), name
+    restored.eval()
+    twin.eval()
+    enc = make_enc(wv, seed=61, utt_embedding=emb)
+    batch = [(enc, 0, 0), (make_enc(wv, seed=62, n_words=4, n_frames=7, utt_embedding=emb), 0, 0)]
+    with ag.no_grad():
+        assert np.array_equal(restored.forward_batch(batch).data, twin.forward_batch(batch).data)
+        assert np.array_equal(restored.forward_utterance(enc).logits.data,
+                              twin.forward_utterance(enc).logits.data)
+
+
+def test_skip_init_allocates_in_its_dtype_and_draws_nothing():
+    rng = np.random.default_rng(63)
+    state = rng.bit_generator.state
+    with nn.skip_init(np.float32):
+        with nn.skip_init("float64"):
+            inner = nn.Linear(3, 4, rng)
+        layers = [nn.Linear(3, 4, rng), nn.LayerNorm(4), nn.Embedding(5, 4, rng, pad_id=0),
+                  nn.Conv1d(2, 3, 4, rng)]
+    assert rng.bit_generator.state == state
+    assert {p.data.dtype for _, p in inner.named_parameters()} == {np.dtype(np.float64)}
+    for layer in layers:
+        for name, p in layer.named_parameters():
+            assert p.data.dtype == np.float32 and p.requires_grad, name
+    fresh = nn.Linear(3, 4, rng)  # outside the block: drawn in float64 again
+    assert fresh.weight.data.dtype == np.float64
+    assert rng.bit_generator.state != state
+
+
+def test_a_float32_restore_holds_no_float64_copy_of_the_parameters(tmp_path):
+    """Peak traced memory over a paper-default restore stays near one float32
+    copy of the parameters: a float64 initial draw alone would be twice that."""
+    import tracemalloc
+
+    cfg = ModelConfig()
+    wv = hash_word_vectors(WORDS, dim=cfg.word_dim)
+    model = MultilevelTransformer(cfg, wv, seed=64)
+    path = tmp_path / "paper.ckpt"
+    save_checkpoint(path, model, cfg, extra={"seed": 64})
+    loaded_cfg, extra, params = load_checkpoint(path)
+    nbytes = sum(p.data.nbytes for p in model.parameters())
+    assert nbytes == 4 * expected_parameter_count(cfg)
+    tracemalloc.start()
+    try:
+        restored = rebuild_model(loaded_cfg, extra, params, wv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * nbytes
+    for name, p in restored.named_parameters():
+        assert np.array_equal(p.data, params[name]), name
 
 
 # ---------------------------------------------------------------------------
