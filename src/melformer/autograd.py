@@ -3,9 +3,9 @@
 The engine is deliberately small: it provides exactly the operations the
 emotion model needs, each with a hand-written backward rule, plus a
 finite-difference checker used to verify every rule.  Elementwise ops take
-same-shape operands; the only broadcast is a 1-D bias over the last axis,
-added inside ``matmul``, ``conv1d`` and ``layer_norm``, so each backward
-rule stays auditable.
+same-shape operands; the only broadcast is a 1-D bias over the last axis
+(or its leading columns), added inside ``matmul``, ``conv1d`` and
+``layer_norm``, so each backward rule stays auditable.
 
 A forward pass records lineage links between tensors; ``backward`` walks
 that graph once in reverse topological order and accumulates gradients,
@@ -267,16 +267,21 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor = None) -> Tensor:
     """Matrix product of two rank-2 tensors, plus a 1-D ``bias`` over the last
-    axis if one is given: ``nn.Linear``'s x W + b as one node."""
+    axis if one is given: ``nn.Linear``'s x W + b as one node.  A bias
+    narrower than the output covers its leading columns only (a fused
+    attention projection's keys have none)."""
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-    if bias is not None and bias.shape != (b.shape[1],):
-        raise ShapeError(f"matmul bias {bias.shape} does not match {b.shape[1]} output columns")
+    if bias is not None and (bias.ndim != 1 or not 0 < bias.shape[0] <= b.shape[1]):
+        raise ShapeError(f"matmul bias {bias.shape} does not fit {b.shape[1]} output columns")
     out = Tensor(a.data @ b.data)
     if bias is not None:
-        out.data += bias.data
+        pad = b.shape[1] - bias.shape[0]
+        # a narrow bias, padded with zeros, is added in one contiguous pass
+        # over whole rows, which is faster than a strided one over their lead
+        out.data += np.concatenate([bias.data, np.zeros(pad, bias.data.dtype)]) if pad else bias.data
 
     def _bw():
         g = out.grad
@@ -285,7 +290,7 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor = None) -> Tensor:
         if b.requires_grad:
             _accumulate(b, a.data.T @ g)
         if bias is not None and bias.requires_grad:
-            _accumulate(bias, g.sum(axis=0))
+            _accumulate(bias, g[:, :bias.shape[0]].sum(axis=0))
 
     return _track(out, (a, b) if bias is None else (a, b, bias), _bw)
 
@@ -473,105 +478,155 @@ def softmax(a: Tensor) -> Tensor:
     return _track(out, (a,), _bw)
 
 
+def _column_blocks(x, kv):
+    """The query, value and key blocks of attention's inputs or of their
+    gradients, as views: the q | v | k thirds of one [T, 3D] array ``x``
+    when ``kv`` is None, else ``x`` and the v | k halves of ``kv``."""
+    if kv is None:
+        d = x.shape[1] // 3
+        return x[:, :d], x[:, d:2 * d], x[:, 2 * d:]
+    d = kv.shape[1] // 2
+    return x, kv[:, :d], kv[:, d:]
+
+
 def _split_heads(x, heads):
-    """[T, heads * d_head] array -> [heads, T, d_head] view, one column block per head."""
+    """[T, heads * d_head] array -> [heads, T, d_head] view, one column block per
+    head.  ``x`` is a row range and column block of a C-ordered array, so the
+    reshape is a view, and attention writes its outputs through it."""
     t, d = x.shape
     return x.reshape(t, heads, d // heads).transpose(1, 0, 2)
 
 
-def _merge_heads(x):
-    """[heads, T, d_head] array -> [T, heads * d_head], head blocks side by side."""
-    heads, t, d_head = x.shape
-    return x.transpose(1, 0, 2).reshape(t, heads * d_head)
-
-
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, q_segs: Segments, k_segs: Segments,
+def attention(q: Tensor, kv: Tensor, heads: int, q_segs: Segments, k_segs: Segments,
               rate: float = 0.0, rng: np.random.Generator = None, on_weights=None) -> Tensor:
     """Multi-head scaled dot-product attention of every segment in one node.
 
-    ``q`` is [Tq, D] and ``k``, ``v`` are [Tk, D], packed streams laid out
-    by ``q_segs`` and ``k_segs`` (:class:`Segments`).  Segment s of the
-    queries attends only to segment s of the keys, and head h owns the h-th
-    block of D / heads columns of all three.  Each segment's [heads, Tq_s,
-    Tk_s] map is the softmax over keys of q_h k_h^T / sqrt(D / heads); key
-    rows past the segment's valid count get NEG_MASK added to their scores,
-    so their weight underflows to exactly zero.  The maps lie segment after
-    segment in one flat array, and with ``rate`` > 0 inverted dropout zeroes
-    its entries by one :func:`_keep_mask` draw over that array, as
-    :func:`dropout` would: entry i of the flat map is kept iff the i-th
-    32-bit half of the raw words drawn is >= ceil(rate * 2**32), and kept
-    entries are scaled by 1 / (1 - rate).  Returns [Tq, D]: head h's
-    weighted sum of the value rows, in its own column block.
+    The projections arrive fused, in column blocks of D = heads * d_head:
+    ``q`` is [Tq, D] queries and ``kv`` is [Tk, 2D], the values then the
+    keys (v | k); for self-attention ``kv`` is None and ``q`` is one
+    [T, 3D] tensor of queries, values and keys (q | v | k).  A projection's
+    bias over its leading columns so covers q and v and never k.  The node
+    reads the blocks in place, so the graph holds no split, and each input's
+    gradient is one array of its shape.
 
-    The node keeps the pre-dropout maps and the boolean keep mask; backward
-    rebuilds the dropped maps from them.  ``on_weights``, if given, receives
-    the last segment's pre-dropout map as a [heads, Tq, Tk] view.
+    The rows are packed streams laid out by ``q_segs`` and ``k_segs``
+    (:class:`Segments`); segment s of the queries attends only to segment s
+    of the keys, and head h owns the h-th d_head columns of each block.
+    Each segment's [heads, Tq_s, Tk_s] map is the softmax over keys of
+    (q_h / sqrt(d_head)) k_h^T: the scale is applied to the [Tq, D] query
+    rows, not to the map.  Key rows past the segment's valid count get
+    NEG_MASK added to their scores, so their weight underflows to exactly
+    zero.  The maps lie segment after segment in one flat array.  With
+    ``rate`` > 0, dropout zeroes its entries by one :func:`_keep_mask` draw
+    over that array, as :func:`dropout` would (16-bit thresholds, four
+    entries per raw word), and a dropped map is the map times the boolean
+    mask: 1 / (1 - rate) is applied to the [Tq, D] output instead.  Returns
+    [Tq, D]: head h's weighted sum of the value rows, in its own columns.
+
+    The node keeps the pre-dropout maps and the boolean keep mask.  Backward
+    applies 1 / (1 - rate) to the [Tq, D] incoming gradient, takes the
+    softmax row term as rowsum(dO * O) per head from the output and its
+    gradient (FlashAttention's D, with no map-sized temporary), and applies
+    the query scale to the [T, D] rows of dq and dk.  ``on_weights``, if
+    given, receives the last segment's pre-dropout map as a [heads, Tq, Tk]
+    view.
     """
-    if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1] or v.shape != k.shape:
-        raise ShapeError(f"attention needs q[Tq,D] and k, v [Tk,D], "
-                         f"got {q.shape}, {k.shape} and {v.shape}")
-    if heads < 1 or q.shape[1] % heads != 0:
-        raise ShapeError(f"width {q.shape[1]} does not split into {heads} heads")
-    q_segs, k_segs = _layout(q_segs, q.shape[0], "q"), _layout(k_segs, k.shape[0], "k")
+    fused = kv is None
+    source = q if fused else kv  # the tensor that holds the keys and values
+    width = q.shape[-1] // 3 if fused else q.shape[-1]
+    if q.ndim != 2 or source.ndim != 2 or source.shape[1] != (3 if fused else 2) * width:
+        raise ShapeError(f"attention needs q [Tq, D] and kv [Tk, 2D], or q [T, 3D] and kv None, "
+                         f"got {q.shape} and {None if fused else kv.shape}")
+    if heads < 1 or width % heads != 0:
+        raise ShapeError(f"width {width} does not split into {heads} heads")
+    q_segs = _layout(q_segs, q.shape[0], "q")
+    k_segs = _layout(k_segs, source.shape[0], "k")
     if len(q_segs) != len(k_segs):
         raise ShapeError(f"{len(q_segs)} query segments vs {len(k_segs)} key segments")
+    queries, values, keys = _column_blocks(q.data, None if fused else kv.data)
     # per segment: its query rows, its key rows and valid keys, and its map's
     # place in the flat array
     at = np.concatenate([[0], np.cumsum(heads * q_segs.lengths * k_segs.lengths)]).tolist()
     spans = [(q0, q1, k0, k1, valid, a0, a1, (heads, q1 - q0, k1 - k0))
              for (q0, q1, _), (k0, k1, valid), a0, a1
              in zip(q_segs.spans(), k_segs.spans(), at[:-1], at[1:])]
-    scale = 1.0 / math.sqrt(q.shape[1] // heads)  # a Python float keeps float32 scores float32
-    y = np.empty(at[-1], dtype=np.result_type(q.data, k.data))
+    scale = 1.0 / math.sqrt(width // heads)  # a Python float keeps float32 rows float32
+    scaled = queries * scale
+    y = np.empty(at[-1], dtype=np.result_type(q.data, source.data))
     for q0, q1, k0, k1, valid, a0, a1, shape in spans:
-        qh, kh = _split_heads(q.data[q0:q1], heads), _split_heads(k.data[k0:k1], heads)
-        scores = np.matmul(qh, kh.transpose(0, 2, 1))
-        scores *= scale
+        weights = y[a0:a1].reshape(shape)
+        np.matmul(_split_heads(scaled[q0:q1], heads),
+                  _split_heads(keys[k0:k1], heads).transpose(0, 2, 1), out=weights)
         if valid < k1 - k0:
-            scores[..., valid:] += NEG_MASK
-        _softmax_last(scores, out=y[a0:a1].reshape(shape))
+            weights[..., valid:] += NEG_MASK
+        _softmax_last(weights, out=weights)
     if on_weights is not None:
         *_, a0, a1, shape = spans[-1]
         on_weights(y[a0:a1].reshape(shape))
     keep = _keep_mask(rng, y.shape, rate) if rate > 0.0 else None
     keep_scale = y.dtype.type(1.0 / (1.0 - rate))
 
-    def dropped(a0, a1, shape):
-        """One segment's map after dropout, as a fresh array (the map itself without dropout)."""
+    def dropped(a0, a1, shape, scratch):
+        """One segment's map times the keep mask, in ``scratch`` (the map
+        itself without dropout)."""
         weights = y[a0:a1].reshape(shape)
         if keep is None:
             return weights
-        return _dropped(weights, keep[a0:a1].reshape(shape), keep_scale)
+        return np.multiply(weights, keep[a0:a1].reshape(shape),
+                           out=scratch[:a1 - a0].reshape(shape))
 
-    out = Tensor(np.empty(q.shape, dtype=np.result_type(y, v.data)))
+    # the largest segment's map size: one scratch of it serves every segment
+    largest = max(a1 - a0 for *_, a0, a1, _ in spans)
+    scratch = None if keep is None else np.empty(largest, dtype=y.dtype)
+    out = Tensor(np.empty((q.shape[0], width), dtype=y.dtype))
     for q0, q1, k0, k1, _, a0, a1, shape in spans:
-        mixed = np.matmul(dropped(a0, a1, shape), _split_heads(v.data[k0:k1], heads))
-        out.data[q0:q1] = _merge_heads(mixed)
+        np.matmul(dropped(a0, a1, shape, scratch), _split_heads(values[k0:k1], heads),
+                  out=_split_heads(out.data[q0:q1], heads))
+    if keep is not None:
+        out.data *= keep_scale
 
     def _bw():
-        dq = np.empty_like(q.data) if q.requires_grad else None
-        dk = np.empty_like(k.data) if k.requires_grad else None
-        dv = np.empty_like(v.data) if v.requires_grad else None
+        # each input's gradient is one C-ordered array of its shape, which the
+        # per-head views below write into, block by block
+        grads = {t: np.empty(t.shape, dtype=t.data.dtype) for t in (q, kv)
+                 if t is not None and t.requires_grad}
+        if fused:
+            dq, dv, dk = _column_blocks(grads[q], None)
+        else:
+            dq, dv, dk = grads.get(q), None, None
+            if kv in grads:
+                _, dv, dk = _column_blocks(None, grads[kv])
+        queries, values, keys = _column_blocks(q.data, None if fused else kv.data)
+        g = out.grad if keep is None else out.grad * keep_scale
+        if dq is not None or dk is not None:
+            row_term = np.multiply(out.grad, out.data).reshape(len(g), heads, -1).sum(axis=-1)
+        scratch = np.empty(largest, dtype=y.dtype)
         for q0, q1, k0, k1, _, a0, a1, shape in spans:
-            gh = _split_heads(out.grad[q0:q1], heads)
-            if dq is not None or dk is not None:
-                dweights = np.matmul(gh, _split_heads(v.data[k0:k1], heads).transpose(0, 2, 1))
-                if keep is not None:
-                    _dropped(dweights, keep[a0:a1].reshape(shape), keep_scale, out=dweights)
-                ds = _softmax_grad(y[a0:a1].reshape(shape), dweights)
-                ds *= scale
-                if dq is not None:
-                    dq[q0:q1] = _merge_heads(np.matmul(ds, _split_heads(k.data[k0:k1], heads)))
-                if dk is not None:
-                    dk[k0:k1] = _merge_heads(np.matmul(ds.transpose(0, 2, 1),
-                                                       _split_heads(q.data[q0:q1], heads)))
+            gh = _split_heads(g[q0:q1], heads)
+            weights = dropped(a0, a1, shape, scratch)
             if dv is not None:
-                dv[k0:k1] = _merge_heads(np.matmul(dropped(a0, a1, shape).transpose(0, 2, 1), gh))
-        for t, grad in ((v, dv), (q, dq), (k, dk)):
-            if grad is not None:
-                _accumulate(t, grad)
+                np.matmul(weights.transpose(0, 2, 1), gh, out=_split_heads(dv[k0:k1], heads))
+            if dq is None and dk is None:
+                continue
+            # the dropped map is spent: the scratch takes the map's gradient
+            ds = np.matmul(gh, _split_heads(values[k0:k1], heads).transpose(0, 2, 1),
+                           out=scratch[:a1 - a0].reshape(shape))
+            if keep is not None:
+                ds *= keep[a0:a1].reshape(shape)
+            ds -= row_term[q0:q1].T[:, :, None]
+            ds *= y[a0:a1].reshape(shape)
+            if dq is not None:
+                np.matmul(ds, _split_heads(keys[k0:k1], heads), out=_split_heads(dq[q0:q1], heads))
+            if dk is not None:
+                np.matmul(ds.transpose(0, 2, 1), _split_heads(queries[q0:q1], heads),
+                          out=_split_heads(dk[k0:k1], heads))
+        for block in (dq, dk):
+            if block is not None:
+                block *= scale
+        for t, grad in grads.items():
+            _accumulate(t, grad)
 
-    return _track(out, (q, k, v), _bw)
+    return _track(out, (q,) if fused else (q, kv), _bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5,
@@ -784,23 +839,25 @@ def zero_rows(x: Tensor, segs: Segments) -> Tensor:
 def _keep_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
     """Boolean keep mask of ``shape`` for dropout at ``rate`` in (0, 1).
 
-    ceil(n / 2) raw 64-bit words from ``rng.bit_generator``, viewed as n
-    32-bit integers u: entry i is kept iff u[i] >= ceil(rate * 2**32), so
-    a threshold of 2**32 or more keeps nothing.  The mask depends only on
-    the generator and the shape, and the draw is the same at every rate.
+    ceil(n / 4) raw 64-bit words from ``rng.bit_generator``, viewed as n
+    16-bit integers u (each word's quarters in memory order): entry i is
+    kept iff u[i] >= ceil(rate * 2**16).  The rate so counts in steps of
+    2**-16 (0.1 drops a share of 0.100006), and a threshold of 2**16 or more
+    keeps nothing.  The mask depends only on the generator and the shape,
+    and the draw is the same at every rate.
     """
     n = math.prod(shape)
-    threshold = math.ceil(rate * 2**32)
-    words = rng.bit_generator.random_raw((n + 1) // 2)
-    if threshold >= 2**32:
+    threshold = math.ceil(rate * 2**16)
+    words = rng.bit_generator.random_raw((n + 3) // 4)
+    if threshold >= 2**16:
         return np.zeros(shape, dtype=bool)
-    return (words.view(np.uint32)[:n] >= np.uint32(threshold)).reshape(shape)
+    return (words.view(np.uint16)[:n] >= np.uint16(threshold)).reshape(shape)
 
 
-def _dropped(a, keep, scale, out=None):
+def _dropped(a, keep, scale):
     """``a`` after inverted dropout: its entries times ``scale`` where the
     boolean ``keep`` is set, zero elsewhere; no float mask is built."""
-    out = np.multiply(a, scale, out=out)
+    out = np.multiply(a, scale)
     out *= keep
     return out
 
@@ -809,11 +866,11 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: zero entries with probability ``rate``, rescale the rest.
 
     The mask is one :func:`_keep_mask` draw over ``x``'s entries in C
-    order: entry i is kept iff the i-th 32-bit half of the ceil(n / 2) raw
-    64-bit words drawn from ``rng`` is >= ceil(rate * 2**32).  With ``rate``
-    0 nothing is drawn and ``x`` itself comes back.  One graph node; it
-    keeps the boolean mask and applies the 1 / (1 - rate) scale on the fly
-    in both directions.
+    order: entry i is kept iff the i-th 16-bit quarter of the ceil(n / 4)
+    raw 64-bit words drawn from ``rng`` is >= ceil(rate * 2**16).  With
+    ``rate`` 0 nothing is drawn and ``x`` itself comes back.  One graph
+    node; it keeps the boolean mask and applies the 1 / (1 - rate) scale
+    on the fly in both directions, as the entries pass.
     """
     if rate <= 0.0:
         return x
@@ -837,7 +894,12 @@ def gradcheck(f, xs, eps: float = 1e-5) -> float:
 
     ``xs`` is one tensor or a sequence; every coordinate of every tensor is
     perturbed.  Returns the maximum relative error
-    ``|a - n| / max(|a|, |n|, 1e-8)`` over all coordinates.
+    ``(|a - n| - r) / max(|a|, |n|, 1e-8)`` over all coordinates, floored
+    at 0, where r is the numeric derivative's resolution: one unit in the
+    last place of the larger of the two float64 losses, over ``2 * eps``.
+    A central difference cannot tell two gradients apart by less than r
+    (about 1e-11 for a loss near 1), so a coordinate whose gradient is
+    near zero is not failed for the rounding of the losses.
     """
     xs = [xs] if isinstance(xs, Tensor) else list(xs)
     return gradcheck_sampled(f, xs, max(x.data.size for x in xs), rng=None, eps=eps)
@@ -851,7 +913,9 @@ def _coordinate_error(f, xs, flat, analytic_i, i, eps) -> float:
     f_minus = float(f(*xs).data)
     flat[i] = saved
     numeric = (f_plus - f_minus) / (2.0 * eps)
-    return abs(analytic_i - numeric) / max(abs(analytic_i), abs(numeric), 1e-8)
+    resolution = float(np.spacing(max(abs(f_plus), abs(f_minus)))) / (2.0 * eps)
+    return (max(abs(analytic_i - numeric) - resolution, 0.0)
+            / max(abs(analytic_i), abs(numeric), 1e-8))
 
 
 def gradcheck_sampled(f, tensors, per_tensor: int, rng: np.random.Generator, eps: float = 1e-5) -> float:

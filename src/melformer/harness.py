@@ -33,7 +33,11 @@ BLOCK = 1 << 15  # elements per block of the Adam walk: 128 KB per f32 operand, 
 class Adam:
     """Bias-corrected Adam over named parameters held in one flat arena.
 
-    The update is theta -= lr * mhat / (sqrt(vhat) + eps).  The constructor
+    The update is theta -= lr * mhat / (sqrt(vhat) + eps), computed in
+    Kingma & Ba's order (arXiv:1412.6980, section 2): with the step size
+    a_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t), theta -= a_t * m /
+    (sqrt(v) + eps * sqrt(1 - beta2^t)), the same in real arithmetic with no
+    bias-correction pass over the moments.  The constructor
     copies the parameters, in the order given, into one contiguous arena of
     their dtype (float32 or float64; they must share one) and rebinds each
     ``p.data`` to a reshaped view of its segment; the moments ``m`` and
@@ -99,8 +103,9 @@ class Adam:
                 raise ContractError(f"parameter {name}: gradient {p.grad.dtype} vs {view.dtype}")
             grads.append(p.grad)
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        root_b2c = math.sqrt(1.0 - self.beta2 ** self.t)
+        step = self.lr * root_b2c / (1.0 - self.beta1 ** self.t)
+        eps = self.eps * root_b2c
         for lo, k, pieces in self._gather(grads):
             g, s = self._g[:k], self._s[:k]
             with np.errstate(over="ignore"):  # a huge finite gradient overflows it
@@ -117,11 +122,9 @@ class Adam:
             s *= g
             v *= self.beta2
             v += s
-            np.divide(m, b1c, out=s)
-            s *= self.lr
-            np.divide(v, b2c, out=g)  # the gradient is spent: g takes the denominator
-            np.sqrt(g, out=g)
-            g += self.eps
+            np.sqrt(v, out=g)  # the gradient is spent: g takes the denominator
+            g += eps
+            np.multiply(m, step, out=s)
             s /= g
             p -= s
 

@@ -25,9 +25,13 @@ takes each sublayer's residual into the same node) runs once per batch and
 never sees the layout; only attention, the conv windows, max pooling, row
 zeroing and positions do, and they stay inside each segment.  So no utterance sees
 another, and a batch gives each utterance's logits as a forward of that
-utterance alone would, up to rounding.  Each attention call is one
-``autograd.attention`` node over every head and segment, with its
-attention dropout inside.  After a pack, each attention module's
+utterance alone would, up to rounding.  Each attention call projects its
+input rows with one matmul per input (a [d, 3d] q | v | k projection for
+self-attention; a [d, d] query and a [d, 2d] v | k projection where the
+queries are other rows), then runs one ``autograd.attention`` node over
+every head and segment, which reads q, k and v as column blocks of those
+projections and holds its attention dropout inside.  No key projection has
+a bias.  After a pack, each attention module's
 ``last_weights`` holds the [heads, Tq, Tk] map of the pack's last
 utterance (the last fusion block's is its cls row's [heads, 1, Tk]);
 after a pack of one (one utterance through ``forward_utterance``, or
@@ -57,7 +61,6 @@ its final softmax.
 """
 
 import json
-import math
 import struct
 from dataclasses import asdict, dataclass
 
@@ -68,7 +71,7 @@ from . import nn
 from .autograd import Segments, Tensor
 from .binfile import BinaryReader
 from .config import CHOICES, ModelConfig, _typed, model_config_from_dict
-from .errors import FormatError, ShapeError, ValidationError
+from .errors import ContractError, FormatError, ShapeError, ValidationError
 from .text import PAD_PHONEME, PHONEMES, EncoderPrenet, PhonemeCNN, WordCombiner, WordVectors
 
 CHECKPOINT_MAGIC = b"MLT1"
@@ -119,37 +122,54 @@ class Pack:
 class MultiHeadAttention(nn.Module):
     """Scaled dot-product attention, all heads and segments in one node.
 
-    Head h owns the h-th block of d_model / heads columns of the query, key
-    and value projections.  Between the projections and the output
-    projection sits one ``autograd.attention`` node: it scores, masks and
-    normalizes every head of every segment at once, applies the attention
-    dropout ``drop`` (while its module trains) in one draw over all the
-    maps, and writes each head's output back into its column block.  After
-    each call, ``last_weights`` holds the last segment's [heads, Tq, Tk]
-    attention distributions (post-softmax, pre-dropout) for inspection:
-    after a pack of one, the utterance's map.  In the last fusion block,
-    which queries with the cls rows only, that is the cls row's [heads, 1,
-    Tk] map.
+    Each input row is projected by one matmul.  A self-attention module
+    (``self_attention``, where queries, keys and values are the same rows)
+    holds one [d, 3d] projection ``wqvk`` whose columns are the queries,
+    values and keys (q | v | k).  Otherwise (cross-attention, and the last
+    fusion block, whose queries are the cls rows) it holds a [d, d] query
+    projection ``wq`` and one [d, 2d] projection ``wvk`` of the key/value
+    rows (v | k).  The projections' biases cover their leading columns, so
+    q and v have one and k does not: softmax ignores per-row constant score
+    shifts, so a key bias would be a dead parameter.  Head h owns the h-th
+    block of d_model / heads columns of each of q, k and v.
+
+    Between the projections and the output projection ``wo`` sits one
+    ``autograd.attention`` node, which reads q, k and v as column blocks of
+    the projections: it scores, masks and normalizes every head of every
+    segment at once, applies the attention dropout ``drop`` (while its
+    module trains) in one draw over all the maps, and writes each head's
+    output back into its column block.  After each call, ``last_weights``
+    holds the last segment's [heads, Tq, Tk] attention distributions
+    (post-softmax, pre-dropout) for inspection: after a pack of one, the
+    utterance's map.  In the last fusion block, which queries with the cls
+    rows only, that is the cls row's [heads, 1, Tk] map.
     """
 
-    def __init__(self, d_model, heads, rng):
+    def __init__(self, d_model, heads, rng, self_attention=True):
         super().__init__()
         if d_model % heads != 0:
             raise ShapeError(f"d_model {d_model} not divisible by {heads} heads")
         self.heads = heads
-        self.wq = nn.Linear(d_model, d_model, rng)
-        # softmax ignores per-row constant score shifts, so a key bias would
-        # be a dead parameter; leave it out
-        self.wk = nn.Linear(d_model, d_model, rng, bias=False)
-        self.wv = nn.Linear(d_model, d_model, rng)
+        self.self_attention = self_attention
+        if self_attention:
+            self.wqvk = nn.Linear(d_model, 3 * d_model, rng, bias=2 * d_model)
+        else:
+            self.wq = nn.Linear(d_model, d_model, rng)
+            self.wvk = nn.Linear(d_model, 2 * d_model, rng, bias=d_model)
         self.wo = nn.Linear(d_model, d_model, rng)
         self.last_weights = None
 
     def __call__(self, queries: Tensor, keys_values: Tensor, q_segs: Segments,
                  k_segs: Segments, drop: nn.Dropout = None) -> Tensor:
         rate, rng = (drop.rate, drop.rng) if drop is not None and drop.training else (0.0, None)
-        mixed = ag.attention(self.wq(queries), self.wk(keys_values), self.wv(keys_values),
-                             self.heads, q_segs, k_segs, rate, rng,
+        if self.self_attention:
+            if queries is not keys_values:
+                raise ContractError("a self-attention module takes its queries, keys and "
+                                    "values from one tensor")
+            q, kv = self.wqvk(queries), None
+        else:
+            q, kv = self.wq(queries), self.wvk(keys_values)
+        mixed = ag.attention(q, kv, self.heads, q_segs, k_segs, rate, rng,
                              on_weights=self._keep_weights)
         return self.wo(mixed)
 
@@ -176,12 +196,13 @@ class EncoderBlock(nn.Module):
     The rows ``q`` (laid out by ``q_segs``) attend to ``kv`` (by
     ``kv_segs``), and the block returns one row per query row.  A full
     self-attention block is ``block(x, x, segs, segs)``; the model's last
-    fusion block passes only the cls rows as queries, one per segment.
+    fusion block, built with ``self_attention`` False, passes only the cls
+    rows as queries, one per segment.
     """
 
-    def __init__(self, d_model, heads, d_ff, rng, drop_rng, dropout):
+    def __init__(self, d_model, heads, d_ff, rng, drop_rng, dropout, self_attention=True):
         super().__init__()
-        self.attn = MultiHeadAttention(d_model, heads, rng)
+        self.attn = MultiHeadAttention(d_model, heads, rng, self_attention=self_attention)
         self.ffn = FeedForward(d_model, d_ff, d_model, rng)
         self.norm1 = nn.LayerNorm(d_model)
         self.norm2 = nn.LayerNorm(d_model)
@@ -198,7 +219,7 @@ class CrossModalBlock(nn.Module):
     def __init__(self, d_model, heads, d_ff, rng, drop_rng, dropout):
         super().__init__()
         self.self_attn = MultiHeadAttention(d_model, heads, rng)
-        self.cross_attn = MultiHeadAttention(d_model, heads, rng)
+        self.cross_attn = MultiHeadAttention(d_model, heads, rng, self_attention=False)
         self.ffn = FeedForward(d_model, d_ff, d_model, rng)
         self.norm1 = nn.LayerNorm(d_model)
         self.norm2 = nn.LayerNorm(d_model)
@@ -252,9 +273,10 @@ class MultilevelTransformer(nn.Module):
         self.cross_blocks = nn.ModuleList(
             [CrossModalBlock(cfg.d_model, cfg.heads, cfg.d_ff, rng, self.drop_rng, cfg.dropout)
              for _ in range(cfg.layers_cross)])
-        self.fusion_blocks = nn.ModuleList(
-            [EncoderBlock(cfg.d_model, cfg.heads, cfg.d_ff, rng, self.drop_rng, cfg.dropout)
-             for _ in range(cfg.layers_fusion)])
+        self.fusion_blocks = nn.ModuleList(  # the last one's queries are the cls rows
+            [EncoderBlock(cfg.d_model, cfg.heads, cfg.d_ff, rng, self.drop_rng, cfg.dropout,
+                          self_attention=i < cfg.layers_fusion - 1)
+             for i in range(cfg.layers_fusion)])
         self.head = nn.Linear(cfg.d_model, cfg.num_classes, rng)
         self.cast_parameters(self.dtype)
 
@@ -424,8 +446,10 @@ def save_checkpoint(path, model: nn.Module, cfg: ModelConfig, extra=None):
 def load_checkpoint(path):
     """Read a checkpoint -> (ModelConfig, extra dict, {name: float32 array}).
 
-    The arrays are the stored records as they are, read-only, with no
-    upcast; ``load_state_dict`` casts them to the model's dtype.  Every read
+    The arrays are the stored records as they are, with no upcast: each is
+    read straight from the file into its own writable array, which
+    ``rebuild_model`` makes a float32 model's parameter as it is (and casts
+    for any other dtype).  Every read
     is bounds-checked: a short file, a header that is not a UTF-8 JSON
     object with a ``model`` object, or bytes after the last record raise
     FormatError; a repeated or non-finite record raises ValidationError.
@@ -456,7 +480,7 @@ def load_checkpoint(path):
                     f"{path}: parameter name before offset {fh.tell()} is not UTF-8") from None
             (rank,) = reader.u32s(1)
             dims = reader.u32s(rank)
-            arr = np.frombuffer(reader.take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
+            arr = reader.array(dims, "<f4")
             if name in params:
                 raise ValidationError(f"{path}: duplicate parameter record {name!r}")
             if not np.isfinite(arr).all():
@@ -475,9 +499,13 @@ def rebuild_model(cfg: ModelConfig, extra: dict, params: dict, word_vectors: Wor
     multi-granularity header carries ``builtin_encoder`` and, without a
     built-in encoder, ``utt_dim``; ``freeze_fine`` defaults to False.  Each
     field is type-checked like a config value before it is used.  The model
-    is built under ``nn.skip_init``: it draws no initial values, each
-    parameter is allocated once in the model's dtype, and
-    ``load_state_dict`` fills every one of them.
+    is built under ``nn.skip_init``: it draws no initial values, and
+    ``load_state_dict`` fills every parameter.  A float32 model adopts the
+    records of ``params`` (as ``load_checkpoint`` returns them) as its
+    parameters, so the restore holds one copy of each; any other dtype gets
+    a cast copy.  Records written before the attention projections were
+    fused (``wq``, ``wk`` and ``wv`` per module) are joined into the fused
+    layout first.
     """
     origin = "checkpoint header"
 
@@ -510,8 +538,35 @@ def rebuild_model(cfg: ModelConfig, extra: dict, params: dict, word_vectors: Wor
     else:
         with nn.skip_init(cfg.precision):
             model = MultilevelTransformer(cfg, word_vectors, seed=seed)
-    model.load_state_dict(params)
+    model.load_state_dict(_fuse_projection_records(params, dict(model.named_parameters())),
+                          adopt=True)
     return model
+
+
+# each fused attention projection -> the separate projections it replaced, in
+# its column order
+_FUSED_PROJECTIONS = {"wqvk": ("wq", "wv", "wk"), "wvk": ("wv", "wk")}
+
+
+def _fuse_projection_records(params, names):
+    """``params`` with each module's separate ``wq``/``wv``/``wk`` records
+    (of a checkpoint written before the projections were fused) joined
+    column-wise into the model's fused record; ``names`` holds the model's
+    parameter names.  The key projection had no bias, so a fused bias joins
+    the others' only.  A module stored in both layouts is refused."""
+    params = dict(params)
+    for name in names:
+        module, _, leaf = name.rpartition(".")
+        owner, dot, projection = module.rpartition(".")
+        parts = _FUSED_PROJECTIONS.get(projection, ())
+        old = [f"{owner}{dot}{part}.{leaf}" for part in parts
+               if not (part == "wk" and leaf == "bias")]
+        found = [record for record in old if record in params]
+        if found and name in params:
+            raise ValidationError(f"checkpoint: {name!r} is stored both fused and as {found[0]!r}")
+        if found and len(found) == len(old):
+            params[name] = np.concatenate([params.pop(record) for record in old], axis=-1)
+    return params
 
 
 def restore_model(path, word_vectors: WordVectors):

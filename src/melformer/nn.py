@@ -66,19 +66,28 @@ class Module:
     def state_dict(self):
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
-    def load_state_dict(self, state):
+    def load_state_dict(self, state, adopt=False):
         """Copy named arrays into the parameters, in place and cast to each
-        parameter's dtype (a checkpoint's float32 records fit any model)."""
+        parameter's dtype (a checkpoint's float32 records fit any model).
+
+        With ``adopt``, an array that already has its parameter's dtype and
+        is writable and C-contiguous becomes the parameter's ``data`` instead
+        of being copied, so the caller hands it over.  Parameters an
+        optimizer holds must not be adopted into: they view its arena."""
         own = dict(self.named_parameters())
         missing = sorted(set(own) - set(state))
         extra = sorted(set(state) - set(own))
         if missing or extra:
             raise ValidationError(f"state mismatch: missing {missing}, unexpected {extra}")
         for name, p in own.items():
-            arr = np.asarray(state[name], dtype=p.data.dtype)
+            arr = np.asarray(state[name])
             if arr.shape != p.data.shape:
                 raise ShapeError(f"parameter {name}: stored {arr.shape} vs model {p.data.shape}")
-            p.data[...] = arr
+            if (adopt and arr.dtype == p.data.dtype and arr.flags.writeable
+                    and arr.flags.c_contiguous and arr.flags.aligned):
+                p.data = arr
+            else:
+                p.data[...] = arr
 
     def parameter_count(self):
         return sum(p.size for p in self.parameters())
@@ -143,14 +152,18 @@ def fan_in_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 class Linear(Module):
-    """Affine map y = x W + b on the last axis of a 1-D or 2-D input."""
+    """Affine map y = x W + b on the last axis of a 1-D or 2-D input.
+
+    ``bias`` is True (every output column has one), False (none), or the
+    number of leading output columns that have one; the rest get none."""
 
     def __init__(self, n_in, n_out, rng, bias=True):
         super().__init__()
         self.n_in = n_in
         self.n_out = n_out
         self.weight = Tensor(fan_in_uniform(rng, (n_in, n_out), n_in), requires_grad=True)
-        self.bias = Tensor(_initial(n_out, 0.0), requires_grad=True) if bias else None
+        width = n_out if bias is True else int(bias)
+        self.bias = Tensor(_initial(width, 0.0), requires_grad=True) if width else None
 
     def __call__(self, x: Tensor) -> Tensor:
         squeeze = x.ndim == 1

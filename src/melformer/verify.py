@@ -75,8 +75,11 @@ def op_checks(rng):
     check("mul", lambda a, b: r(ag.mul(a, b)), [_t(rng, 3, 4), _t(rng, 3, 4)])
     rv = _weighted(rng, (3, 2))
     check("matmul", lambda a, b: rv(ag.matmul(a, b)), [_t(rng, 3, 4), _t(rng, 4, 2)])
-    check("matmul bias", lambda a, b, c: rv(ag.matmul(a, b, bias=c)),
-          [_t(rng, 3, 4), _t(rng, 4, 2), _t(rng, 2)])
+    # a bias over every output column, and one over the leading two of three
+    rv3 = _weighted(rng, (3, 3))
+    check("matmul bias",
+          lambda a, b, c, d: rv3(ag.add(ag.matmul(a, b, bias=c), ag.matmul(a, b, bias=d))),
+          [_t(rng, 3, 4), _t(rng, 4, 3), _t(rng, 3), _t(rng, 2)])
     rt = _weighted(rng, (4, 3))
     check("transpose", lambda a: rt(ag.transpose(a)), [_t(rng, 3, 4)])
     check("reshape", lambda a: r(ag.reshape(a, (3, 4))), [_t(rng, 2, 6)])
@@ -125,26 +128,26 @@ def op_checks(rng):
     # a freshly seeded generator per call draws the same mask at every
     # finite-difference point
     check("dropout", lambda x: r(ag.dropout(x, 0.5, np.random.default_rng(7))), [_t(rng, 3, 4)])
+    # queries against value | key rows, the keys partly masked
     check("attention masked",
-          lambda q, k, v: r(ag.attention(q, k, v, 2, Segments([3]), Segments([5], valid=[3]))),
-          [_t(rng, 3, 4), _t(rng, 5, 4), _t(rng, 5, 4)])
-    # two segments of unequal length; the first one's keys partly padding
-    q_segs, k_segs = Segments([2, 3]), Segments([3, 4], valid=[2, 4])
-    rs = _weighted(rng, (5, 4))
-    check("attention segments",
-          lambda q, k, v: rs(ag.attention(q, k, v, 2, q_segs, k_segs)),
-          [_t(rng, 5, 4), _t(rng, 7, 4), _t(rng, 7, 4)])
+          lambda q, kv: r(ag.attention(q, kv, 2, Segments([3]), Segments([5], valid=[3]))),
+          [_t(rng, 3, 4), _t(rng, 5, 8)])
+    # self-attention on one fused q | v | k input: two segments of unequal
+    # length, the first one's keys partly padding
+    segs = Segments([3, 4], valid=[2, 4])
+    rs = _weighted(rng, (7, 4))
+    check("attention segments", lambda x: rs(ag.attention(x, None, 2, segs, segs)),
+          [_t(rng, 7, 12)])
     # the last fusion block's pattern: one cls query per segment against
     # all of its keys, and the integer-array gather of those rows
     cls_segs = Segments([1, 1])
     rcls = _weighted(rng, (2, 4))
     check("attention cls queries",
-          lambda q, k, v: rcls(ag.attention(q, k, v, 2, cls_segs, k_segs)),
-          [_t(rng, 2, 4), _t(rng, 7, 4), _t(rng, 7, 4)])
+          lambda q, kv: rcls(ag.attention(q, kv, 2, cls_segs, segs)),
+          [_t(rng, 2, 4), _t(rng, 7, 8)])
     check("attention dropout 0.5",
-          lambda q, k, v: rs(ag.attention(q, k, v, 2, q_segs, k_segs, 0.5,
-                                          np.random.default_rng(7))),
-          [_t(rng, 5, 4), _t(rng, 7, 4), _t(rng, 7, 4)])
+          lambda x: rs(ag.attention(x, None, 2, segs, segs, 0.5, np.random.default_rng(7))),
+          [_t(rng, 7, 12)])
     rg = _weighted(rng, (3, 5))
     check("getitem rows", lambda a: rg(ag.getitem(a, np.array([0, 3, 5]))), [_t(rng, 7, 5)])
     return checks

@@ -4,6 +4,7 @@ the per-utterance forward, zero-filling backward, mask-tensor dropout,
 per-parameter Adam and float64 audio frontend kept as oracles for the model,
 the engine, the optimizer and the features."""
 
+import math
 import wave
 from types import SimpleNamespace
 
@@ -127,7 +128,9 @@ def mask_tensor_dropout(x, rate, rng):
 
 class PerParameterAdam:
     """The earlier Adam, kept as an oracle: moments per tensor, one
-    whole-tensor expression per parameter, and ``p.data`` updated in place."""
+    whole-tensor expression per parameter, and ``p.data`` updated in place,
+    in Kingma & Ba's order (step size and eps bias-corrected, the moments
+    not), as ``harness.Adam`` computes it."""
 
     def __init__(self, named_params, lr=1e-5, beta1=0.9, beta2=0.999, eps=1e-8):
         self.items = [(name, p) for name, p in named_params]
@@ -141,8 +144,8 @@ class PerParameterAdam:
 
     def step(self):
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        root_b2c = math.sqrt(1.0 - self.beta2 ** self.t)
+        step = self.lr * root_b2c / (1.0 - self.beta1 ** self.t)
         for (name, p), m, v in zip(self.items, self.m, self.v):
             g = p.grad
             if g is None:
@@ -153,7 +156,7 @@ class PerParameterAdam:
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            p.data -= step * m / (np.sqrt(v) + self.eps * root_b2c)
 
 
 def oracle_features(path):

@@ -198,7 +198,7 @@ def test_freeze_fine_hides_fine_params_from_training_only():
         model = build_fusion_model(cfg, wv, utt_dim=utt_dim, seed=27, freeze_fine=True)
         trainable = {name for name, _ in model.trainable_named_parameters()}
         assert trainable == fusion | encoder
-        assert "fusion_blocks.0.attn.wq.weight" in dict(model.named_parameters())
+        assert "fusion_blocks.0.attn.wqvk.weight" in dict(model.named_parameters())
 
 
 FUSION_PARTS = ("utt_encoder.", "proj_", "head.")
@@ -230,7 +230,7 @@ def test_a_frozen_step_builds_no_encoder_graph_and_no_encoder_grad(builtin):
     graph = _graph_tensors(loss)
     frozen = {name: p for name, p in model.named_parameters()
               if not name.startswith(FUSION_PARTS)}
-    assert "fusion_blocks.0.attn.wq.weight" in frozen and "word_table" in frozen
+    assert "fusion_blocks.0.attn.wqvk.weight" in frozen and "word_table" in frozen
     assert not [name for name, p in frozen.items() if id(p) in graph]
     assert len(graph) == (16 if builtin else 13)  # the fused head's nodes and leaves only
     ag.backward(loss)

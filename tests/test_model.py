@@ -11,6 +11,7 @@ noise.
 """
 
 import json
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -54,7 +55,7 @@ def test_single_token_self_attention_weight_is_one():
 
 def test_attention_rows_are_distributions():
     rng = np.random.default_rng(2)
-    mha = MultiHeadAttention(16, 2, rng)
+    mha = MultiHeadAttention(16, 2, rng, self_attention=False)
     q = Tensor(np.random.default_rng(3).standard_normal((4, 16)))
     kv = Tensor(np.random.default_rng(4).standard_normal((6, 16)))
     mha(q, kv, Segments([4]), Segments([6], valid=[4]))
@@ -66,14 +67,15 @@ def test_attention_rows_are_distributions():
 
 def test_single_key_attention_is_affine_in_the_key():
     """With one key, softmax weights are 1, so every output row equals
-    wo(wv(text_vec)） independent of the query. Oracle: dense affine math on
-    the layer's own matrices."""
+    wo(v(text_vec)) independent of the query, where v is the value block
+    (the leading 16 columns) of the key/value projection. Oracle: dense
+    affine math on the layer's own matrices."""
     rng = np.random.default_rng(5)
-    mha = MultiHeadAttention(16, 2, rng)
+    mha = MultiHeadAttention(16, 2, rng, self_attention=False)
     q = Tensor(np.random.default_rng(6).standard_normal((5, 16)))
     kv = Tensor(np.random.default_rng(7).standard_normal((1, 16)))
     out = mha(q, kv, Segments([5]), Segments([1]))
-    v = kv.data @ mha.wv.weight.data + mha.wv.bias.data
+    v = kv.data @ mha.wvk.weight.data[:, :16] + mha.wvk.bias.data
     expected = v @ mha.wo.weight.data + mha.wo.bias.data
     assert np.allclose(out.data, np.repeat(expected, 5, axis=0), atol=1e-12)
 
@@ -87,14 +89,26 @@ def test_key_valid_longer_than_sequence_rejected():
 
 
 def _per_head_attention(mha, queries, keys_values, q_segs, k_segs, drop=None):
-    """Reference attention: one segment, then one head at a time over
-    column slices of q/k/v, with the key mask as an additive [Tq, Tk]
-    tensor -> (output, last segment's weights).  ``drop``'s keep mask is
-    drawn once over the fused op's flat map (segment, then head, then query
-    and key) and sliced per segment and head: 32-bit draws of odd sizes do
-    not compose into one."""
-    q, k, v = mha.wq(queries), mha.wk(keys_values), mha.wv(keys_values)
-    d_head = q.shape[1] // mha.heads
+    """Reference attention: q, k and v sliced out of the fused projections
+    by ``getitem``, then one segment and one head at a time over column
+    slices of them, with the scale on the scores and the key mask as an
+    additive [Tq, Tk] tensor -> (output, last segment's weights).
+    ``drop``'s keep mask, scaled by 1 / (1 - rate), is drawn once over the
+    fused op's flat map (segment, then head, then query and key) and sliced
+    per segment and head: 16-bit draws of sizes that are not multiples of
+    four do not compose into one."""
+    d = mha.wo.n_in
+
+    def block(t, i):
+        return ag.getitem(t, (slice(None), slice(i * d, (i + 1) * d)))
+
+    if mha.self_attention:
+        qvk = mha.wqvk(queries)
+        q, v, k = block(qvk, 0), block(qvk, 1), block(qvk, 2)
+    else:
+        vk = mha.wvk(keys_values)
+        q, v, k = mha.wq(queries), block(vk, 0), block(vk, 1)
+    d_head = d // mha.heads
     if drop is not None:
         flat = mha.heads * int(np.dot(q_segs.lengths, k_segs.lengths))
         keep = ag._keep_mask(drop.rng, (flat,), drop.rate) / (1.0 - drop.rate)
@@ -156,7 +170,7 @@ def _attention_run(attend, mha, q_lengths, k_lengths, self_attention, key_valid,
     pytest.param([4, 6, 3], [4, 6, 3], True, [4, 5, 3], id="packed-self-padded")])
 @pytest.mark.parametrize("rate", [0.0, 0.5])
 def test_batched_heads_match_per_head_loop(heads, n_q, n_k, self_attention, key_valid, rate):
-    mha = MultiHeadAttention(16, heads, np.random.default_rng(40))
+    mha = MultiHeadAttention(16, heads, np.random.default_rng(40), self_attention=self_attention)
     args = (mha, n_q, n_k, self_attention, key_valid, rate)
     out, weights, grads = _attention_run(_batched_attention, *args)
     ref_out, ref_weights, ref_grads = _attention_run(_per_head_attention, *args)
@@ -172,14 +186,32 @@ def test_batched_heads_match_per_head_loop(heads, n_q, n_k, self_attention, key_
         assert rel_err(grads[name], ref) <= 1e-12, name
 
 
-def test_attention_is_one_node_between_the_projections():
-    mha = MultiHeadAttention(16, 2, np.random.default_rng(46))
-    x = Tensor(np.random.default_rng(47).standard_normal((6, 16)), requires_grad=True)
-    drop = nn.Dropout(0.5, np.random.default_rng(48))
-    out = mha(x, x, Segments([2, 4]), Segments([2, 4], valid=[2, 3]), drop=drop)
-    mixed = out._prev[0]  # wo is one matmul node, its bias included
-    projections = [mha.wq(x), mha.wk(x), mha.wv(x)]
-    assert [p.data.tobytes() for p in mixed._prev] == [p.data.tobytes() for p in projections]
+def test_attention_is_one_node_on_one_projection_per_input():
+    """Graph walk over a training loss: each attention node's parents are
+    its projections, one matmul per input (one [d, 3d] q | v | k projection
+    for self-attention; a [d, d] query and a [d, 2d] v | k projection where
+    the queries are other rows), and no bias reaches a key column."""
+    model, cfg, wv = make_model(seed=46)
+    d = cfg.d_model
+    batch = [(make_enc(wv, seed=47 + s, n_words=2 + s, n_frames=5 + s), 0, 0) for s in range(3)]
+    loss = ag.cross_entropy(model.forward_batch(batch), [0, 1, 2])
+    names = {id(p): name.rsplit(".", 2)[-2:] for name, p in model.named_parameters()}
+    layouts = []
+    for node in _graph_tensors(loss):
+        if node._prev and node._backward.__qualname__.startswith("attention."):
+            projections = node._prev
+            assert all(p._backward.__qualname__.startswith("matmul.") for p in projections)
+            # each projection node's parents: its input rows, a weight and a bias
+            layouts.append(sorted((names[id(w)], w.shape, names[id(b)], b.shape)
+                                  for _, w, b in (p._prev for p in projections)))
+    self_layout = [(["wqvk", "weight"], (d, 3 * d), ["wqvk", "bias"], (2 * d,))]
+    cross_layout = [(["wq", "weight"], (d, d), ["wq", "bias"], (d,)),
+                    (["wvk", "weight"], (d, 2 * d), ["wvk", "bias"], (d,))]
+    n_self = cfg.layers_text + cfg.layers_cross + cfg.layers_fusion - 1
+    assert sorted(layouts) == sorted([self_layout] * n_self
+                                     + [cross_layout] * (cfg.layers_cross + 1))
+    assert not [name for name, _ in model.named_parameters() if ".wk." in name]
+    mha = model.fusion_blocks[0].attn
     assert mha.last_weights.base is not None  # a view of the node's map, not a copy
 
 
@@ -708,6 +740,20 @@ def test_load_checkpoint_refuses_a_non_finite_record(tmp_path, value):
                                    "holds a non-finite value")
 
 
+def test_a_zero_length_record_is_read_and_then_refused_by_its_shape(tmp_path):
+    model, cfg, wv = make_model(seed=26)
+    path = tmp_path / "empty.ckpt"
+    save_checkpoint(path, model, cfg)
+    raw = path.read_bytes()
+    at = raw.index(b"head.bias") + len("head.bias")  # then its rank and dims
+    width = model.head.bias.size
+    assert raw[at:at + 8] == struct.pack("<II", 1, width)
+    path.write_bytes(raw[:at] + struct.pack("<II", 1, 0) + raw[at + 8 + 4 * width:])
+    assert load_checkpoint(path)[2]["head.bias"].shape == (0,)
+    with pytest.raises(ShapeError, match="head.bias"):
+        restore_model(path, wv)
+
+
 def test_checkpoint_header_restores_config(tmp_path):
     model, cfg, _ = make_model(layers_fusion=3, combine_mode="concat")
     path = tmp_path / "c.ckpt"
@@ -822,6 +868,79 @@ def test_a_float32_restore_holds_no_float64_copy_of_the_parameters(tmp_path):
     assert peak < 1.25 * nbytes
     for name, p in restored.named_parameters():
         assert np.array_equal(p.data, params[name]), name
+
+
+def test_a_float32_restore_adopts_the_records_and_a_float64_one_copies_them(tmp_path):
+    for precision in ("float32", "float64"):
+        model, cfg, wv = make_model(seed=65, precision=precision)
+        path = tmp_path / f"{precision}.ckpt"
+        save_checkpoint(path, model, cfg)
+        loaded_cfg, extra, params = load_checkpoint(path)
+        restored = rebuild_model(loaded_cfg, extra, params, wv)
+        for name, p in restored.named_parameters():
+            assert (p.data is params[name]) == (precision == "float32"), name
+            assert p.data.flags.writeable and p.data.flags.c_contiguous, name
+
+
+def _unfused_records(model):
+    """``model``'s records as a checkpoint written before the attention
+    projections were fused stores them: ``wq``, ``wk`` (no bias) and ``wv``
+    per module, split out of the fused ``wqvk`` (q | v | k) and ``wvk``
+    (v | k) columns."""
+    d = model.cfg.d_model
+    records = {}
+    for name, p in model.named_parameters():
+        module, _, leaf = name.rpartition(".")
+        owner, _, projection = module.rpartition(".")
+        parts = {"wqvk": ("wq", "wv", "wk"), "wvk": ("wv", "wk")}.get(projection)
+        if parts is None:
+            records[name] = p
+            continue
+        if leaf == "bias":
+            parts = parts[:-1]  # the key block has no bias
+        for i, part in enumerate(parts):
+            records[f"{owner}.{part}.{leaf}"] = Tensor(p.data[..., i * d:(i + 1) * d].copy())
+    return records
+
+
+@pytest.mark.parametrize("granularity", ["fine", "multi"])
+def test_a_checkpoint_with_separate_projections_restores_to_the_same_logits(tmp_path,
+                                                                            granularity):
+    cfg = small_config(dropout=0.0)
+    wv = hash_word_vectors(WORDS, dim=cfg.word_dim)
+    if granularity == "fine":
+        model = MultilevelTransformer(cfg, wv, seed=66)
+    else:
+        model = build_fusion_model(cfg, wv, seed=66)
+    nudge_off_kinks(model, seed=67)  # so a misplaced block shows
+    records = _unfused_records(model)
+    assert any(".wk.weight" in name for name in records)
+    assert sum(p.data.size for p in records.values()) == model.parameter_count()
+    path = tmp_path / "unfused.ckpt"
+    save_checkpoint(path, SimpleNamespace(named_parameters=records.items), cfg,
+                    extra={"seed": 66, **model.checkpoint_extra()})
+    restored, _, _ = restore_model(path, wv)
+    for name, p in model.named_parameters():
+        assert np.array_equal(dict(restored.named_parameters())[name].data, p.data), name
+    model.eval()
+    restored.eval()
+    batch = [(make_enc(wv, seed=68 + i, n_words=2 + i, n_frames=5 + 2 * i), 0, 0)
+             for i in range(3)]
+    with ag.no_grad():
+        np.testing.assert_allclose(restored.forward_batch(batch).data,
+                                   model.forward_batch(batch).data, rtol=1e-6, atol=1e-6)
+
+
+def test_a_checkpoint_with_both_projection_layouts_for_one_module_is_refused(tmp_path):
+    model, cfg, wv = make_model(seed=69)
+    records = dict(model.named_parameters())
+    records.update((name, p) for name, p in _unfused_records(model).items()
+                   if name.startswith("text_blocks.0.attn.wv."))
+    path = tmp_path / "both.ckpt"
+    save_checkpoint(path, SimpleNamespace(named_parameters=records.items), cfg)
+    with pytest.raises(ValidationError, match="'text_blocks.0.attn.wqvk.weight' is stored both "
+                                              "fused and as 'text_blocks.0.attn.wv.weight'"):
+        restore_model(path, wv)
 
 
 # ---------------------------------------------------------------------------
