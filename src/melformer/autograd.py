@@ -478,17 +478,6 @@ def softmax(a: Tensor) -> Tensor:
     return _track(out, (a,), _bw)
 
 
-def _column_blocks(x, kv):
-    """The query, value and key blocks of attention's inputs or of their
-    gradients, as views: the q | v | k thirds of one [T, 3D] array ``x``
-    when ``kv`` is None, else ``x`` and the v | k halves of ``kv``."""
-    if kv is None:
-        d = x.shape[1] // 3
-        return x[:, :d], x[:, d:2 * d], x[:, 2 * d:]
-    d = kv.shape[1] // 2
-    return x, kv[:, :d], kv[:, d:]
-
-
 def _split_heads(x, heads):
     """[T, heads * d_head] array -> [heads, T, d_head] view, one column block per
     head.  ``x`` is a row range and column block of a C-ordered array, so the
@@ -502,12 +491,13 @@ def attention(q: Tensor, kv: Tensor, heads: int, q_segs: Segments, k_segs: Segme
     """Multi-head scaled dot-product attention of every segment in one node.
 
     The projections arrive fused, in column blocks of D = heads * d_head:
-    ``q`` is [Tq, D] queries and ``kv`` is [Tk, 2D], the values then the
-    keys (v | k); for self-attention ``kv`` is None and ``q`` is one
-    [T, 3D] tensor of queries, values and keys (q | v | k).  A projection's
-    bias over its leading columns so covers q and v and never k.  The node
-    reads the blocks in place, so the graph holds no split, and each input's
-    gradient is one array of its shape.
+    the queries are the leading D columns of ``q``, and the values then the
+    keys (v | k) are the trailing 2D columns of ``kv``.  Cross-attention
+    passes a [Tq, D] ``q`` and a [Tk, 2D] ``kv``; self-attention passes one
+    [T, 3D] q | v | k tensor as both (``q is kv``).  A projection's bias
+    over its leading columns so covers q and v and never k.  The node reads
+    the blocks in place, so the graph holds no split, and each distinct
+    input's gradient is one array of its shape.
 
     The rows are packed streams laid out by ``q_segs`` and ``k_segs``
     (:class:`Segments`); segment s of the queries attends only to segment s
@@ -531,19 +521,17 @@ def attention(q: Tensor, kv: Tensor, heads: int, q_segs: Segments, k_segs: Segme
     given, receives the last segment's pre-dropout map as a [heads, Tq, Tk]
     view.
     """
-    fused = kv is None
-    source = q if fused else kv  # the tensor that holds the keys and values
-    width = q.shape[-1] // 3 if fused else q.shape[-1]
-    if q.ndim != 2 or source.ndim != 2 or source.shape[1] != (3 if fused else 2) * width:
-        raise ShapeError(f"attention needs q [Tq, D] and kv [Tk, 2D], or q [T, 3D] and kv None, "
-                         f"got {q.shape} and {None if fused else kv.shape}")
+    width = q.shape[-1] // 3 if q is kv else q.shape[-1]
+    if q.ndim != 2 or kv.ndim != 2 or kv.shape[1] != (3 if q is kv else 2) * width:
+        raise ShapeError(f"attention needs q [Tq, D] and kv [Tk, 2D], or one [T, 3D] tensor "
+                         f"as both, got {q.shape} and {kv.shape}")
     if heads < 1 or width % heads != 0:
         raise ShapeError(f"width {width} does not split into {heads} heads")
     q_segs = _layout(q_segs, q.shape[0], "q")
-    k_segs = _layout(k_segs, source.shape[0], "k")
+    k_segs = _layout(k_segs, kv.shape[0], "k")
     if len(q_segs) != len(k_segs):
         raise ShapeError(f"{len(q_segs)} query segments vs {len(k_segs)} key segments")
-    queries, values, keys = _column_blocks(q.data, None if fused else kv.data)
+    queries, values, keys = q.data[:, :width], kv.data[:, -2 * width:-width], kv.data[:, -width:]
     # per segment: its query rows, its key rows and valid keys, and its map's
     # place in the flat array
     at = np.concatenate([[0], np.cumsum(heads * q_segs.lengths * k_segs.lengths)]).tolist()
@@ -552,7 +540,7 @@ def attention(q: Tensor, kv: Tensor, heads: int, q_segs: Segments, k_segs: Segme
              in zip(q_segs.spans(), k_segs.spans(), at[:-1], at[1:])]
     scale = 1.0 / math.sqrt(width // heads)  # a Python float keeps float32 rows float32
     scaled = queries * scale
-    y = np.empty(at[-1], dtype=np.result_type(q.data, source.data))
+    y = np.empty(at[-1], dtype=np.result_type(q.data, kv.data))
     for q0, q1, k0, k1, valid, a0, a1, shape in spans:
         weights = y[a0:a1].reshape(shape)
         np.matmul(_split_heads(scaled[q0:q1], heads),
@@ -588,15 +576,10 @@ def attention(q: Tensor, kv: Tensor, heads: int, q_segs: Segments, k_segs: Segme
     def _bw():
         # each input's gradient is one C-ordered array of its shape, which the
         # per-head views below write into, block by block
-        grads = {t: np.empty(t.shape, dtype=t.data.dtype) for t in (q, kv)
-                 if t is not None and t.requires_grad}
-        if fused:
-            dq, dv, dk = _column_blocks(grads[q], None)
-        else:
-            dq, dv, dk = grads.get(q), None, None
-            if kv in grads:
-                _, dv, dk = _column_blocks(None, grads[kv])
-        queries, values, keys = _column_blocks(q.data, None if fused else kv.data)
+        grads = {t: np.empty(t.shape, dtype=t.data.dtype) for t in (q, kv) if t.requires_grad}
+        dq = grads[q][:, :width] if q in grads else None
+        dv, dk = (grads[kv][:, -2 * width:-width], grads[kv][:, -width:]) if kv in grads else (None, None)
+        queries, values, keys = q.data[:, :width], kv.data[:, -2 * width:-width], kv.data[:, -width:]
         g = out.grad if keep is None else out.grad * keep_scale
         if dq is not None or dk is not None:
             row_term = np.multiply(out.grad, out.data).reshape(len(g), heads, -1).sum(axis=-1)
@@ -626,7 +609,7 @@ def attention(q: Tensor, kv: Tensor, heads: int, q_segs: Segments, k_segs: Segme
         for t, grad in grads.items():
             _accumulate(t, grad)
 
-    return _track(out, (q,) if fused else (q, kv), _bw)
+    return _track(out, (q,) if q is kv else (q, kv), _bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5,

@@ -29,9 +29,11 @@ utterance alone would, up to rounding.  Each attention call projects its
 input rows with one matmul per input (a [d, 3d] q | v | k projection for
 self-attention; a [d, d] query and a [d, 2d] v | k projection where the
 queries are other rows), then runs one ``autograd.attention`` node over
-every head and segment, which reads q, k and v as column blocks of those
-projections and holds its attention dropout inside.  No key projection has
-a bias.  After a pack, each attention module's
+every head and segment.  That node has one input convention: it reads the
+queries from the leading d columns of its first input and the values and
+keys from the trailing 2d of its second, so self-attention passes its one
+q | v | k projection as both.  It holds its attention dropout inside.  No
+key projection has a bias.  After a pack, each attention module's
 ``last_weights`` holds the [heads, Tq, Tk] map of the pack's last
 utterance (the last fusion block's is its cls row's [heads, 1, Tk]);
 after a pack of one (one utterance through ``forward_utterance``, or
@@ -135,10 +137,13 @@ class MultiHeadAttention(nn.Module):
 
     Between the projections and the output projection ``wo`` sits one
     ``autograd.attention`` node, which reads q, k and v as column blocks of
-    the projections: it scores, masks and normalizes every head of every
-    segment at once, applies the attention dropout ``drop`` (while its
-    module trains) in one draw over all the maps, and writes each head's
-    output back into its column block.  After each call, ``last_weights``
+    the projections: the queries are the leading d columns of its first
+    input, the values and keys the trailing 2d of its second, so a
+    self-attention module passes its one ``wqvk`` output as both.  The node
+    scores, masks and normalizes every head of every segment at once,
+    applies the attention dropout ``drop`` (while its module trains) in one
+    draw over all the maps, and writes each head's output back into its
+    column block.  After each call, ``last_weights``
     holds the last segment's [heads, Tq, Tk] attention distributions
     (post-softmax, pre-dropout) for inspection: after a pack of one, the
     utterance's map.  In the last fusion block, which queries with the cls
@@ -166,7 +171,7 @@ class MultiHeadAttention(nn.Module):
             if queries is not keys_values:
                 raise ContractError("a self-attention module takes its queries, keys and "
                                     "values from one tensor")
-            q, kv = self.wqvk(queries), None
+            q = kv = self.wqvk(queries)
         else:
             q, kv = self.wq(queries), self.wvk(keys_values)
         mixed = ag.attention(q, kv, self.heads, q_segs, k_segs, rate, rng,

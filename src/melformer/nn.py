@@ -154,16 +154,15 @@ def fan_in_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 class Linear(Module):
     """Affine map y = x W + b on the last axis of a 1-D or 2-D input.
 
-    ``bias`` is True (every output column has one), False (none), or the
-    number of leading output columns that have one; the rest get none."""
+    ``bias`` is the number of leading output columns that have a bias (all
+    of them by default); the rest get none."""
 
-    def __init__(self, n_in, n_out, rng, bias=True):
+    def __init__(self, n_in, n_out, rng, bias: int = None):
         super().__init__()
         self.n_in = n_in
         self.n_out = n_out
         self.weight = Tensor(fan_in_uniform(rng, (n_in, n_out), n_in), requires_grad=True)
-        width = n_out if bias is True else int(bias)
-        self.bias = Tensor(_initial(width, 0.0), requires_grad=True) if width else None
+        self.bias = Tensor(_initial(n_out if bias is None else bias, 0.0), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         squeeze = x.ndim == 1

@@ -132,11 +132,11 @@ def op_checks(rng):
     check("attention masked",
           lambda q, kv: r(ag.attention(q, kv, 2, Segments([3]), Segments([5], valid=[3]))),
           [_t(rng, 3, 4), _t(rng, 5, 8)])
-    # self-attention on one fused q | v | k input: two segments of unequal
-    # length, the first one's keys partly padding
+    # self-attention on one fused q | v | k input, passed as both: two
+    # segments of unequal length, the first one's keys partly padding
     segs = Segments([3, 4], valid=[2, 4])
     rs = _weighted(rng, (7, 4))
-    check("attention segments", lambda x: rs(ag.attention(x, None, 2, segs, segs)),
+    check("attention segments", lambda x: rs(ag.attention(x, x, 2, segs, segs)),
           [_t(rng, 7, 12)])
     # the last fusion block's pattern: one cls query per segment against
     # all of its keys, and the integer-array gather of those rows
@@ -146,7 +146,7 @@ def op_checks(rng):
           lambda q, kv: rcls(ag.attention(q, kv, 2, cls_segs, segs)),
           [_t(rng, 2, 4), _t(rng, 7, 8)])
     check("attention dropout 0.5",
-          lambda x: rs(ag.attention(x, None, 2, segs, segs, 0.5, np.random.default_rng(7))),
+          lambda x: rs(ag.attention(x, x, 2, segs, segs, 0.5, np.random.default_rng(7))),
           [_t(rng, 7, 12)])
     rg = _weighted(rng, (3, 5))
     check("getitem rows", lambda a: rg(ag.getitem(a, np.array([0, 3, 5]))), [_t(rng, 7, 5)])

@@ -409,11 +409,12 @@ def test_max_pool_refuses_padding_rows_and_a_mismatched_layout():
 
 def test_attention_ops_reject_mismatched_shapes():
     q, kv = Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 8)))
+    x8, x12, flat12 = Tensor(np.zeros((3, 8))), Tensor(np.zeros((3, 12))), Tensor(np.zeros(12))
     segs = (Segments([3]), Segments([5]))
     for args in [(q, Tensor(np.zeros((5, 6))), 2), (q, Tensor(np.zeros((5, 4))), 2),
                  (q, kv, 3), (q, kv, 0), (Tensor(np.zeros(4)), kv, 2),
-                 (q, Tensor(np.zeros(40)), 2), (Tensor(np.zeros((3, 8))), None, 2),
-                 (Tensor(np.zeros((3, 12))), None, 3), (Tensor(np.zeros(12)), None, 2)]:
+                 (q, Tensor(np.zeros(40)), 2), (x8, x8, 2),
+                 (x12, x12, 3), (flat12, flat12, 2)]:
         with pytest.raises(ShapeError):
             ag.attention(*args, *segs)
     with pytest.raises(ShapeError):
@@ -423,7 +424,44 @@ def test_attention_ops_reject_mismatched_shapes():
     with pytest.raises(ShapeError):  # as many query as key segments
         ag.attention(q, kv, 2, Segments([1, 2]), Segments([5]))
     with pytest.raises(ShapeError):  # a fused input's keys are its own rows
-        ag.attention(Tensor(np.zeros((3, 12))), None, 2, Segments([3]), Segments([5]))
+        ag.attention(x12, x12, 2, Segments([3]), Segments([5]))
+
+
+def test_kv_is_2d_wide_for_separate_inputs_and_3d_for_one_shared_input():
+    segs = Segments([3])
+    x12 = Tensor(np.zeros((3, 12)))
+    for q, kv in [(Tensor(np.zeros((3, 4))), x12),           # 3D kv with a separate q
+                  (Tensor(np.zeros((3, 12))), x12),          # an equal copy is not the same input
+                  (Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 4))))]:
+        with pytest.raises(ShapeError):
+            ag.attention(q, kv, 2, segs, segs)
+    x8 = Tensor(np.zeros((3, 8)))
+    with pytest.raises(ShapeError):  # a 2D-wide input shared as both
+        ag.attention(x8, x8, 2, segs, segs)
+    assert ag.attention(x12, x12, 2, segs, segs).shape == (3, 4)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_input_passed_twice_matches_its_copied_column_blocks(dtype):
+    """Self-attention's [T, 3D] q | v | k tensor passed as both inputs gives
+    the output and gradient blocks, bit for bit, of its leading D and
+    trailing 2D columns copied into two tensors; padded keys, dropout on."""
+    rng = np.random.default_rng(30)
+    data = rng.standard_normal((7, 12)).astype(dtype)
+    probe = Tensor(rng.standard_normal((7, 4)).astype(dtype))
+    segs = Segments([3, 4], valid=[2, 3])
+    x = Tensor(data.copy(), requires_grad=True)
+    q = Tensor(data[:, :4].copy(), requires_grad=True)
+    kv = Tensor(data[:, 4:].copy(), requires_grad=True)
+    outs = []
+    for inputs in ((x, x), (q, kv)):
+        out = ag.attention(*inputs, 2, segs, segs, 0.4, np.random.default_rng(31))
+        outs.append(out.data.copy())
+        ag.backward(ag.tsum(ag.mul(out, probe)))
+    assert outs[0].dtype == dtype and outs[0].tobytes() == outs[1].tobytes()
+    assert x.grad.dtype == dtype and x.grad.shape == (7, 12)
+    assert x.grad[:, :4].tobytes() == q.grad.tobytes()
+    assert x.grad[:, 4:].tobytes() == kv.grad.tobytes()
 
 
 # --- pointwise -------------------------------------------------------------------
@@ -651,7 +689,7 @@ def test_all_ops_gradcheck(seed):
     qvk = Tensor(rng.normal(size=(t, 6 * d)), requires_grad=True)
     segs = Segments([1, t - 1], valid=[1, t - 2])
     checks.append((lambda x: ag.tsum(ag.mul(ag.attention(
-        x, None, 2, segs, segs, 0.5, np.random.default_rng(3)), out_probe)), [qvk]))
+        x, x, 2, segs, segs, 0.5, np.random.default_rng(3)), out_probe)), [qvk]))
     checks.append((lambda x, k: ag.tsum(ag.conv1d(x, k, Segments([1, t - 1]))), [a, k]))
     cbias, conv_probe = Tensor(rng.normal(size=(3,)), requires_grad=True), Tensor(rng.normal(size=(t, 3)))
     checks.append((lambda x, k, cb: ag.tsum(ag.mul(ag.conv1d(x, k, Segments([1, t - 1]), bias=cb),
@@ -747,7 +785,7 @@ def _every_op_graph(rng):
     h = ag.layer_norm(ag.add(h, ag.neg(const)), gain, b, residual=x)
     segs = Segments([1, 3], valid=[1, 2])
     qvk = ag.concat([h, times(h, 0.5), h], axis=1)
-    h = ag.add(ag.add(ag.attention(qvk, None, 2, segs, segs, 0.4, np.random.default_rng(2)),
+    h = ag.add(ag.add(ag.attention(qvk, qvk, 2, segs, segs, 0.4, np.random.default_rng(2)),
                       ag.softmax(h)), ag.transpose(ag.transpose(h)))
     h = ag.conv1d(h, Tensor(rng.standard_normal((3, 6, 6))), segs, bias=b)
     h = ag.highway(ag.sigmoid(h), h, x)
@@ -846,9 +884,9 @@ def test_attention_keeps_the_pre_dropout_maps_and_a_boolean_mask():
     qvk = Tensor(rng.standard_normal((5, 12)), requires_grad=True)
     q, kv = (Tensor(rng.standard_normal((5, w)), requires_grad=True) for w in (4, 8))
     segs = Segments([2, 3])
-    for inputs in ((qvk, None), (q, kv)):
+    for inputs in ((qvk, qvk), (q, kv)):
         out = ag.attention(*inputs, 2, segs, segs, 0.4, np.random.default_rng(6))
-        assert out._prev == tuple(t for t in inputs if t is not None)
+        assert out._prev == tuple(dict.fromkeys(inputs))
         assert sorted((a.dtype.name, a.shape) for a in _closure_arrays(out._backward)) == [
             ("bool", (2 * (4 + 9),)), ("float64", (2 * (4 + 9),))]
 
@@ -913,7 +951,8 @@ def test_rate_zero_and_eval_mode_draw_nothing():
     x = Tensor(np.random.default_rng(25).standard_normal((4, 4)), requires_grad=True)
     assert ag.dropout(x, 0.0, rng) is x
     segs = Segments([4])
-    ag.attention(ag.concat([x, x, x], axis=1), None, 2, segs, segs, 0.0, rng)
+    qvk = ag.concat([x, x, x], axis=1)
+    ag.attention(qvk, qvk, 2, segs, segs, 0.0, rng)
     drop = nn.Dropout(0.5, rng).eval()
     assert drop(x) is x
     MultiHeadAttention(4, 2, np.random.default_rng(26))(x, x, segs, segs, drop=drop)
@@ -930,7 +969,7 @@ def test_float32_and_float64_inputs_get_the_same_mask():
     masks = []
     for dtype in (np.float32, np.float64):
         x = Tensor(data[:, :6].astype(dtype), requires_grad=True)  # q | v | k, 2 columns each
-        out = ag.attention(x, None, 2, segs, segs, 0.4, np.random.default_rng(29))
+        out = ag.attention(x, x, 2, segs, segs, 0.4, np.random.default_rng(29))
         masks += [a for a in _closure_arrays(out._backward) if a.dtype == np.bool_]
     assert len(masks) == 2 and masks[0].shape == (2 * (9 + 16),)
     np.testing.assert_array_equal(masks[0], masks[1])
