@@ -510,11 +510,11 @@ def attention(q: Tensor, kv: Tensor, heads: int, q_segs: Segments, k_segs: Segme
     ``rate`` > 0, dropout zeroes its entries by one :func:`_keep_mask` draw
     over that array, as :func:`dropout` would (16-bit thresholds, four
     entries per raw word), and a dropped map is the map times the boolean
-    mask: 1 / (1 - rate) is applied to the [Tq, D] output instead.  Returns
+    mask: the mask's scale is applied to the [Tq, D] output instead.  Returns
     [Tq, D]: head h's weighted sum of the value rows, in its own columns.
 
     The node keeps the pre-dropout maps and the boolean keep mask.  Backward
-    applies 1 / (1 - rate) to the [Tq, D] incoming gradient, takes the
+    applies the mask's scale to the [Tq, D] incoming gradient, takes the
     softmax row term as rowsum(dO * O) per head from the output and its
     gradient (FlashAttention's D, with no map-sized temporary), and applies
     the query scale to the [T, D] rows of dq and dk.  ``on_weights``, if
@@ -551,8 +551,7 @@ def attention(q: Tensor, kv: Tensor, heads: int, q_segs: Segments, k_segs: Segme
     if on_weights is not None:
         *_, a0, a1, shape = spans[-1]
         on_weights(y[a0:a1].reshape(shape))
-    keep = _keep_mask(rng, y.shape, rate) if rate > 0.0 else None
-    keep_scale = y.dtype.type(1.0 / (1.0 - rate))
+    keep, keep_scale = _keep_mask(rng, y.shape, rate, y.dtype) if rate > 0.0 else (None, None)
 
     def dropped(a0, a1, shape, scratch):
         """One segment's map times the keep mask, in ``scratch`` (the map
@@ -819,22 +818,27 @@ def zero_rows(x: Tensor, segs: Segments) -> Tensor:
     return _track(out, (x,), _bw)
 
 
-def _keep_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
-    """Boolean keep mask of ``shape`` for dropout at ``rate`` in (0, 1).
+def _keep_mask(rng: np.random.Generator, shape, rate: float, dtype):
+    """Boolean keep mask of ``shape`` for dropout at ``rate`` in (0, 1), and
+    the scale of a kept entry as a ``dtype`` scalar.
 
     ceil(n / 4) raw 64-bit words from ``rng.bit_generator``, viewed as n
     16-bit integers u (each word's quarters in memory order): entry i is
-    kept iff u[i] >= ceil(rate * 2**16).  The rate so counts in steps of
-    2**-16 (0.1 drops a share of 0.100006), and a threshold of 2**16 or more
-    keeps nothing.  The mask depends only on the generator and the shape,
-    and the draw is the same at every rate.
+    kept iff u[i] >= t = ceil(rate * 2**16).  The rate so counts in steps of
+    2**-16 (0.1 drops a share of 0.100006), and the scale is the exact
+    inverse of the kept share, 2**16 / (2**16 - t), so a dropped input's
+    expectation is the input itself.  A threshold of 2**16 or more keeps
+    nothing, and its scale is 0.  The mask depends only on the generator
+    and the shape, and the draw is the same at every rate.
     """
     n = math.prod(shape)
     threshold = math.ceil(rate * 2**16)
     words = rng.bit_generator.random_raw((n + 3) // 4)
+    dtype = np.dtype(dtype).type
     if threshold >= 2**16:
-        return np.zeros(shape, dtype=bool)
-    return (words.view(np.uint16)[:n] >= np.uint16(threshold)).reshape(shape)
+        return np.zeros(shape, dtype=bool), dtype(0.0)
+    keep = (words.view(np.uint16)[:n] >= np.uint16(threshold)).reshape(shape)
+    return keep, dtype(2**16 / (2**16 - threshold))
 
 
 def _dropped(a, keep, scale):
@@ -852,13 +856,13 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     order: entry i is kept iff the i-th 16-bit quarter of the ceil(n / 4)
     raw 64-bit words drawn from ``rng`` is >= ceil(rate * 2**16).  With
     ``rate`` 0 nothing is drawn and ``x`` itself comes back.  One graph
-    node; it keeps the boolean mask and applies the 1 / (1 - rate) scale
-    on the fly in both directions, as the entries pass.
+    node; it keeps the boolean mask and applies the mask's scale (the
+    inverse of its exact kept share) on the fly in both directions, as the
+    entries pass.
     """
     if rate <= 0.0:
         return x
-    keep = _keep_mask(rng, x.shape, rate)
-    scale = x.data.dtype.type(1.0 / (1.0 - rate))
+    keep, scale = _keep_mask(rng, x.shape, rate, x.data.dtype)
     out = Tensor(_dropped(x.data, keep, scale))
 
     def _bw():

@@ -120,10 +120,13 @@ def zero_fill_backward(loss):
 
 def mask_tensor_dropout(x, rate, rng):
     """The earlier dropout, kept as an oracle: a float keep tensor applied by
-    ``mul``, from the same ``_keep_mask`` draw."""
+    ``mul``, from the same ``_keep_mask`` draw, each kept entry scaled by
+    the inverse of the rule's exact kept share, 2**16 / (2**16 - t)."""
     if rate <= 0.0:
         return x
-    return ag.mul(x, ag.Tensor(ag._keep_mask(rng, x.shape, rate) / (1.0 - rate)))
+    kept_share = (2**16 - np.ceil(rate * 2**16)) / 2**16
+    keep, _ = ag._keep_mask(rng, x.shape, rate, x.data.dtype)
+    return ag.mul(x, ag.Tensor(keep / kept_share))
 
 
 class PerParameterAdam:

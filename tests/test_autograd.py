@@ -914,7 +914,7 @@ def test_keep_mask_compares_16_bit_quarters_of_raw_words_with_the_threshold():
     words = np.random.default_rng(20).bit_generator.random_raw(3)
     quarters = np.stack([(words >> s) & 0xFFFF for s in (0, 16, 32, 48)], axis=1).reshape(-1)[:n]
     expected = quarters >= int(np.ceil(rate * 2**16))
-    np.testing.assert_array_equal(ag._keep_mask(np.random.default_rng(20), (3, 3), rate),
+    np.testing.assert_array_equal(ag._keep_mask(np.random.default_rng(20), (3, 3), rate, float)[0],
                                   expected.reshape(3, 3))
 
 
@@ -922,7 +922,7 @@ def test_keep_mask_compares_16_bit_quarters_of_raw_words_with_the_threshold():
 @pytest.mark.parametrize("n", [1, 4, 6, 7, 8])
 def test_keep_mask_advances_the_generator_by_a_quarter_word_per_entry(rate, n):
     rng, twin = np.random.default_rng(21), np.random.default_rng(21)
-    ag._keep_mask(rng, (n,), rate)
+    ag._keep_mask(rng, (n,), rate, float)
     twin.bit_generator.random_raw(-(-n // 4))
     assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -930,18 +930,39 @@ def test_keep_mask_advances_the_generator_by_a_quarter_word_per_entry(rate, n):
 def test_a_threshold_of_two_to_the_16_keeps_nothing():
     rate = 1 - 1e-12  # the config accepts it; ceil(rate * 2**16) == 2**16 wraps in uint16
     assert np.ceil(rate * 2**16) == 2**16
-    assert not ag._keep_mask(np.random.default_rng(22), (4096,), rate).any()
+    keep, scale = ag._keep_mask(np.random.default_rng(22), (4096,), rate, float)
+    assert not keep.any() and scale == 0.0
     x = Tensor(np.ones((64, 64)), requires_grad=True)
     out = ag.dropout(x, rate, np.random.default_rng(22))
     assert not out.data.any()
     ag.backward(ag.tsum(out))
     assert not x.grad.any()
+    qvk = Tensor(np.ones((8, 12)), requires_grad=True)
+    segs = Segments([8])
+    out = ag.attention(qvk, qvk, 2, segs, segs, rate, np.random.default_rng(22))
+    assert not out.data.any()  # zeros, not 0 * inf = NaN
+    ag.backward(ag.tsum(out))
+    assert not qvk.grad.any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_scales_kept_entries_by_the_exact_inverse_kept_share(dtype):
+    """At rate 0.1 the rule drops ceil(0.1 * 2**16) = 6554 of every 2**16
+    values, so a kept entry is 65536 / 58982 times its input and the
+    expectation is the input itself."""
+    x = Tensor(np.ones((64, 64), dtype=dtype), requires_grad=True)
+    out = ag.dropout(x, 0.1, np.random.default_rng(32))
+    kept = out.data[out.data != 0]
+    assert out.data.dtype == dtype and 0 < kept.size < out.data.size
+    assert (kept == dtype(65536 / 58982)).all()
+    ag.backward(ag.tsum(out))
+    np.testing.assert_array_equal(x.grad, out.data)
 
 
 @pytest.mark.parametrize("rate", [0.1, 0.5])
 def test_kept_share_is_within_five_sigma_of_one_minus_rate(rate):
     n = 2**20
-    kept = ag._keep_mask(np.random.default_rng(23), (n,), rate).mean()
+    kept = ag._keep_mask(np.random.default_rng(23), (n,), rate, float)[0].mean()
     assert abs(kept - (1 - rate)) <= 5 * np.sqrt(rate * (1 - rate) / n)
 
 

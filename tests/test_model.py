@@ -93,7 +93,8 @@ def _per_head_attention(mha, queries, keys_values, q_segs, k_segs, drop=None):
     by ``getitem``, then one segment and one head at a time over column
     slices of them, with the scale on the scores and the key mask as an
     additive [Tq, Tk] tensor -> (output, last segment's weights).
-    ``drop``'s keep mask, scaled by 1 / (1 - rate), is drawn once over the
+    ``drop``'s keep mask, scaled by the inverse of the rule's exact kept
+    share, 2**16 / (2**16 - ceil(rate * 2**16)), is drawn once over the
     fused op's flat map (segment, then head, then query and key) and sliced
     per segment and head: 16-bit draws of sizes that are not multiples of
     four do not compose into one."""
@@ -111,7 +112,8 @@ def _per_head_attention(mha, queries, keys_values, q_segs, k_segs, drop=None):
     d_head = d // mha.heads
     if drop is not None:
         flat = mha.heads * int(np.dot(q_segs.lengths, k_segs.lengths))
-        keep = ag._keep_mask(drop.rng, (flat,), drop.rate) / (1.0 - drop.rate)
+        kept_share = (2**16 - np.ceil(drop.rate * 2**16)) / 2**16
+        keep = ag._keep_mask(drop.rng, (flat,), drop.rate, np.float64)[0] / kept_share
         at = 0
     rows = []
     for (q0, q1, _), (k0, k1, valid) in zip(q_segs.spans(), k_segs.spans()):
