@@ -820,16 +820,15 @@ def zero_rows(x: Tensor, segs: Segments) -> Tensor:
 
 def _keep_mask(rng: np.random.Generator, shape, rate: float, dtype):
     """Boolean keep mask of ``shape`` for dropout at ``rate`` in (0, 1), and
-    the scale of a kept entry as a ``dtype`` scalar.
+    a kept entry's scale as a ``dtype`` scalar.
 
     ceil(n / 4) raw 64-bit words from ``rng.bit_generator``, viewed as n
     16-bit integers u (each word's quarters in memory order): entry i is
     kept iff u[i] >= t = ceil(rate * 2**16).  The rate so counts in steps of
-    2**-16 (0.1 drops a share of 0.100006), and the scale is the exact
-    inverse of the kept share, 2**16 / (2**16 - t), so a dropped input's
-    expectation is the input itself.  A threshold of 2**16 or more keeps
-    nothing, and its scale is 0.  The mask depends only on the generator
-    and the shape, and the draw is the same at every rate.
+    2**-16 (0.1 drops a share of 0.100006); the scale 2**16 / (2**16 - t)
+    inverts the kept share exactly, so dropout keeps its input's mean.  A
+    t of 2**16 or more keeps nothing, with scale 0.  The mask depends only
+    on the generator and the shape, and the draw is the same at every rate.
     """
     n = math.prod(shape)
     threshold = math.ceil(rate * 2**16)
@@ -856,9 +855,8 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     order: entry i is kept iff the i-th 16-bit quarter of the ceil(n / 4)
     raw 64-bit words drawn from ``rng`` is >= ceil(rate * 2**16).  With
     ``rate`` 0 nothing is drawn and ``x`` itself comes back.  One graph
-    node; it keeps the boolean mask and applies the mask's scale (the
-    inverse of its exact kept share) on the fly in both directions, as the
-    entries pass.
+    node; it keeps the boolean mask and applies the mask's scale on the
+    fly in both directions, as the entries pass.
     """
     if rate <= 0.0:
         return x

@@ -29,10 +29,9 @@ utterance alone would, up to rounding.  Each attention call projects its
 input rows with one matmul per input (a [d, 3d] q | v | k projection for
 self-attention; a [d, d] query and a [d, 2d] v | k projection where the
 queries are other rows), then runs one ``autograd.attention`` node over
-every head and segment.  That node has one input convention: it reads the
-queries from the leading d columns of its first input and the values and
-keys from the trailing 2d of its second, so self-attention passes its one
-q | v | k projection as both.  It holds its attention dropout inside.  No
+every head and segment.  The node reads q from its first input's leading d
+columns and v | k from its second's trailing 2d (self-attention passes its
+q | v | k projection as both) and holds its attention dropout inside.  No
 key projection has a bias.  After a pack, each attention module's
 ``last_weights`` holds the [heads, Tq, Tk] map of the pack's last
 utterance (the last fusion block's is its cls row's [heads, 1, Tk]);
@@ -137,13 +136,11 @@ class MultiHeadAttention(nn.Module):
 
     Between the projections and the output projection ``wo`` sits one
     ``autograd.attention`` node, which reads q, k and v as column blocks of
-    the projections: the queries are the leading d columns of its first
-    input, the values and keys the trailing 2d of its second, so a
-    self-attention module passes its one ``wqvk`` output as both.  The node
-    scores, masks and normalizes every head of every segment at once,
-    applies the attention dropout ``drop`` (while its module trains) in one
-    draw over all the maps, and writes each head's output back into its
-    column block.  After each call, ``last_weights``
+    the projections (a self-attention module passes ``wqvk``'s output as
+    both its inputs): it scores, masks and normalizes every head of every
+    segment at once, applies the attention dropout ``drop`` (while its
+    module trains) in one draw over all the maps, and writes each head's
+    output back into its column block.  After each call, ``last_weights``
     holds the last segment's [heads, Tq, Tk] attention distributions
     (post-softmax, pre-dropout) for inspection: after a pack of one, the
     utterance's map.  In the last fusion block, which queries with the cls

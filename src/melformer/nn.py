@@ -10,6 +10,7 @@ float64; a model casts them to its dtype once it is built.  Under
 
 import contextlib
 import math
+import os
 
 import numpy as np
 
@@ -138,11 +139,20 @@ def skip_init(dtype):
         _skip_init_dtype = saved
 
 
+_MEMORY_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _initial(shape, fill) -> np.ndarray:
     """A new parameter's float64 values: the constant ``fill``, or what the
-    callable ``fill`` draws; inside ``skip_init``, an unfilled array."""
+    callable ``fill`` draws; inside ``skip_init``, an unfilled array.  A
+    parameter larger than the machine's memory is refused unallocated."""
+    dtype = np.dtype(np.float64 if _skip_init_dtype is None else _skip_init_dtype)
+    size = math.prod(shape if isinstance(shape, tuple) else (shape,)) * dtype.itemsize
+    if size > _MEMORY_BYTES:
+        raise ValidationError(f"a parameter of shape {shape} needs {size / 2**30:.4g} GiB, "
+                              f"more than this machine's {_MEMORY_BYTES / 2**30:.4g} GiB of memory")
     if _skip_init_dtype is not None:
-        return np.empty(shape, dtype=_skip_init_dtype)
+        return np.empty(shape, dtype=dtype)
     return fill() if callable(fill) else np.full(shape, float(fill))
 
 

@@ -620,13 +620,18 @@ def test_non_finite_checkpoint_header_value_exits_one(corpus, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # every malformed input exits 1 with `error:`, never a traceback
 
-def _with_extra(raw, **changes):
-    """Checkpoint bytes ``raw`` with header extras changed."""
+def _with_header(raw, section, **changes):
+    """Checkpoint bytes ``raw`` with fields of header ``section`` changed."""
     (hlen,) = struct.unpack("<I", raw[4:8])
     header = json.loads(raw[8:8 + hlen])
-    header["extra"].update(changes)
+    header[section].update(changes)
     new = json.dumps(header).encode("utf-8")
     return raw[:4] + struct.pack("<I", len(new)) + new + raw[8 + hlen:]
+
+
+def _with_extra(raw, **changes):
+    """Checkpoint bytes ``raw`` with header extras changed."""
+    return _with_header(raw, "extra", **changes)
 
 
 def _with_first_record_u32(raw, index, value):
@@ -716,6 +721,16 @@ REPRODUCTIONS = {
     "ckpt_huge_rank": ("predict --checkpoint {ckpt}",
                        {"ckpt": lambda b: _with_first_record_u32(b.fine, 0, 2**32 - 1)},
                        "truncated"),
+    # a model too large to allocate is refused before any parameter is built
+    "ckpt_huge_d_model": ("predict --checkpoint {ckpt}",
+                          {"ckpt": lambda b: _with_header(b.fine, "model", d_model=10**12,
+                                                          heads=1)},
+                          "error: a parameter of shape ("),
+    "train_huge_d_ff": ("train --manifest {feats} --out-dir {dir}/run --d-ff 100000000000000",
+                        {}, "error: a parameter of shape ("),
+    "train_huge_prenet_width": ("train --manifest {feats} --out-dir {dir}/run "
+                                "--prenet-width 99999999999999", {},
+                                "error: a parameter of shape ("),
     "seed_negative": ("predict --checkpoint {ckpt}",
                       {"ckpt": lambda b: _with_extra(b.fine, seed=-1)}, "seed"),
     "seed_string": ("predict --checkpoint {ckpt}",
