@@ -167,7 +167,7 @@ class Linear(Module):
     ``bias`` is the number of leading output columns that have a bias (all
     of them by default); the rest get none."""
 
-    def __init__(self, n_in, n_out, rng, bias: int = None):
+    def __init__(self, n_in, n_out, rng, bias: int | None = None):
         super().__init__()
         self.n_in = n_in
         self.n_out = n_out
