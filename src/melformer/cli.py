@@ -15,12 +15,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import nn
 from .config import CHOICES, LABELS, resolve_config, run_keys
 from .data import (SyntheticSpec, check_coverage, encode_manifest, featurize_manifest,
                    gen_synthetic, parse_manifest)
 from .errors import MelformerError, ValidationError
 from .fusion import MultiGranularityModel, load_utterance_embeddings
-from .harness import evaluate, kfold_split, run_protocol, write_results, write_table
+from .harness import build_model, evaluate, kfold_split, run_protocol, write_results, write_table
 from .model import load_checkpoint, rebuild_model
 from .text import Lexicon, hash_word_vectors, load_word_vectors, tokenize_and_g2p
 
@@ -161,13 +162,19 @@ def _load_resources(run_cfg):
 
 
 def _run_resolved(run_cfg, quiet=False):
-    out = Path(run_cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(run_cfg.to_json() + "\n")
+    """One protocol run.  What can refuse it before its first fold (the
+    resources, their encoding, the split, a model build) runs before the
+    output directory and its ``config.json`` are written, so a refused run
+    writes neither; one that diverges in training keeps its config."""
     manifest, lexicon, wv, utt_table, utt_dim = _load_resources(run_cfg)
     encs = encode_manifest(manifest, lexicon, wv, utt_table=utt_table)
     plans = kfold_split(manifest, seed=run_cfg.harness.seeds[0],
                         group_mode=run_cfg.harness.group_mode)
+    with nn.skip_init(run_cfg.model.precision):  # draws nothing
+        build_model(run_cfg.model, run_cfg.harness, wv, seed=0, utt_dim=utt_dim)
+    out = Path(run_cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.json").write_text(run_cfg.to_json() + "\n")
     results, summary = run_protocol(encs, plans, run_cfg.model, run_cfg.harness,
                                     wv, utt_dim=utt_dim, out_dir=str(out))
     write_results(out, run_cfg, results, summary)

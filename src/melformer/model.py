@@ -75,7 +75,7 @@ from .config import CHOICES, ModelConfig, _typed, model_config_from_dict
 from .errors import ContractError, FormatError, ShapeError, ValidationError
 from .text import PAD_PHONEME, PHONEMES, EncoderPrenet, PhonemeCNN, WordCombiner, WordVectors
 
-CHECKPOINT_MAGIC = b"MLT1"
+CHECKPOINT_MAGIC = b"MLT2"
 
 
 @dataclass
@@ -421,16 +421,23 @@ def expected_parameter_count(cfg: ModelConfig, vocab_rows=0) -> int:
 # ---------------------------------------------------------------------------
 # Checkpoints
 
-def save_checkpoint(path, model: nn.Module, cfg: ModelConfig, extra=None):
-    """Write config header + named f32 parameter records, little-endian.
+def _record_dtype(cfg: ModelConfig) -> np.dtype:
+    """The dtype of a checkpoint's records: the model's precision, little-endian."""
+    return np.dtype(cfg.precision).newbyteorder("<")
 
-    Records are float32 at any precision: exact for a float32 model (the
-    default), rounded for a float64 one, whose restore is then float32
-    values held in float64.
+
+def save_checkpoint(path, model: nn.Module, cfg: ModelConfig, extra=None):
+    """Write an ``MLT2`` checkpoint: the config header, then each named
+    parameter as a record in the header's precision (``<f4`` or ``<f8``).
+
+    Records hold the parameters bit for bit at either precision.  A
+    parameter already in that dtype and contiguous is written from its own
+    buffer (on a little-endian host), without a copy.
     """
     header = {"model": asdict(cfg), "extra": extra or {}}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     records = sorted(model.named_parameters())
+    dtype = _record_dtype(cfg)
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
@@ -442,23 +449,28 @@ def save_checkpoint(path, model: nn.Module, cfg: ModelConfig, extra=None):
             fh.write(name_b)
             fh.write(struct.pack("<I", p.ndim))
             fh.write(struct.pack(f"<{p.ndim}I", *p.shape))
-            fh.write(p.data.astype("<f4").tobytes())
+            fh.write(np.ascontiguousarray(p.data, dtype=dtype))
 
 
 def load_checkpoint(path):
-    """Read a checkpoint -> (ModelConfig, extra dict, {name: float32 array}).
+    """Read an ``MLT2`` checkpoint -> (ModelConfig, extra dict, {name: array}).
 
-    The arrays are the stored records as they are, with no upcast: each is
-    read straight from the file into its own writable array, which
-    ``rebuild_model`` makes a float32 model's parameter as it is (and casts
-    for any other dtype).  Every read
-    is bounds-checked: a short file, a header that is not a UTF-8 JSON
-    object with a ``model`` object, or bytes after the last record raise
-    FormatError; a repeated or non-finite record raises ValidationError.
+    Each record is read in the header's precision straight from the file
+    into its own writable array, which ``rebuild_model`` makes the
+    parameter as it is.  Every read is bounds-checked: another magic (an
+    ``MLT1`` file of float32 records is named as such), a short file, a
+    header that is not a UTF-8 JSON object with a ``model`` object, or bytes
+    after the last record raise FormatError; once the records fit the file
+    exactly, a repeated or non-finite record raises ValidationError.  So a
+    file whose header misstates its precision is refused as malformed, not
+    misread.
     """
     with open(path, "rb") as fh:
         reader = BinaryReader(fh, path)
         magic = fh.read(4)
+        if magic == b"MLT1":
+            raise FormatError(f"{path}: an MLT1 checkpoint (float32 records) is no longer "
+                              f"read; train again to write an MLT2 one")
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}")
         (hlen,) = reader.u32s(1)
@@ -471,8 +483,9 @@ def load_checkpoint(path):
             raise FormatError(
                 f"{path}: header needs a 'model' object and an optional 'extra' object")
         cfg, extra = model_config_from_dict(header["model"]), header.get("extra", {})
+        dtype = _record_dtype(cfg)
         (n_records,) = reader.u32s(1)
-        params = {}
+        records = []
         for _ in range(n_records):
             (nlen,) = reader.u32s(1)
             try:
@@ -481,16 +494,17 @@ def load_checkpoint(path):
                 raise FormatError(
                     f"{path}: parameter name before offset {fh.tell()} is not UTF-8") from None
             (rank,) = reader.u32s(1)
-            dims = reader.u32s(rank)
-            arr = reader.array(dims, "<f4")
-            if name in params:
-                raise ValidationError(f"{path}: duplicate parameter record {name!r}")
-            if not np.isfinite(arr).all():
-                raise ValidationError(f"{path}: parameter record {name!r} holds a non-finite value")
-            params[name] = arr
+            records.append((name, reader.array(reader.u32s(rank), dtype)))
         trailing = reader.left()
     if trailing:
         raise FormatError(f"{path}: {trailing} trailing bytes after the last record")
+    params = {}
+    for name, arr in records:
+        if name in params:
+            raise ValidationError(f"{path}: duplicate parameter record {name!r}")
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"{path}: parameter record {name!r} holds a non-finite value")
+        params[name] = arr
     return cfg, extra, params
 
 
@@ -502,12 +516,9 @@ def rebuild_model(cfg: ModelConfig, extra: dict, params: dict, word_vectors: Wor
     built-in encoder, ``utt_dim``; ``freeze_fine`` defaults to False.  Each
     field is type-checked like a config value before it is used.  The model
     is built under ``nn.skip_init``: it draws no initial values, and
-    ``load_state_dict`` fills every parameter.  A float32 model adopts the
-    records of ``params`` (as ``load_checkpoint`` returns them) as its
-    parameters, so the restore holds one copy of each; any other dtype gets
-    a cast copy.  Records written before the attention projections were
-    fused (``wq``, ``wk`` and ``wv`` per module) are joined into the fused
-    layout first.
+    ``load_state_dict`` fills every parameter.  The records of ``params``
+    (as ``load_checkpoint`` returns them, in the model's precision) become
+    its parameters, so the restore holds one copy of each.
     """
     origin = "checkpoint header"
 
@@ -531,44 +542,11 @@ def rebuild_model(cfg: ModelConfig, extra: dict, params: dict, word_vectors: Wor
         with nn.skip_init(cfg.precision):
             model = build_fusion_model(cfg, word_vectors, utt_dim=utt_dim, seed=seed,
                                        freeze_fine=freeze_fine)
-        # Older multi checkpoints wrapped a whole fine model: its encoder is
-        # stored under ``fine.``, with that model's head, which never ran.
-        kept = {name: arr for name, arr in params.items() if not name.startswith("fine.head.")}
-        params = {name.removeprefix("fine."): arr for name, arr in kept.items()}
-        if len(params) < len(kept):
-            raise ValidationError("checkpoint: parameters stored both with and without 'fine.'")
     else:
         with nn.skip_init(cfg.precision):
             model = MultilevelTransformer(cfg, word_vectors, seed=seed)
-    model.load_state_dict(_fuse_projection_records(params, dict(model.named_parameters())),
-                          adopt=True)
+    model.load_state_dict(params, adopt=True)
     return model
-
-
-# each fused attention projection -> the separate projections it replaced, in
-# its column order
-_FUSED_PROJECTIONS = {"wqvk": ("wq", "wv", "wk"), "wvk": ("wv", "wk")}
-
-
-def _fuse_projection_records(params, names):
-    """``params`` with each module's separate ``wq``/``wv``/``wk`` records
-    (of a checkpoint written before the projections were fused) joined
-    column-wise into the model's fused record; ``names`` holds the model's
-    parameter names.  The key projection had no bias, so a fused bias joins
-    the others' only.  A module stored in both layouts is refused."""
-    params = dict(params)
-    for name in names:
-        module, _, leaf = name.rpartition(".")
-        owner, dot, projection = module.rpartition(".")
-        parts = _FUSED_PROJECTIONS.get(projection, ())
-        old = [f"{owner}{dot}{part}.{leaf}" for part in parts
-               if not (part == "wk" and leaf == "bias")]
-        found = [record for record in old if record in params]
-        if found and name in params:
-            raise ValidationError(f"checkpoint: {name!r} is stored both fused and as {found[0]!r}")
-        if found and len(found) == len(old):
-            params[name] = np.concatenate([params.pop(record) for record in old], axis=-1)
-    return params
 
 
 def restore_model(path, word_vectors: WordVectors):

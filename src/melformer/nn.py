@@ -69,12 +69,14 @@ class Module:
 
     def load_state_dict(self, state, adopt=False):
         """Copy named arrays into the parameters, in place and cast to each
-        parameter's dtype (a checkpoint's float32 records fit any model).
+        parameter's dtype.
 
         With ``adopt``, an array that already has its parameter's dtype and
         is writable and C-contiguous becomes the parameter's ``data`` instead
-        of being copied, so the caller hands it over.  Parameters an
-        optimizer holds must not be adopted into: they view its arena."""
+        of being copied, so the caller hands it over; a checkpoint's records
+        are in its model's precision, so a restore adopts every one.
+        Parameters an optimizer holds must not be adopted into: they view its
+        arena."""
         own = dict(self.named_parameters())
         missing = sorted(set(own) - set(state))
         extra = sorted(set(state) - set(own))

@@ -96,14 +96,28 @@ def test_train_writes_results_and_config_echo(corpus, tmp_path, capsys):
     assert list(out.glob("seed0-fold*-best.ckpt"))
 
 
-@pytest.mark.parametrize("granularity", ["fine", "multi"])
-def test_eval_on_each_best_checkpoint_reproduces_its_fold(corpus, tmp_path, capsys, granularity):
+def test_a_run_that_fails_in_training_keeps_its_config_echo(corpus, tmp_path, capsys):
+    _, _, manifest = corpus
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        assert main(["train", "--manifest", str(manifest), "--out-dir", str(out)]
+                    + TINY_MODEL + TINY_RUN + ["--lr", "1e30"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert json.loads((out / "config.json").read_text())["harness"]["lr"] == 1e30
+
+
+@pytest.mark.parametrize("granularity,precision", [("fine", "float32"), ("multi", "float32"),
+                                                   ("fine", "float64")],
+                         ids=["fine", "multi", "fine-float64"])
+def test_eval_on_each_best_checkpoint_reproduces_its_fold(corpus, tmp_path, capsys, granularity,
+                                                          precision):
     from melformer.data import parse_manifest
     from melformer.harness import kfold_split
     _, _, manifest = corpus
     out = tmp_path / "run"
     argv = ["train", "--manifest", str(manifest), "--out-dir", str(out),
-            "--granularity", granularity] + TINY_MODEL + TINY_RUN + ["--batch-size", "4"]
+            "--granularity", granularity, "--precision", precision
+            ] + TINY_MODEL + TINY_RUN + ["--batch-size", "4"]
     assert main(argv) == 0
     folds = {f["fold"]: f for f in json.loads((out / "results.json").read_text())["folds"]}
     records = {}
@@ -679,6 +693,9 @@ def checkpoints(corpus, tmp_path_factory):
     return fine.read_bytes(), multi.read_bytes()
 
 
+_NO_WAV = json.dumps({"id": "angry-000", "transcript": "stop", "label": "angry",
+                      "audio_path": "nowhere.wav"}).encode() + b"\n"
+
 # name -> (command, {file: bytes, or a function of the good inputs' bytes}, message);
 # each file is written to the test's directory and named in the command as {file}
 REPRODUCTIONS = {
@@ -762,12 +779,22 @@ REPRODUCTIONS = {
     "gen_synthetic_seed_negative": ("gen-synthetic --out {dir}/g --seed -1", {}, "seed"),
     "gen_synthetic_utt_dim_zero": ("gen-synthetic --out {dir}/g --utt-dim 0", {}, "utt_dim"),
     "manifest_is_a_directory": ("train --manifest {dir}", {}, "Is a directory"),
+    "train_missing_wav": ("train --manifest {manifest} --out-dir {dir}/run",
+                          {"manifest": _NO_WAV}, "/nowhere.wav"),
+    "sweep_missing_wav": ("sweep --manifest {manifest} --out-dir {dir}/run --grid lr=1e-3,2e-3",
+                          {"manifest": _NO_WAV}, "/nowhere.wav"),
+    "ckpt_mlt1": ("predict --checkpoint {ckpt}", {"ckpt": lambda b: b"MLT1" + b.fine[4:]},
+                  "ckpt: an MLT1 checkpoint"),
+    "ckpt_mlt1_eval": ("eval --checkpoint {ckpt} --manifest {feats}",
+                       {"ckpt": lambda b: b"MLT1" + b.multi[4:]}, "ckpt: an MLT1 checkpoint"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(REPRODUCTIONS))
-def test_malformed_input_exits_one_without_traceback(corpus, checkpoints, tmp_path, capsys, name):
+def test_malformed_input_exits_one_without_traceback(corpus, checkpoints, tmp_path, capsys,
+                                                    monkeypatch, name):
     _, raw, feats = corpus
+    monkeypatch.chdir(tmp_path)  # where a command without --out-dir writes
     command, files, message = REPRODUCTIONS[name]
     paths = {"fine": tmp_path / "fine.ckpt", "multi": tmp_path / "multi.ckpt",
              "uemb": raw / "uemb.txt", "feats": feats, "dir": tmp_path,
@@ -789,6 +816,8 @@ def test_malformed_input_exits_one_without_traceback(corpus, checkpoints, tmp_pa
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert message in err
+    # a refused train or sweep echoes no config, under --out-dir or the default runs/default
+    assert not list(tmp_path.rglob("config.json"))
 
 
 def _readme_commands():

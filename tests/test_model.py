@@ -12,7 +12,6 @@ noise.
 
 import json
 import struct
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -688,7 +687,7 @@ def test_restored_model_reproduces_logits(tmp_path):
     save_checkpoint(path, model, cfg)
     restored, _, _ = restore_model(path, wv)
     restored.eval()
-    # float32 records restore a default-precision (float32) model exactly
+    # records in the model's precision restore it exactly
     assert restored.dtype == model.dtype == np.float32
     a = model.forward_utterance(enc).logits.data
     b = restored.forward_utterance(enc).logits.data
@@ -707,11 +706,23 @@ def _drop_header_key(path, section, key):
 
 @pytest.mark.parametrize("precision", ["float32", "float64"])
 def test_header_without_precision_restores_as_float32(tmp_path, precision):
-    """Checkpoints written before the precision field restore at the default."""
+    """A header without ``precision`` means the float32 default: a float32
+    checkpoint restores as float32, and a float64 one, whose records are
+    twice as long as that header says, is refused as malformed, not misread."""
     model, cfg, wv = make_model(seed=23, precision=precision)
     path = tmp_path / "old.ckpt"
+    if precision == "float64":
+        # the first stored value's low word reads as a float32 NaN: the file
+        # must still be refused for its layout, not for that value
+        first = sorted(model.named_parameters())[0][1]
+        first.data.reshape(-1)[0] = np.array([0x3F8000007FC00000], np.uint64).view(np.float64)[0]
     save_checkpoint(path, model, cfg, extra={"seed": 23})
     _drop_header_key(path, "model", "precision")
+    if precision == "float64":
+        with pytest.raises(FormatError) as exc_info:
+            load_checkpoint(path)
+        assert str(exc_info.value).startswith(f"{path}: ")
+        return
     restored, rcfg, _ = restore_model(path, wv)
     assert rcfg.precision == "float32" and restored.dtype == np.float32
     stored = load_checkpoint(path)[2]
@@ -720,14 +731,15 @@ def test_header_without_precision_restores_as_float32(tmp_path, precision):
         assert np.array_equal(p.data, stored[name]), name
 
 
-def test_load_checkpoint_returns_the_float32_records_as_stored(tmp_path):
-    model, cfg, _ = make_model(seed=24, precision="float64")
-    path = tmp_path / "f64.ckpt"
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_load_checkpoint_returns_the_parameters_bit_for_bit(tmp_path, precision):
+    model, cfg, _ = make_model(seed=24, precision=precision)
+    path = tmp_path / "m.ckpt"
     save_checkpoint(path, model, cfg)
     params = load_checkpoint(path)[2]
     for name, p in model.named_parameters():
-        assert params[name].dtype == np.float32, name
-        assert np.array_equal(params[name], p.data.astype(np.float32)), name
+        assert params[name].dtype == np.dtype(precision), name
+        assert params[name].tobytes() == p.data.tobytes(), name
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -811,7 +823,7 @@ def test_rebuild_model_draws_nothing_and_matches_a_built_and_loaded_model(
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, model, cfg, extra=extra)
     loaded_cfg, loaded_extra, params = load_checkpoint(path)
-    twin.load_state_dict(params)  # the float32 records, as a restore sees them
+    twin.load_state_dict(params)  # the records, as a restore sees them
     monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: NoDraws())
     restored = rebuild_model(loaded_cfg, loaded_extra, params, wv)
     monkeypatch.undo()
@@ -872,7 +884,7 @@ def test_a_float32_restore_holds_no_float64_copy_of_the_parameters(tmp_path):
         assert np.array_equal(p.data, params[name]), name
 
 
-def test_a_float32_restore_adopts_the_records_and_a_float64_one_copies_them(tmp_path):
+def test_a_restore_adopts_its_records_and_predicts_as_the_model_did(tmp_path):
     for precision in ("float32", "float64"):
         model, cfg, wv = make_model(seed=65, precision=precision)
         path = tmp_path / f"{precision}.ckpt"
@@ -880,69 +892,12 @@ def test_a_float32_restore_adopts_the_records_and_a_float64_one_copies_them(tmp_
         loaded_cfg, extra, params = load_checkpoint(path)
         restored = rebuild_model(loaded_cfg, extra, params, wv)
         for name, p in restored.named_parameters():
-            assert (p.data is params[name]) == (precision == "float32"), name
-            assert p.data.flags.writeable and p.data.flags.c_contiguous, name
-
-
-def _unfused_records(model):
-    """``model``'s records as a checkpoint written before the attention
-    projections were fused stores them: ``wq``, ``wk`` (no bias) and ``wv``
-    per module, split out of the fused ``wqvk`` (q | v | k) and ``wvk``
-    (v | k) columns."""
-    d = model.cfg.d_model
-    records = {}
-    for name, p in model.named_parameters():
-        module, _, leaf = name.rpartition(".")
-        owner, _, projection = module.rpartition(".")
-        parts = {"wqvk": ("wq", "wv", "wk"), "wvk": ("wv", "wk")}.get(projection)
-        if parts is None:
-            records[name] = p
-            continue
-        if leaf == "bias":
-            parts = parts[:-1]  # the key block has no bias
-        for i, part in enumerate(parts):
-            records[f"{owner}.{part}.{leaf}"] = Tensor(p.data[..., i * d:(i + 1) * d].copy())
-    return records
-
-
-@pytest.mark.parametrize("granularity", ["fine", "multi"])
-def test_a_checkpoint_with_separate_projections_restores_to_the_same_logits(tmp_path,
-                                                                            granularity):
-    cfg = small_config(dropout=0.0)
-    wv = hash_word_vectors(WORDS, dim=cfg.word_dim)
-    if granularity == "fine":
-        model = MultilevelTransformer(cfg, wv, seed=66)
-    else:
-        model = build_fusion_model(cfg, wv, seed=66)
-    nudge_off_kinks(model, seed=67)  # so a misplaced block shows
-    records = _unfused_records(model)
-    assert any(".wk.weight" in name for name in records)
-    assert sum(p.data.size for p in records.values()) == model.parameter_count()
-    path = tmp_path / "unfused.ckpt"
-    save_checkpoint(path, SimpleNamespace(named_parameters=records.items), cfg,
-                    extra={"seed": 66, **model.checkpoint_extra()})
-    restored, _, _ = restore_model(path, wv)
-    for name, p in model.named_parameters():
-        assert np.array_equal(dict(restored.named_parameters())[name].data, p.data), name
-    model.eval()
-    restored.eval()
-    batch = [(make_enc(wv, seed=68 + i, n_words=2 + i, n_frames=5 + 2 * i), 0, 0)
-             for i in range(3)]
-    with ag.no_grad():
-        np.testing.assert_allclose(restored.forward_batch(batch).data,
-                                   model.forward_batch(batch).data, rtol=1e-6, atol=1e-6)
-
-
-def test_a_checkpoint_with_both_projection_layouts_for_one_module_is_refused(tmp_path):
-    model, cfg, wv = make_model(seed=69)
-    records = dict(model.named_parameters())
-    records.update((name, p) for name, p in _unfused_records(model).items()
-                   if name.startswith("text_blocks.0.attn.wv."))
-    path = tmp_path / "both.ckpt"
-    save_checkpoint(path, SimpleNamespace(named_parameters=records.items), cfg)
-    with pytest.raises(ValidationError, match="'text_blocks.0.attn.wqvk.weight' is stored both "
-                                              "fused and as 'text_blocks.0.attn.wv.weight'"):
-        restore_model(path, wv)
+            assert p.data is params[name], (precision, name)
+            assert p.data.flags.writeable and p.data.flags.c_contiguous, (precision, name)
+        model.eval()
+        restored.eval()
+        enc = make_enc(wv, seed=66)
+        assert np.array_equal(restored.predict_probs(enc), model.predict_probs(enc)), precision
 
 
 # ---------------------------------------------------------------------------
