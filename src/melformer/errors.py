@@ -26,4 +26,5 @@ class ValidationError(MelformerError):
 
 
 class TrainingDiverged(MelformerError):
-    """Loss became non-finite during training."""
+    """Training hit a non-finite loss, gradient norm or value; the model
+    holds its best state again, saved to the checkpoint the message names."""

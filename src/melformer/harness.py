@@ -2,7 +2,8 @@
 
 Five folds rotate over five utterance groups (3 train / 1 dev / 1 test);
 each fold trains with Adam under gradient clipping, early-stops on dev
-weighted accuracy, and reports test metrics from the best epoch's weights.
+weighted accuracy, and reports test metrics from the best epoch's weights;
+a numeric failure in training stops the fold with ``TrainingDiverged``.
 The whole protocol repeats over seeds and reports mean and population
 standard deviation.  Fold jobs are self-contained and can run in worker
 processes; only finished metrics cross process boundaries.
@@ -53,10 +54,10 @@ class Adam:
     per step, where whole-tensor expressions stream it several times and
     allocate a full-size temporary for every intermediate.
 
-    A parameter whose ``grad`` is None keeps its value and moments.  A
-    non-finite gradient aborts the step, naming the parameter, since
-    continuing would silently poison the moments (blocks before it are
-    already updated).  Once handed to the optimizer, parameters must be
+    A parameter whose ``grad`` is None keeps its value and moments.  Every
+    gradient must be finite: ``step`` does not look, and a non-finite one
+    would poison the moments.  ``train_epochs`` checks the pre-clip norm
+    before each step.  Once handed to the optimizer, parameters must be
     changed in place (``p.data[...] = x``): ``step`` refuses one whose
     ``data`` is no longer its arena view, since it would silently stop
     training.  It also refuses a gradient of another shape or dtype than its
@@ -106,14 +107,8 @@ class Adam:
         root_b2c = math.sqrt(1.0 - self.beta2 ** self.t)
         step = self.lr * root_b2c / (1.0 - self.beta1 ** self.t)
         eps = self.eps * root_b2c
-        for lo, k, pieces in self._gather(grads):
+        for lo, k in self._gather(grads):
             g, s = self._g[:k], self._s[:k]
-            with np.errstate(over="ignore"):  # a huge finite gradient overflows it
-                norm2 = np.dot(g, g)
-            if not np.isfinite(norm2):
-                for name, a, b in pieces:
-                    if not np.isfinite(g[a:b]).all():
-                        raise NumericError(f"non-finite gradient in parameter {name}")
             m, v, p = self.m[lo:lo + k], self.v[lo:lo + k], self.arena[lo:lo + k]
             np.multiply(g, 1.0 - self.beta1, out=s)
             m *= self.beta1
@@ -130,16 +125,15 @@ class Adam:
 
     def _gather(self, grads):
         """Copy the gradients into the scratch ``_g`` block by block.  Yields
-        (arena offset, length, [(name, start, stop) in the scratch]) for each
-        full block and at the end of each run of parameters with a gradient,
-        so parameters without one are never touched."""
+        (arena offset, length) for each full block and at the end of each run
+        of parameters with a gradient, so parameters without one are never
+        touched."""
         lo = fill = 0
-        pieces = []
-        for (name, _), g, offset in zip(self.items, grads, self.offsets):
+        for g, offset in zip(grads, self.offsets):
             if g is None:
                 if fill:
-                    yield lo, fill, pieces
-                fill, pieces = 0, []
+                    yield lo, fill
+                fill = 0
                 continue
             if not fill:
                 lo = offset
@@ -148,14 +142,13 @@ class Adam:
             while pos < flat.size:
                 k = min(BLOCK - fill, flat.size - pos)
                 self._g[fill:fill + k] = flat[pos:pos + k]
-                pieces.append((name, fill, fill + k))
                 fill += k
                 pos += k
                 if fill == BLOCK:
-                    yield lo, fill, pieces
-                    lo, fill, pieces = lo + fill, 0, []
+                    yield lo, fill
+                    lo, fill = lo + fill, 0
         if fill:
-            yield lo, fill, pieces
+            yield lo, fill
 
 
 def clip_gradients(params, max_norm):
@@ -163,23 +156,21 @@ def clip_gradients(params, max_norm):
     returns the norm before clipping.
 
     Each gradient's squared norm is one dot product in its own dtype,
-    summed as a Python float.  A float32 dot overflows to inf once the
-    squared norm passes float32's max (a finite gradient near 2e19), which
-    would scale every gradient to zero; such a dot is redone in float64,
-    which holds the square of any finite float32 gradient.
+    summed as a Python float.  A huge finite gradient (past about 1.8e19 in
+    float32, 1.3e154 in float64) overflows that sum to inf, which would
+    scale every gradient to zero; an inf sum is redone scaled, as max|g| *
+    ||g / max|g|||, so the norm is non-finite only when an entry is (or the
+    norm passes float64's max).  A non-finite norm scales nothing.
     """
-    total = 0.0
     grads = [p.grad for p in params if p.grad is not None]
-    for g in grads:
-        flat = g.reshape(-1)
-        with np.errstate(over="ignore"):
-            sq = float(np.dot(flat, flat))
-        if sq == math.inf and flat.dtype != np.float64:
-            flat = flat.astype(np.float64)
-            sq = float(np.dot(flat, flat))
-        total += sq
-    norm = total ** 0.5
-    if norm > max_norm and norm > 0.0:
+    flats = [g.reshape(-1) for g in grads]
+    with np.errstate(over="ignore"):
+        norm = sum(float(np.dot(f, f)) for f in flats) ** 0.5
+    if norm == math.inf:
+        big = max(float(np.abs(f).max(initial=0.0)) for f in flats)
+        if big < math.inf:
+            norm = big * math.sqrt(sum(float(np.dot(f / big, f / big)) for f in flats))
+    if max_norm < norm < math.inf:
         scale = max_norm / norm
         for g in grads:
             g *= scale
@@ -339,7 +330,15 @@ def build_model(model_cfg: ModelConfig, hcfg: HarnessConfig, word_vectors: WordV
 def train_epochs(model, train_encs, dev_encs, hcfg: HarnessConfig, seed,
                  out_dir=None, tag="model"):
     """Epoch loop with early stopping on dev WA; returns (best_state,
-    dev_history, best_epoch, epochs_run, checkpoint_path)."""
+    dev_history, best_epoch, epochs_run, checkpoint_path).
+
+    A non-finite loss, a non-finite pre-clip gradient norm (checked before
+    ``opt.step()``, so no parameter moves) and a ``NumericError`` from
+    forward, backward or the dev evaluation take one path: the best state is
+    restored and saved, and one ``TrainingDiverged`` names the epoch, step
+    and cause.  Epochs run under ``np.errstate(all="ignore")``, so a
+    divergence prints no numpy warning.
+    """
     shuffle_rng = np.random.default_rng(seed)
     opt = Adam(model.trainable_named_parameters(), lr=hcfg.lr)
     trainable = [p for _, p in opt.items]
@@ -363,20 +362,33 @@ def train_epochs(model, train_encs, dev_encs, hcfg: HarnessConfig, seed,
 
     for epoch in range(1, hcfg.max_epochs + 1):
         model.train()
-        for batch in batches(train_encs, hcfg.batch_size, rng=shuffle_rng):
-            loss = ag.cross_entropy(model.forward_batch(batch), [e.label for e, _, _ in batch])
-            if not np.isfinite(loss.data):
-                checkpoint()
-                raise TrainingDiverged(
-                    f"loss became {loss.data} in epoch {epoch}; "
-                    f"last finite loss: {_or_none(last_loss)}, "
-                    f"its pre-clip gradient norm: {_or_none(last_norm)}; "
-                    f"last good checkpoint: {ckpt_path or 'none saved'}")
-            ag.backward(loss)
-            last_norm = clip_gradients(trainable, hcfg.clip_norm)
-            opt.step()
-            last_loss = float(loss.data)
-        dev_wa = evaluate(model, dev_encs, hcfg.batch_size).wa
+        try:
+            with np.errstate(all="ignore"):
+                for step, batch in enumerate(batches(train_encs, hcfg.batch_size,
+                                                     rng=shuffle_rng), 1):
+                    where = f"step {step}"
+                    loss = ag.cross_entropy(model.forward_batch(batch),
+                                            [e.label for e, _, _ in batch])
+                    if not np.isfinite(loss.data):
+                        raise NumericError(f"loss became {loss.data}")
+                    ag.backward(loss)
+                    norm = clip_gradients(trainable, hcfg.clip_norm)
+                    if not math.isfinite(norm):  # name the first non-finite gradient
+                        bad = [name for name, p in opt.items
+                               if p.grad is not None and not np.isfinite(p.grad).all()]
+                        raise NumericError(f"non-finite gradient in parameter {bad[0]}" if bad
+                                           else f"pre-clip gradient norm {norm}")
+                    opt.step()
+                    last_loss, last_norm = float(loss.data), norm
+                where = "dev evaluation"
+                dev_wa = evaluate(model, dev_encs, hcfg.batch_size).wa
+        except NumericError as exc:
+            checkpoint()
+            raise TrainingDiverged(
+                f"training diverged in epoch {epoch}, {where}: {exc}; "
+                f"last finite loss: {_or_none(last_loss)}, "
+                f"its pre-clip gradient norm: {_or_none(last_norm)}; "
+                f"best checkpoint: {ckpt_path or 'none saved'}") from exc
         history.append(dev_wa)
         if dev_wa > best_wa:
             best_wa = dev_wa

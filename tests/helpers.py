@@ -15,7 +15,6 @@ from melformer import autograd as ag
 from melformer import nn
 from melformer.autograd import Segments, Tensor
 from melformer.config import ModelConfig
-from melformer.errors import NumericError
 from melformer.fusion import MultiGranularityModel
 from melformer.model import MultilevelTransformer
 from melformer.text import PAD_PHONEME, PHONEME_TO_ID, hash_word_vectors
@@ -149,12 +148,10 @@ class PerParameterAdam:
         self.t += 1
         root_b2c = math.sqrt(1.0 - self.beta2 ** self.t)
         step = self.lr * root_b2c / (1.0 - self.beta1 ** self.t)
-        for (name, p), m, v in zip(self.items, self.m, self.v):
+        for (_, p), m, v in zip(self.items, self.m, self.v):
             g = p.grad
             if g is None:
                 continue
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient in parameter {name}")
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2

@@ -99,11 +99,20 @@ def test_train_writes_results_and_config_echo(corpus, tmp_path, capsys):
 def test_a_run_that_fails_in_training_keeps_its_config_echo(corpus, tmp_path, capsys):
     _, _, manifest = corpus
     out = tmp_path / "run"
-    with np.errstate(all="ignore"):
-        assert main(["train", "--manifest", str(manifest), "--out-dir", str(out)]
-                    + TINY_MODEL + TINY_RUN + ["--lr", "1e30"]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    argv = (["train", "--manifest", str(manifest), "--out-dir", str(out)]
+            + TINY_MODEL + TINY_RUN + ["--lr", "1e30"])
+    errors = []
+    for workers in ("1", "2"):  # a worker's divergence reads as the serial one's
+        for ckpt in out.glob("*.ckpt"):
+            ckpt.unlink()
+        assert main(argv + ["--workers", workers]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: training diverged in epoch \d+, [^\n]+\n", err), err
+        assert Path(err.rsplit("best checkpoint: ", 1)[1].strip()).exists()
+        errors.append(err)
+    assert errors[0] == errors[1]
     assert json.loads((out / "config.json").read_text())["harness"]["lr"] == 1e30
+    assert not (out / "results.json").exists()
 
 
 @pytest.mark.parametrize("granularity,precision", [("fine", "float32"), ("multi", "float32"),
