@@ -632,15 +632,15 @@ def test_divergence_names_the_last_finite_loss_and_gradient_norm(corpus, monkeyp
             f"its pre-clip gradient norm: {norms[0]:.6g}") in str(exc_info.value)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_a_non_finite_gradient_diverges_before_any_parameter_moves(corpus, monkeypatch, bad):
-    # 1024-element blocks, so the arena spans 22 of them and the bad
-    # gradient sits in a late one
+def train_with_poisoned_gradients(corpus, monkeypatch, t, poison):
+    """Train until Adam has taken ``t`` steps, then call ``poison(named
+    parameters)`` after the next ``ag.backward``.  Returns the optimizer, its
+    arena, ``m`` and ``v`` as they were just before the poison, the arena
+    when the divergence path restores the best state, and the
+    ``TrainingDiverged``."""
     _, encs, wv = corpus
-    monkeypatch.setattr(harness, "BLOCK", 1024)
     model = MultilevelTransformer(tiny_cfg(), wv, seed=0)
-    name = "fusion_blocks.1.norm2.bias"
-    late = dict(model.named_parameters())[name]
+    params = dict(model.named_parameters())
     opts, before, at_restore = [], [], []
 
     class RecordedAdam(Adam):
@@ -650,14 +650,14 @@ def test_a_non_finite_gradient_diverges_before_any_parameter_moves(corpus, monke
 
     backward, load = ag.backward, model.load_state_dict
 
-    def poisoning_backward(loss):  # the second step, so the moments are not zero
+    def poisoning_backward(loss):
         backward(loss)
         opt = opts[0]
-        if opt.t == 1:
+        if opt.t == t:
             before.extend([opt.arena.copy(), opt.m.copy(), opt.v.copy()])
-            late.grad[0] = bad
+            poison(params)
 
-    def recording_load(state):  # the divergence path restores the best state
+    def recording_load(state):
         at_restore.append(opts[0].arena.copy())
         load(state)
 
@@ -666,12 +666,48 @@ def test_a_non_finite_gradient_diverges_before_any_parameter_moves(corpus, monke
     monkeypatch.setattr(model, "load_state_dict", recording_load)
     with pytest.raises(TrainingDiverged) as exc_info:
         train_epochs(model, encs, encs, hcfg(max_epochs=2), seed=0)
-    opt = opts[0]
-    assert opt.offsets[[n for n, _ in opt.items].index(name)] > 20 * 1024
-    assert str(exc_info.value).startswith(
+    return opts[0], before, at_restore[0], exc_info.value
+
+
+def test_adam_rejects_non_finite_gradient_by_name(corpus, monkeypatch):
+    # two NaN gradients on the first step: the first in Adam's order is named,
+    # and no parameter or moment has moved
+    def poison(params):
+        params["head.bias"].grad[1] = np.nan
+        params["fusion_blocks.1.norm1.bias"].grad[0] = np.nan
+
+    opt, before, restored, exc = train_with_poisoned_gradients(corpus, monkeypatch, 0, poison)
+    assert str(exc) == ("training diverged in epoch 1, step 1: non-finite gradient in "
+                        "parameter fusion_blocks.1.norm1.bias; last finite loss: none, "
+                        "its pre-clip gradient norm: none; best checkpoint: none saved")
+    assert opt.t == 0 and not opt.m.any() and not opt.v.any()
+    assert np.array_equal(restored, before[0])
+
+
+@pytest.mark.parametrize("where", [0, 2, 3, 9])  # in the first block, or in the second
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adam_names_a_non_finite_gradient_in_a_parameter_that_straddles_blocks(
+        corpus, monkeypatch, where, bad):
+    # the trainer refuses the step before Adam walks any block: with the block
+    # boundary three entries into a late parameter, a bad entry on either side
+    # of it is named, and every parameter and moment keeps its value from
+    # before the second step (nonzero moments)
+    name = "fusion_blocks.1.norm2.bias"
+    model = MultilevelTransformer(tiny_cfg(), corpus[2], seed=0)
+    sizes = [p.data.size for _, p in model.trainable_named_parameters()]
+    names = [n for n, _ in model.trainable_named_parameters()]
+    monkeypatch.setattr(harness, "BLOCK", sum(sizes[:names.index(name)]) + 3)
+
+    def poison(params):
+        params[name].grad[where] = bad
+
+    opt, before, restored, exc = train_with_poisoned_gradients(corpus, monkeypatch, 1, poison)
+    i = [n for n, _ in opt.items].index(name)
+    assert opt.offsets[i] < harness.BLOCK < opt.offsets[i + 1]
+    assert str(exc).startswith(
         f"training diverged in epoch 1, step 2: non-finite gradient in parameter {name};")
     assert opt.t == 1
-    for now, then in zip((at_restore[0], opt.m, opt.v), before):
+    for now, then in zip((restored, opt.m, opt.v), before):
         assert np.array_equal(now, then)
 
 
