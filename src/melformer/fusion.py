@@ -64,28 +64,28 @@ class MeanPoolUtteranceEncoder(nn.Module):
 class MultiGranularityModel(MultilevelTransformer):
     """Fine-grained transformer + utterance embedding, fused before the head.
 
-    ``utt_dim`` is the embedding width D_u.  ``utt_encoder`` (optional)
-    computes embeddings on the fly; otherwise callers pass vectors fetched
-    from a file.  The fused ``head`` takes the place of the fine model's,
-    which the base constructor draws last, so every encoder parameter
-    starts as in a fine model of the same seed; ``freeze_fine`` makes them
+    ``utt_dim`` is the width D_u of embeddings callers fetch from a file;
+    without it, a built-in encoder computes them, D_u being the word width.
+    The fused ``head`` replaces the fine one, drawn last, so the encoder
+    starts as a same-seed fine model's; ``freeze_fine`` makes its parameters
     constants, so only the utterance encoder, projections and head train.
     """
 
-    def __init__(self, cfg: ModelConfig, word_vectors: WordVectors, utt_dim, seed=0,
-                 utt_encoder: MeanPoolUtteranceEncoder = None, freeze_fine=False):
+    def __init__(self, cfg: ModelConfig, word_vectors: WordVectors, utt_dim=None, seed=0,
+                 freeze_fine=False):
         super().__init__(cfg, word_vectors, seed=seed)
         if freeze_fine:
             for p in self.parameters():
                 p.requires_grad = False
         rng = np.random.default_rng(seed + 17)
-        self.utt_dim = utt_dim
+        self.utt_dim = word_vectors.dim if utt_dim is None else utt_dim
         self.freeze_fine = freeze_fine
-        self.utt_encoder = utt_encoder
-        self.proj_fine = nn.Linear(cfg.d_model, cfg.d_fuse, rng)
-        self.proj_utt = nn.Linear(utt_dim, cfg.d_fuse, rng)
-        self.head = nn.Linear(2 * cfg.d_fuse, cfg.num_classes, rng)
-        self.cast_parameters(self.dtype)
+        with nn.build_in(self.dtype):
+            self.utt_encoder = None if utt_dim is not None else MeanPoolUtteranceEncoder(
+                word_vectors, self.utt_dim, np.random.default_rng(seed + 23))
+            self.proj_fine = nn.Linear(cfg.d_model, cfg.d_fuse, rng)
+            self.proj_utt = nn.Linear(self.utt_dim, cfg.d_fuse, rng)
+            self.head = nn.Linear(2 * cfg.d_fuse, cfg.num_classes, rng)
 
     def utt_vector(self, encs) -> Tensor:
         """[N, utt_dim] utterance embeddings in the model's dtype: each enc's
@@ -114,17 +114,6 @@ class MultiGranularityModel(MultilevelTransformer):
         return {"granularity": "multi", "utt_dim": self.utt_dim,
                 "builtin_encoder": self.utt_encoder is not None,
                 "freeze_fine": self.freeze_fine}
-
-
-def build_fusion_model(cfg, word_vectors, utt_dim=None, seed=0, freeze_fine=False):
-    """The multi-granularity model; a mean-pool encoder fills in when no
-    embedding file provides vectors (utt_dim defaults to the word width)."""
-    encoder = None
-    if utt_dim is None:
-        utt_dim = word_vectors.dim
-        encoder = MeanPoolUtteranceEncoder(word_vectors, utt_dim, np.random.default_rng(seed + 23))
-    return MultiGranularityModel(cfg, word_vectors, utt_dim, seed=seed, utt_encoder=encoder,
-                                 freeze_fine=freeze_fine)
 
 
 # The benchmark in perfbench/ imports and traces this name; it can go at the

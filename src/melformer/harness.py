@@ -12,7 +12,7 @@ processes; only finished metrics cross process boundaries.
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,8 +23,7 @@ from .config import HarnessConfig, LABELS, ModelConfig, RunConfig
 from .data import batches
 from .errors import (ContractError, NumericError, ShapeError, TrainingDiverged,
                      ValidationError)
-from .fusion import build_fusion_model
-from .model import MultilevelTransformer, save_checkpoint
+from .model import build_variant, save_checkpoint
 from .text import WordVectors
 
 
@@ -321,10 +320,8 @@ class TrainResult:
 
 def build_model(model_cfg: ModelConfig, hcfg: HarnessConfig, word_vectors: WordVectors,
                 seed: int, utt_dim=None):
-    if hcfg.granularity == "multi":
-        return build_fusion_model(model_cfg, word_vectors, utt_dim=utt_dim,
-                                  seed=seed, freeze_fine=hcfg.freeze_fine)
-    return MultilevelTransformer(model_cfg, word_vectors, seed=seed)
+    return build_variant(model_cfg, word_vectors, hcfg.granularity, seed, utt_dim,
+                         hcfg.freeze_fine)
 
 
 def train_epochs(model, train_encs, dev_encs, hcfg: HarnessConfig, seed,
@@ -447,14 +444,25 @@ def _run_job(args):
 
 def run_protocol(encs, plans, model_cfg: ModelConfig, hcfg: HarnessConfig,
                  word_vectors: WordVectors, utt_dim=None, out_dir=None):
-    """All folds for every seed; returns (results list, summary dict)."""
+    """All folds for every seed; returns (results list, summary dict).  With
+    workers, a job goes to the pool only when a worker is free and no job has
+    raised, since the pool starts every job it holds; the error raised is the
+    first in job order, as in a serial run."""
     encs_by_id = {e.id: e for e in encs}
     jobs = [(plan, encs_by_id, model_cfg, hcfg, word_vectors, seed, utt_dim, out_dir)
             for seed in hcfg.seeds for plan in plans]
     workers = _worker_count(hcfg.workers)
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_job, jobs))
+            futures, running = [], set()
+            for job in jobs:
+                if len(running) == workers:
+                    done, running = wait(running, return_when=FIRST_COMPLETED)
+                    if any(f.exception() is not None for f in done):
+                        break
+                futures.append(pool.submit(_run_job, job))
+                running.add(futures[-1])
+            results = [f.result() for f in futures]
     else:
         results = [_run_job(j) for j in jobs]
     return results, summarize(results, hcfg.seeds)

@@ -73,7 +73,7 @@ from .autograd import Segments, Tensor
 from .binfile import BinaryReader
 from .config import CHOICES, ModelConfig, _typed, model_config_from_dict
 from .errors import ContractError, FormatError, ShapeError, ValidationError
-from .text import PAD_PHONEME, PHONEMES, EncoderPrenet, PhonemeCNN, WordCombiner, WordVectors
+from .text import PAD_PHONEME, EncoderPrenet, PhonemeCNN, WordCombiner, WordVectors
 
 CHECKPOINT_MAGIC = b"MLT2"
 
@@ -240,12 +240,10 @@ class CrossModalBlock(nn.Module):
 class MultilevelTransformer(nn.Module):
     """Fine-grained audio+text classifier; see the module docstring.
 
-    Initial parameters are drawn in float64 and cast to ``dtype`` once, at
-    the end of the constructor: a float32 model starts from the float64
-    model's values, rounded.  The head is drawn last, so a subclass that
-    replaces it leaves every other initial value as it is.  Under
-    ``nn.skip_init`` (a restore) nothing is drawn and the cast copies
-    nothing.
+    Parameters are built under ``nn.build_in(dtype)``, so a float32 model
+    starts from the float64 model's values, each rounded as it is drawn.
+    The head is drawn last, so a subclass that replaces it leaves every
+    other initial value as it is; under ``nn.skip_init`` nothing is drawn.
     """
 
     def __init__(self, cfg: ModelConfig, word_vectors: WordVectors, seed=0):
@@ -261,26 +259,26 @@ class MultilevelTransformer(nn.Module):
 
         self.word_table = Tensor(word_vectors.matrix.astype(self.dtype),
                                  requires_grad=cfg.finetune_word_vectors)
-        cpw = cfg.phoneme_channels // len(cfg.phoneme_widths)
-        self.phoneme_cnn = PhonemeCNN(rng, d_p=cfg.phoneme_dim,
-                                      widths=cfg.phoneme_widths, channels_per_width=cpw)
-        self.combiner = WordCombiner(cfg.combine_mode, rng,
-                                     word_dim=cfg.word_dim, phon_dim=cfg.phoneme_channels)
-        self.prenet = EncoderPrenet(rng, d_in=cfg.word_dim + cfg.phoneme_channels,
-                                    d_model=cfg.d_model, width=cfg.prenet_width)
-        self.text_blocks = nn.ModuleList(
-            [EncoderBlock(cfg.d_model, cfg.heads, cfg.d_ff, rng, self.drop_rng, cfg.dropout)
-             for _ in range(cfg.layers_text)])
-        self.mel_prenet = FeedForward(128, cfg.d_model, cfg.d_model, rng)
-        self.cross_blocks = nn.ModuleList(
-            [CrossModalBlock(cfg.d_model, cfg.heads, cfg.d_ff, rng, self.drop_rng, cfg.dropout)
-             for _ in range(cfg.layers_cross)])
-        self.fusion_blocks = nn.ModuleList(  # the last one's queries are the cls rows
-            [EncoderBlock(cfg.d_model, cfg.heads, cfg.d_ff, rng, self.drop_rng, cfg.dropout,
-                          self_attention=i < cfg.layers_fusion - 1)
-             for i in range(cfg.layers_fusion)])
-        self.head = nn.Linear(cfg.d_model, cfg.num_classes, rng)
-        self.cast_parameters(self.dtype)
+        with nn.build_in(self.dtype):
+            cpw = cfg.phoneme_channels // len(cfg.phoneme_widths)
+            self.phoneme_cnn = PhonemeCNN(rng, d_p=cfg.phoneme_dim,
+                                          widths=cfg.phoneme_widths, channels_per_width=cpw)
+            self.combiner = WordCombiner(cfg.combine_mode, rng,
+                                         word_dim=cfg.word_dim, phon_dim=cfg.phoneme_channels)
+            self.prenet = EncoderPrenet(rng, d_in=cfg.word_dim + cfg.phoneme_channels,
+                                        d_model=cfg.d_model, width=cfg.prenet_width)
+            self.text_blocks = nn.ModuleList(
+                [EncoderBlock(cfg.d_model, cfg.heads, cfg.d_ff, rng, self.drop_rng, cfg.dropout)
+                 for _ in range(cfg.layers_text)])
+            self.mel_prenet = FeedForward(128, cfg.d_model, cfg.d_model, rng)
+            self.cross_blocks = nn.ModuleList(
+                [CrossModalBlock(cfg.d_model, cfg.heads, cfg.d_ff, rng, self.drop_rng, cfg.dropout)
+                 for _ in range(cfg.layers_cross)])
+            self.fusion_blocks = nn.ModuleList(  # the last one's queries are the cls rows
+                [EncoderBlock(cfg.d_model, cfg.heads, cfg.d_ff, rng, self.drop_rng, cfg.dropout,
+                              self_attention=i < cfg.layers_fusion - 1)
+                 for i in range(cfg.layers_fusion)])
+            self.head = nn.Linear(cfg.d_model, cfg.num_classes, rng)
 
     @property
     def dtype(self) -> np.dtype:
@@ -381,41 +379,13 @@ class MultilevelTransformer(nn.Module):
         """Header fields that ``restore_model`` needs to rebuild this variant."""
         return {"granularity": "fine"}
 
-    def attention_modules(self):
-        return [m for m in self.modules() if isinstance(m, MultiHeadAttention)]
 
-
-def expected_parameter_count(cfg: ModelConfig, vocab_rows=0) -> int:
-    """Closed-form trainable-parameter count for a config.
-
-    ``vocab_rows`` counts word-table rows and only contributes when word
-    vectors are fine-tuned (otherwise the table is frozen, not a parameter).
-    """
-    d, ff = cfg.d_model, cfg.d_ff
-    affine = lambda n_in, n_out: n_in * n_out + n_out
-    u = cfg.word_dim + cfg.phoneme_channels
-    cpw = cfg.phoneme_channels // len(cfg.phoneme_widths)
-
-    total = len(PHONEMES) * cfg.phoneme_dim                       # phoneme table
-    total += sum(w * cfg.phoneme_dim * cpw for w in cfg.phoneme_widths)  # bias-free convs
-    if cfg.combine_mode == "highway":
-        total += 2 * 2 * affine(u, u)                              # transform + gate, 2 layers
-    total += cfg.prenet_width * u * d + d                          # prenet conv 1
-    total += 2 * (cfg.prenet_width * d * d + d)                    # prenet convs 2-3
-    total += 3 * 2 * d                                             # prenet layer norms
-    total += affine(d, d)                                          # prenet projection
-    total += affine(128, d) + affine(d, d)                         # mel prenet
-
-    mha = 3 * affine(d, d) + d * d  # q, v, o carry biases; k does not
-    ffn = affine(d, ff) + affine(ff, d)
-    ln = 2 * d
-    total += cfg.layers_text * (mha + ffn + 2 * ln)
-    total += cfg.layers_cross * (2 * mha + ffn + 3 * ln)
-    total += cfg.layers_fusion * (mha + ffn + 2 * ln)
-    total += affine(d, cfg.num_classes)                            # head
-    if cfg.finetune_word_vectors:
-        total += vocab_rows * cfg.word_dim
-    return total
+def build_variant(cfg, word_vectors, granularity="fine", seed=0, utt_dim=None, freeze_fine=False):
+    """A new ``granularity`` model: the one place that picks its class."""
+    if granularity == "fine":
+        return MultilevelTransformer(cfg, word_vectors, seed=seed)
+    from .fusion import MultiGranularityModel  # fusion builds on this module
+    return MultiGranularityModel(cfg, word_vectors, utt_dim, seed, freeze_fine)
 
 
 # ---------------------------------------------------------------------------
@@ -532,19 +502,14 @@ def rebuild_model(cfg: ModelConfig, extra: dict, params: dict, word_vectors: Wor
     if granularity not in CHOICES["granularity"]:
         raise ValidationError(f"{origin}: granularity must be one of "
                               f"{', '.join(CHOICES['granularity'])}, got {granularity!r}")
-    if granularity == "multi":
-        from .fusion import build_fusion_model  # fusion builds on this module
-        builtin = field("builtin_encoder", False)
-        if not builtin and "utt_dim" not in extra:
+    utt_dim = None
+    if granularity == "multi" and not field("builtin_encoder", False):
+        if "utt_dim" not in extra:
             raise FormatError(f"{origin}: a multi-granularity model needs utt_dim")
-        utt_dim = None if builtin else field("utt_dim", 0, at_least=1)
-        freeze_fine = field("freeze_fine", False)
-        with nn.skip_init(cfg.precision):
-            model = build_fusion_model(cfg, word_vectors, utt_dim=utt_dim, seed=seed,
-                                       freeze_fine=freeze_fine)
-    else:
-        with nn.skip_init(cfg.precision):
-            model = MultilevelTransformer(cfg, word_vectors, seed=seed)
+        utt_dim = field("utt_dim", 0, at_least=1)
+    with nn.skip_init(cfg.precision):
+        model = build_variant(cfg, word_vectors, granularity, seed, utt_dim,
+                              field("freeze_fine", False))
     model.load_state_dict(params, adopt=True)
     return model
 

@@ -4,8 +4,8 @@ Modules track their parameters and submodules through attribute assignment,
 so named parameters, train/eval switching, and checkpoint state all fall out
 of the object tree.  Affine weights use scaled uniform fan-in initialization;
 biases start at zero unless a layer documents otherwise.  Initial values are
-float64; a model casts them to its dtype once it is built.  Under
-``skip_init`` a module tree is built without them, for a restore.
+drawn in float64 and rounded to the dtype that ``build_in`` sets as they are
+drawn.  Under ``skip_init`` a module tree is built without them, for a restore.
 """
 
 import contextlib
@@ -92,15 +92,6 @@ class Module:
             else:
                 p.data[...] = arr
 
-    def parameter_count(self):
-        return sum(p.size for p in self.parameters())
-
-    def cast_parameters(self, dtype):
-        """Round every parameter to ``dtype``, once, before an optimizer
-        takes them (``harness.Adam`` holds views of their arrays)."""
-        for p in self.parameters():
-            p.data = p.data.astype(dtype, copy=False)
-
 
 class ModuleList(Module):
     def __init__(self, modules):
@@ -120,10 +111,22 @@ class ModuleList(Module):
         return self._items[i]
 
 
-_skip_init_dtype = None  # the dtype of unfilled parameters inside skip_init
+_build = (np.dtype(np.float64), False)  # new parameters' dtype; whether they are left unfilled
 
 
 @contextlib.contextmanager
+def build_in(dtype, *, _skip=None):
+    """Build modules in ``dtype`` inside the block: the float64 build's
+    values, each rounded as it is drawn (unfilled inside ``skip_init``)."""
+    global _build
+    saved = _build
+    _build = (np.dtype(dtype), saved[1] if _skip is None else _skip)
+    try:
+        yield
+    finally:
+        _build = saved
+
+
 def skip_init(dtype):
     """Build modules without initial values inside the block.
 
@@ -132,30 +135,25 @@ def skip_init(dtype):
     for one array per parameter, in its final dtype.  Only
     ``load_state_dict``, which refuses a missing record, may follow.
     """
-    global _skip_init_dtype
-    saved = _skip_init_dtype
-    _skip_init_dtype = np.dtype(dtype)
-    try:
-        yield
-    finally:
-        _skip_init_dtype = saved
+    return build_in(dtype, _skip=True)
 
 
 _MEMORY_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _initial(shape, fill) -> np.ndarray:
-    """A new parameter's float64 values: the constant ``fill``, or what the
-    callable ``fill`` draws; inside ``skip_init``, an unfilled array.  A
-    parameter larger than the machine's memory is refused unallocated."""
-    dtype = np.dtype(np.float64 if _skip_init_dtype is None else _skip_init_dtype)
-    size = math.prod(shape if isinstance(shape, tuple) else (shape,)) * dtype.itemsize
+    """A new parameter in the build's dtype: the constant ``fill``, or what
+    the callable ``fill`` draws in float64, rounded; inside ``skip_init``,
+    unfilled.  One whose float64 draw exceeds the machine's memory is
+    refused unallocated, inside ``skip_init`` too."""
+    dtype, skip = _build
+    size = math.prod(shape if isinstance(shape, tuple) else (shape,)) * 8
     if size > _MEMORY_BYTES:
         raise ValidationError(f"a parameter of shape {shape} needs {size / 2**30:.4g} GiB, "
                               f"more than this machine's {_MEMORY_BYTES / 2**30:.4g} GiB of memory")
-    if _skip_init_dtype is not None:
+    if skip:
         return np.empty(shape, dtype=dtype)
-    return fill() if callable(fill) else np.full(shape, float(fill))
+    return fill().astype(dtype, copy=False) if callable(fill) else np.full(shape, fill, dtype)
 
 
 def fan_in_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:

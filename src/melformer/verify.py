@@ -18,7 +18,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Segments, Tensor, gradcheck, gradcheck_sampled
 from .config import ModelConfig
-from .fusion import build_fusion_model
+from .fusion import MultiGranularityModel
 from .model import MultilevelTransformer
 from .text import PHONEME_TO_ID, hash_word_vectors
 
@@ -203,7 +203,7 @@ def model_checks(rng):
     wv2, encs2 = _demo_inputs(np.random.default_rng(4), cfg.word_dim)
     for i, enc in enumerate(encs2):
         enc.utt_embedding = np.random.default_rng(6 + i).standard_normal(6)
-    sampled(build_fusion_model(cfg, wv2, utt_dim=6, seed=2), encs2, [1, 3],
+    sampled(MultiGranularityModel(cfg, wv2, utt_dim=6, seed=2), encs2, [1, 3],
             "fusion model end to end")
     return checks
 

@@ -1,6 +1,7 @@
 """Shared builders for model-level tests: small configs, synthetic encoded
-utterances, the off-kink parameter nudge used before finite differences, and
-the per-utterance forward, zero-filling backward, mask-tensor dropout,
+utterances, the off-kink parameter nudge used before finite differences,
+parameter counts (module sums and a closed form per config), the model's
+attention modules, and the per-utterance forward, zero-filling backward, mask-tensor dropout,
 per-parameter Adam and float64 audio frontend kept as oracles for the model,
 the engine, the optimizer and the features."""
 
@@ -16,8 +17,8 @@ from melformer import nn
 from melformer.autograd import Segments, Tensor
 from melformer.config import ModelConfig
 from melformer.fusion import MultiGranularityModel
-from melformer.model import MultilevelTransformer
-from melformer.text import PAD_PHONEME, PHONEME_TO_ID, hash_word_vectors
+from melformer.model import MultiHeadAttention, MultilevelTransformer
+from melformer.text import PAD_PHONEME, PHONEME_TO_ID, PHONEMES, hash_word_vectors
 
 WORDS = ["one", "two", "three", "four", "five"]
 
@@ -35,6 +36,47 @@ def make_model(seed=0, **overrides):
     cfg = small_config(**overrides)
     wv = hash_word_vectors(WORDS, dim=cfg.word_dim)
     return MultilevelTransformer(cfg, wv, seed=seed), cfg, wv
+
+
+def parameter_count(module):
+    return sum(p.size for p in module.parameters())
+
+
+def attention_modules(model):
+    return [m for m in model.modules() if isinstance(m, MultiHeadAttention)]
+
+
+def expected_parameter_count(cfg: ModelConfig, vocab_rows=0) -> int:
+    """Closed-form trainable-parameter count for a config.
+
+    ``vocab_rows`` counts word-table rows and only contributes when word
+    vectors are fine-tuned (otherwise the table is frozen, not a parameter).
+    """
+    d, ff = cfg.d_model, cfg.d_ff
+    affine = lambda n_in, n_out: n_in * n_out + n_out
+    u = cfg.word_dim + cfg.phoneme_channels
+    cpw = cfg.phoneme_channels // len(cfg.phoneme_widths)
+
+    total = len(PHONEMES) * cfg.phoneme_dim                       # phoneme table
+    total += sum(w * cfg.phoneme_dim * cpw for w in cfg.phoneme_widths)  # bias-free convs
+    if cfg.combine_mode == "highway":
+        total += 2 * 2 * affine(u, u)                              # transform + gate, 2 layers
+    total += cfg.prenet_width * u * d + d                          # prenet conv 1
+    total += 2 * (cfg.prenet_width * d * d + d)                    # prenet convs 2-3
+    total += 3 * 2 * d                                             # prenet layer norms
+    total += affine(d, d)                                          # prenet projection
+    total += affine(128, d) + affine(d, d)                         # mel prenet
+
+    mha = 3 * affine(d, d) + d * d  # q, v, o carry biases; k does not
+    ffn = affine(d, ff) + affine(ff, d)
+    ln = 2 * d
+    total += cfg.layers_text * (mha + ffn + 2 * ln)
+    total += cfg.layers_cross * (2 * mha + ffn + 3 * ln)
+    total += cfg.layers_fusion * (mha + ffn + 2 * ln)
+    total += affine(d, cfg.num_classes)                            # head
+    if cfg.finetune_word_vectors:
+        total += vocab_rows * cfg.word_dim
+    return total
 
 
 def make_enc(wv, seed=0, n_words=3, n_frames=5, utt_embedding=None):

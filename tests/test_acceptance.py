@@ -12,14 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from helpers import make_enc, make_model, nudge_off_kinks
+from helpers import attention_modules, make_enc, make_model, nudge_off_kinks
 from melformer import autograd as ag
 from melformer.audio import FRAME_MS, HOP_MS, frame_signal
 from melformer.config import HarnessConfig, LABELS, ModelConfig
 from melformer.data import (SyntheticSpec, batches, encode_manifest,
                             gen_synthetic, parse_manifest)
 from melformer.errors import ValidationError
-from melformer.fusion import build_fusion_model
+from melformer.fusion import MultiGranularityModel
 from melformer.harness import (Adam, clip_gradients, evaluate, kfold_split,
                                metrics_from_confusion, run_protocol, train_fold)
 from melformer.model import MultilevelTransformer, load_checkpoint, save_checkpoint
@@ -159,7 +159,7 @@ def test_criterion_5_invariants(tmp_path):
         assert np.max(np.abs(base - padded)) < 1e-5
 
         # attention rows are distributions at every attention module
-        for mha in model.attention_modules():
+        for mha in attention_modules(model):
             sums = mha.last_weights.sum(axis=2)
             assert np.max(np.abs(sums - 1.0)) < 1e-6
 
@@ -237,7 +237,7 @@ def test_criterion_5_invariants(tmp_path):
 def test_criterion_6_fusion_degrades_to_fine_model():
     with criterion(6, "fusion degradation"):
         _, cfg, wv = make_model(seed=1)
-        fusion = build_fusion_model(cfg, wv, utt_dim=6, seed=1)
+        fusion = MultiGranularityModel(cfg, wv, utt_dim=6, seed=1)
         fusion.eval()
         fusion.proj_utt.weight.data[:] = 0.0
         fusion.proj_utt.bias.data[:] = 0.0

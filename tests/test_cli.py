@@ -115,6 +115,19 @@ def test_a_run_that_fails_in_training_keeps_its_config_echo(corpus, tmp_path, ca
     assert not (out / "results.json").exists()
 
 
+def test_a_parameter_whose_float64_draw_overflows_memory_is_refused_before_the_config_echo(
+        corpus, tmp_path, capsys, monkeypatch):
+    _, _, manifest = corpus
+    u = ModelConfig().word_dim + ModelConfig().phoneme_channels  # the highway weights, [u, u]
+    monkeypatch.setattr(nn, "_MEMORY_BYTES", 6 * u * u)  # room for them in float32, not in float64
+    out = tmp_path / "run"
+    argv = ["train", "--manifest", str(manifest), "--out-dir", str(out)] + TINY_MODEL + TINY_RUN
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: a parameter of shape \({u}, {u}\) needs [^\n]+\n", err), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("granularity,precision", [("fine", "float32"), ("multi", "float32"),
                                                    ("fine", "float64")],
                          ids=["fine", "multi", "fine-float64"])
@@ -686,7 +699,7 @@ def _mel1(rows, cols, trailing=b""):
 @pytest.fixture(scope="module")
 def checkpoints(corpus, tmp_path_factory):
     """A fine and a built-in-encoder multi checkpoint of a small 2-class model."""
-    from melformer.fusion import build_fusion_model
+    from melformer.fusion import MultiGranularityModel
     from melformer.model import MultilevelTransformer
     from melformer.text import hash_word_vectors
     root = tmp_path_factory.mktemp("ckpts")
@@ -697,7 +710,7 @@ def checkpoints(corpus, tmp_path_factory):
     fine, multi = root / "fine.ckpt", root / "multi.ckpt"
     save_checkpoint(fine, MultilevelTransformer(cfg, wv), cfg,
                     extra={"seed": 0, "granularity": "fine"})
-    model = build_fusion_model(cfg, wv)
+    model = MultiGranularityModel(cfg, wv)
     save_checkpoint(multi, model, cfg, extra={"seed": 0, **model.checkpoint_extra()})
     return fine.read_bytes(), multi.read_bytes()
 

@@ -15,7 +15,6 @@ from melformer.errors import FormatError, ValidationError
 from melformer.fusion import (
     MeanPoolUtteranceEncoder,
     MultiGranularityModel,
-    build_fusion_model,
     load_utterance_embeddings,
     restore_fusion_model,
 )
@@ -35,7 +34,7 @@ def write_uemb(path, dim, table):
 def make_fusion(seed=0, utt_dim=8, builtin=False, **overrides):
     cfg = small_config(**overrides)
     wv = hash_word_vectors(WORDS, dim=cfg.word_dim)
-    model = build_fusion_model(cfg, wv, utt_dim=None if builtin else utt_dim, seed=seed)
+    model = MultiGranularityModel(cfg, wv, utt_dim=None if builtin else utt_dim, seed=seed)
     return model, cfg, wv
 
 
@@ -193,7 +192,7 @@ def test_freeze_fine_hides_fine_params_from_training_only():
               "head.weight", "head.bias"}
     for utt_dim, encoder in [(8, set()), (None, {"utt_encoder.proj.weight",
                                                  "utt_encoder.proj.bias"})]:
-        model = build_fusion_model(cfg, wv, utt_dim=utt_dim, seed=27, freeze_fine=True)
+        model = MultiGranularityModel(cfg, wv, utt_dim=utt_dim, seed=27, freeze_fine=True)
         trainable = {name for name, _ in model.trainable_named_parameters()}
         assert trainable == fusion | encoder
         assert "fusion_blocks.0.attn.wqvk.weight" in dict(model.named_parameters())
@@ -218,7 +217,7 @@ def _graph_tensors(loss):
 def test_a_frozen_step_builds_no_encoder_graph_and_no_encoder_grad(builtin):
     cfg = small_config(finetune_word_vectors=True)
     wv = hash_word_vectors(WORDS, dim=cfg.word_dim)
-    model = build_fusion_model(cfg, wv, utt_dim=None if builtin else 8, seed=45,
+    model = MultiGranularityModel(cfg, wv, utt_dim=None if builtin else 8, seed=45,
                                freeze_fine=True)
     rng = np.random.default_rng(46)
     batch = [(make_enc(wv, seed=47 + i, n_words=2 + i, n_frames=5 + i,
@@ -278,7 +277,7 @@ def test_fusion_predict_is_deterministic_with_dropout(tmp_path):
 def test_restore_model_rebuilds_multi_from_its_header(tmp_path, builtin, freeze_fine):
     cfg = small_config(dropout=0.0)
     wv = hash_word_vectors(WORDS, dim=cfg.word_dim)
-    model = build_fusion_model(cfg, wv, utt_dim=None if builtin else 8, seed=36,
+    model = MultiGranularityModel(cfg, wv, utt_dim=None if builtin else 8, seed=36,
                                freeze_fine=freeze_fine)
     path = tmp_path / "fusion.ckpt"
     save_checkpoint(path, model, cfg, extra={"seed": 36, **model.checkpoint_extra()})

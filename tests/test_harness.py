@@ -3,8 +3,10 @@
 import gc
 import json
 import math
+import time
 import tracemalloc
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +21,7 @@ from melformer.config import HarnessConfig, LABELS, ModelConfig, RunConfig
 from melformer.data import (Manifest, Record, encode_manifest, gen_synthetic,
                             parse_manifest)
 from melformer.errors import ContractError, ShapeError, TrainingDiverged, ValidationError
-from melformer.fusion import build_fusion_model
+from melformer.fusion import MultiGranularityModel
 from melformer.harness import (BLOCK, Adam, FoldMetrics, TrainResult, build_model,
                                clip_gradients, evaluate, format_mean_std, kfold_split,
                                metrics_from_confusion, run_protocol, summarize,
@@ -495,7 +497,7 @@ def test_evaluate_rejects_empty_set():
 def test_evaluate_restores_training_mode_when_a_batch_fails():
     cfg = small_config(num_classes=2)
     wv = hash_word_vectors(WORDS, dim=cfg.word_dim)
-    model = build_fusion_model(cfg, wv, utt_dim=6, seed=0)
+    model = MultiGranularityModel(cfg, wv, utt_dim=6, seed=0)
     encs = [make_enc(wv, seed=i, utt_embedding=np.ones(6) if i == 0 else None) for i in range(2)]
     for i, enc in enumerate(encs):
         enc.id, enc.label = f"u{i}", i
@@ -871,8 +873,8 @@ def _prefix_filter(model):
 def test_frozen_fine_trains_like_the_prefix_filter_oracle(corpus, monkeypatch, precision):
     _, encs, wv = corpus
     cfg = small_config(num_classes=2, dropout=0.1, precision=precision)
-    frozen = build_fusion_model(cfg, wv, seed=6, freeze_fine=True)
-    oracle = build_fusion_model(cfg, wv, seed=6)
+    frozen = MultiGranularityModel(cfg, wv, seed=6, freeze_fine=True)
+    oracle = MultiGranularityModel(cfg, wv, seed=6)
     monkeypatch.setattr(oracle, "trainable_named_parameters", lambda: _prefix_filter(oracle))
     initial = frozen.state_dict()
     for model in (frozen, oracle):
@@ -886,7 +888,7 @@ def test_frozen_fine_trains_like_the_prefix_filter_oracle(corpus, monkeypatch, p
 
 def test_freezing_fine_model_trains_only_fusion_side(corpus):
     _, encs, wv = corpus
-    model = build_fusion_model(tiny_cfg(), wv, utt_dim=None, seed=2, freeze_fine=True)
+    model = MultiGranularityModel(tiny_cfg(), wv, utt_dim=None, seed=2, freeze_fine=True)
     before = {name: p.data.copy() for name, p in model.named_parameters()}
     train_epochs(model, encs, encs, hcfg(max_epochs=1, lr=1e-2), seed=2)
     after = dict(model.named_parameters())
@@ -909,6 +911,46 @@ def test_run_protocol_serial_and_parallel_agree(corpus, tmp_path):
     assert sum_s["wa"] == sum_p["wa"]
     assert len(res_s) == 5
     assert set(sum_s) >= {"per_seed", "wa", "ua", "wa_mean", "ua_std"}
+
+
+def _received(marker, message):
+    """Unpickles a ``_Diverged`` where its result is received: in the parent."""
+    Path(marker).touch()
+    return TrainingDiverged(message)
+
+
+class _Diverged(TrainingDiverged):
+    def __init__(self, marker, message):
+        super().__init__(message)
+        self.marker = marker
+
+    def __reduce__(self):
+        return _received, (self.marker, self.args[0])
+
+
+def test_a_fold_that_fails_under_workers_stops_the_folds_not_yet_started(monkeypatch, tmp_path):
+    """Two workers, five folds, and fold 0 diverges at once.  The other
+    folds return only once the parent has received that error (a marker its
+    unpickling leaves, not a clock), so none of them can free a worker
+    first: fold 0's error is raised and no fold queued behind it trains."""
+    received = tmp_path / "received"
+
+    def train_fold(plan, *args, **kwargs):
+        (tmp_path / f"started{plan.fold}").touch()
+        if plan.fold == 0:
+            raise _Diverged(str(received), "training diverged in fold 0")
+        deadline = time.monotonic() + 60  # a bound for a broken pool, not a timing
+        while not received.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return plan.fold
+
+    monkeypatch.setattr(harness, "train_fold", train_fold)
+    monkeypatch.delenv("MELFORMER_NUM_WORKERS", raising=False)
+    plans = [SimpleNamespace(fold=fold) for fold in range(5)]
+    with pytest.raises(TrainingDiverged, match="fold 0"):
+        run_protocol([], plans, tiny_cfg(), hcfg(workers=2), None)
+    assert received.exists()
+    assert {int(path.name[len("started"):]) for path in tmp_path.glob("started*")} == {0, 1}
 
 
 def test_worker_count_respects_env_cap(monkeypatch):

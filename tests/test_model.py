@@ -21,7 +21,7 @@ from melformer import nn
 from melformer.autograd import Segments, Tensor, gradcheck_sampled
 from melformer.config import ModelConfig
 from melformer.errors import FormatError, ShapeError, ValidationError
-from melformer.fusion import build_fusion_model
+from melformer.fusion import MultiGranularityModel
 from melformer.model import (
     CrossModalBlock,
     EncoderBlock,
@@ -29,7 +29,7 @@ from melformer.model import (
     MultiHeadAttention,
     MultilevelTransformer,
     Pack,
-    expected_parameter_count,
+    build_variant,
     load_checkpoint,
     rebuild_model,
     restore_model,
@@ -37,8 +37,9 @@ from melformer.model import (
 )
 from melformer.text import hash_word_vectors
 
-from helpers import (WORDS, make_enc, make_model, nudge_off_kinks, per_utterance_batch,
-                     small_config, utterance_logits, zero_fill_backward)
+from helpers import (WORDS, attention_modules, expected_parameter_count, make_enc, make_model,
+                     nudge_off_kinks, parameter_count, per_utterance_batch, small_config,
+                     utterance_logits, zero_fill_backward)
 
 # ---------------------------------------------------------------------------
 # attention structure
@@ -383,7 +384,7 @@ def test_attention_rows_sum_to_one_at_every_layer():
     model, _, wv = make_model(seed=9)
     model.eval()
     model.forward_utterance(make_enc(wv, seed=10), pad_words=1, pad_frames=2)
-    mhas = model.attention_modules()
+    mhas = attention_modules(model)
     assert len(mhas) == 1 + 2 + 2  # text, cross (self+cross), two fusion blocks
     for mha in mhas:
         assert mha.last_weights is not None
@@ -429,7 +430,7 @@ def _model(granularity, combine_mode, seed=50, **overrides):
     if granularity == "fine":
         return MultilevelTransformer(cfg, wv, seed=seed), wv
     utt_dim = None if granularity == "multi" else 6
-    return build_fusion_model(cfg, wv, utt_dim=utt_dim, seed=seed), wv
+    return MultiGranularityModel(cfg, wv, utt_dim=utt_dim, seed=seed), wv
 
 
 def _rows(wv, n, granularity):
@@ -448,7 +449,7 @@ def _logits_grads_and_maps(model, forward, rows):
     logits = forward(model, rows)
     ag.backward(ag.cross_entropy(logits, list(range(len(rows)))))
     grads = {name: p.grad.copy() for name, p in model.named_parameters() if p.grad is not None}
-    maps = [mha.last_weights.copy() for mha in model.attention_modules()]
+    maps = [mha.last_weights.copy() for mha in attention_modules(model)]
     return logits.data.copy(), grads, maps
 
 
@@ -625,7 +626,7 @@ def _train_mode_leaf_grads(granularity, rate, backward):
     cfg = small_config(dropout=rate)
     wv = hash_word_vectors(WORDS, dim=cfg.word_dim)
     model = (MultilevelTransformer(cfg, wv, seed=21) if granularity == "fine"
-             else build_fusion_model(cfg, wv, utt_dim=None, seed=21))
+             else MultiGranularityModel(cfg, wv, utt_dim=None, seed=21))
     encs = [make_enc(wv, seed=22 + i, n_words=2 + i, n_frames=4 + 3 * i) for i in range(3)]
     loss = ag.cross_entropy(model.forward_batch([(e, 0, 0) for e in encs]), [0, 3, 1])
     backward(loss)
@@ -652,20 +653,20 @@ def test_leaf_grads_match_the_zero_filling_backward(granularity, rate):
 
 def test_parameter_count_matches_formula():
     model, cfg, _ = make_model()
-    assert model.parameter_count() == expected_parameter_count(cfg)
+    assert parameter_count(model) == expected_parameter_count(cfg)
 
 
 def test_parameter_count_formula_default_config():
     cfg = ModelConfig()
     wv = hash_word_vectors(WORDS, dim=cfg.word_dim)
     model = MultilevelTransformer(cfg, wv)
-    assert model.parameter_count() == expected_parameter_count(cfg)
+    assert parameter_count(model) == expected_parameter_count(cfg)
 
 
 def test_parameter_count_with_finetuned_word_vectors():
     model, cfg, wv = make_model(finetune_word_vectors=True)
     expected = expected_parameter_count(cfg, vocab_rows=wv.matrix.shape[0])
-    assert model.parameter_count() == expected
+    assert parameter_count(model) == expected
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
@@ -806,7 +807,7 @@ def _trained_like(variant, seed, **overrides):
     def build(s):
         if v["granularity"] == "fine":
             return MultilevelTransformer(cfg, wv, seed=s)
-        return build_fusion_model(cfg, wv, utt_dim=None if v["builtin"] else 8, seed=s,
+        return MultiGranularityModel(cfg, wv, utt_dim=None if v["builtin"] else 8, seed=s,
                                   freeze_fine=v["freeze_fine"])
 
     model, twin = build(seed), build(seed + 1)
@@ -858,6 +859,44 @@ def test_skip_init_allocates_in_its_dtype_and_draws_nothing():
     fresh = nn.Linear(3, 4, rng)  # outside the block: drawn in float64 again
     assert fresh.weight.data.dtype == np.float64
     assert rng.bit_generator.state != state
+
+
+@pytest.mark.parametrize("variant", sorted(RESTORE_VARIANTS))
+def test_a_float32_model_starts_from_the_same_seed_float64_model_rounded(variant):
+    v = RESTORE_VARIANTS[variant]
+    models = {}
+    for precision in ("float32", "float64"):
+        cfg = small_config(precision=precision)
+        wv = hash_word_vectors(WORDS, dim=cfg.word_dim)
+        models[precision] = build_variant(cfg, wv, v["granularity"], seed=67,
+                                          utt_dim=None if v.get("builtin", True) else 8,
+                                          freeze_fine=v.get("freeze_fine", False))
+    wide = dict(models["float64"].named_parameters())
+    narrow = dict(models["float32"].named_parameters())
+    assert list(narrow) == list(wide)
+    for name, p in narrow.items():
+        assert p.data.dtype == np.float32 and p.requires_grad == wide[name].requires_grad, name
+        assert np.array_equal(p.data, wide[name].data.astype(np.float32)), name
+
+
+@pytest.mark.parametrize("granularity", ["fine", "multi"])
+def test_a_float32_build_holds_no_float64_copy_of_the_parameters(granularity):
+    """Peak traced memory over a paper-default build stays near one float32
+    copy of the parameters: each is rounded as it is drawn, so the float64
+    model, twice that size, never exists."""
+    import tracemalloc
+
+    cfg = ModelConfig()
+    wv = hash_word_vectors(WORDS, dim=cfg.word_dim)
+    tracemalloc.start()
+    try:
+        model = build_variant(cfg, wv, granularity, seed=68)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(p.data.nbytes for p in model.parameters())
+    assert {p.data.dtype for p in model.parameters()} == {np.dtype(np.float32)}
+    assert peak < 1.25 * nbytes
 
 
 def test_a_float32_restore_holds_no_float64_copy_of_the_parameters(tmp_path):

@@ -24,6 +24,8 @@ from melformer.text import (
     WordCombiner,
 )
 
+from helpers import parameter_count
+
 
 @pytest.fixture
 def lexicon(tmp_path):
@@ -308,10 +310,10 @@ def test_prenet_output_shape_for_any_length():
 
 def test_prenet_weights_are_shared_across_lengths():
     prenet = EncoderPrenet(np.random.default_rng(15))
-    n_before = prenet.parameter_count()
+    n_before = parameter_count(prenet)
     prenet(Tensor(np.zeros((3, 450))), Segments([3]))
     prenet(Tensor(np.zeros((9, 450))), Segments([9]))
-    assert prenet.parameter_count() == n_before
+    assert parameter_count(prenet) == n_before
 
 
 def test_prenet_padding_rows_do_not_leak():
