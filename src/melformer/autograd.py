@@ -91,9 +91,6 @@ class Tensor:
             raise ContractError(f"item() needs a scalar, got shape {self.data.shape}")
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 

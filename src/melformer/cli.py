@@ -134,15 +134,16 @@ def _checkpoint_utt_table(model, path):
     """The utterance table a restored model reads, or None.
 
     Only a multi-granularity model without a built-in encoder reads one, and
-    it needs one; a built-in encoder refuses a file that would bypass it; a
-    fine-grained model ignores ``path``, as ``train`` does.
+    it needs one; a model with a built-in encoder refuses a file, since it
+    would never read it; a fine-grained model ignores ``path``, as ``train``
+    does.
     """
     if not isinstance(model, MultiGranularityModel):
         return None
     if model.utt_encoder is not None:
         if path:
             raise ValidationError("this checkpoint encodes utterances with its built-in "
-                                  "encoder; --utt-embeddings would bypass it")
+                                  "encoder; it would ignore --utt-embeddings")
         return None
     if not path:
         raise ValidationError("this checkpoint was trained on an utterance-embedding file; "

@@ -65,7 +65,8 @@ class MultiGranularityModel(MultilevelTransformer):
     """Fine-grained transformer + utterance embedding, fused before the head.
 
     ``utt_dim`` is the width D_u of embeddings callers fetch from a file;
-    without it, a built-in encoder computes them, D_u being the word width.
+    without it, a built-in encoder computes them, D_u being the word width,
+    and a file's vectors are never read, so the encoder trains every step.
     The fused ``head`` replaces the fine one, drawn last, so the encoder
     starts as a same-seed fine model's; ``freeze_fine`` makes its parameters
     constants, so only the utterance encoder, projections and head train.
@@ -88,22 +89,18 @@ class MultiGranularityModel(MultilevelTransformer):
             self.head = nn.Linear(2 * cfg.d_fuse, cfg.num_classes, rng)
 
     def utt_vector(self, encs) -> Tensor:
-        """[N, utt_dim] utterance embeddings in the model's dtype: each enc's
-        own (from a file) when every enc carries one, else the built-in
-        encoder's."""
-        given = [getattr(enc, "utt_embedding", None) for enc in encs]
-        if all(vec is not None for vec in given):
-            rows = [np.asarray(vec, dtype=self.dtype) for vec in given]
-            for vec in rows:
-                if vec.shape != (self.utt_dim,):
-                    raise ValidationError(
-                        f"utterance embedding has shape {vec.shape}, expected ({self.utt_dim},)")
-            return Tensor(np.stack(rows))
-        if any(vec is not None for vec in given):
-            raise ValidationError("a batch mixes utterances with and without embeddings")
+        """[N, utt_dim] utterance embeddings in the model's dtype, from the
+        variant's one source: the built-in encoder, which ignores any vector
+        an enc carries, or else each enc's own (from a file)."""
         if self.utt_encoder is not None:
             return self.utt_encoder(encs)
-        raise ValidationError("no utterance embedding available: supply a file or an encoder")
+        given = [getattr(enc, "utt_embedding", None) for enc in encs]
+        for i, vec in enumerate(given):
+            if vec is None or np.shape(vec) != (self.utt_dim,):
+                raise ValidationError(
+                    f"utterance {i} of the batch needs an embedding of shape ({self.utt_dim},), "
+                    f"got {'none' if vec is None else np.shape(vec)}")
+        return Tensor(np.stack([np.asarray(vec, dtype=self.dtype) for vec in given]))
 
     def classify(self, cls: Tensor, encs) -> Tensor:
         """[N, d] cls rows and the utterances' embeddings -> [N, K] logits."""

@@ -53,14 +53,14 @@ class Adam:
     per step, where whole-tensor expressions stream it several times and
     allocate a full-size temporary for every intermediate.
 
-    A parameter whose ``grad`` is None keeps its value and moments.  Every
-    gradient must be finite: ``step`` does not look, and a non-finite one
+    Every parameter needs a gradient at every step, and every gradient must
+    be finite: ``step`` does not look at the values, and a non-finite one
     would poison the moments.  ``train_epochs`` checks the pre-clip norm
     before each step.  Once handed to the optimizer, parameters must be
     changed in place (``p.data[...] = x``): ``step`` refuses one whose
     ``data`` is no longer its arena view, since it would silently stop
-    training.  It also refuses a gradient of another shape or dtype than its
-    parameter, before any block is updated.
+    training.  It also refuses a missing gradient, or one of another shape
+    or dtype than its parameter, before any block is updated.
     """
 
     def __init__(self, named_params, lr=1e-5, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -96,9 +96,12 @@ class Adam:
                 raise ContractError(
                     f"parameter {name} no longer views the optimizer's arena; "
                     "update parameters in place (p.data[...] = x)")
-            if p.grad is not None and p.grad.shape != view.shape:
+            if p.grad is None:
+                raise ContractError(f"parameter {name} has no gradient: it was not in "
+                                    "the graph of the last backward")
+            if p.grad.shape != view.shape:
                 raise ShapeError(f"parameter {name}: gradient {p.grad.shape} vs {view.shape}")
-            if p.grad is not None and p.grad.dtype != view.dtype:
+            if p.grad.dtype != view.dtype:
                 # the block gather would cast it silently
                 raise ContractError(f"parameter {name}: gradient {p.grad.dtype} vs {view.dtype}")
             grads.append(p.grad)
@@ -124,18 +127,9 @@ class Adam:
 
     def _gather(self, grads):
         """Copy the gradients into the scratch ``_g`` block by block.  Yields
-        (arena offset, length) for each full block and at the end of each run
-        of parameters with a gradient, so parameters without one are never
-        touched."""
+        (arena offset, length) for each block; the blocks tile the arena."""
         lo = fill = 0
-        for g, offset in zip(grads, self.offsets):
-            if g is None:
-                if fill:
-                    yield lo, fill
-                fill = 0
-                continue
-            if not fill:
-                lo = offset
+        for g in grads:
             flat = g.reshape(-1)
             pos = 0
             while pos < flat.size:
@@ -161,7 +155,7 @@ def clip_gradients(params, max_norm):
     ||g / max|g|||, so the norm is non-finite only when an entry is (or the
     norm passes float64's max).  A non-finite norm scales nothing.
     """
-    grads = [p.grad for p in params if p.grad is not None]
+    grads = [p.grad for p in params]
     flats = [g.reshape(-1) for g in grads]
     with np.errstate(over="ignore"):
         norm = sum(float(np.dot(f, f)) for f in flats) ** 0.5
@@ -371,8 +365,7 @@ def train_epochs(model, train_encs, dev_encs, hcfg: HarnessConfig, seed,
                     ag.backward(loss)
                     norm = clip_gradients(trainable, hcfg.clip_norm)
                     if not math.isfinite(norm):  # name the first non-finite gradient
-                        bad = [name for name, p in opt.items
-                               if p.grad is not None and not np.isfinite(p.grad).all()]
+                        bad = [name for name, p in opt.items if not np.isfinite(p.grad).all()]
                         raise NumericError(f"non-finite gradient in parameter {bad[0]}" if bad
                                            else f"pre-clip gradient norm {norm}")
                     opt.step()

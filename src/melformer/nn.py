@@ -60,10 +60,6 @@ class Module:
     def eval(self):
         return self.train(False)
 
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
-
     def state_dict(self):
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
@@ -162,24 +158,19 @@ def fan_in_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 class Linear(Module):
-    """Affine map y = x W + b on the last axis of a 1-D or 2-D input.
+    """Affine map y = x W + b on the rows of a [N, n_in] input.
 
     ``bias`` is the number of leading output columns that have a bias (all
     of them by default); the rest get none."""
 
     def __init__(self, n_in, n_out, rng, bias: int | None = None):
         super().__init__()
-        self.n_in = n_in
         self.n_out = n_out
         self.weight = Tensor(fan_in_uniform(rng, (n_in, n_out), n_in), requires_grad=True)
         self.bias = Tensor(_initial(n_out if bias is None else bias, 0.0), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = ag.reshape(x, (1, x.shape[0]))
-        out = ag.matmul(x, self.weight, bias=self.bias)
-        return ag.reshape(out, (self.n_out,)) if squeeze else out
+        return ag.matmul(x, self.weight, bias=self.bias)
 
 
 class LayerNorm(Module):

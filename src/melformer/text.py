@@ -253,8 +253,8 @@ class HighwayLayer(nn.Module):
     ``h * t + u * (1 - t)`` with ``h = relu(W_h u + b_h)`` and
     ``t = sigmoid(W_g u + b_g)``; the gating is one ``autograd.highway`` node.
 
-    Works on a [dim] vector or row-wise on a [T, dim] matrix.  The gate
-    bias starts at -1 so a fresh layer mostly copies its input.
+    Works row-wise on a [T, dim] matrix.  The gate bias starts at -1 so a
+    fresh layer mostly copies its input.
     """
 
     def __init__(self, dim, rng):
@@ -270,8 +270,8 @@ class HighwayLayer(nn.Module):
 class WordCombiner(nn.Module):
     """Concatenate word and phoneme vectors; optionally mix with two highways.
 
-    Takes one word ([word_dim] and [phon_dim]) or a whole utterance row-wise
-    ([T, word_dim] and [T, phon_dim]) and returns [..., word_dim + phon_dim].
+    Takes T words row-wise ([T, word_dim] and [T, phon_dim]) and returns
+    [T, word_dim + phon_dim].
     """
 
     def __init__(self, mode, rng, word_dim=WORD_DIM, phon_dim=150):

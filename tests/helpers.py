@@ -99,7 +99,7 @@ from melformer.verify import nudge_off_kinks  # noqa: F401  (shared with the CLI
 
 def utterance_logits(model, enc, pad_words=0, pad_frames=0):
     """The earlier forward, kept as an oracle: one utterance through the
-    model on its own -> [K] logits, with no pack and no stream offsets."""
+    model on its own -> [1, K] logits, with no pack and no stream offsets."""
     word_ids = list(enc.word_ids) + [model.word_vectors.pad_id] * pad_words
     phonemes = list(enc.phonemes) + [[PAD_PHONEME]] * pad_words
     mel = np.vstack([enc.mel, np.zeros((pad_frames, 128))]).astype(model.dtype)
@@ -117,21 +117,21 @@ def utterance_logits(model, enc, pad_words=0, pad_frames=0):
         x = block(x, text, frames, words)
     for block in model.fusion_blocks:  # every fusion block over all rows
         x = block(x, x, frames, frames)
-    cls = ag.getitem(x, 0)
+    cls = ag.getitem(x, np.array([0]))
     if not isinstance(model, MultiGranularityModel):
         return model.head(cls)
-    if enc.utt_embedding is not None:
-        utt = Tensor(np.asarray(enc.utt_embedding, dtype=model.dtype))
+    if model.utt_encoder is None:
+        utt = Tensor(np.asarray(enc.utt_embedding, dtype=model.dtype)[None])
     else:
         rows = model.utt_encoder.word_vectors.matrix[np.asarray(enc.word_ids)]
-        utt = model.utt_encoder.proj(Tensor(rows.mean(axis=0).astype(model.dtype)))
-    return model.head(ag.concat([model.proj_fine(cls), model.proj_utt(utt)], axis=0))
+        utt = model.utt_encoder.proj(Tensor(rows.mean(axis=0, keepdims=True).astype(model.dtype)))
+    return model.head(ag.concat([model.proj_fine(cls), model.proj_utt(utt)], axis=1))
 
 
 def per_utterance_batch(model, batch):
     """The earlier ``forward_batch``, kept as an oracle: each
     ``(enc, pad_words, pad_frames)`` row on its own -> [N, K] logits."""
-    return ag.stack_rows([utterance_logits(model, *row) for row in batch])
+    return ag.concat([utterance_logits(model, *row) for row in batch], axis=0)
 
 
 def zero_fill_backward(loss):
@@ -192,8 +192,6 @@ class PerParameterAdam:
         step = self.lr * root_b2c / (1.0 - self.beta1 ** self.t)
         for (_, p), m, v in zip(self.items, self.m, self.v):
             g = p.grad
-            if g is None:
-                continue
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2

@@ -165,7 +165,7 @@ def test_criterion_5_invariants(tmp_path):
 
         # highway gate limits and midpoint
         rng = np.random.default_rng(0)
-        u = ag.Tensor(rng.standard_normal(6))
+        u = ag.Tensor(rng.standard_normal((1, 6)))
         hw = HighwayLayer(6, rng)
         hw.gate.bias.data[:] = -1e9
         assert np.array_equal(hw(u).data, u.data)            # closed gate copies

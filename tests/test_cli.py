@@ -128,18 +128,20 @@ def test_a_parameter_whose_float64_draw_overflows_memory_is_refused_before_the_c
     assert not out.exists()
 
 
-@pytest.mark.parametrize("granularity,precision", [("fine", "float32"), ("multi", "float32"),
-                                                   ("fine", "float64")],
-                         ids=["fine", "multi", "fine-float64"])
+@pytest.mark.parametrize("granularity,precision,utt_file",
+                         [("fine", "float32", False), ("multi", "float32", False),
+                          ("fine", "float64", False), ("multi", "float32", True)],
+                         ids=["fine", "multi", "fine-float64", "multi-file"])
 def test_eval_on_each_best_checkpoint_reproduces_its_fold(corpus, tmp_path, capsys, granularity,
-                                                          precision):
+                                                          precision, utt_file):
     from melformer.data import parse_manifest
     from melformer.harness import kfold_split
-    _, _, manifest = corpus
+    _, raw, manifest = corpus
+    uemb = ["--utt-embeddings", str(raw / "uemb.txt")] if utt_file else []
     out = tmp_path / "run"
     argv = ["train", "--manifest", str(manifest), "--out-dir", str(out),
             "--granularity", granularity, "--precision", precision
-            ] + TINY_MODEL + TINY_RUN + ["--batch-size", "4"]
+            ] + uemb + TINY_MODEL + TINY_RUN + ["--batch-size", "4"]
     assert main(argv) == 0
     folds = {f["fold"]: f for f in json.loads((out / "results.json").read_text())["folds"]}
     records = {}
@@ -151,7 +153,7 @@ def test_eval_on_each_best_checkpoint_reproduces_its_fold(corpus, tmp_path, caps
         fold_manifest.write_text("".join(json.dumps(records[i]) + "\n" for i in plan.test_ids))
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(out / f"seed0-fold{plan.fold}-best.ckpt"),
-                     "--manifest", str(fold_manifest)]) == 0
+                     "--manifest", str(fold_manifest)] + uemb) == 0
         shown = capsys.readouterr().out.split("confusion (rows true, cols predicted):\n")[1]
         confusion = [[int(v) for v in line.split()] for line in shown.splitlines()]
         assert confusion == folds[plan.fold]["confusion"], plan.fold

@@ -165,23 +165,46 @@ def test_builtin_encoder_used_when_no_embedding():
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_a_builtin_encoder_ignores_vectors_on_the_encodings():
+    """The built-in encoder is the model's one source: vectors the encodings
+    carry change neither the logits nor the encoder's gradients."""
+    model, cfg, wv = make_fusion(seed=24, builtin=True, dropout=0.0)
+    rng = np.random.default_rng(25)
+
+    def step(with_vectors):
+        encs = [make_enc(wv, seed=26 + i, n_words=2 + i, n_frames=4 + i,
+                         utt_embedding=rng.standard_normal(cfg.word_dim) if with_vectors else None)
+                for i in range(3)]
+        logits = model.forward_batch([(e, 0, 0) for e in encs])
+        ag.backward(ag.cross_entropy(logits, [0, 1, 3]))
+        return logits.data.copy(), [p.grad.copy() for p in model.utt_encoder.parameters()]
+
+    logits, grads = step(with_vectors=True)  # first, so no earlier gradient lingers
+    ref_logits, ref_grads = step(with_vectors=False)
+    assert np.array_equal(logits, ref_logits)
+    for g, ref in zip(grads, ref_grads):
+        assert np.array_equal(g, ref)
+
+
 def test_no_embedding_and_no_encoder_rejected():
     model, _, wv = make_fusion(seed=23)
-    with pytest.raises(ValidationError, match="embedding"):
+    with pytest.raises(ValidationError, match=r"needs an embedding of shape \(8,\), got none"):
         model.forward_utterance(make_enc(wv, seed=24))
 
 
 def test_batch_mixing_file_and_missing_embeddings_rejected():
-    model, _, wv = make_fusion(seed=24, builtin=True)
-    rows = [(make_enc(wv, seed=26, utt_embedding=np.zeros(300)), 0, 0),
+    # the file variant's one refusal: every utterance needs its own vector
+    model, _, wv = make_fusion(seed=24, utt_dim=8)
+    rows = [(make_enc(wv, seed=26, utt_embedding=np.zeros(8)), 0, 0),
             (make_enc(wv, seed=27), 0, 0)]
-    with pytest.raises(ValidationError, match="mixes"):
+    with pytest.raises(ValidationError, match=r"^utterance 1 of the batch needs an embedding "
+                                              r"of shape \(8,\), got none$"):
         model.forward_batch(rows)
 
 
 def test_wrong_embedding_width_rejected():
     model, _, wv = make_fusion(seed=25, utt_dim=8)
-    with pytest.raises(ValidationError, match="shape"):
+    with pytest.raises(ValidationError, match=r"shape \(8,\), got \(5,\)$"):
         model.forward_utterance(make_enc(wv, seed=26, utt_embedding=np.zeros(5)))
 
 

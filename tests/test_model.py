@@ -10,6 +10,7 @@ finite-difference harness.  Gradient and determinism tests run in eval mode
 noise.
 """
 
+import itertools
 import json
 import struct
 
@@ -98,7 +99,7 @@ def _per_head_attention(mha, queries, keys_values, q_segs, k_segs, drop=None):
     fused op's flat map (segment, then head, then query and key) and sliced
     per segment and head: 16-bit draws of sizes that are not multiples of
     four do not compose into one."""
-    d = mha.wo.n_in
+    d = mha.wo.weight.shape[0]
 
     def block(t, i):
         return ag.getitem(t, (slice(None), slice(i * d, (i + 1) * d)))
@@ -424,13 +425,14 @@ def test_untrained_models_predict_near_uniform():
 # ---------------------------------------------------------------------------
 # packed batches against the per-utterance oracle
 
-def _model(granularity, combine_mode, seed=50, **overrides):
+def _model(granularity, combine_mode, seed=50, freeze_fine=False, **overrides):
     cfg = small_config(combine_mode=combine_mode, **overrides)
     wv = hash_word_vectors(WORDS, dim=cfg.word_dim)
     if granularity == "fine":
         return MultilevelTransformer(cfg, wv, seed=seed), wv
     utt_dim = None if granularity == "multi" else 6
-    return MultiGranularityModel(cfg, wv, utt_dim=utt_dim, seed=seed), wv
+    return MultiGranularityModel(cfg, wv, utt_dim=utt_dim, seed=seed,
+                                 freeze_fine=freeze_fine), wv
 
 
 def _rows(wv, n, granularity):
@@ -445,10 +447,9 @@ def _rows(wv, n, granularity):
 
 
 def _logits_grads_and_maps(model, forward, rows):
-    model.zero_grad()
     logits = forward(model, rows)
     ag.backward(ag.cross_entropy(logits, list(range(len(rows)))))
-    grads = {name: p.grad.copy() for name, p in model.named_parameters() if p.grad is not None}
+    grads = {name: p.grad.copy() for name, p in model.named_parameters()}
     maps = [mha.last_weights.copy() for mha in attention_modules(model)]
     return logits.data.copy(), grads, maps
 
@@ -538,7 +539,7 @@ def test_predict_probs_matches_the_per_utterance_oracle(granularity):
     enc = make_enc(wv, seed=53, n_words=4, n_frames=8)
     probs = model.predict_probs(enc)
     model.eval()
-    ref = ag.softmax(ag.reshape(utterance_logits(model, enc), (1, -1))).data[0]
+    ref = ag.softmax(utterance_logits(model, enc)).data[0]
     assert np.max(np.abs(probs - ref)) <= 1e-12
 
 
@@ -612,14 +613,28 @@ def test_end_to_end_gradcheck_two_sample_batch():
 
 
 def test_every_parameter_receives_gradient():
-    model, _, wv = make_model(seed=17)
-    model.eval()
-    encs = [make_enc(wv, seed=18), make_enc(wv, seed=19)]
-    loss = ag.cross_entropy(model.forward_batch([(e, 0, 0) for e in encs]), [0, 3])
-    ag.backward(loss)
-    dead = [name for name, p in model.named_parameters()
-            if p.grad is None or not np.any(p.grad)]
-    assert dead == []
+    """Every trainable parameter of every variant is in every step's graph,
+    so ``Adam.step`` always finds a gradient; a frozen one never gets one.
+    Each utterance carries a file vector, which only the file variant reads."""
+    variants = [("fine", False), ("multi", False), ("multi", True), ("multi-file", False),
+                ("multi-file", True)]
+    for (granularity, freeze_fine), combine_mode, layers_fusion in itertools.product(
+            variants, ("highway", "concat"), (1, 2)):
+        where = (granularity, freeze_fine, combine_mode, layers_fusion)
+        model, wv = _model(granularity, combine_mode, seed=17, layers_fusion=layers_fusion,
+                           finetune_word_vectors=not freeze_fine, freeze_fine=freeze_fine)
+        model.eval()
+        width = getattr(model, "utt_dim", 6)
+        encs = [make_enc(wv, seed=18 + i, n_words=2 + i,
+                         utt_embedding=np.random.default_rng(i).standard_normal(width))
+                for i in range(2)]
+        ag.backward(ag.cross_entropy(model.forward_batch([(e, 0, 0) for e in encs]), [0, 3]))
+        trainable = dict(model.trainable_named_parameters())
+        assert "word_table" in trainable or freeze_fine, where
+        assert [name for name, p in trainable.items()
+                if p.grad is None or not np.any(p.grad)] == [], where
+        assert [name for name, p in model.named_parameters()
+                if name not in trainable and p.grad is not None] == [], where
 
 
 def _train_mode_leaf_grads(granularity, rate, backward):
@@ -946,17 +961,16 @@ def _per_word_encode_text(model, pack):
     """Reference frontend: phoneme CNN and combiner one word at a time."""
     word_emb = ag.embedding_rows(model.word_table, pack.word_ids,
                                  frozen_row=model.word_vectors.pad_id)
-    rows = [model.combiner(ag.getitem(word_emb, i),
-                           ag.getitem(model.phoneme_cnn.embed_word([phons]), 0))
+    rows = [model.combiner(ag.getitem(word_emb, np.array([i])),
+                           model.phoneme_cnn.embed_word([phons]))
             for i, phons in enumerate(pack.phonemes)]
-    x = nn.add_positions(model.prenet(ag.stack_rows(rows), pack.words), pack.words)
+    x = nn.add_positions(model.prenet(ag.concat(rows, axis=0), pack.words), pack.words)
     for block in model.text_blocks:
         x = block(x, x, pack.words, pack.words)
     return x
 
 
 def _logits_and_grads(model, enc, pad_words):
-    model.zero_grad()
     logits = model.forward_utterance(enc, pad_words=pad_words).logits
     ag.backward(ag.cross_entropy(ag.stack_rows([logits]), [1]))
     return logits.data.copy(), {name: p.grad.copy() for name, p in model.named_parameters()}

@@ -228,7 +228,8 @@ def test_word_block_gradcheck():
 # highway / combine
 
 def _unit(rng, dim=450):
-    u = rng.standard_normal(dim)
+    """One [1, dim] row of unit norm."""
+    u = rng.standard_normal((1, dim))
     return u / np.linalg.norm(u)
 
 
@@ -273,13 +274,13 @@ def test_fresh_highway_is_near_copy(seed):
 
 def test_combiner_dimension_is_450_both_modes():
     rng = np.random.default_rng(10)
-    wv = Tensor(np.random.default_rng(11).standard_normal(300))
-    pv = Tensor(np.random.default_rng(12).standard_normal(150))
+    wv = Tensor(np.random.default_rng(11).standard_normal((1, 300)))
+    pv = Tensor(np.random.default_rng(12).standard_normal((1, 150)))
     concat = WordCombiner("concat", rng)(wv, pv)
     highway = WordCombiner("highway", np.random.default_rng(13))(wv, pv)
-    assert concat.shape == (450,)
-    assert highway.shape == (450,)
-    assert np.allclose(concat.data, np.concatenate([wv.data, pv.data]))
+    assert concat.shape == (1, 450)
+    assert highway.shape == (1, 450)
+    assert np.allclose(concat.data, np.concatenate([wv.data, pv.data], axis=1))
 
 
 def test_combiner_rows_equal_single_word_calls():
@@ -289,8 +290,8 @@ def test_combiner_rows_equal_single_word_calls():
     rows = combiner(wv, pv)
     assert rows.shape == (3, 450)
     for i in range(3):
-        one = combiner(Tensor(wv.data[i]), Tensor(pv.data[i]))
-        np.testing.assert_allclose(rows.data[i], one.data, rtol=0, atol=1e-12)
+        one = combiner(Tensor(wv.data[i:i + 1]), Tensor(pv.data[i:i + 1]))
+        np.testing.assert_allclose(rows.data[i:i + 1], one.data, rtol=0, atol=1e-12)
 
 
 def test_bad_combine_mode_rejected():
@@ -355,7 +356,7 @@ def test_prenet_gradcheck():
 def test_highway_gradcheck():
     rng = np.random.default_rng(20)
     layer = HighwayLayer(10, rng)
-    u = Tensor(rng.standard_normal(10), requires_grad=True)
+    u = Tensor(rng.standard_normal((1, 10)), requires_grad=True)
 
     def f(*_):
         return ag.tsum(layer(u))
