@@ -43,7 +43,6 @@ class Record:
 @dataclass
 class Manifest:
     records: list
-    class_totals: dict
     path: str = ""
 
     @property
@@ -70,7 +69,6 @@ def parse_manifest(path) -> Manifest:
     """
     records = []
     seen = set()
-    totals = {label: 0 for label in LABELS}
     for lineno, line in utf8_lines(path):
         if not line.strip():
             continue
@@ -102,14 +100,13 @@ def parse_manifest(path) -> Manifest:
         if raw["id"] in seen:
             raise ValidationError(f"{where}: duplicate id {raw['id']!r}")
         seen.add(raw["id"])
-        totals[label] += 1
         records.append(Record(
             id=raw["id"], transcript=raw["transcript"], label=label,
             audio_path=raw.get("audio_path"), features_path=raw.get("features_path"),
             session=raw.get("session"), utt_embedding_id=raw.get("utt_embedding_id")))
     if not records:
         raise ValidationError(f"{path}: no records")
-    return Manifest(records=records, class_totals=totals, path=str(path))
+    return Manifest(records=records, path=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +119,6 @@ class EncodedUtterance:
     phonemes: list
     mel: np.ndarray  # [T, 128] float32 features, dummy row first; read-only from a cache
     label: int
-    session: str = None
     utt_embedding: np.ndarray = None
 
     @property
@@ -147,7 +143,7 @@ def encode_record(record: Record, manifest: Manifest, lexicon: Lexicon,
     seq = tokenize_and_g2p(record.transcript, lexicon, word_vectors=word_vectors)
     return EncodedUtterance(
         id=record.id, word_ids=seq.word_ids, phonemes=seq.phonemes,
-        mel=mel.frames, label=LABELS.index(record.label), session=record.session,
+        mel=mel.frames, label=LABELS.index(record.label),
         utt_embedding=None if utt_table is None else utt_table[record.embedding_key])
 
 

@@ -11,7 +11,6 @@ processes; only finished metrics cross process boundaries.
 
 import json
 import math
-import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
@@ -153,9 +152,14 @@ def clip_gradients(params, max_norm):
     float32, 1.3e154 in float64) overflows that sum to inf, which would
     scale every gradient to zero; an inf sum is redone scaled, as max|g| *
     ||g / max|g|||, so the norm is non-finite only when an entry is (or the
-    norm passes float64's max).  A non-finite norm scales nothing.
+    norm passes float64's max).  A non-finite norm scales nothing, and a
+    parameter with no gradient is refused before anything is scaled.
     """
     grads = [p.grad for p in params]
+    for i, (p, g) in enumerate(zip(params, grads)):
+        if g is None:
+            raise ContractError(f"parameter {i} of params (shape {p.data.shape}) has no "
+                                "gradient: it was not in the graph of the last backward")
     flats = [g.reshape(-1) for g in grads]
     with np.errstate(over="ignore"):
         norm = sum(float(np.dot(f, f)) for f in flats) ** 0.5
@@ -417,18 +421,6 @@ def train_fold(plan: FoldPlan, encs_by_id, model_cfg: ModelConfig, hcfg: Harness
 # ---------------------------------------------------------------------------
 # protocol over folds and seeds
 
-def _worker_count(requested):
-    cap = os.environ.get("MELFORMER_NUM_WORKERS")
-    if cap is not None:
-        try:
-            cap = int(cap)
-        except ValueError:
-            raise ValidationError(
-                f"MELFORMER_NUM_WORKERS must be an integer, got {cap!r}") from None
-        requested = min(requested, max(1, cap))
-    return requested
-
-
 def _run_job(args):
     plan, encs_by_id, model_cfg, hcfg, word_vectors, seed, utt_dim, out_dir = args
     return train_fold(plan, encs_by_id, model_cfg, hcfg, word_vectors,
@@ -444,12 +436,11 @@ def run_protocol(encs, plans, model_cfg: ModelConfig, hcfg: HarnessConfig,
     encs_by_id = {e.id: e for e in encs}
     jobs = [(plan, encs_by_id, model_cfg, hcfg, word_vectors, seed, utt_dim, out_dir)
             for seed in hcfg.seeds for plan in plans]
-    workers = _worker_count(hcfg.workers)
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if hcfg.workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=hcfg.workers) as pool:
             futures, running = [], set()
             for job in jobs:
-                if len(running) == workers:
+                if len(running) == hcfg.workers:
                     done, running = wait(running, return_when=FIRST_COMPLETED)
                     if any(f.exception() is not None for f in done):
                         break

@@ -231,14 +231,12 @@ class PhonemeCNN(nn.Module):
 
     def __init__(self, rng, d_p=64, widths=(2, 3, 4), channels_per_width=50):
         super().__init__()
-        self.widths = tuple(widths)
-        self.out_dim = channels_per_width * len(widths)
         self.embedding = nn.Embedding(len(PHONEMES), d_p, rng, pad_id=PAD_PHONEME)
         self.convs = nn.ModuleList(
             [nn.Conv1d(w, d_p, channels_per_width, rng, bias=False) for w in widths])
 
     def embed_word(self, phonemes) -> Tensor:
-        """One phoneme id list per word -> [n_words, out_dim], one row per word."""
+        """One phoneme id list per word -> [n_words, channels_per_width * len(widths)]."""
         ids = [np.asarray(word, dtype=np.int64) for word in phonemes]
         if any(word.ndim != 1 for word in ids):
             raise ShapeError("phoneme ids need one list of ids per word")

@@ -16,8 +16,8 @@ import pytest
 
 from melformer import nn
 from melformer.cli import _config_and_flags, build_parser, main
-from melformer.config import (CHOICES, HarnessConfig, ModelConfig, RunConfig, resolve_config,
-                              run_keys)
+from melformer.config import (CHOICES, LABELS, HarnessConfig, ModelConfig, RunConfig,
+                              resolve_config, run_keys)
 from melformer.errors import ValidationError
 from melformer.model import save_checkpoint
 
@@ -134,8 +134,10 @@ def test_a_parameter_whose_float64_draw_overflows_memory_is_refused_before_the_c
                          ids=["fine", "multi", "fine-float64", "multi-file"])
 def test_eval_on_each_best_checkpoint_reproduces_its_fold(corpus, tmp_path, capsys, granularity,
                                                           precision, utt_file):
-    from melformer.data import parse_manifest
+    from melformer.cli import _checkpoint_utt_table, _restore
+    from melformer.data import encode_manifest, parse_manifest
     from melformer.harness import kfold_split
+    from melformer.text import Lexicon
     _, raw, manifest = corpus
     uemb = ["--utt-embeddings", str(raw / "uemb.txt")] if utt_file else []
     out = tmp_path / "run"
@@ -148,6 +150,8 @@ def test_eval_on_each_best_checkpoint_reproduces_its_fold(corpus, tmp_path, caps
     for line in manifest.read_text().splitlines():
         rec = json.loads(line)
         records[rec["id"]] = {**rec, "features_path": str(manifest.parent / rec["features_path"])}
+    raw_lines = (raw / "manifest.jsonl").read_text().splitlines()
+    audio = {rec["id"]: rec["audio_path"] for rec in map(json.loads, raw_lines)}
     for plan in kfold_split(parse_manifest(manifest)):
         fold_manifest = tmp_path / f"fold{plan.fold}.jsonl"
         fold_manifest.write_text("".join(json.dumps(records[i]) + "\n" for i in plan.test_ids))
@@ -157,6 +161,28 @@ def test_eval_on_each_best_checkpoint_reproduces_its_fold(corpus, tmp_path, caps
         shown = capsys.readouterr().out.split("confusion (rows true, cols predicted):\n")[1]
         confusion = [[int(v) for v in line.split()] for line in shown.splitlines()]
         assert confusion == folds[plan.fold]["confusion"], plan.fold
+        # predict on one test utterance's WAV names the class that eval gives
+        # on that utterance's feature cache, with the probabilities the
+        # restored model gives on the encoding eval reads
+        ckpt = str(out / f"seed0-fold{plan.fold}-best.ckpt")
+        rec = records[plan.test_ids[0]]
+        one = tmp_path / f"one{plan.fold}.jsonl"
+        one.write_text(json.dumps(rec) + "\n")
+        assert main(["eval", "--checkpoint", ckpt, "--manifest", str(one)] + uemb) == 0
+        shown = capsys.readouterr().out.split("confusion (rows true, cols predicted):\n")[1]
+        predicted, = [j for line in shown.splitlines() for j, v in enumerate(line.split())
+                      if v == "1"]
+        utt_id = ["--utt-id", rec.get("utt_embedding_id") or rec["id"]] if utt_file else []
+        assert main(["predict", "--checkpoint", ckpt, "--wav", str(raw / audio[rec["id"]]),
+                     "--transcript", rec["transcript"]] + uemb + utt_id) == 0
+        model, wv = _restore(SimpleNamespace(checkpoint=ckpt, word_vectors=None),
+                             [rec["transcript"]], Lexicon({}))
+        enc, = encode_manifest(parse_manifest(one), Lexicon({}), wv,
+                               utt_table=_checkpoint_utt_table(model, uemb[-1] if uemb else None))
+        probs = model.predict_probs(enc)
+        assert capsys.readouterr().out == "".join(
+            f"{label} {p:.4f}\n" for label, p in zip(LABELS, probs)
+        ) + f"predicted: {LABELS[predicted]}\n", plan.fold
 
 
 def test_word_vector_file_sets_its_own_width(corpus, tmp_path, capsys):
@@ -302,15 +328,6 @@ def test_integer_config_values_are_accepted_for_float_fields():
     cfg = resolve_config({"model": {"dropout": 0}, "harness": {"lr": 1}})
     assert type(cfg.model.dropout) is float and cfg.model.dropout == 0.0
     assert type(cfg.harness.lr) is float and cfg.harness.lr == 1.0
-
-
-def test_non_integer_worker_cap_exits_one(corpus, tmp_path, capsys, monkeypatch):
-    _, _, manifest = corpus
-    monkeypatch.setenv("MELFORMER_NUM_WORKERS", "abc")
-    rc = main(["train", "--manifest", str(manifest), "--out-dir", str(tmp_path / "run")]
-              + TINY_MODEL + TINY_RUN[:-1] + ["2"])
-    assert rc == 1
-    assert "error: MELFORMER_NUM_WORKERS" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", [

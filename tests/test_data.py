@@ -36,8 +36,7 @@ def test_parse_minimal_manifest(tmp_path):
     p = write_manifest(tmp_path / "m.jsonl", [row(0, "angry"), row(1, "sad")])
     man = parse_manifest(p)
     assert [r.id for r in man.records] == ["u0", "u1"]
-    assert man.records[0].label == "angry"
-    assert man.class_totals == {"angry": 1, "sad": 1, "neutral": 0, "happy": 0}
+    assert [r.label for r in man.records] == ["angry", "sad"]
     assert not man.has_sessions
 
 
@@ -45,7 +44,6 @@ def test_excited_folds_into_happy(tmp_path):
     p = write_manifest(tmp_path / "m.jsonl", [row(0, "excited")])
     man = parse_manifest(p)
     assert man.records[0].label == "happy"
-    assert man.class_totals["happy"] == 1
 
 
 def test_empty_manifest_rejected(tmp_path):
@@ -122,7 +120,7 @@ def test_gen_synthetic_counts(tmp_path):
     assert len(list(tmp_path.glob("*.wav"))) == 32
     man = parse_manifest(man_path)
     assert len(man.records) == 32
-    assert man.class_totals == {label: 8 for label in LABELS}
+    assert sorted(r.label for r in man.records) == sorted(LABELS * 8)
     assert man.has_sessions
     assert (tmp_path / "uemb.txt").read_text().count("\n") == 33
     assert (tmp_path / "wordvecs.txt").exists()
@@ -202,7 +200,6 @@ def test_encode_record_shapes(small_corpus):
     assert enc.n_words == len(man.records[0].transcript.split())
     assert len(enc.phonemes) == enc.n_words
     assert enc.label == LABELS.index(man.records[0].label)
-    assert enc.session == man.records[0].session
 
 
 def test_encode_manifest_attaches_embeddings(small_corpus):

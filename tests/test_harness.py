@@ -25,8 +25,7 @@ from melformer.fusion import MultiGranularityModel
 from melformer.harness import (BLOCK, Adam, FoldMetrics, TrainResult, build_model,
                                clip_gradients, evaluate, format_mean_std, kfold_split,
                                metrics_from_confusion, run_protocol, summarize,
-                               train_epochs, train_fold, write_results,
-                               _worker_count)
+                               train_epochs, train_fold, write_results)
 from melformer.model import MultilevelTransformer, load_checkpoint, restore_model
 from melformer.text import Lexicon, hash_word_vectors
 
@@ -370,7 +369,7 @@ def fake_manifest(session_sizes=None, n_random=None):
         for i in range(n_random):
             records.append(Record(id=f"u{i}", transcript="x", label=LABELS[i % 4],
                                   audio_path="x.wav"))
-    return Manifest(records=records, class_totals={}, path="m.jsonl")
+    return Manifest(records=records, path="m.jsonl")
 
 
 def test_kfold_rotation_with_five_sessions():
@@ -678,6 +677,31 @@ def train_with_poisoned_gradients(corpus, monkeypatch, t, poison):
     return opts[0], before, at_restore[0], exc_info.value
 
 
+def test_a_parameter_outside_the_graph_is_refused_before_any_update(corpus, monkeypatch):
+    # a trainable parameter that no step reads has no gradient after backward;
+    # clipping refuses it by position and shape before it scales anything
+    _, encs, wv = corpus
+    model = MultilevelTransformer(tiny_cfg(), wv, seed=0)
+    model.unused = Tensor(np.zeros((3, 2), dtype=model.head.bias.data.dtype),
+                          requires_grad=True)
+    position = [n for n, _ in model.trainable_named_parameters()].index("unused")
+    opts, initial = [], []
+
+    class RecordedAdam(Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opts.append(self)
+            initial.append(self.arena.copy())
+
+    monkeypatch.setattr(harness, "Adam", RecordedAdam)
+    with pytest.raises(ContractError, match=rf"^parameter {position} of params \(shape "
+                       r"\(3, 2\)\) has no gradient: it was not in the graph of the last backward"):
+        train_epochs(model, encs, encs, hcfg(max_epochs=2), seed=0)
+    opt, = opts
+    assert np.array_equal(opt.arena, initial[0])
+    assert opt.t == 0 and not opt.m.any() and not opt.v.any()
+
+
 def test_adam_rejects_non_finite_gradient_by_name(corpus, monkeypatch):
     # two NaN gradients on the first step: the first in Adam's order is named,
     # and no parameter or moment has moved
@@ -952,23 +976,11 @@ def test_a_fold_that_fails_under_workers_stops_the_folds_not_yet_started(monkeyp
         return plan.fold
 
     monkeypatch.setattr(harness, "train_fold", train_fold)
-    monkeypatch.delenv("MELFORMER_NUM_WORKERS", raising=False)
     plans = [SimpleNamespace(fold=fold) for fold in range(5)]
     with pytest.raises(TrainingDiverged, match="fold 0"):
         run_protocol([], plans, tiny_cfg(), hcfg(workers=2), None)
     assert received.exists()
     assert {int(path.name[len("started"):]) for path in tmp_path.glob("started*")} == {0, 1}
-
-
-def test_worker_count_respects_env_cap(monkeypatch):
-    monkeypatch.delenv("MELFORMER_NUM_WORKERS", raising=False)
-    assert _worker_count(8) == 8
-    monkeypatch.setenv("MELFORMER_NUM_WORKERS", "2")
-    assert _worker_count(8) == 2
-    assert _worker_count(1) == 1
-    monkeypatch.setenv("MELFORMER_NUM_WORKERS", "abc")
-    with pytest.raises(ValidationError, match="MELFORMER_NUM_WORKERS"):
-        _worker_count(2)
 
 
 @pytest.mark.parametrize("granularity", ["fine", "multi"])
